@@ -14,11 +14,11 @@ Modules
 rmt
     Matrix ensembles, seed derivation and spectral time scales.
 states
-    Coherent Gibbs states, density matrices and vectorization.
+    Coherent Gibbs states, partition functions and vectorization.
 pqc
     The discrete channel, its superoperator forms and the Lindblad limit.
 dephasing
-    Closed-form energy-dephasing diagnostics and their Liouvillian.
+    Energy dephasing: exact evolution, one closed-form kernel, the Liouvillian.
 diagnostics
     Fidelity/coherence/purity series, ensemble reduction and hole depth.
 spectral
@@ -46,8 +46,6 @@ from .rmt import (
 )
 from .states import (
     CoherentGibbsState,
-    DensityMatrix,
-    as_density,
     cgs_density,
     devectorize,
     log_partition_function,
@@ -69,12 +67,9 @@ from .pqc import (
 )
 from .dephasing import (
     EDParams,
-    ed_cl1,
-    ed_cl1_gamma_derivative,
+    ed_closed_forms,
     ed_evolve,
     ed_liouvillian,
-    ed_purity,
-    ed_sff,
     ed_sff_lower_bound,
 )
 from .diagnostics import (
@@ -123,7 +118,7 @@ __all__ = [
     "rng_from_seed", "sample_cue", "sample_goe", "sample_kraus_set",
     "semicircle_density", "semicircle_radius",
     # states
-    "CoherentGibbsState", "DensityMatrix", "as_density", "cgs_density",
+    "CoherentGibbsState", "cgs_density",
     "devectorize", "log_partition_function", "make_cgs", "partition_function",
     "plateau_value", "vectorize",
     # pqc
@@ -131,8 +126,8 @@ __all__ = [
     "build_wu_channel", "evolve_discrete", "kick_superoperator",
     "lindblad_generator", "unitary_superoperator",
     # dephasing
-    "EDParams", "ed_cl1", "ed_cl1_gamma_derivative", "ed_evolve",
-    "ed_liouvillian", "ed_purity", "ed_sff", "ed_sff_lower_bound",
+    "EDParams", "ed_closed_forms", "ed_evolve",
+    "ed_liouvillian", "ed_sff_lower_bound",
     # diagnostics
     "DiagnosticSeries", "SeriesAccumulator", "channel_diagnostics",
     "cl1_norm", "diagonal_weight", "ed_diagnostics", "effective_depth",

@@ -28,10 +28,12 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -40,10 +42,10 @@ import numpy as np
 from . import __version__
 from .dephasing import EDParams
 from .diagnostics import (
-    DiagnosticSeries,
     SeriesAccumulator,
-    ed_diagnostics,
     channel_diagnostics,
+    columns_to_csv,
+    ed_diagnostics,
     effective_depth,
     estimate_thouless,
     series_to_csv,
@@ -51,6 +53,7 @@ from .diagnostics import (
 from .pqc import ParametricChannel, build_superoperator, build_wu_channel
 from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
+    annular_boundaries,
     classify_phase,
     complex_spacing_ratios,
     containment_fraction,
@@ -58,6 +61,7 @@ from .spectral import (
     eigenvalues,
     phase_boundary,
     phi_max,
+    shifted_disk_boundary,
     split_bulk,
 )
 
@@ -116,6 +120,24 @@ class ExperimentConfig:
 _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
 
 
+def _is_finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# Accepted values per annotation of an ExperimentConfig field, with how to say so.
+_TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "Optional[float]": (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
+    "List[float]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite_number, v)),
+        "a list of finite numbers",
+    ),
+}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON config file; unknown keys are rejected by validate_config."""
     raw = json.loads(Path(path).read_text())
@@ -129,12 +151,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("gamma", "tau", "epsilon"):
         if key in raw and not isinstance(raw[key], list):
             raw[key] = [raw[key]]
-    cfg = ExperimentConfig(**raw)
-    if cfg.full_scale:
+    return _apply_full_scale(ExperimentConfig(**raw))
+
+
+def _apply_full_scale(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Raise dim and ensemble sizes when full_scale is set (in the file or by --full-scale).
+
+    A config with mistyped fields is left as it is for validate_config to reject.
+    """
+    if cfg.full_scale is True and not _type_issues(cfg):
         cfg.dim = max(cfg.dim, 64)
         cfg.realizations = _FULL_SCALE_REALIZATIONS.get(cfg.mode, cfg.realizations)
         cfg.allow_large = True
     return cfg
+
+
+def _type_issues(cfg: ExperimentConfig) -> List[str]:
+    """Fields whose value does not fit their annotation; bools are not integers, NaN is not a number."""
+    issues = []
+    for f in fields(cfg):
+        accepts, what = _TYPE_CHECKS[f.type]
+        value = getattr(cfg, f.name)
+        if not accepts(value):
+            issues.append(f"{f.name} must be {what}, got {value!r}")
+    return issues
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:
@@ -143,6 +183,9 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
     say = issues.append
     if cfg.mode not in MODES:
         say(f"mode must be one of {MODES}, got {cfg.mode!r}")
+        return issues
+    issues += _type_issues(cfg)
+    if issues:
         return issues
     if cfg.dim < 2:
         say(f"dim must be >= 2, got {cfg.dim}")
@@ -222,6 +265,16 @@ def _channel_matrix(cfg: ExperimentConfig, channel: ParametricChannel):
     return build_superoperator(channel)
 
 
+def _step(cfg: ExperimentConfig, channel: ParametricChannel):
+    """One-step map of the configured channel form; None selects the Kraus-form mixture.
+
+    The interleaved product W_eps U_tau has no Kraus form with K+1 terms of
+    the mixture kind, so it steps through its dense superoperator, built
+    once per channel; this form is meant for small dim.
+    """
+    return build_wu_channel(channel).apply if cfg.channel_form == "interleaved" else None
+
+
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     t_max = cfg.resolved_t_max()
     if cfg.grid_kind == "linear":
@@ -249,33 +302,23 @@ def _ensemble_map(
     return pool.map(worker, indices)
 
 
-def _format(value: float) -> str:
-    return np.format_float_scientific(value, unique=True)
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write through a temporary file in the same directory, then rename it over `path`."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write(path: Path, text: str, manifest: dict, kind: str, label: str) -> None:
-    path.write_text(text)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    data = text.encode()
+    _atomic_write(path, data)
     manifest["artifacts"].append(
-        {"path": path.name, "kind": kind, "label": label, "sha256": digest, "bytes": len(text)}
+        {"path": path.name, "kind": kind, "label": label,
+         "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     )
-
-
-def _cloud_csv(evals: Sequence[np.ndarray], fixed: Sequence[complex]) -> str:
-    lines = ["re,im,is_fixed_point,realization"]
-    for r, ev in enumerate(evals):
-        for z in ev:
-            lines.append(f"{_format(z.real)},{_format(z.imag)},0,{r}")
-        lines.append(f"{_format(fixed[r].real)},{_format(fixed[r].imag)},1,{r}")
-    return "\n".join(lines) + "\n"
-
-
-def _curve_csv(curves) -> str:
-    lines = ["re,im,curve"]
-    for c_idx, curve in enumerate(curves):
-        for z in curve:
-            lines.append(f"{_format(z.real)},{_format(z.imag)},{c_idx}")
-    return "\n".join(lines) + "\n"
 
 
 def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Optional[float] = None) -> str:
@@ -326,14 +369,11 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
         out_series = []
         for tau, eps in grid:
             ch = _channel(cfg, h, kraus, tau, eps)
-            if cfg.channel_form == "interleaved":
-                s = _interleaved_diagnostics(cfg, ch, record[tau])
-            else:
-                s = channel_diagnostics(
-                    ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau],
-                    metadata={"mode": "pqc-sff", "channel_form": cfg.channel_form},
-                )
-            out_series.append(s)
+            out_series.append(channel_diagnostics(
+                ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau],
+                metadata={"mode": "pqc-sff", "channel_form": cfg.channel_form},
+                step=_step(cfg, ch),
+            ))
         return out_series
 
     accs = [SeriesAccumulator() for _ in grid]
@@ -345,42 +385,6 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
         tag = _tag(tau=tau, eps=eps)
         _write(out / f"pqc-sff_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
         manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "n": mean.n_realizations})
-
-
-def _interleaved_diagnostics(cfg: ExperimentConfig, channel: ParametricChannel, record: np.ndarray) -> DiagnosticSeries:
-    """Diagnostics under the interleaved product W_eps U_tau instead of the mixture.
-
-    The interleaved step has no Kraus decomposition with K+1 terms of the
-    mixture form, so it is driven through its dense superoperator; this form
-    is only intended for small dim.
-    """
-    from .diagnostics import cl1_norm, purity as _purity, sff_fidelity
-    from .states import cgs_density, make_cgs, plateau_value, vectorize
-
-    cgs = make_cgs(channel.energies, cfg.beta)
-    rho = cgs_density(cgs).mat
-    m = build_wu_channel(channel).matrix
-    d = channel.dim
-    sff = np.empty(record.size)
-    cl1 = np.empty(record.size)
-    pur = np.empty(record.size)
-    pos = 0
-    vec = rho.reshape(-1)
-    for j in range(int(record[-1]) + 1):
-        if j > 0:
-            vec = m @ vec
-        if pos < record.size and j == record[pos]:
-            state = vec.reshape(d, d)
-            sff[pos] = sff_fidelity(cgs, state)
-            cl1[pos] = cl1_norm(state)
-            pur[pos] = _purity(state)
-            pos += 1
-    return DiagnosticSeries(
-        dim=d, beta=cfg.beta, times=record * channel.tau, sff=sff, cl1=cl1, purity=pur,
-        plateau=plateau_value(channel.energies, cfg.beta),
-        metadata={"mode": "pqc-sff", "channel_form": "interleaved",
-                  "tau": channel.tau, "epsilon": channel.epsilon},
-    )
 
 
 def _spectra(cfg: ExperimentConfig, workers: int):
@@ -409,54 +413,63 @@ def _spectra(cfg: ExperimentConfig, workers: int):
 
 def _run_spectrum(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     grid, per_point = _spectra(cfg, workers)
-    summary = ["tau,epsilon,phase,containment,margin,outer,inner,center,radius,n_eigenvalues"]
+    summary = []
     for (tau, eps), clouds in zip(grid, per_point):
         tag = _tag(tau=tau, eps=eps)
-        bulks, fixed = [], []
-        for ev in clouds:
-            b, f = split_bulk(ev)
-            bulks.append(b)
-            fixed.append(f)
+        bulks, fixed = zip(*map(split_bulk, clouds))
         phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
         boundary = phase_boundary(
             phase, eps, cfg.kraus_count, tau=tau, d=cfg.dim, sigma=cfg.sigma, hbar=cfg.hbar
         )
         pooled = np.concatenate(bulks)
         frac = containment_fraction(pooled, boundary, cfg.margin)
-        _write(out / f"spectrum_{tag}.csv", _cloud_csv(bulks, fixed), manifest, "cloud", tag)
-        _write(out / f"boundary_{tag}.csv", _curve_csv(boundary.curves), manifest, "boundary", tag)
+        cloud = np.concatenate([np.append(b, f) for b, f in zip(bulks, fixed)])
+        is_fixed = np.concatenate([np.append(np.zeros(b.size, int), 1) for b in bulks])
+        realization = np.concatenate([np.full(b.size + 1, r) for r, b in enumerate(bulks)])
+        _write(
+            out / f"spectrum_{tag}.csv",
+            columns_to_csv(("re", "im", "is_fixed_point", "realization"),
+                           (cloud.real, cloud.imag, is_fixed, realization),
+                           labels=("is_fixed_point", "realization")),
+            manifest, "cloud", tag,
+        )
+        curve = np.concatenate(boundary.curves)
+        curve_index = np.concatenate([np.full(len(c), k) for k, c in enumerate(boundary.curves)])
+        _write(
+            out / f"boundary_{tag}.csv",
+            columns_to_csv(("re", "im", "curve"), (curve.real, curve.imag, curve_index), labels=("curve",)),
+            manifest, "boundary", tag,
+        )
         _write(
             out / f"spectrum_{tag}.hist.json",
             json.dumps(density_grid(pooled, bins=cfg.histogram_bins)),
             manifest, "histogram", tag,
         )
-        center = boundary.center.real if boundary.kind == "shifted-disk" else 0.0
-        summary.append(
-            ",".join([
-                _format(tau), _format(eps), phase, _format(frac), _format(cfg.margin),
-                _format(boundary.outer or np.nan),
-                _format(boundary.inner if boundary.inner is not None else np.nan),
-                _format(center),
-                _format(boundary.outer or np.nan) if boundary.kind == "shifted-disk" else _format(np.nan),
-                str(pooled.size),
-            ])
-        )
+        shifted = boundary.kind == "shifted-disk"
+        summary.append((
+            tau, eps, phase, frac, cfg.margin, boundary.outer or np.nan,
+            boundary.inner if boundary.inner is not None else np.nan,
+            boundary.center.real if shifted else 0.0,
+            (boundary.outer or np.nan) if shifted else np.nan,
+            pooled.size,
+        ))
         manifest["grid"].append(
             {"tau": tau, "epsilon": eps, "status": "ok", "phase": phase, "containment": frac}
         )
-    _write(out / "spectrum_summary.csv", "\n".join(summary) + "\n", manifest, "summary", "summary")
+    header = ("tau", "epsilon", "phase", "containment", "margin", "outer", "inner", "center",
+              "radius", "n_eigenvalues")
+    text = columns_to_csv(header, zip(*summary), labels=("phase", "n_eigenvalues"))
+    _write(out / "spectrum_summary.csv", text, manifest, "summary", "summary")
 
 
 def _run_csr(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     grid, per_point = _spectra(cfg, workers)
-    summary = ["tau,epsilon,n_ratios,frac_below_0.05,flat_expectation,depletion_zscore"]
+    summary = []
     for (tau, eps), clouds in zip(grid, per_point):
         tag = _tag(tau=tau, eps=eps)
         ratios = np.concatenate([complex_spacing_ratios(ev).ratios for ev in clouds])
-        lines = ["re,im"]
-        for z in ratios:
-            lines.append(f"{_format(z.real)},{_format(z.imag)}")
-        _write(out / f"csr_{tag}.csv", "\n".join(lines) + "\n", manifest, "ratios", tag)
+        text = columns_to_csv(("re", "im"), (ratios.real, ratios.imag))
+        _write(out / f"csr_{tag}.csv", text, manifest, "ratios", tag)
         _write(
             out / f"csr_{tag}.hist.json",
             json.dumps(density_grid(ratios, bins=cfg.histogram_bins)),
@@ -467,37 +480,30 @@ def _run_csr(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> 
         count = int(np.sum(np.abs(ratios) <= 0.05))
         mu, sd = n * p_flat, math.sqrt(n * p_flat * (1 - p_flat))
         z_score = (mu - count) / sd
-        summary.append(
-            ",".join([
-                _format(tau), _format(eps), str(n), _format(count / n), _format(p_flat),
-                _format(z_score),
-            ])
-        )
+        summary.append((tau, eps, n, count / n, p_flat, z_score))
         manifest["grid"].append(
             {"tau": tau, "epsilon": eps, "status": "ok", "n_ratios": n, "depletion_zscore": z_score}
         )
-    _write(out / "csr_summary.csv", "\n".join(summary) + "\n", manifest, "summary", "summary")
+    header = ("tau", "epsilon", "n_ratios", "frac_below_0.05", "flat_expectation", "depletion_zscore")
+    text = columns_to_csv(header, zip(*summary), labels=("n_ratios",))
+    _write(out / "csr_summary.csv", text, manifest, "summary", "summary")
 
 
 def _run_phase_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
-    lines = ["tau,epsilon,phase,outer,inner,center,radius,phi_max"]
-    from .spectral import annular_boundaries, shifted_disk_boundary
-
+    rows = []
     for tau in cfg.tau:
         for eps in cfg.epsilon:
             phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
             outer, inner = annular_boundaries(eps, cfg.kraus_count)
             center, radius = shifted_disk_boundary(eps, cfg.kraus_count)
-            lines.append(
-                ",".join([
-                    _format(tau), _format(eps), phase, _format(outer),
-                    _format(inner if inner is not None else np.nan),
-                    _format(center), _format(radius),
-                    _format(phi_max(tau, cfg.dim, cfg.sigma, cfg.hbar)),
-                ])
-            )
+            rows.append((
+                tau, eps, phase, outer, inner if inner is not None else np.nan, center, radius,
+                phi_max(tau, cfg.dim, cfg.sigma, cfg.hbar),
+            ))
             manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "phase": phase})
-    _write(out / "phase_grid.csv", "\n".join(lines) + "\n", manifest, "grid", "phase-grid")
+    header = ("tau", "epsilon", "phase", "outer", "inner", "center", "radius", "phi_max")
+    text = columns_to_csv(header, zip(*rows), labels=("phase",))
+    _write(out / "phase_grid.csv", text, manifest, "grid", "phase-grid")
 
 
 def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
@@ -538,7 +544,7 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
             for eps, s in zip(cfg.epsilon, rows):
                 accs[(tau, eps)].add(s)
 
-    lines = ["tau,epsilon,depth,isolated_depth,relative_depth,t_thouless,t_heisenberg"]
+    table = []
     for tau in taus:
         iso_mean = iso_accs[tau].finalize()
         t_th = estimate_thouless(iso_mean, t_h)
@@ -547,16 +553,12 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
             mean = accs[(tau, eps)].finalize()
             depth = effective_depth(mean, t_th, t_h, tau)
             rel = depth / d_iso if d_iso > 0 else np.nan
-            lines.append(
-                ",".join([
-                    _format(tau), _format(eps), _format(depth), _format(d_iso),
-                    _format(rel), _format(t_th), _format(t_h),
-                ])
-            )
+            table.append((tau, eps, depth, d_iso, rel, t_th, t_h))
             manifest["grid"].append(
                 {"tau": tau, "epsilon": eps, "status": "ok", "relative_depth": rel}
             )
-    _write(out / "depth_grid.csv", "\n".join(lines) + "\n", manifest, "grid", "depth-grid")
+    header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
+    _write(out / "depth_grid.csv", columns_to_csv(header, zip(*table)), manifest, "grid", "depth-grid")
 
 
 _RUNNERS = {
@@ -599,7 +601,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     finally:
         manifest["wall_seconds"] = time.perf_counter() - t0
         manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float))
+        _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, default=float).encode())
     return manifest
 
 
@@ -701,9 +703,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cfg.output_dir = args.output_dir
             if args.full_scale:
                 cfg.full_scale = True
-                cfg.dim = max(cfg.dim, 64)
-                cfg.realizations = _FULL_SCALE_REALIZATIONS.get(cfg.mode, cfg.realizations)
-                cfg.allow_large = True
+                _apply_full_scale(cfg)
         issues = validate_config(cfg)
         if issues:
             for issue in issues:

@@ -27,23 +27,25 @@ common convention hbar = 1 makes it invisible.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .pqc import Superoperator
-from .states import DensityMatrix, EnergiesLike, as_density, as_energies, plateau_value
+from .states import EnergiesLike, as_energies, plateau_value
 
 __all__ = [
     "EDParams",
     "ed_evolve",
-    "ed_sff",
-    "ed_cl1",
-    "ed_cl1_gamma_derivative",
-    "ed_purity",
+    "EDClosedForms",
+    "ed_closed_forms",
+    "taylor_lower_bound",
     "ed_sff_lower_bound",
     "ed_liouvillian",
 ]
+
+# Pair terms per block of times in `ed_closed_forms`: 8 MB per float temporary.
+_PAIR_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,20 @@ def _check_times(t) -> np.ndarray:
     return t
 
 
-def ed_evolve(
-    rho0: Union[DensityMatrix, np.ndarray],
-    energies: EnergiesLike,
-    params: EDParams,
-    t: float,
-) -> DensityMatrix:
+def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, params: EDParams, t: float) -> np.ndarray:
     """Exact dephasing propagation of rho0 (eigenbasis) to time t >= 0."""
     tt = float(_check_times(t))
-    m = as_density(rho0)
+    m = np.asarray(rho0, dtype=complex)
     e = as_energies(energies)
     if m.shape[0] != e.size:
         raise ValueError(f"state dimension {m.shape[0]} != spectrum size {e.size}")
     w = e[:, np.newaxis] - e[np.newaxis, :]
     kernel = np.exp(-1j * tt * w / params.hbar - params.gamma * tt * w**2)
-    return DensityMatrix(m * kernel)
+    return m * kernel
 
 
 def _pair_data(energies: EnergiesLike, beta: float):
-    """Populations p_n and the m < n pair arrays (w, p_n*p_m, sqrt(p_n*p_m))."""
+    """The m < n pair arrays (w, p_n*p_m, sqrt(p_n*p_m)) of the Gibbs populations p_n."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     e = as_energies(energies)
@@ -93,55 +90,57 @@ def _pair_data(energies: EnergiesLike, beta: float):
     p = half**2 / np.sum(half**2)
     i, j = np.triu_indices(e.size, k=1)
     w = e[i] - e[j]
-    return p, w, p[i] * p[j], np.sqrt(p[i] * p[j])
+    return w, p[i] * p[j], np.sqrt(p[i] * p[j])
 
 
-def ed_sff(energies: EnergiesLike, beta: float, params: EDParams, t) -> np.ndarray:
-    """Fidelity <Psi_beta| rho(t) |Psi_beta> under dephasing, vectorized over t.
+class EDClosedForms(NamedTuple):
+    """Closed-form dephasing observables on one time grid (floats for scalar t)."""
 
-    SFF(t) = F_p + 2 * sum_{m<n} p_n p_m exp(-gamma*t*w^2) cos(w*t/hbar),
-    w = E_n - E_m.  Scalar t in, scalar out.
+    sff: np.ndarray
+    cl1: np.ndarray
+    cl1_gamma_derivative: np.ndarray
+    purity: np.ndarray
+
+
+def ed_closed_forms(energies: EnergiesLike, beta: float, params: EDParams, t) -> EDClosedForms:
+    """SFF, l1 coherence, dC_l1/dgamma and purity under dephasing, vectorized over t.
+
+    With w = E_n - E_m and one sum over level pairs m < n,
+
+        SFF(t)       = F_p + 2 * sum p_n p_m exp(-gamma*t*w^2) cos(w*t/hbar)
+        C_l1(t)      = 2 * sum sqrt(p_n p_m) exp(-gamma*t*w^2)
+        dC_l1/dgamma = -2 * sum sqrt(p_n p_m) t w^2 exp(-gamma*t*w^2)
+        purity(t)    = F_p + 2 * sum p_n p_m exp(-2*gamma*t*w^2)
+
+    C_l1 is d - 1 at t = 0, beta = 0.  The damping factor is computed once
+    per block of times; blocks hold about `_PAIR_BLOCK` pair terms, so the
+    temporaries stay bounded for any grid length.  Scalar t in, floats out.
     """
     t = _check_times(t)
     e = as_energies(energies)
-    _, w, pp, _ = _pair_data(e, beta)
-    ts = np.atleast_1d(t)[:, np.newaxis]
-    damp = np.exp(-params.gamma * ts * w**2)
-    osc = np.cos(w * ts / params.hbar)
-    out = plateau_value(e, beta) + 2.0 * np.sum(pp * damp * osc, axis=1)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
+    w, pp, sqpp = _pair_data(e, beta)
+    fp = plateau_value(e, beta)
+    flat = np.atleast_1d(t).reshape(-1)
+    out = np.empty((4, flat.size))
+    rows = max(1, _PAIR_BLOCK // max(w.size, 1))
+    for lo in range(0, flat.size, rows):
+        ts = flat[lo:lo + rows, np.newaxis]
+        damp = np.exp(-params.gamma * ts * w**2)
+        block = out[:, lo:lo + rows]
+        block[0] = fp + 2.0 * np.sum(pp * damp * np.cos(w * ts / params.hbar), axis=1)
+        block[1] = 2.0 * np.sum(sqpp * damp, axis=1)
+        block[2] = -2.0 * np.sum(sqpp * ts * w**2 * damp, axis=1)
+        # its own exponential: damp**2 differs from it in the last bit
+        block[3] = fp + 2.0 * np.sum(pp * np.exp(-2.0 * params.gamma * ts * w**2), axis=1)
+    if t.ndim == 0:
+        return EDClosedForms(*(float(x[0]) for x in out))
+    return EDClosedForms(*(x.reshape(t.shape) for x in out))
 
 
-def ed_cl1(energies: EnergiesLike, beta: float, params: EDParams, t) -> np.ndarray:
-    """l1 coherence 2 * sum_{m<n} sqrt(p_n p_m) exp(-gamma*t*w^2); d-1 at t=0, beta=0."""
-    t = _check_times(t)
-    e = as_energies(energies)
-    _, w, _, sqpp = _pair_data(e, beta)
-    ts = np.atleast_1d(t)[:, np.newaxis]
-    out = 2.0 * np.sum(sqpp * np.exp(-params.gamma * ts * w**2), axis=1)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
-
-
-def ed_cl1_gamma_derivative(
-    energies: EnergiesLike, beta: float, params: EDParams, t
-) -> np.ndarray:
-    """Analytic dC_l1/dgamma = -2 * sum_{m<n} sqrt(p_n p_m) t w^2 exp(-gamma*t*w^2)."""
-    t = _check_times(t)
-    e = as_energies(energies)
-    _, w, _, sqpp = _pair_data(e, beta)
-    ts = np.atleast_1d(t)[:, np.newaxis]
-    out = -2.0 * np.sum(sqpp * ts * w**2 * np.exp(-params.gamma * ts * w**2), axis=1)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
-
-
-def ed_purity(energies: EnergiesLike, beta: float, params: EDParams, t) -> np.ndarray:
-    """Purity F_p + 2 * sum_{m<n} p_n p_m exp(-2*gamma*t*w^2): same sum, twice the rate."""
-    t = _check_times(t)
-    e = as_energies(energies)
-    _, w, pp, _ = _pair_data(e, beta)
-    ts = np.atleast_1d(t)[:, np.newaxis]
-    out = plateau_value(e, beta) + 2.0 * np.sum(pp * np.exp(-2.0 * params.gamma * ts * w**2), axis=1)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
+def taylor_lower_bound(forms: EDClosedForms, dim: int, params: EDParams, t) -> np.ndarray:
+    """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms."""
+    t = np.asarray(t, dtype=float)
+    return (1.0 + forms.cl1 + t * forms.cl1_gamma_derivative / (2.0 * params.hbar**2)) / dim
 
 
 def ed_sff_lower_bound(
@@ -154,11 +153,7 @@ def ed_sff_lower_bound(
     if beta != 0.0:
         raise ValueError(f"lower bound is only defined at beta = 0, got beta = {beta}")
     e = as_energies(energies)
-    d = e.size
-    cl1 = ed_cl1(e, 0.0, params, t)
-    dcl1 = ed_cl1_gamma_derivative(e, 0.0, params, t)
-    t = np.asarray(t, dtype=float)
-    return (1.0 + cl1 + t * dcl1 / (2.0 * params.hbar**2)) / d
+    return taylor_lower_bound(ed_closed_forms(e, 0.0, params, t), e.size, params, t)
 
 
 def ed_liouvillian(energies: EnergiesLike, params: EDParams) -> Superoperator:

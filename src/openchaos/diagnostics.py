@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dephasing import EDParams, ed_cl1, ed_purity, ed_sff, ed_sff_lower_bound
+from .dephasing import EDParams, ed_closed_forms, taylor_lower_bound
 from .pqc import ParametricChannel, evolve_discrete
 from .states import (
     CoherentGibbsState,
-    DensityMatrix,
     EnergiesLike,
-    as_density,
     as_energies,
     cgs_density,
     make_cgs,
@@ -67,38 +65,36 @@ __all__ = [
     "ensemble_average",
     "ed_diagnostics",
     "channel_diagnostics",
+    "columns_to_csv",
     "series_to_csv",
 ]
 
 
-def sff_fidelity(state: CoherentGibbsState, rho: Union[DensityMatrix, np.ndarray]) -> float:
+def sff_fidelity(state: CoherentGibbsState, rho: np.ndarray) -> float:
     """Fidelity <Psi_beta| rho |Psi_beta>.
 
     The quadratic form is real for Hermitian rho up to roundoff; the real
     part is reported and rho is left untouched.
     """
-    m = as_density(rho)
     psi = state.amplitudes
-    if m.shape[0] != psi.size:
-        raise ValueError(f"state dimension {m.shape[0]} != CGS dimension {psi.size}")
-    return float(np.real(psi @ m @ psi))
+    if rho.shape != (psi.size, psi.size):
+        raise ValueError(f"state shape {rho.shape} does not fit CGS dimension {psi.size}")
+    return float(np.real(psi @ rho @ psi))
 
 
-def cl1_norm(rho: Union[DensityMatrix, np.ndarray]) -> float:
+def cl1_norm(rho: np.ndarray) -> float:
     """l1 coherence: sum of moduli of all off-diagonal entries."""
-    m = as_density(rho)
-    return float(np.abs(m).sum() - np.abs(np.diagonal(m)).sum())
+    return float(np.abs(rho).sum() - np.abs(np.diagonal(rho)).sum())
 
 
-def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr[rho^2] evaluated as the squared Frobenius norm (rho Hermitian)."""
-    m = as_density(rho)
-    return float(np.real(np.vdot(m, m)))
+    return float(np.real(np.vdot(rho, rho)))
 
 
-def diagonal_weight(rho: Union[DensityMatrix, np.ndarray]) -> float:
+def diagonal_weight(rho: np.ndarray) -> float:
     """sum_n |rho_nn|^2, the population part of the purity."""
-    return float(np.sum(np.abs(np.diagonal(as_density(rho))) ** 2))
+    return float(np.sum(np.abs(np.diagonal(rho)) ** 2))
 
 
 @dataclass
@@ -390,16 +386,16 @@ def ed_diagnostics(
     """Closed-form dephasing series on an arbitrary time grid."""
     e = as_energies(energies)
     t = np.asarray(times, dtype=float)
-    bound = ed_sff_lower_bound(e, params, t) if beta == 0.0 else None
+    forms = ed_closed_forms(e, beta, params, t)
     return DiagnosticSeries(
         dim=e.size,
         beta=beta,
         times=t,
-        sff=ed_sff(e, beta, params, t),
-        cl1=ed_cl1(e, beta, params, t),
-        purity=ed_purity(e, beta, params, t),
+        sff=forms.sff,
+        cl1=forms.cl1,
+        purity=forms.purity,
         plateau=plateau_value(e, beta),
-        lower_bound=bound,
+        lower_bound=taylor_lower_bound(forms, e.size, params, t) if beta == 0.0 else None,
         metadata=dict(metadata or {}, gamma=params.gamma, hbar=params.hbar),
     )
 
@@ -410,12 +406,16 @@ def channel_diagnostics(
     steps: int,
     record_steps: Optional[Sequence[int]] = None,
     metadata: Optional[dict] = None,
+    step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DiagnosticSeries:
     """Evolve the coherent Gibbs state through the channel and record diagnostics.
 
     The evolution streams through all j = 0..steps; observables are stored at
     `record_steps` only (default: every step).  Each observable costs O(d^2)
-    per recorded step on top of the channel application itself.
+    per recorded step on top of the channel application itself.  `step` maps
+    rho_j to rho_{j+1} (see `evolve_discrete`); the default is the Kraus-form
+    mixture, and the caller passes any other form, such as the interleaved
+    W_eps U_tau.
     """
     cgs = make_cgs(channel.energies, beta)
     rho0 = cgs_density(cgs)
@@ -431,7 +431,7 @@ def channel_diagnostics(
     cl1 = np.empty(record.size)
     pur = np.empty(record.size)
     pos = 0
-    for j, rho in enumerate(evolve_discrete(channel, rho0, int(record[-1]))):
+    for j, rho in enumerate(evolve_discrete(channel, rho0, int(record[-1]), step)):
         if pos < record.size and j == record[pos]:
             sff[pos] = sff_fidelity(cgs, rho)
             cl1[pos] = cl1_norm(rho)
@@ -455,14 +455,29 @@ def channel_diagnostics(
     )
 
 
+def columns_to_csv(header: Sequence[str], columns: Sequence, labels: Sequence[str] = ()) -> str:
+    """CSV text of equally long columns: the one number format of every artifact.
+
+    Columns named in `labels` (integers and text) are written with str; every
+    other column is read as float64 and written with the shortest
+    value-preserving scientific notation, so equal inputs give byte-identical
+    files.  One header line, one line per row, each ending in a newline.
+    """
+    cells = [
+        [str(v) for v in col] if name in labels
+        else [np.format_float_scientific(v, unique=True) for v in np.asarray(col, dtype=float)]
+        for name, col in zip(header, columns)
+    ]
+    return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
 def series_to_csv(series: DiagnosticSeries) -> str:
     """Render a series to CSV with the canonical column set.
 
     Columns: t, sff, sff_stderr, cl1, purity, lower_bound, upper_bound.  The
     bound columns hold the dephasing Taylor bound when the series carries
     one, otherwise the beta = 0 coherence sandwich; outside beta = 0 they are
-    nan.  The float formatting is value-preserving, so equal inputs give
-    byte-identical files.
+    nan.
     """
     n = series.times.size
     err = series.sff_stderr if series.sff_stderr is not None else np.zeros(n)
@@ -473,11 +488,7 @@ def series_to_csv(series: DiagnosticSeries) -> str:
     else:
         lo = np.full(n, np.nan)
         hi = np.full(n, np.nan)
-    lines = ["t,sff,sff_stderr,cl1,purity,lower_bound,upper_bound"]
-    for k in range(n):
-        row = (
-            series.times[k], series.sff[k], err[k], series.cl1[k],
-            series.purity[k], lo[k], hi[k],
-        )
-        lines.append(",".join(np.format_float_scientific(v, unique=True) for v in row))
-    return "\n".join(lines) + "\n"
+    return columns_to_csv(
+        ("t", "sff", "sff_stderr", "cl1", "purity", "lower_bound", "upper_bound"),
+        (series.times, series.sff, err, series.cl1, series.purity, lo, hi),
+    )

@@ -32,12 +32,12 @@ to the energy-dephasing master equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .rmt import HamiltonianSpectrum, KrausSet
-from .states import DensityMatrix, as_density, as_energies
+from .states import as_energies
 
 __all__ = [
     "Superoperator",
@@ -73,10 +73,9 @@ class Superoperator:
         """Liouville-space dimension d^2."""
         return self.hilbert_dim**2
 
-    def apply(self, rho: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
+    def apply(self, rho: np.ndarray) -> np.ndarray:
         """Matrix action devectorize(L @ vectorize(rho))."""
-        m = as_density(rho)
-        return (self.matrix @ m.reshape(-1)).reshape(m.shape)
+        return (self.matrix @ rho.reshape(-1)).reshape(rho.shape)
 
     def trace_defect(self) -> float:
         """Max norm of the identity row functional (1| L - (1|; zero iff trace preserving."""
@@ -92,6 +91,14 @@ def _phase_diagonal(energies: np.ndarray, tau: float, hbar: float) -> np.ndarray
     """
     w = energies[np.newaxis, :] - energies[:, np.newaxis]  # w[n, m] = E_m - E_n
     return np.exp(1j * tau * w / hbar).reshape(-1)
+
+
+def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, kraus: KrausSet) -> np.ndarray:
+    """Kraus operators conjugated by the eigenvector matrix of H, if one was kept."""
+    q = hamiltonian.eigenvectors
+    if q is None:
+        return kraus.operators
+    return np.einsum("in,rij,jm->rnm", q.conj(), kraus.operators, q)
 
 
 @dataclass(frozen=True)
@@ -125,11 +132,7 @@ class ParametricChannel:
             raise ValueError(
                 f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
             )
-        ops = self.kraus.operators
-        q = self.hamiltonian.eigenvectors
-        if q is not None:
-            ops = np.einsum("in,rij,jm->rnm", q.conj(), ops, q)
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "kraus_ops", _to_eigenbasis(self.hamiltonian, self.kraus))
 
     @property
     def dim(self) -> int:
@@ -140,17 +143,15 @@ class ParametricChannel:
         return self.hamiltonian.energies
 
 
-def apply_channel(
-    channel: ParametricChannel, rho: Union[DensityMatrix, np.ndarray]
-) -> DensityMatrix:
+def apply_channel(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
     """One channel step in Kraus form, without building the d^2 x d^2 matrix.
 
     The unitary part is an elementwise phase twist of rho in the eigenbasis;
     the environment part is the usual sum of Kraus conjugations, O(K d^3).
     """
-    m = as_density(rho)
-    if m.shape[0] != channel.dim:
-        raise ValueError(f"state dimension {m.shape[0]} != channel dimension {channel.dim}")
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (channel.dim, channel.dim):
+        raise ValueError(f"state shape {m.shape} does not fit channel dimension {channel.dim}")
     u = np.exp(-1j * channel.tau * channel.energies / channel.hbar)
     out = (1.0 - channel.epsilon) * (np.outer(u, u.conj()) * m)
     if channel.epsilon > 0.0:
@@ -158,25 +159,30 @@ def apply_channel(
         for n in channel.kraus_ops:
             acc += n @ m @ n.conj().T
         out = out + channel.epsilon * acc
-    return DensityMatrix(out)
+    return out
 
 
 def evolve_discrete(
     channel: ParametricChannel,
-    rho0: Union[DensityMatrix, np.ndarray],
+    rho0: np.ndarray,
     steps: int,
-) -> Iterator[DensityMatrix]:
-    """Yield rho_0, rho_1, ..., rho_steps under repeated channel application.
+    step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> Iterator[np.ndarray]:
+    """Yield rho_0, rho_1, ..., rho_steps under repeated application of one step map.
 
-    Streaming generator: memory stays O(d^2) no matter how long the run is,
-    so diagnostics can be accumulated on the fly.
+    `step` maps rho_j to rho_{j+1}; without one it is the Kraus-form mixture
+    `apply_channel`, looked up at every step.  Streaming generator: memory
+    stays O(d^2) no matter how long the run is, so diagnostics can be
+    accumulated on the fly.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    state = DensityMatrix(as_density(rho0).copy())
+    if step is None:
+        step = lambda rho: apply_channel(channel, rho)  # noqa: E731
+    state = np.array(rho0, dtype=complex)
     yield state
     for _ in range(steps):
-        state = apply_channel(channel, state)
+        state = step(state)
         yield state
 
 
@@ -249,11 +255,7 @@ def lindblad_generator(
     ident = np.eye(d, dtype=complex)
     w = e[:, np.newaxis] - e[np.newaxis, :]  # w[n, m] = E_n - E_m
     gen = np.diag((-1j / hbar) * w.reshape(-1)).astype(complex)
-    ops = kraus.operators
-    q = hamiltonian.eigenvectors
-    if q is not None:
-        ops = np.einsum("in,rij,jm->rnm", q.conj(), ops, q)
-    for n in ops:
+    for n in _to_eigenbasis(hamiltonian, kraus):
         ndn = n.conj().T @ n
         gen += 2.0 * gamma * (
             np.kron(n, n.conj())

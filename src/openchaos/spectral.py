@@ -31,6 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .pqc import Superoperator, build_superoperator
+from .rmt import critical_tau
 from .states import EnergiesLike, as_energies
 
 __all__ = [
@@ -160,8 +161,7 @@ def classify_phase(
     boundary lines the label is advisory: the finite-size cloud interpolates.
     """
     _check_eps_k(eps, k)
-    tau_c = np.pi * hbar / (sigma * np.sqrt(2.0 * d))
-    if tau >= tau_c:
+    if tau >= critical_tau(d, sigma, hbar):
         return "annular" if eps < critical_epsilon(k) else "disk"
     s = np.sin(min(phi_max(tau, d, sigma, hbar), np.pi / 2.0))
     if s == 0.0:

@@ -1,4 +1,4 @@
-"""Coherent Gibbs states, density matrices and Liouville-space vectorization.
+"""Coherent Gibbs states, partition functions and Liouville-space vectorization.
 
 The reference state throughout is the coherent Gibbs state
 
@@ -6,7 +6,8 @@ The reference state throughout is the coherent Gibbs state
 
 a pure state whose populations match the thermal ones while keeping every
 off-diagonal coherence positive.  At beta = 0 it is the maximally coherent
-state with amplitudes 1/sqrt(d).
+state with amplitudes 1/sqrt(d).  Density matrices are plain complex
+d x d arrays in the energy eigenbasis.
 
 Vectorization is row major ("horizontal"): |rho) stacks the rows of rho, so
 the matrix element rho_nm sits at index n*d + m and A rho B maps to
@@ -35,7 +36,6 @@ __all__ = [
     "partition_function",
     "CoherentGibbsState",
     "make_cgs",
-    "DensityMatrix",
     "cgs_density",
     "vectorize",
     "devectorize",
@@ -107,67 +107,17 @@ def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     return CoherentGibbsState(beta=float(beta), amplitudes=amp, energies=e)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Thin wrapper around a d x d density matrix.
-
-    Construction only checks shape; the physics invariants (Hermiticity,
-    unit trace, positivity) are verified by `validate`, which evolution
-    loops call where they need it rather than at every step.
-    """
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    def validate(
-        self,
-        herm_tol: float = 1e-10,
-        trace_tol: float = 1e-10,
-        eig_floor: float = -1e-8,
-    ) -> None:
-        """Raise unless Hermitian, unit trace and positive within tolerances."""
-        m = self.mat
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > herm_tol:
-            raise ValueError(f"not Hermitian: |rho - rho^dag|_max = {herm:.3e}")
-        tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace deviates from 1: {tr!r}")
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if lo < eig_floor:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below floor {eig_floor:.1e}")
+def cgs_density(state: CoherentGibbsState) -> np.ndarray:
+    """Rank-one density matrix |Psi_beta><Psi_beta|, entries sqrt(p_n*p_m)."""
+    return np.outer(state.amplitudes, state.amplitudes).astype(complex)
 
 
-def as_density(rho: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
-    """Matrix view of a DensityMatrix or bare array."""
-    if isinstance(rho, DensityMatrix):
-        return rho.mat
-    m = np.asarray(rho, dtype=complex)
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Row-major vectorization: component n*d + m holds rho_nm."""
+    m = np.array(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def cgs_density(state: CoherentGibbsState) -> DensityMatrix:
-    """Rank-one density matrix |Psi_beta><Psi_beta|, entries sqrt(p_n*p_m)."""
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes).astype(complex))
-
-
-def vectorize(rho: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
-    """Row-major vectorization: component n*d + m holds rho_nm."""
-    return as_density(rho).reshape(-1).copy()
+    return m.reshape(-1)
 
 
 def devectorize(vec: np.ndarray) -> np.ndarray:

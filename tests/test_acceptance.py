@@ -15,9 +15,9 @@ from scipy.spatial.distance import cdist
 
 from openchaos.dephasing import (
     EDParams,
+    ed_closed_forms,
     ed_evolve,
     ed_liouvillian,
-    ed_sff,
     ed_sff_lower_bound,
 )
 from openchaos.diagnostics import (
@@ -148,7 +148,7 @@ def test_dephasing_taylor_lower_bound(goe100, verdict):
     for gamma in (0.1, 1.0, 4.0):
         params = EDParams(gamma)
         for h in goe100[:50]:
-            gap = ed_sff_lower_bound(h, params, times) - ed_sff(h, 0.0, params, times)
+            gap = ed_sff_lower_bound(h, params, times) - ed_closed_forms(h, 0.0, params, times).sff
             worst = max(worst, float(np.max(gap)))
     verdict(
         2,
@@ -176,17 +176,17 @@ def test_dual_route_oracles(verdict):
         ks = sample_kraus_set(d, KRAUS, derive_seed(MASTER, 1, 200 + i))
         ch = ParametricChannel(tau=0.3, epsilon=0.35, hamiltonian=h, kraus=ks)
         sup = build_superoperator(ch)
-        rho = cgs_density(make_cgs(h, 0.1)).mat
+        rho = cgs_density(make_cgs(h, 0.1))
         mat = rho.copy()
         for _ in range(20):
-            rho = apply_channel(ch, rho).mat
+            rho = apply_channel(ch, rho)
             mat = sup.apply(mat)
             worst_dual = max(worst_dual, float(np.max(np.abs(rho - mat))))
 
     h = sample_goe(d, 1.0, derive_seed(MASTER, 0, 250))
     gamma, horizon, steps = 0.1, 1.0, 1000
     q = h.eigenvectors
-    rho0 = cgs_density(make_cgs(h, 0.2)).mat
+    rho0 = cgs_density(make_cgs(h, 0.2))
     rhs = _double_commutator_rhs(h.matrix.astype(complex), gamma)
     r = (q @ rho0 @ q.T).astype(complex)  # integrate in the sampling basis
     dt = horizon / steps
@@ -196,7 +196,7 @@ def test_dual_route_oracles(verdict):
         k3 = rhs(r + 0.5 * dt * k2)
         k4 = rhs(r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    closed = ed_evolve(rho0, h, EDParams(gamma), horizon).mat
+    closed = ed_evolve(rho0, h, EDParams(gamma), horizon)
     worst_rk4 = float(np.max(np.abs(closed - q.T @ r @ q)))
     verdict(
         3,
@@ -333,7 +333,7 @@ def test_plateau_and_timescales(goe100, verdict):
     for beta in (0.0, 0.1):
         devs = np.array(
             [
-                float(np.mean(ed_sff(h, beta, params, window)) - plateau_value(h, beta))
+                float(np.mean(ed_closed_forms(h, beta, params, window).sff) - plateau_value(h, beta))
                 for h in goe100
             ]
         )

@@ -28,10 +28,22 @@ def test_validate_ok(tmp_path):
 
 def test_validate_rejects_bad_values(tmp_path, capsys):
     p = tmp_path / "c.json"
-    _write_config(p, dim=1, gamma=[-0.5], points=1)
-    assert cli.main(["validate", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert "dim" in err and "gamma" in err and "points" in err
+    cases = [
+        (dict(dim=1, gamma=[-0.5], points=1), ("dim", "gamma", "points")),
+        (dict(dim="32"), ("dim",)),
+        (dict(dim=True), ("dim",)),
+        (dict(realizations=2.5), ("realizations",)),
+        (dict(gamma=[float("nan")]), ("gamma",)),
+        (dict(gamma=["0.1"]), ("gamma",)),
+        (dict(sigma=float("inf"), t_max="10"), ("sigma", "t_max")),
+        (dict(mode="pqc-sff", tau=[float("nan")], epsilon=[None]), ("tau", "epsilon")),
+        (dict(full_scale="yes"), ("full_scale",)),
+    ]
+    for overrides, names in cases:
+        _write_config(p, **overrides)
+        assert cli.main(["validate", str(p)]) == 1, overrides
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), (overrides, err)
 
 
 def test_validate_rejects_unknown_keys(tmp_path, capsys):
@@ -76,14 +88,44 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
     assert len(lines) == 1 + cfg["points"]
 
 
-def test_run_is_deterministic_across_workers(tmp_path):
+_SMALL_RUNS = {
+    "ed-sff": dict(),
+    "pqc-sff": dict(mode="pqc-sff", tau=[0.2], epsilon=[0.1], points=8, t_max=4.0),
+    "pqc-sff-interleaved": dict(mode="pqc-sff", channel_form="interleaved", tau=[0.2],
+                                epsilon=[0.1], points=8, t_max=4.0),
+    "spectrum": dict(mode="spectrum", realizations=2, tau=[0.05, 1.0], epsilon=[0.2], kraus_count=2),
+    "csr": dict(mode="csr", realizations=2, tau=[1.0], epsilon=[0.3], kraus_count=2),
+    "phase-grid": dict(mode="phase-grid", realizations=1, tau=[0.05, 1.0], epsilon=[0.2, 0.7]),
+    "depth-grid": dict(mode="depth-grid", realizations=3, tau=[0.5], epsilon=[0.0, 0.2],
+                       kraus_count=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_run_is_deterministic_across_workers(tmp_path, name):
     p = tmp_path / "c.json"
-    _write_config(p, mode="pqc-sff", tau=[0.2], epsilon=[0.1], points=8, t_max=4.0)
+    _write_config(p, **_SMALL_RUNS[name])
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "a")]) == 0
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "b"), "--workers", "3"]) == 0
-    fa = (tmp_path / "a" / "pqc-sff_tau0.2_eps0.1.csv").read_bytes()
-    fb = (tmp_path / "b" / "pqc-sff_tau0.2_eps0.1.csv").read_bytes()
-    assert fa == fb
+    artifacts = json.loads((tmp_path / "a" / "manifest.json").read_text())["artifacts"]
+    assert artifacts
+    for art in artifacts:
+        fa = (tmp_path / "a" / art["path"]).read_bytes()
+        fb = (tmp_path / "b" / art["path"]).read_bytes()
+        assert fa == fb, art["path"]
+
+
+def test_run_leaves_only_manifest_and_artifacts(tmp_path):
+    # writes go through a temporary file and a rename; none may be left behind
+    p = tmp_path / "c.json"
+    _write_config(p, **_SMALL_RUNS["spectrum"])
+    assert cli.main(["run", str(p)]) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {a["path"] for a in manifest["artifacts"]}
+    assert {f.name for f in out.iterdir()} == listed | {"manifest.json"}
+    for art in manifest["artifacts"]:
+        assert hashlib.sha256((out / art["path"]).read_bytes()).hexdigest() == art["sha256"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -187,16 +229,23 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     assert "set size ratio -1" in text
 
 
-def test_full_scale_flag_raises_dim_and_realizations(tmp_path):
+def test_full_scale_flag_raises_dim_and_realizations(tmp_path, monkeypatch):
     p = tmp_path / "c.json"
-    # load_config applies the scaling when the flag is in the file
+    # load_config applies the scaling when the key is in the file
     _write_config(p, mode="csr", kraus_count=2, tau=[1.0], epsilon=[0.3],
                   full_scale=True)
-    loaded = cli.load_config(p)
-    assert loaded.dim == 64
-    assert loaded.realizations == 4
-    assert loaded.allow_large
-    assert not cli.validate_config(loaded)
+    from_file = cli.load_config(p)
+    # main applies it for --full-scale; capture the config instead of running it
+    _write_config(p, mode="csr", kraus_count=2, tau=[1.0], epsilon=[0.3])
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg, workers=1: seen.append(cfg) or {"artifacts": []})
+    assert cli.main(["run", str(p), "--full-scale"]) == 0
+    for loaded in (from_file, seen[0]):
+        assert loaded.full_scale
+        assert loaded.dim == 64
+        assert loaded.realizations == 4
+        assert loaded.allow_large
+        assert not cli.validate_config(loaded)
 
 
 def test_gamma_scalar_promoted_to_list(tmp_path):

@@ -8,12 +8,9 @@ from scipy.linalg import expm
 
 from openchaos.dephasing import (
     EDParams,
-    ed_cl1,
-    ed_cl1_gamma_derivative,
+    ed_closed_forms,
     ed_evolve,
     ed_liouvillian,
-    ed_purity,
-    ed_sff,
     ed_sff_lower_bound,
 )
 from openchaos.rmt import derive_seed, sample_goe
@@ -40,7 +37,7 @@ def test_ed_evolve_matches_rk4_in_matrix_basis():
     d, gamma, t = 6, 0.13, 0.8
     h = sample_goe(d, 1.0, derive_seed(21, 0, 0))
     q = h.eigenvectors
-    rho0_eig = cgs_density(make_cgs(h, 0.2)).mat
+    rho0_eig = cgs_density(make_cgs(h, 0.2))
     rho0_mat = q @ rho0_eig @ q.conj().T
 
     def deriv(rho):
@@ -52,7 +49,7 @@ def test_ed_evolve_matches_rk4_in_matrix_basis():
     fine = q.conj().T @ _rk4(deriv, rho0_mat, t, 160) @ q
     # Richardson sanity: halving the step must shrink the defect ~16x,
     # confirming the defect measures the integrator and not the closed form
-    closed = ed_evolve(rho0_eig, h, EDParams(gamma), t).mat
+    closed = ed_evolve(rho0_eig, h, EDParams(gamma), t)
     err_coarse = np.max(np.abs(coarse - closed))
     err_fine = np.max(np.abs(fine - closed))
     assert err_coarse < 1e-6
@@ -63,10 +60,10 @@ def test_ed_evolve_matches_rk4_in_matrix_basis():
 def test_ed_evolve_matches_liouvillian_exponential():
     d, gamma, t = 8, 0.4, 1.7
     h = sample_goe(d, 1.0, derive_seed(21, 0, 1))
-    rho0 = cgs_density(make_cgs(h, 0.0)).mat
+    rho0 = cgs_density(make_cgs(h, 0.0))
     gen = ed_liouvillian(h, EDParams(gamma))
     propagated = devectorize(expm(t * gen.matrix) @ vectorize(rho0))
-    closed = ed_evolve(rho0, h, EDParams(gamma), t).mat
+    closed = ed_evolve(rho0, h, EDParams(gamma), t)
     assert np.max(np.abs(propagated - closed)) < 1e-10
 
 
@@ -74,11 +71,11 @@ def test_ed_sff_matches_fidelity_of_evolved_state():
     d, gamma, beta = 8, 0.25, 0.3
     h = sample_goe(d, 1.0, derive_seed(21, 0, 2))
     cgs = make_cgs(h, beta)
-    rho0 = cgs_density(cgs).mat
+    rho0 = cgs_density(cgs)
     for t in (0.0, 0.4, 2.0, 10.0):
-        rho_t = ed_evolve(rho0, h, EDParams(gamma), t).mat
+        rho_t = ed_evolve(rho0, h, EDParams(gamma), t)
         direct = float(np.real(cgs.amplitudes @ rho_t @ cgs.amplitudes))
-        assert ed_sff(h, beta, EDParams(gamma), t) == pytest.approx(direct, abs=1e-12)
+        assert ed_closed_forms(h, beta, EDParams(gamma), t).sff == pytest.approx(direct, abs=1e-12)
 
 
 def test_ed_sff_gamma_zero_is_isolated_form_factor():
@@ -89,16 +86,16 @@ def test_ed_sff_gamma_zero_is_isolated_form_factor():
     p /= p.sum()
     for t in (0.1, 1.0, 7.0):
         z = np.sum(p * np.exp(-1j * t * h.energies))
-        assert ed_sff(h, beta, EDParams(0.0), t) == pytest.approx(abs(z) ** 2, abs=1e-12)
+        assert ed_closed_forms(h, beta, EDParams(0.0), t).sff == pytest.approx(abs(z) ** 2, abs=1e-12)
 
 
 def test_ed_cl1_initial_value_and_decay():
     d = 12
     h = sample_goe(d, 1.0, derive_seed(21, 0, 4))
     params = EDParams(0.3)
-    assert ed_cl1(h, 0.0, params, 0.0) == pytest.approx(d - 1, abs=1e-10)
+    assert ed_closed_forms(h, 0.0, params, 0.0).cl1 == pytest.approx(d - 1, abs=1e-10)
     ts = np.linspace(0.0, 5.0, 40)
-    c = ed_cl1(h, 0.0, params, ts)
+    c = ed_closed_forms(h, 0.0, params, ts).cl1
     assert np.all(np.diff(c) <= 1e-12)  # pure gaussian damping, no revivals
 
 
@@ -106,28 +103,31 @@ def test_ed_cl1_gamma_derivative_matches_finite_difference():
     d, beta, t = 9, 0.2, 1.3
     h = sample_goe(d, 1.0, derive_seed(21, 0, 5))
     gamma, dg = 0.5, 1e-6
-    grad = ed_cl1_gamma_derivative(h, beta, EDParams(gamma), t)
-    fd = (ed_cl1(h, beta, EDParams(gamma + dg), t) - ed_cl1(h, beta, EDParams(gamma - dg), t)) / (2 * dg)
+    grad = ed_closed_forms(h, beta, EDParams(gamma), t).cl1_gamma_derivative
+    up = ed_closed_forms(h, beta, EDParams(gamma + dg), t).cl1
+    down = ed_closed_forms(h, beta, EDParams(gamma - dg), t).cl1
+    fd = (up - down) / (2 * dg)
     assert grad == pytest.approx(fd, rel=1e-6)
 
 
 def test_ed_purity_closed_form():
     d, beta, gamma = 7, 0.4, 0.2
     h = sample_goe(d, 1.0, derive_seed(21, 0, 6))
-    rho0 = cgs_density(make_cgs(h, beta)).mat
+    rho0 = cgs_density(make_cgs(h, beta))
     for t in (0.3, 2.0):
-        rho_t = ed_evolve(rho0, h, EDParams(gamma), t).mat
+        rho_t = ed_evolve(rho0, h, EDParams(gamma), t)
         direct = float(np.real(np.vdot(rho_t, rho_t)))
-        assert ed_purity(h, beta, EDParams(gamma), t) == pytest.approx(direct, abs=1e-12)
+        assert ed_closed_forms(h, beta, EDParams(gamma), t).purity == pytest.approx(direct, abs=1e-12)
 
 
 def test_ed_long_time_plateau():
     d, beta, gamma = 8, 0.3, 1.0
     h = sample_goe(d, 1.0, derive_seed(21, 0, 7))
     fp = plateau_value(h, beta)
-    assert ed_sff(h, beta, EDParams(gamma), 1e4) == pytest.approx(fp, abs=1e-12)
-    assert ed_purity(h, beta, EDParams(gamma), 1e4) == pytest.approx(fp, abs=1e-12)
-    assert ed_cl1(h, beta, EDParams(gamma), 1e4) == pytest.approx(0.0, abs=1e-12)
+    late = ed_closed_forms(h, beta, EDParams(gamma), 1e4)
+    assert late.sff == pytest.approx(fp, abs=1e-12)
+    assert late.purity == pytest.approx(fp, abs=1e-12)
+    assert late.cl1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lower_bound_at_time_zero_is_one():
@@ -145,7 +145,7 @@ def test_lower_bound_holds_pointwise():
     h = sample_goe(16, 1.0, derive_seed(21, 0, 10))
     params = EDParams(0.8)
     ts = np.geomspace(0.01, 50.0, 200)
-    sff = ed_sff(h, 0.0, params, ts)
+    sff = ed_closed_forms(h, 0.0, params, ts).sff
     bound = ed_sff_lower_bound(h, params, ts)
     assert np.all(sff >= bound - 1e-12)
 
@@ -167,4 +167,4 @@ def test_negative_gamma_rejected():
 def test_negative_time_rejected():
     h = sample_goe(4, 1.0, derive_seed(21, 0, 12))
     with pytest.raises(ValueError):
-        ed_sff(h, 0.0, EDParams(0.1), -1.0)
+        ed_closed_forms(h, 0.0, EDParams(0.1), -1.0)

@@ -24,9 +24,9 @@ from openchaos.diagnostics import (
     sff_cl1_sandwich,
     sff_fidelity,
 )
-from openchaos.pqc import ParametricChannel
+from openchaos.pqc import ParametricChannel, build_wu_channel
 from openchaos.rmt import derive_seed, rng_from_seed, sample_goe, sample_kraus_set
-from openchaos.states import make_cgs
+from openchaos.states import cgs_density, devectorize, make_cgs, vectorize
 
 
 def _series(rng, n=12, dim=8, beta=0.0, with_bound=False):
@@ -272,7 +272,7 @@ def test_channel_diagnostics_against_markov_limit():
     s = channel_diagnostics(ch, 0.0, steps, record_steps=rec)
     gen = lindblad_generator(h, ks, gamma).matrix
     cgs = make_cgs(h, 0.0)
-    vec0 = vectorize(cgs_density(cgs).mat)
+    vec0 = vectorize(cgs_density(cgs))
     for pos, t in enumerate(s.times):
         rho_t = devectorize(expm(t * gen) @ vec0)
         # discretization gap is O(tau); the convergence order itself is
@@ -292,6 +292,29 @@ def test_channel_diagnostics_records_requested_steps():
     assert np.array_equal(s.times, rec * 0.2)
     assert s.metadata["tau"] == 0.2
     assert s.sff[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
+    # the interleaved form steps with W_eps U_tau; its series must be the
+    # observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps
+    beta = 0.3
+    ch = ParametricChannel(
+        tau=0.4, epsilon=0.3,
+        hamiltonian=sample_goe(6, 1.0, derive_seed(51, 0, 3)),
+        kraus=sample_kraus_set(6, 2, derive_seed(51, 1, 3)),
+    )
+    wu = build_wu_channel(ch)
+    rec = np.array([0, 1, 4, 9])
+    s = channel_diagnostics(ch, beta, 9, record_steps=rec, step=wu.apply)
+    mixture = channel_diagnostics(ch, beta, 9, record_steps=rec)
+    cgs = make_cgs(ch.energies, beta)
+    vec0 = vectorize(cgs_density(cgs))
+    for pos, j in enumerate(rec):
+        rho_j = devectorize(np.linalg.matrix_power(wu.matrix, j) @ vec0)
+        assert s.sff[pos] == pytest.approx(sff_fidelity(cgs, rho_j), abs=1e-12)
+        assert s.cl1[pos] == pytest.approx(cl1_norm(rho_j), abs=1e-12)
+        assert s.purity[pos] == pytest.approx(purity(rho_j), abs=1e-12)
+    assert np.max(np.abs(s.sff - mixture.sff)) > 1e-6
 
 
 # ---------------------------------------------------------------------------

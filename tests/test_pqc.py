@@ -30,9 +30,9 @@ def test_kraus_and_superoperator_routes_agree():
     for idx in range(5):
         ch = _channel(idx=idx, tau=0.3, eps=0.35)
         sup = build_superoperator(ch)
-        rho = cgs_density(make_cgs(ch.hamiltonian, 0.1)).mat
+        rho = cgs_density(make_cgs(ch.hamiltonian, 0.1))
         for _ in range(5):
-            via_kraus = apply_channel(ch, rho).mat
+            via_kraus = apply_channel(ch, rho)
             via_matrix = sup.apply(rho)
             assert np.max(np.abs(via_kraus - via_matrix)) < 1e-12
             rho = via_kraus
@@ -95,11 +95,11 @@ def test_isolated_sff_matches_partition_function_ratio():
     ch = _channel(tau=0.25, eps=0.0)
     d = ch.dim
     cgs = make_cgs(ch.hamiltonian, 0.0)
-    rho = cgs_density(cgs).mat
+    rho = cgs_density(cgs)
     e = ch.hamiltonian.energies
     for j, state in enumerate(evolve_discrete(ch, rho, 6)):
         z = np.sum(np.exp(-1j * j * ch.tau * e)) / d
-        direct = float(np.real(cgs.amplitudes @ state.mat @ cgs.amplitudes))
+        direct = float(np.real(cgs.amplitudes @ state @ cgs.amplitudes))
         assert direct == pytest.approx(abs(z) ** 2, abs=1e-12)
 
 
@@ -108,14 +108,14 @@ def test_sff_equals_superoperator_entry_sum():
     ch = _channel(tau=0.15, eps=0.25)
     d = ch.dim
     cgs = make_cgs(ch.hamiltonian, 0.0)
-    rho = cgs_density(cgs).mat
+    rho = cgs_density(cgs)
     m = build_superoperator(ch).matrix
     power = np.eye(d * d, dtype=complex)
     for j, state in enumerate(evolve_discrete(ch, rho, 8)):
         if j > 0:
             power = m @ power
         via_sum = float(np.real(np.sum(power))) / d**2
-        direct = float(np.real(cgs.amplitudes @ state.mat @ cgs.amplitudes))
+        direct = float(np.real(cgs.amplitudes @ state @ cgs.amplitudes))
         assert direct == pytest.approx(via_sum, abs=1e-10)
 
 
@@ -123,7 +123,7 @@ def test_unital_single_kraus_channel_fixes_maximally_mixed():
     ch = _channel(tau=0.3, eps=0.45, k=1)
     d = ch.dim
     rho = np.eye(d, dtype=complex) / d
-    out = apply_channel(ch, rho).mat
+    out = apply_channel(ch, rho)
     assert np.max(np.abs(out - rho)) < 1e-13
 
 
@@ -188,9 +188,9 @@ def test_channel_parameter_validation():
 
 def test_evolve_discrete_yields_states_inclusive():
     ch = _channel(tau=0.2, eps=0.1)
-    rho = cgs_density(make_cgs(ch.hamiltonian, 0.0)).mat
+    rho = cgs_density(make_cgs(ch.hamiltonian, 0.0))
     states = list(evolve_discrete(ch, rho, 4))
     assert len(states) == 5
-    assert np.array_equal(states[0].mat, rho)
+    assert np.array_equal(states[0], rho)
     for s in states:
-        assert np.trace(s.mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)

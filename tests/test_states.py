@@ -8,8 +8,6 @@ import pytest
 from openchaos.rmt import derive_seed, rng_from_seed, sample_goe
 from openchaos.states import (
     CoherentGibbsState,
-    DensityMatrix,
-    as_density,
     cgs_density,
     devectorize,
     log_partition_function,
@@ -80,9 +78,8 @@ def test_cgs_rejects_bad_amplitudes():
 
 def test_cgs_density_is_pure_projector():
     h = sample_goe(8, 1.0, derive_seed(10, 0, 3))
-    rho = cgs_density(make_cgs(h, 0.5))
-    rho.validate()
-    m = rho.mat
+    m = cgs_density(make_cgs(h, 0.5))
+    assert np.max(np.abs(m - m.conj().T)) == 0.0
     assert np.max(np.abs(m @ m - m)) < 1e-13
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-13)
 
@@ -93,6 +90,8 @@ def test_vectorize_round_trip():
     assert np.array_equal(devectorize(vectorize(m)), m)
     with pytest.raises(ValueError):
         devectorize(np.zeros(5))  # not a perfect square
+    with pytest.raises(ValueError):
+        vectorize(np.zeros((2, 3)))  # not square
 
 
 def test_vectorization_kron_identity():
@@ -103,24 +102,3 @@ def test_vectorization_kron_identity():
     rhs = np.kron(a, b.T) @ vectorize(rho)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-
-def test_density_matrix_validation():
-    good = DensityMatrix(np.eye(3, dtype=complex) / 3)
-    good.validate()
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3) * (1 / 3 + 1e-6)).validate()  # trace off
-    m = np.eye(3, dtype=complex) / 3
-    m[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        DensityMatrix(m).validate()  # not hermitian
-    neg = np.diag([0.7, 0.5, -0.2]).astype(complex)
-    with pytest.raises(ValueError):
-        DensityMatrix(neg).validate()  # negative eigenvalue
-
-
-def test_as_density_accepts_both_forms():
-    m = np.eye(2, dtype=complex) / 2
-    assert np.array_equal(as_density(DensityMatrix(m)), m)
-    assert np.array_equal(as_density(m), m)
-    with pytest.raises(ValueError):
-        as_density(np.zeros((2, 3)))
