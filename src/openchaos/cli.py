@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, build_superoperator, build_wu_channel
+from .pqc import ParametricChannel, apply_interleaved, build_superoperator, build_wu_channel
 from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
@@ -268,11 +268,12 @@ def _channel_matrix(cfg: ExperimentConfig, channel: ParametricChannel):
 def _step(cfg: ExperimentConfig, channel: ParametricChannel):
     """One-step map of the configured channel form; None selects the Kraus-form mixture.
 
-    The interleaved product W_eps U_tau has no Kraus form with K+1 terms of
-    the mixture kind, so it steps through its dense superoperator, built
-    once per channel; this form is meant for small dim.
+    The interleaved product W_eps U_tau steps in Kraus form too: the mixture's
+    Kraus sum applied to the phase-twisted state (`apply_interleaved`).
     """
-    return build_wu_channel(channel).apply if cfg.channel_form == "interleaved" else None
+    if cfg.channel_form == "interleaved":
+        return lambda rho: apply_interleaved(channel, rho)
+    return None
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -293,13 +294,19 @@ def _record_steps(cfg: ExperimentConfig, steps: int) -> np.ndarray:
 
 def _ensemble_map(
     cfg: ExperimentConfig, worker: Callable[[int], object], workers: int
-) -> Iterable[object]:
-    """Map `worker` over realization indices, yielding results in index order."""
+) -> Iterator[object]:
+    """Map `worker` over realization indices, yielding results in index order.
+
+    At most min(workers, realizations) threads run; the pool is shut down
+    once the results are consumed or the consumer stops early.
+    """
     indices = range(cfg.realizations)
+    workers = min(workers, cfg.realizations)
     if workers <= 1:
-        return map(worker, indices)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    return pool.map(worker, indices)
+        yield from map(worker, indices)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(worker, indices)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -679,7 +686,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="execute a config and write CSV artifacts + manifest")
     p_run.add_argument("config", help="path to a JSON config file")
-    p_run.add_argument("--workers", type=int, default=1, help="thread workers over realizations")
+    p_run.add_argument(
+        "--workers", type=int, default=1,
+        help="threads over realizations, at most one per realization; the output is "
+        "byte-identical for any value",
+    )
     p_run.add_argument("--output-dir", default=None, help="override the config output_dir")
     p_run.add_argument("--full-scale", action="store_true", help="full-scale dim and ensemble sizes")
 

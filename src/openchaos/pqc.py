@@ -43,6 +43,7 @@ __all__ = [
     "Superoperator",
     "ParametricChannel",
     "apply_channel",
+    "apply_interleaved",
     "build_superoperator",
     "evolve_discrete",
     "unitary_superoperator",
@@ -110,6 +111,11 @@ class ParametricChannel:
     eigenvector matrix once here.  States handed to `apply_channel` are
     understood in the eigenbasis as well, which is where the coherent Gibbs
     state lives anyway.
+
+    The constants of one step are built here as well: the phase twist
+    `phase[n, m] = exp(-i*tau*(E_n - E_m)/hbar)` of U rho U^dag, its
+    (1-eps)-weighted copy `mask`, and the adjoints stacked as
+    [N_1^dag; ...; N_K^dag], a (K*d, d) matrix.
     """
 
     tau: float
@@ -118,6 +124,9 @@ class ParametricChannel:
     kraus: KrausSet
     hbar: float = 1.0
     kraus_ops: np.ndarray = field(init=False, repr=False)
+    phase: np.ndarray = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
+    kraus_adjoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau < 0:
@@ -132,7 +141,13 @@ class ParametricChannel:
             raise ValueError(
                 f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
             )
-        object.__setattr__(self, "kraus_ops", _to_eigenbasis(self.hamiltonian, self.kraus))
+        ops = np.ascontiguousarray(_to_eigenbasis(self.hamiltonian, self.kraus), dtype=complex)
+        k, d = ops.shape[0], ops.shape[1]
+        phase = _phase_diagonal(self.energies, self.tau, self.hbar).reshape(d, d)
+        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "mask", (1.0 - self.epsilon) * phase)
+        object.__setattr__(self, "kraus_adjoints", ops.conj().transpose(0, 2, 1).reshape(k * d, d))
 
     @property
     def dim(self) -> int:
@@ -143,22 +158,50 @@ class ParametricChannel:
         return self.hamiltonian.energies
 
 
-def apply_channel(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
-    """One channel step in Kraus form, without building the d^2 x d^2 matrix.
+def _kraus_sum(channel: ParametricChannel, m: np.ndarray) -> np.ndarray:
+    """sum_r N_r m N_r^dag as two GEMMs.
 
-    The unitary part is an elementwise phase twist of rho in the eigenbasis;
-    the environment part is the usual sum of Kraus conjugations, O(K d^3).
+    B m with B = [N_1; ...; N_K] is laid out side by side as
+    [N_1 m | ... | N_K m], a (d, K*d) matrix, and multiplied by the stacked
+    adjoints [N_1^dag; ...; N_K^dag]; the inner product runs over r as well.
     """
+    k, d = channel.kraus_ops.shape[0], channel.kraus_ops.shape[1]
+    bm = channel.kraus_ops.reshape(k * d, d) @ m
+    return bm.reshape(k, d, d).transpose(1, 0, 2).reshape(d, k * d) @ channel.kraus_adjoints
+
+
+def _as_state(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (channel.dim, channel.dim):
         raise ValueError(f"state shape {m.shape} does not fit channel dimension {channel.dim}")
-    u = np.exp(-1j * channel.tau * channel.energies / channel.hbar)
-    out = (1.0 - channel.epsilon) * (np.outer(u, u.conj()) * m)
+    return m
+
+
+def apply_channel(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
+    """One step of the mixture (1-eps) U rho U^dag + eps sum_r N_r rho N_r^dag.
+
+    The unitary part is the elementwise phase twist `mask * rho` in the
+    eigenbasis; the Kraus part is two GEMMs, O(K d^3), and is skipped at eps = 0.
+    """
+    m = _as_state(channel, rho)
+    out = channel.mask * m
     if channel.epsilon > 0.0:
-        acc = np.zeros_like(m)
-        for n in channel.kraus_ops:
-            acc += n @ m @ n.conj().T
-        out = out + channel.epsilon * acc
+        out += channel.epsilon * _kraus_sum(channel, m)
+    return out
+
+
+def apply_interleaved(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
+    """One step of the interleaved product W_eps U_tau, in Kraus form.
+
+    With sigma = U rho U^dag = phase * rho the step is
+    (1-eps) sigma + eps sum_r N_r sigma N_r^dag, the same two GEMMs as
+    `apply_channel` applied to the twisted state; `build_wu_channel` is
+    its d^2 x d^2 matrix.
+    """
+    m = _as_state(channel, rho)
+    out = channel.mask * m
+    if channel.epsilon > 0.0:
+        out += channel.epsilon * _kraus_sum(channel, channel.phase * m)
     return out
 
 

@@ -327,7 +327,9 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
 
     - "brute": O(n^2) distance table, the reference;
     - "kdtree": scipy cKDTree candidate search, distances recomputed with the
-      brute-force formula so the selection is bit-identical;
+      brute-force formula and the window widened until its farthest candidate
+      lies beyond the second neighbour, so the selection is bit-identical
+      even under ties;
     - "auto": kdtree above 512 eigenvalues.
 
     Fewer than 3 eigenvalues leave no second neighbour and raise.  In the
@@ -356,14 +358,25 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
                 order = np.lexsort((np.arange(n), row))
                 nn[r], nnn[r] = order[0], order[1]
     else:
-        tree = cKDTree(np.column_stack([re, im]))
-        k = min(n, 8)
-        _, cand = tree.query(np.column_stack([re, im]), k=k)
+        points = np.column_stack([re, im])
+        tree = cKDTree(points)
+        k0 = min(n, 8)
+        _, cand = tree.query(points, k=k0)
         for r in range(n):
-            idx = np.unique(cand[r])
-            idx = idx[idx != r]
-            d2 = (re[r] - re[idx]) ** 2 + (im[r] - im[idx]) ** 2
-            order = np.lexsort((idx, d2))
+            k, row = k0, cand[r]
+            while True:
+                idx = row[row != r]
+                d2 = (re[r] - re[idx]) ** 2 + (im[r] - im[idx]) ** 2
+                order = np.lexsort((idx, d2))
+                # Points left out of the window are at least as far as its
+                # farthest member.  Unless that one lies strictly beyond the
+                # second neighbour (the margin covers the tree's own rounding),
+                # a tie such as a degenerate eigenvalue could leave out a point
+                # that ranks first or second, so the window is widened.
+                if k == n or d2.max() > d2[order[1]] * (1.0 + 1e-12):
+                    break
+                k = min(n, 2 * k)
+                _, row = tree.query(points[r], k=k)
             nn[r], nnn[r] = idx[order[0]], idx[order[1]]
 
     num = ev[nn] - ev

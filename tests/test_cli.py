@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
         fa = (tmp_path / "a" / art["path"]).read_bytes()
         fb = (tmp_path / "b" / art["path"]).read_bytes()
         assert fa == fb, art["path"]
+
+
+def test_run_shuts_its_worker_threads_down(tmp_path):
+    before = threading.active_count()
+    cfg = cli.ExperimentConfig(**dict(_SMALL_RUNS["pqc-sff"], output_dir=str(tmp_path / "out"), dim=6,
+                                      realizations=3, master_seed=5))
+    cli.run(cfg, workers=2)
+    assert threading.active_count() == before
 
 
 def test_run_leaves_only_manifest_and_artifacts(tmp_path):

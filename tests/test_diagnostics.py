@@ -24,7 +24,7 @@ from openchaos.diagnostics import (
     sff_cl1_sandwich,
     sff_fidelity,
 )
-from openchaos.pqc import ParametricChannel, build_wu_channel
+from openchaos.pqc import ParametricChannel, apply_interleaved, build_wu_channel
 from openchaos.rmt import derive_seed, rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.states import cgs_density, devectorize, make_cgs, vectorize
 
@@ -295,8 +295,8 @@ def test_channel_diagnostics_records_requested_steps():
 
 
 def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
-    # the interleaved form steps with W_eps U_tau; its series must be the
-    # observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps
+    # the interleaved form steps with W_eps U_tau in Kraus form; its series
+    # must be the observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps
     beta = 0.3
     ch = ParametricChannel(
         tau=0.4, epsilon=0.3,
@@ -305,7 +305,7 @@ def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
     )
     wu = build_wu_channel(ch)
     rec = np.array([0, 1, 4, 9])
-    s = channel_diagnostics(ch, beta, 9, record_steps=rec, step=wu.apply)
+    s = channel_diagnostics(ch, beta, 9, record_steps=rec, step=lambda rho: apply_interleaved(ch, rho))
     mixture = channel_diagnostics(ch, beta, 9, record_steps=rec)
     cgs = make_cgs(ch.energies, beta)
     vec0 = vectorize(cgs_density(cgs))

@@ -286,3 +286,21 @@ def test_csr_handles_degenerate_points():
     ratios = complex_spacing_ratios(pts).ratios
     assert np.all(np.isfinite(ratios))
     assert abs(ratios[1]) == pytest.approx(1.0)
+
+
+def test_csr_dual_paths_agree_on_degenerate_channel_spectrum():
+    # at eps = 0 the eigenvalue 1 is d-fold degenerate: more exact ties than
+    # the kdtree's first candidate window holds, so it has to be widened
+    d = 16
+    ch = ParametricChannel(
+        tau=0.3, epsilon=0.0,
+        hamiltonian=sample_goe(d, 1.0, derive_seed(65, 0, 0)),
+        kraus=sample_kraus_set(d, 2, derive_seed(65, 1, 0)),
+    )
+    ev = eigenvalues(build_superoperator(ch))
+    assert np.sum(ev == 1.0) >= 8
+    brute = complex_spacing_ratios(ev, method="brute")
+    fast = complex_spacing_ratios(ev, method="kdtree")
+    assert np.array_equal(brute.nn_indices, fast.nn_indices)
+    assert np.array_equal(brute.nnn_indices, fast.nnn_indices)
+    assert np.array_equal(brute.ratios, fast.ratios)
