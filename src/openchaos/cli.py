@@ -177,6 +177,22 @@ def _type_issues(cfg: ExperimentConfig) -> List[str]:
     return issues
 
 
+def _tag_collisions(name: str, key: str, values: Sequence[float]) -> List[str]:
+    """Values of one grid list whose artifact tag `_tag(key=value)` repeats an earlier one's.
+
+    Two such grid points would write the same file name, the second over the first.
+    """
+    first: dict = {}
+    issues = []
+    for v in values:
+        tag = _tag(**{key: v})
+        if tag in first:
+            issues.append(f"{name} values {first[tag]!r} and {v!r} share the artifact tag {tag!r}")
+        else:
+            first[tag] = v
+    return issues
+
+
 def validate_config(cfg: ExperimentConfig) -> List[str]:
     """Collect every problem with the config; an empty list means runnable."""
     issues: List[str] = []
@@ -218,6 +234,7 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say("ed-sff needs a non-empty gamma list")
         if any(g < 0 for g in cfg.gamma):
             say("gamma values must be >= 0")
+        issues += _tag_collisions("gamma", "gamma", cfg.gamma)
     else:
         d2 = cfg.dim**2
         if not 1 <= cfg.kraus_count <= d2 - 2:
@@ -235,6 +252,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say(f"{cfg.mode} needs a non-empty epsilon list")
         if any(not 0.0 <= e <= 1.0 for e in cfg.epsilon):
             say("epsilon values must lie in [0, 1]")
+        issues += _tag_collisions("tau", "tau", cfg.tau)
+        issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
     return issues
 
 
@@ -346,13 +365,10 @@ def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Option
 def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     times = _time_grid(cfg)
     gammas = list(cfg.gamma)
+    params = [EDParams(g, cfg.hbar) for g in gammas]
 
     def worker(idx: int):
-        h = _hamiltonian(cfg, idx)
-        return [
-            ed_diagnostics(h, cfg.beta, EDParams(g, cfg.hbar), times, metadata={"mode": "ed-sff"})
-            for g in gammas
-        ]
+        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times, metadata={"mode": "ed-sff"})
 
     accs = [SeriesAccumulator() for _ in gammas]
     for series_list in _ensemble_map(cfg, worker, workers):

@@ -27,7 +27,7 @@ common convention hbar = 1 makes it invisible.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ __all__ = [
     "ed_liouvillian",
 ]
 
-# Pair terms per block of times in `ed_closed_forms`: 8 MB per float temporary.
-_PAIR_BLOCK = 1 << 20
+# Pair terms per block of times in `ed_closed_forms`: 512 KB per float buffer,
+# so the four block buffers stay in cache.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ class EDClosedForms(NamedTuple):
     purity: np.ndarray
 
 
-def ed_closed_forms(energies: EnergiesLike, beta: float, params: EDParams, t) -> EDClosedForms:
+def ed_closed_forms(
+    energies: EnergiesLike, beta: float, params: EDParams | Sequence[EDParams], t
+) -> EDClosedForms | List[EDClosedForms]:
     """SFF, l1 coherence, dC_l1/dgamma and purity under dephasing, vectorized over t.
 
     With w = E_n - E_m and one sum over level pairs m < n,
@@ -112,29 +115,62 @@ def ed_closed_forms(energies: EnergiesLike, beta: float, params: EDParams, t) ->
         dC_l1/dgamma = -2 * sum sqrt(p_n p_m) t w^2 exp(-gamma*t*w^2)
         purity(t)    = F_p + 2 * sum p_n p_m exp(-2*gamma*t*w^2)
 
-    C_l1 is d - 1 at t = 0, beta = 0.  The damping factor is computed once
-    per block of times; blocks hold about `_PAIR_BLOCK` pair terms, so the
-    temporaries stay bounded for any grid length.  Scalar t in, floats out.
+    C_l1 is d - 1 at t = 0, beta = 0.  `params` is one EDParams, which gives
+    one EDClosedForms, or a sequence of EDParams sharing one hbar, which
+    gives a list of them in the same order from a single pass over the level
+    pairs: per block of times, the gamma-independent terms cos(w*t/hbar) and
+    sqrt(p_n p_m) t w^2 are computed once and shared by every gamma.  Blocks
+    hold about `_PAIR_BLOCK` pair terms, so the four block buffers take
+    512 KB each for any grid length (one time row each once d(d-1)/2 is
+    larger).  Every row sums over all pairs, so the block size does not
+    change the result.  Scalar t in, floats out.
     """
+    single = isinstance(params, EDParams)
+    plist = [params] if single else list(params)
+    if not plist:
+        raise ValueError("need at least one EDParams")
+    hbar = plist[0].hbar
+    if any(p.hbar != hbar for p in plist):
+        raise ValueError("all EDParams of one call must share hbar")
     t = _check_times(t)
     e = as_energies(energies)
     w, pp, sqpp = _pair_data(e, beta)
+    w2 = w**2
     fp = plateau_value(e, beta)
     flat = np.atleast_1d(t).reshape(-1)
-    out = np.empty((4, flat.size))
+    out = np.empty((len(plist), 4, flat.size))
     rows = max(1, _PAIR_BLOCK // max(w.size, 1))
+    buffers = np.empty((4, min(rows, flat.size), w.size))
     for lo in range(0, flat.size, rows):
         ts = flat[lo:lo + rows, np.newaxis]
-        damp = np.exp(-params.gamma * ts * w**2)
-        block = out[:, lo:lo + rows]
-        block[0] = fp + 2.0 * np.sum(pp * damp * np.cos(w * ts / params.hbar), axis=1)
-        block[1] = 2.0 * np.sum(sqpp * damp, axis=1)
-        block[2] = -2.0 * np.sum(sqpp * ts * w**2 * damp, axis=1)
-        # its own exponential: damp**2 differs from it in the last bit
-        block[3] = fp + 2.0 * np.sum(pp * np.exp(-2.0 * params.gamma * ts * w**2), axis=1)
+        cos, slope, damp, term = buffers[:, :ts.shape[0]]
+        # the same for every gamma: cos(w*t/hbar) and sqrt(p_n p_m) t w^2
+        np.multiply(w, ts, out=cos)
+        np.divide(cos, hbar, out=cos)
+        np.cos(cos, out=cos)
+        np.multiply(sqpp, ts, out=slope)
+        np.multiply(slope, w2, out=slope)
+        for p, forms in zip(plist, out):
+            block = forms[:, lo:lo + rows]
+            np.multiply(-p.gamma * ts, w2, out=damp)
+            np.exp(damp, out=damp)
+            np.multiply(pp, damp, out=term)
+            np.multiply(term, cos, out=term)
+            block[0] = fp + 2.0 * np.sum(term, axis=1)
+            np.multiply(sqpp, damp, out=term)
+            block[1] = 2.0 * np.sum(term, axis=1)
+            np.multiply(slope, damp, out=term)
+            block[2] = -2.0 * np.sum(term, axis=1)
+            # its own exponential: damp**2 differs from it in the last bit
+            np.multiply(-2.0 * p.gamma * ts, w2, out=term)
+            np.exp(term, out=term)
+            np.multiply(pp, term, out=term)
+            block[3] = fp + 2.0 * np.sum(term, axis=1)
     if t.ndim == 0:
-        return EDClosedForms(*(float(x[0]) for x in out))
-    return EDClosedForms(*(x.reshape(t.shape) for x in out))
+        results = [EDClosedForms(*(float(x[0]) for x in forms)) for forms in out]
+    else:
+        results = [EDClosedForms(*(x.reshape(t.shape) for x in forms)) for forms in out]
+    return results[0] if single else results
 
 
 def taylor_lower_bound(forms: EDClosedForms, dim: int, params: EDParams, t) -> np.ndarray:

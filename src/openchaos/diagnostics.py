@@ -26,15 +26,18 @@ square root negative.  `estimate_thouless` fixes j_Th operationally as the
 argmin of the 5-point smoothed ensemble mean restricted to t < t_H.
 
 Reduction over realizations is done with compensated (Kahan) sums held in
-`SeriesAccumulator`, which is associative under `merge`, so a parallel run
-reduces to identical numbers no matter how the work was split.
+`SeriesAccumulator`.  The CLI adds realizations in index order, so its
+output is byte-identical for any worker count.  `merge` combines partial
+accumulators, but floating-point addition is not associative: a different
+split or merge order agrees only up to roundoff (tested to 1e-12 of the
+data scale), not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -264,9 +267,10 @@ def estimate_thouless(series: DiagnosticSeries, t_heisenberg: float) -> float:
 class SeriesAccumulator:
     """Streaming mean/stderr reducer over equally gridded DiagnosticSeries.
 
-    Kahan-compensated elementwise sums of the observables and their squares;
-    `merge` combines two accumulators so the reduction tree can have any
-    shape without changing the result beyond the compensation guarantee.
+    Kahan-compensated elementwise sums of the observables and their squares.
+    Adding the same series in the same order gives the same bytes.  `merge`
+    combines two accumulators (the other's compensation terms are dropped),
+    so another reduction tree changes the result by roundoff only.
     """
 
     _FIELDS = ("sff", "cl1", "purity")
@@ -379,25 +383,36 @@ def ensemble_average(series: Iterable[DiagnosticSeries]) -> DiagnosticSeries:
 def ed_diagnostics(
     energies: EnergiesLike,
     beta: float,
-    params: EDParams,
+    params: EDParams | Sequence[EDParams],
     times: np.ndarray,
     metadata: Optional[dict] = None,
-) -> DiagnosticSeries:
-    """Closed-form dephasing series on an arbitrary time grid."""
+) -> DiagnosticSeries | List[DiagnosticSeries]:
+    """Closed-form dephasing series on an arbitrary time grid.
+
+    `params` is one EDParams, which gives one series, or a sequence of
+    EDParams sharing one hbar, which gives a list of series in the same
+    order from one pass of `ed_closed_forms` over the level pairs.
+    """
     e = as_energies(energies)
     t = np.asarray(times, dtype=float)
-    forms = ed_closed_forms(e, beta, params, t)
-    return DiagnosticSeries(
-        dim=e.size,
-        beta=beta,
-        times=t,
-        sff=forms.sff,
-        cl1=forms.cl1,
-        purity=forms.purity,
-        plateau=plateau_value(e, beta),
-        lower_bound=taylor_lower_bound(forms, e.size, params, t) if beta == 0.0 else None,
-        metadata=dict(metadata or {}, gamma=params.gamma, hbar=params.hbar),
-    )
+    single = isinstance(params, EDParams)
+    plist = [params] if single else list(params)
+    fp = plateau_value(e, beta)
+    series = [
+        DiagnosticSeries(
+            dim=e.size,
+            beta=beta,
+            times=t,
+            sff=forms.sff,
+            cl1=forms.cl1,
+            purity=forms.purity,
+            plateau=fp,
+            lower_bound=taylor_lower_bound(forms, e.size, p, t) if beta == 0.0 else None,
+            metadata=dict(metadata or {}, gamma=p.gamma, hbar=p.hbar),
+        )
+        for p, forms in zip(plist, ed_closed_forms(e, beta, plist, t))
+    ]
+    return series[0] if single else series
 
 
 def channel_diagnostics(

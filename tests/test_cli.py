@@ -47,6 +47,24 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         assert all(name in err for name in names), (overrides, err)
 
 
+def test_validate_rejects_colliding_artifact_tags(tmp_path, capsys):
+    # tags print 6 significant digits: these lists would write one file name twice
+    p = tmp_path / "c.json"
+    cases = [
+        (dict(gamma=[0.1, 0.1000001]), "gamma0.1"),
+        (dict(gamma=[0.2, 0.5, 0.2]), "gamma0.2"),
+        (dict(mode="pqc-sff", tau=[0.5, 0.50000001], epsilon=[0.1]), "tau0.5"),
+        (dict(mode="spectrum", tau=[1.0], epsilon=[0.3, 0.3]), "eps0.3"),
+    ]
+    for overrides, tag in cases:
+        cfg = _write_config(p, **overrides)
+        assert cli.main(["run", str(p)]) == 1, overrides
+        assert tag in capsys.readouterr().err, overrides
+        assert not (tmp_path / "out").exists()
+        issues = cli.validate_config(cli.ExperimentConfig(**cfg))
+        assert len(issues) == 1 and tag in issues[0], (overrides, issues)
+
+
 def test_validate_rejects_unknown_keys(tmp_path, capsys):
     p = tmp_path / "c.json"
     cfg = _write_config(p)
@@ -114,6 +132,19 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
         fa = (tmp_path / "a" / art["path"]).read_bytes()
         fb = (tmp_path / "b" / art["path"]).read_bytes()
         assert fa == fb, art["path"]
+
+
+def test_ed_sff_gamma_list_matches_one_gamma_runs(tmp_path):
+    # one shared pass over the level pairs gives each gamma the bytes of its own run
+    gammas = [0.01, 0.1, 1.0]
+    p = tmp_path / "c.json"
+    _write_config(p, gamma=gammas)
+    assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "all")]) == 0
+    for g in gammas:
+        _write_config(p, gamma=[g])
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "one")]) == 0
+        name = f"ed-sff_gamma{g:g}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
 
 def test_run_shuts_its_worker_threads_down(tmp_path):

@@ -164,6 +164,16 @@ def test_negative_gamma_rejected():
         EDParams(-0.1)
 
 
+def test_params_sequence_must_be_nonempty_with_one_hbar():
+    h = sample_goe(5, 1.0, 3)
+    with pytest.raises(ValueError, match="at least one"):
+        ed_closed_forms(h, 0.0, [], 1.0)
+    with pytest.raises(ValueError, match="hbar"):
+        ed_closed_forms(h, 0.0, [EDParams(0.1), EDParams(0.1, hbar=2.0)], 1.0)
+    one = ed_closed_forms(h, 0.0, (EDParams(0.1),), 1.0)
+    assert isinstance(one, list) and one == [ed_closed_forms(h, 0.0, EDParams(0.1), 1.0)]
+
+
 def test_negative_time_rejected():
     h = sample_goe(4, 1.0, derive_seed(21, 0, 12))
     with pytest.raises(ValueError):

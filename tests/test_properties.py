@@ -1,10 +1,17 @@
-"""Property tests: the fused Kraus step against its references, and the two
-spacing-ratio paths against each other, over generated channels and clouds."""
+"""Property tests: the fused Kraus step against its references, the two
+spacing-ratio paths against each other, the shared dephasing kernel against
+one-gamma calls and the written-out pair sums, and the ensemble reducer
+under any merge order."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from openchaos import dephasing
+from openchaos.dephasing import EDParams, ed_closed_forms
+from openchaos.diagnostics import DiagnosticSeries, SeriesAccumulator, ed_diagnostics
 from openchaos.pqc import (
     ParametricChannel,
     apply_channel,
@@ -14,6 +21,7 @@ from openchaos.pqc import (
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
+from openchaos.states import plateau_value
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
@@ -105,3 +113,103 @@ def test_csr_paths_agree_on_conjugate_symmetric_clouds(xy, ones):
     # a channel spectrum's shape: conjugate pairs plus a stack of eigenvalues at 1
     z = np.array([complex(x, y) for x, y in xy])
     _assert_paths_agree(np.concatenate([z, z.conj(), np.ones(ones, dtype=complex)]))
+
+
+gammas = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
+betas = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+hbars = st.sampled_from([1.0, 0.7, 2.5])
+times = st.one_of(
+    st.floats(0.0, 50.0),
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30).map(np.array),
+)
+
+
+def _pair_sums(e, beta, params, t):
+    """The four closed forms of one gamma as whole-grid pair sums, without blocks or buffers."""
+    w, pp, sqpp = dephasing._pair_data(e, beta)
+    fp = plateau_value(e, beta)
+    ts = np.atleast_1d(t).reshape(-1)[:, np.newaxis]
+    damp = np.exp(-params.gamma * ts * w**2)
+    sums = (
+        fp + 2.0 * np.sum(pp * damp * np.cos(w * ts / params.hbar), axis=1),
+        2.0 * np.sum(sqpp * damp, axis=1),
+        -2.0 * np.sum(sqpp * ts * w**2 * damp, axis=1),
+        fp + 2.0 * np.sum(pp * np.exp(-2.0 * params.gamma * ts * w**2), axis=1),
+    )
+    return [x.reshape(np.shape(t)) for x in sums]
+
+
+@given(st.integers(2, 24), seeds, gammas, betas, times, hbars, st.integers(1, 64))
+def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hbar, block):
+    e = sample_goe(d, 1.0, seed).energies
+    params = [EDParams(g, hbar) for g in gs]
+    shared = ed_closed_forms(e, beta, params, t)
+    with mock.patch.object(dephasing, "_PAIR_BLOCK", block):
+        tiny = ed_closed_forms(e, beta, params, t)
+    assert len(shared) == len(tiny) == len(params)
+    for p, forms, tiny_forms in zip(params, shared, tiny):
+        one = ed_closed_forms(e, beta, p, t)
+        for field, x, y, z, r in zip(forms._fields, forms, one, tiny_forms, _pair_sums(e, beta, p, t)):
+            assert np.shape(x) == np.shape(t), field
+            assert all(np.array_equal(x, other) for other in (y, z, r)), field
+
+
+@given(st.integers(2, 12), seeds, gammas, betas)
+def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
+    h = sample_goe(d, 1.0, seed)
+    t = np.geomspace(0.1, 30.0, 9)
+    params = [EDParams(g, 0.7) for g in gs]
+    for p, s in zip(params, ed_diagnostics(h, beta, params, t, metadata={"mode": "x"})):
+        one = ed_diagnostics(h, beta, p, t, metadata={"mode": "x"})
+        for field in ("sff", "cl1", "purity", "lower_bound"):
+            assert np.array_equal(getattr(s, field), getattr(one, field)), field
+        assert (s.plateau, s.metadata) == (one.plateau, one.metadata)
+
+
+def _random_series(rng, n, scale, with_bound):
+    return DiagnosticSeries(
+        dim=8, beta=0.0, times=np.linspace(0.0, 3.0, n),
+        sff=scale * rng.uniform(0.01, 1.0, n), cl1=scale * rng.uniform(0.0, 7.0, n),
+        purity=scale * rng.uniform(0.125, 1.0, n), plateau=scale * rng.uniform(0.1, 1.0),
+        lower_bound=scale * rng.uniform(-1.0, 0.5, n) if with_bound else None,
+    )
+
+
+@given(
+    seeds, st.integers(1, 16), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_merge_order_changes_the_ensemble_only_by_roundoff(seed, count, scale, with_bound, rnd):
+    """Any split into accumulators, merged in any order, matches one in-order pass.
+
+    The sums are compensated but `merge` is not exactly associative in
+    floating point, so the bound is relative to the data scale: means,
+    plateau and bound to 1e-12 * max|x|, squared standard errors to
+    1e-12 * max|x|^2.
+    """
+    rng = rng_from_seed(seed)
+    batch = [_random_series(rng, 7, scale, with_bound) for _ in range(count)]
+    direct = SeriesAccumulator()
+    for s in batch:
+        direct.add(s)
+    order = rnd.sample(batch, len(batch))
+    cuts = sorted(rnd.sample(range(1, count), rnd.randint(0, count - 1)))
+    parts = []
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        acc = SeriesAccumulator()
+        for s in order[lo:hi]:
+            acc.add(s)
+        parts.append(acc)
+    rnd.shuffle(parts)
+    merged = parts[0]
+    for acc in parts[1:]:
+        merged = merged.merge(acc)
+    a, b = direct.finalize(), merged.finalize()
+    assert a.n_realizations == b.n_realizations == count
+    for field in ("sff", "cl1", "purity") + (("lower_bound",) if with_bound else ()):
+        top = max(np.max(np.abs(getattr(s, field))) for s in batch)
+        assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-12 * top, field
+        if field != "lower_bound":
+            err_a, err_b = getattr(a, field + "_stderr"), getattr(b, field + "_stderr")
+            assert np.max(np.abs(err_a**2 - err_b**2)) <= 1e-12 * top**2, field
+    assert abs(a.plateau - b.plateau) <= 1e-12 * max(s.plateau for s in batch)
