@@ -14,8 +14,12 @@ derive_seed(master_seed, 0, index) and its environment unitary from
 derive_seed(master_seed, 1, index), so realization i is the same physical
 sample in every mode and at every grid point; ensembles are therefore paired
 across parameters, and a run is reproducible from (config, master_seed)
-alone.  Workers only change scheduling: results are reduced in realization
-order, so the emitted CSV numbers are byte-identical for any --workers value.
+alone.  Each realization is one job: the Hamiltonian and the Kraus set are
+drawn, the Kraus set is rotated into the eigenbasis of H once, and every grid
+point reuses that pair.  With --workers N > 1 the jobs run in N forked worker
+processes (serially where the platform cannot fork); workers only change
+scheduling, because results are reduced in realization order, so the emitted
+CSV numbers are byte-identical for any --workers value.
 
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
@@ -28,11 +32,12 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence
@@ -50,7 +55,7 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, apply_interleaved, build_superoperator, build_wu_channel
+from .pqc import ParametricChannel, apply_interleaved, build_superoperator, build_wu_channel, in_eigenbasis
 from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
@@ -265,13 +270,16 @@ def _hamiltonian(cfg: ExperimentConfig, idx: int):
     return sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, _GOE_STREAM, idx))
 
 
-def _kraus(cfg: ExperimentConfig, idx: int):
-    return sample_kraus_set(
+def _realization(cfg: ExperimentConfig, idx: int):
+    """Hamiltonian and Kraus set of realization `idx`, both in the eigenbasis of H."""
+    h = _hamiltonian(cfg, idx)
+    kraus = sample_kraus_set(
         cfg.dim,
         cfg.kraus_count,
         derive_seed(cfg.master_seed, _CUE_STREAM, idx),
         column_offset=cfg.column_offset,
     )
+    return in_eigenbasis(h, kraus)
 
 
 def _channel(cfg: ExperimentConfig, h, kraus, tau: float, eps: float) -> ParametricChannel:
@@ -311,21 +319,45 @@ def _record_steps(cfg: ExperimentConfig, steps: int) -> np.ndarray:
     return np.unique(np.concatenate([[0], j]))
 
 
+# The realization worker of this process, set in each pool process by the
+# pool's initializer.  Under the fork start method the initializer's arguments
+# reach the child with the parent's memory, so neither the closure nor what it
+# captures is pickled; tasks carry only the realization index.
+_worker: Optional[Callable[[int], object]] = None
+
+
+def _install_worker(worker: Callable[[int], object]) -> None:
+    global _worker
+    _worker = worker
+
+
+def _call_worker(idx: int) -> object:
+    return _worker(idx)
+
+
 def _ensemble_map(
     cfg: ExperimentConfig, worker: Callable[[int], object], workers: int
 ) -> Iterator[object]:
     """Map `worker` over realization indices, yielding results in index order.
 
-    At most min(workers, realizations) threads run; the pool is shut down
-    once the results are consumed or the consumer stops early.
+    With workers > 1, min(workers, realizations) forked processes run the
+    realizations; only the index goes to a process and only the result comes
+    back.  One worker, or a platform without the fork start method, maps
+    serially in this process.  The pool is shut down once the results are
+    consumed or the consumer stops early.
     """
     indices = range(cfg.realizations)
     workers = min(workers, cfg.realizations)
-    if workers <= 1:
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         yield from map(worker, indices)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, indices)
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_worker,
+        initargs=(worker,),
+    ) as pool:
+        yield from pool.map(_call_worker, indices)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -387,8 +419,7 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
     record = {t: _record_steps(cfg, steps[t]) for t in cfg.tau}
 
     def worker(idx: int):
-        h = _hamiltonian(cfg, idx)
-        kraus = _kraus(cfg, idx)
+        h, kraus = _realization(cfg, idx)
         out_series = []
         for tau, eps in grid:
             ch = _channel(cfg, h, kraus, tau, eps)
@@ -415,8 +446,7 @@ def _spectra(cfg: ExperimentConfig, workers: int):
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
 
     def worker(idx: int):
-        h = _hamiltonian(cfg, idx)
-        kraus = _kraus(cfg, idx)
+        h, kraus = _realization(cfg, idx)
         spectra = []
         for tau, eps in grid:
             ch = _channel(cfg, h, kraus, tau, eps)
@@ -543,8 +573,7 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     iso_params = EDParams(0.0, cfg.hbar)
 
     def worker(idx: int):
-        h = _hamiltonian(cfg, idx)
-        kraus = _kraus(cfg, idx)
+        h, kraus = _realization(cfg, idx)
         per_tau = []
         for tau in taus:
             times = np.arange(j_max[tau] + 1) * tau
@@ -704,8 +733,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("config", help="path to a JSON config file")
     p_run.add_argument(
         "--workers", type=int, default=1,
-        help="threads over realizations, at most one per realization; the output is "
-        "byte-identical for any value",
+        help="parallel workers over realizations: forked processes, at most one per "
+        "realization (serial where fork is unavailable); the output is byte-identical "
+        "for any value",
     )
     p_run.add_argument("--output-dir", default=None, help="override the config output_dir")
     p_run.add_argument("--full-scale", action="store_true", help="full-scale dim and ensemble sizes")

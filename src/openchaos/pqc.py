@@ -16,7 +16,9 @@ vectorized channel
 
 is diagonal with phases exp(i*tau*(E_m - E_n)/hbar) at row index n*d + m.
 Kraus operators handed in along with a Hamiltonian matrix are rotated into
-that basis once, at channel construction.
+that basis at channel construction.  `in_eigenbasis` does the rotation ahead
+of time, so that all channels of one (H, Kraus set) pair share it: the CLI
+rotates once per realization, not once per grid point.
 
 Two related generators are provided for limit checks: the interleaved product
 W_eps U_tau, which agrees with L_{tau,eps} to first order in eps*tau/hbar, and
@@ -32,7 +34,7 @@ to the energy-dephasing master equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .states import as_energies
 __all__ = [
     "Superoperator",
     "ParametricChannel",
+    "in_eigenbasis",
     "apply_channel",
     "apply_interleaved",
     "build_superoperator",
@@ -102,15 +105,36 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, kraus: KrausSet) -> np.ndar
     return np.einsum("in,rij,jm->rnm", q.conj(), kraus.operators, q)
 
 
+def in_eigenbasis(
+    hamiltonian: HamiltonianSpectrum, kraus: KrausSet
+) -> Tuple[HamiltonianSpectrum, KrausSet]:
+    """The pair with the Kraus operators rotated into the eigenbasis of H.
+
+    The spectrum keeps dim, sigma, energies and seed but drops the matrix and
+    its eigenvectors, so a `ParametricChannel` built from the returned pair
+    skips its own rotation; its constants are the same bytes as those of a
+    channel built from the original pair.
+    """
+    spectrum = HamiltonianSpectrum(
+        dim=hamiltonian.dim, sigma=hamiltonian.sigma, energies=hamiltonian.energies,
+        seed=hamiltonian.seed,
+    )
+    rotated = KrausSet(
+        dim=kraus.dim, operators=_to_eigenbasis(hamiltonian, kraus), seed=kraus.seed,
+        generator_only=kraus.generator_only,
+    )
+    return spectrum, rotated
+
+
 @dataclass(frozen=True)
 class ParametricChannel:
     """One (tau, eps) channel tied to a sampled Hamiltonian and Kraus set.
 
     The channel works in the H eigenbasis: if the Kraus set was sampled in the
     same basis as the Hamiltonian matrix, its operators are conjugated by the
-    eigenvector matrix once here.  States handed to `apply_channel` are
-    understood in the eigenbasis as well, which is where the coherent Gibbs
-    state lives anyway.
+    eigenvector matrix here (a pair from `in_eigenbasis` is already rotated).
+    States handed to `apply_channel` are understood in the eigenbasis as
+    well, which is where the coherent Gibbs state lives anyway.
 
     The constants of one step are built here as well: the phase twist
     `phase[n, m] = exp(-i*tau*(E_n - E_m)/hbar)` of U rho U^dag, its

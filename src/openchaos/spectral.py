@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .pqc import Superoperator, build_superoperator
 from .rmt import critical_tau
@@ -358,6 +357,8 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
                 order = np.lexsort((np.arange(n), row))
                 nn[r], nnn[r] = order[0], order[1]
     else:
+        from scipy.spatial import cKDTree  # slow to import, and only this branch needs it
+
         points = np.column_stack([re, im])
         tree = cKDTree(points)
         k0 = min(n, 8)

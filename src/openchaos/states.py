@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rmt import HamiltonianSpectrum
 
@@ -56,11 +55,21 @@ def as_energies(energies: EnergiesLike) -> np.ndarray:
 
 
 def log_partition_function(energies: EnergiesLike, beta: float) -> float:
-    """log Z(beta) via a shifted log-sum-exp; beta must be >= 0."""
+    """log Z(beta) via a shifted log-sum-exp; beta must be >= 0, energies finite.
+
+    The m terms at the maximum a_max of a = -beta*E are taken out of the sum
+    s of the others' exp(a - a_max), and log Z = log1p(s/m) + log(m) + a_max.
+    That is the order of operations of scipy.special.logsumexp (scipy 1.17),
+    so the result is the same to the bit, without importing scipy.special.
+    """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    e = as_energies(energies)
-    return float(logsumexp(-beta * e))
+    a = -beta * as_energies(energies)
+    a_max = np.max(a)
+    at_max = a == a_max
+    m = np.count_nonzero(at_max)
+    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
 
 
 def partition_function(energies: EnergiesLike, beta: float) -> float:

@@ -2,12 +2,27 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from openchaos import cli
+from openchaos.spectral import EigensolverError
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _subprocess_env():
+    """This environment with the package's source directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def _write_config(path, **overrides):
@@ -153,6 +168,53 @@ def test_run_shuts_its_worker_threads_down(tmp_path):
                                       realizations=3, master_seed=5))
     cli.run(cfg, workers=2)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_failure_exits_2_and_leaves_no_child_process(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "c.json"
+    _write_config(p, **dict(_SMALL_RUNS["spectrum"], realizations=3))
+    parent, solve = os.getpid(), cli.eigenvalues
+
+    def failing(superop, context=""):
+        if context.endswith("realization=1"):
+            raise EigensolverError(f"synthetic failure at {context}, forked: {os.getpid() != parent}")
+        return solve(superop, context=context)
+
+    monkeypatch.setattr(cli, "eigenvalues", failing)
+    assert cli.main(["run", str(p), "--workers", "2"]) == 2
+    message = "synthetic failure at tau=0.05, eps=0.2, realization=1, forked: True"
+    assert message in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["errors"] == [message]
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_workers_with_default_blas_threads_match_one_worker(tmp_path):
+    # A worker forked while BLAS threads exist must not hang: a deadlock runs into the timeout.
+    p = tmp_path / "c.json"
+    _write_config(p, **dict(_SMALL_RUNS["pqc-sff"], dim=16, realizations=4))
+    env = {k: v for k, v in _subprocess_env().items() if not k.endswith("_NUM_THREADS")}
+    for workers in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "openchaos.cli", "run", str(p), "--workers", workers,
+             "--output-dir", str(tmp_path / workers)],
+            env=env, timeout=120, check=True, capture_output=True,
+        )
+    artifacts = json.loads((tmp_path / "1" / "manifest.json").read_text())["artifacts"]
+    assert artifacts
+    for art in artifacts:
+        assert (tmp_path / "1" / art["path"]).read_bytes() == (tmp_path / "2" / art["path"]).read_bytes()
+
+
+def test_importing_the_cli_loads_neither_scipy_special_nor_spatial():
+    code = (
+        "import sys, openchaos.cli; "
+        "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=120,
+                          check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_leaves_only_manifest_and_artifacts(tmp_path):

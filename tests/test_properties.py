@@ -1,13 +1,15 @@
-"""Property tests: the fused Kraus step against its references, the two
+"""Property tests: the fused Kraus step against its references, channels
+from a pre-rotated pair against channels from the raw pair, the two
 spacing-ratio paths against each other, the shared dephasing kernel against
-one-gamma calls and the written-out pair sums, and the ensemble reducer
-under any merge order."""
+one-gamma calls and the written-out pair sums, the numpy log-sum-exp against
+scipy's, and the ensemble reducer under any merge order."""
 
 from unittest import mock
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from openchaos import dephasing
 from openchaos.dephasing import EDParams, ed_closed_forms
@@ -18,10 +20,11 @@ from openchaos.pqc import (
     apply_interleaved,
     build_superoperator,
     build_wu_channel,
+    in_eigenbasis,
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
-from openchaos.states import plateau_value
+from openchaos.states import log_partition_function, plateau_value
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
@@ -83,6 +86,21 @@ def test_interleaved_step_matches_wu_matrix(ch, seed):
     assert np.max(np.abs(out - build_wu_channel(ch).apply(rho))) <= 1e-13 * np.linalg.norm(rho)
 
 
+@given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, st.floats(0.0, 3.0), epsilons)
+def test_channel_from_rotated_pair_has_the_raw_pair_constants_bytewise(d, k, hseed, kseed, tau, eps):
+    h = sample_goe(d, 1.0, hseed)
+    kraus = sample_kraus_set(d, min(k, d * d - 2), kseed)
+    rh, rk = in_eigenbasis(h, kraus)
+    assert rh.matrix is None and rh.eigenvectors is None
+    assert (rh.dim, rh.sigma, rh.seed, rk.seed) == (h.dim, h.sigma, h.seed, kraus.seed)
+    assert np.array_equal(rh.energies, h.energies)
+    raw = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus)
+    pre = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=rh, kraus=rk)
+    for name in ("kraus_ops", "phase", "mask", "kraus_adjoints"):
+        assert np.array_equal(getattr(raw, name), getattr(pre, name)), name
+    assert np.array_equal(build_superoperator(raw).matrix, build_superoperator(pre).matrix)
+
+
 def _assert_paths_agree(points):
     brute = complex_spacing_ratios(points, method="brute")
     fast = complex_spacing_ratios(points, method="kdtree")
@@ -122,6 +140,16 @@ times = st.one_of(
     st.floats(0.0, 50.0),
     st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30).map(np.array),
 )
+
+
+@given(
+    st.integers(1, 40), seeds, st.sampled_from([0.1, 1.0, 30.0]), st.integers(0, 3),
+    st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+)
+def test_log_partition_function_is_scipy_logsumexp_bitwise(d, seed, scale, ties, beta):
+    e = scale * rng_from_seed(seed).normal(size=d)
+    e = np.sort(np.concatenate([e, np.full(ties, e.min())]))  # extra terms at the maximum of -beta*E
+    assert log_partition_function(e, beta) == float(logsumexp(-beta * e))
 
 
 def _pair_sums(e, beta, params, t):
