@@ -19,7 +19,10 @@ drawn, the Kraus set is rotated into the eigenbasis of H once, and every grid
 point reuses that pair.  With --workers N > 1 the jobs run in N forked worker
 processes (serially where the platform cannot fork); workers only change
 scheduling, because results are reduced in realization order, so the emitted
-CSV numbers are byte-identical for any --workers value.
+CSV numbers are byte-identical for any --workers value.  `spectrum` and `csr`
+solve through `spectral.eigenvalues`, whose memo outlives a run: a worker
+starts from its parent's memo and sends back the spectra it used, so a later
+run in the same process reuses them whatever --workers was.
 
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
@@ -63,6 +66,7 @@ from .spectral import (
     complex_spacing_ratios,
     containment_fraction,
     density_grid,
+    eigenvalue_memo,
     eigenvalues,
     phase_boundary,
     phi_max,
@@ -394,22 +398,33 @@ def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Option
 # mode implementations
 
 
+def _write_ensemble_means(
+    results: Iterator[list], points: List[tuple], out: Path, manifest: dict
+) -> None:
+    """Average each grid point's series over the realizations; write one CSV per point.
+
+    `results` yields one list of series per realization, in grid order;
+    `points` holds each grid point's (artifact tag, manifest parameters).
+    """
+    accs = [SeriesAccumulator() for _ in points]
+    for series_list in results:
+        for acc, s in zip(accs, series_list):
+            acc.add(s)
+    for (tag, params), acc in zip(points, accs):
+        mean = acc.finalize()
+        _write(out / f"{manifest['mode']}_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
+        manifest["grid"].append({**params, "status": "ok", "n": mean.n_realizations})
+
+
 def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     times = _time_grid(cfg)
-    gammas = list(cfg.gamma)
-    params = [EDParams(g, cfg.hbar) for g in gammas]
+    params = [EDParams(g, cfg.hbar) for g in cfg.gamma]
 
     def worker(idx: int):
         return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times, metadata={"mode": "ed-sff"})
 
-    accs = [SeriesAccumulator() for _ in gammas]
-    for series_list in _ensemble_map(cfg, worker, workers):
-        for acc, s in zip(accs, series_list):
-            acc.add(s)
-    for g, acc in zip(gammas, accs):
-        mean = acc.finalize()
-        _write(out / f"ed-sff_{_tag(gamma=g)}.csv", series_to_csv(mean), manifest, "series", _tag(gamma=g))
-        manifest["grid"].append({"gamma": g, "status": "ok", "n": mean.n_realizations})
+    points = [(_tag(gamma=g), {"gamma": g}) for g in cfg.gamma]
+    _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
 def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
@@ -430,22 +445,22 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
             ))
         return out_series
 
-    accs = [SeriesAccumulator() for _ in grid]
-    for series_list in _ensemble_map(cfg, worker, workers):
-        for acc, s in zip(accs, series_list):
-            acc.add(s)
-    for (tau, eps), acc in zip(grid, accs):
-        mean = acc.finalize()
-        tag = _tag(tau=tau, eps=eps)
-        _write(out / f"pqc-sff_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
-        manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "n": mean.n_realizations})
+    points = [(_tag(tau=t, eps=e), {"tau": t, "epsilon": e}) for t, e in grid]
+    _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
 def _spectra(cfg: ExperimentConfig, workers: int):
-    """Eigenvalue clouds for every (tau, eps) grid point and realization."""
+    """Eigenvalue clouds for every (tau, eps) grid point and realization.
+
+    Each realization also returns the memo entries it used, and they are
+    adopted here in realization order, so this process's eigenvalue memo ends
+    up as a serial run would leave it, whether or not they were used in a
+    forked worker.
+    """
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
 
     def worker(idx: int):
+        mark = eigenvalue_memo.mark()
         h, kraus = _realization(cfg, idx)
         spectra = []
         for tau, eps in grid:
@@ -455,10 +470,11 @@ def _spectra(cfg: ExperimentConfig, workers: int):
                 context=f"tau={tau}, eps={eps}, realization={idx}",
             )
             spectra.append(ev)
-        return spectra
+        return spectra, eigenvalue_memo.used_since(mark)
 
     per_point = [[] for _ in grid]
-    for spectra in _ensemble_map(cfg, worker, workers):
+    for spectra, used in _ensemble_map(cfg, worker, workers):
+        eigenvalue_memo.adopt(used)
         for store, ev in zip(per_point, spectra):
             store.append(ev)
     return grid, per_point

@@ -20,12 +20,26 @@ built from the two nearest neighbours of each eigenvalue, which always lands
 in the unit disk and is depleted near zero for repelling spectra.  Two
 implementations (quadratic brute force and a KD-tree) share the same
 tie-break rule and must agree to the bit.
+
+`eigenvalues` remembers what it solved.  A matrix whose shape, dtype and
+bytes equal those of one solved before gets that solve's eigenvalues back
+without a second LAPACK call: `csr` after `spectrum` on the same grid point,
+or `spectral_report` twice on one channel.  The memo (`eigenvalue_memo`)
+drops the least recently used spectrum once the ones it holds would pass
+64 MiB.  It lives as long as the process, so only a process that solves the
+same channel twice gains; a one-shot `openchaos run` solves each matrix once
+and gains nothing.  The eigenvalues returned are the bytes a fresh solve of
+the same matrix gives, so no output depends on what the memo holds.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +49,8 @@ from .states import EnergiesLike, as_energies
 
 __all__ = [
     "EigensolverError",
+    "EigenvalueMemo",
+    "eigenvalue_memo",
     "eigenvalues",
     "fixed_point_index",
     "split_bulk",
@@ -63,13 +79,122 @@ class EigensolverError(RuntimeError):
     """Dense eigensolve failed; the message carries the parameter point."""
 
 
+class EigenvalueMemo:
+    """Solved spectra keyed on matrix content; least recently used out first.
+
+    The key is the shape, the dtype and the sha256 of the C-contiguous matrix
+    bytes, so a matrix built twice from the same inputs matches and a matrix
+    changed in place does not.  Values are copied on the way in and on the
+    way out, so a caller that writes to its array leaves the memo unchanged.
+    The bytes of the values held never exceed `budget`: a new entry pushes out
+    the least recently used ones until it fits, and one larger than the whole
+    budget is not kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (last use, values)
+        self._clock = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def key(matrix: np.ndarray) -> tuple:
+        m = np.ascontiguousarray(matrix)
+        return m.shape, m.dtype.str, hashlib.sha256(m).digest()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> Optional[np.ndarray]:
+        """A copy of the values stored under `key`, or None."""
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                return None
+            self._clock += 1
+            self._entries[key] = (self._clock, entry[1])
+        return entry[1].copy()
+
+    def put(self, key: tuple, values: np.ndarray) -> None:
+        """Store a copy of `values` under `key` as the most recently used entry."""
+        values = np.array(values)
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= old[1].nbytes
+            if values.nbytes > self.budget:
+                return
+            while self.nbytes + values.nbytes > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped.nbytes
+            self._clock += 1
+            self._entries[key] = (self._clock, values)
+            self.nbytes += values.nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def mark(self) -> int:
+        """A point in this memo's history for `used_since`."""
+        with self._lock:
+            return self._clock
+
+    def used_since(self, mark: int) -> List[Tuple[tuple, np.ndarray]]:
+        """(key, values) of every entry stored or returned after `mark`, least recent first.
+
+        A forked worker sends these back so the parent can `adopt` them: its
+        memo then holds what a serial run would have left in it.
+        """
+        with self._lock:
+            return [(k, v) for k, (used, v) in self._entries.items() if used > mark]
+
+    def adopt(self, entries: Iterable[Tuple[tuple, np.ndarray]]) -> None:
+        """`put` each (key, values) pair in order, as if solved in this process."""
+        for key, values in entries:
+            self.put(key, values)
+
+
+# The memo's byte budget: 64 MiB holds about a thousand d = 64 spectra
+# (4096 eigenvalues of 16 bytes) or ten thousand at d = 20.
+_EIGENVALUE_MEMO_BYTES = 64 * 2**20
+
+eigenvalue_memo = EigenvalueMemo(_EIGENVALUE_MEMO_BYTES)
+
+# Hold the lock across fork(), so a child never inherits the memo mid-update.
+if hasattr(os, "register_at_fork"):  # absent where the platform cannot fork
+    os.register_at_fork(
+        before=eigenvalue_memo._lock.acquire,
+        after_in_parent=eigenvalue_memo._lock.release,
+        after_in_child=eigenvalue_memo._lock.release,
+    )
+
+
 def eigenvalues(superop: Superoperator, context: str = "") -> np.ndarray:
-    """All d^2 eigenvalues of the channel matrix (dense, non-Hermitian solve)."""
-    try:
-        return np.linalg.eigvals(superop.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        where = f" at {context}" if context else ""
-        raise EigensolverError(f"eigenvalue solve failed{where}: {exc}") from exc
+    """All d^2 eigenvalues of the channel matrix (dense, non-Hermitian solve).
+
+    A matrix equal in shape, dtype and bytes to one solved before in this
+    process, and still in `eigenvalue_memo` (64 MiB of spectra, least recently
+    used out first), is not solved again: a copy of its eigenvalues comes
+    back.  That serves a process that solves one channel twice, such as `csr`
+    after `spectrum` in one session; forked `openchaos run` workers start from
+    their parent's memo and send what they used back to it.  Solved or reused,
+    the result is the bytes `np.linalg.eigvals` gives for that matrix, so no
+    output depends on the memo's state.  A failed solve raises
+    EigensolverError with `context` in its message and stores nothing.
+    """
+    key = eigenvalue_memo.key(superop.matrix)
+    ev = eigenvalue_memo.get(key)
+    if ev is None:
+        try:
+            ev = np.linalg.eigvals(superop.matrix)
+        except np.linalg.LinAlgError as exc:
+            where = f" at {context}" if context else ""
+            raise EigensolverError(f"eigenvalue solve failed{where}: {exc}") from exc
+        eigenvalue_memo.put(key, ev)
+    return ev
 
 
 def fixed_point_index(evals: np.ndarray) -> int:
@@ -348,14 +473,15 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
     nnn = np.empty(n, dtype=int)
     re, im = ev.real, ev.imag
     if method == "brute":
+        # argmin returns the lowest index among equal minima: the index tie break.
         for lo in range(0, n, 256):
             hi = min(lo + 256, n)
+            rows = np.arange(hi - lo)
             d2 = (re[lo:hi, None] - re[None, :]) ** 2 + (im[lo:hi, None] - im[None, :]) ** 2
-            for r in range(lo, hi):
-                row = d2[r - lo].copy()
-                row[r] = np.inf
-                order = np.lexsort((np.arange(n), row))
-                nn[r], nnn[r] = order[0], order[1]
+            d2[rows, lo + rows] = np.inf
+            nn[lo:hi] = np.argmin(d2, axis=1)
+            d2[rows, nn[lo:hi]] = np.inf
+            nnn[lo:hi] = np.argmin(d2, axis=1)
     else:
         from scipy.spatial import cKDTree  # slow to import, and only this branch needs it
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from openchaos import cli
-from openchaos.spectral import EigensolverError
+from openchaos.spectral import EigensolverError, eigenvalue_memo
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -140,6 +140,7 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
     p = tmp_path / "c.json"
     _write_config(p, **_SMALL_RUNS[name])
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "a")]) == 0
+    eigenvalue_memo.clear()  # so the forked workers solve again rather than reuse the serial run's spectra
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "b"), "--workers", "3"]) == 0
     artifacts = json.loads((tmp_path / "a" / "manifest.json").read_text())["artifacts"]
     assert artifacts
@@ -147,6 +148,48 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
         fa = (tmp_path / "a" / art["path"]).read_bytes()
         fb = (tmp_path / "b" / art["path"]).read_bytes()
         assert fa == fb, art["path"]
+
+
+def _count_eigensolves(monkeypatch, log):
+    """Append one line to `log` per LAPACK eigensolve, in this process or a forked worker."""
+    solve = np.linalg.eigvals
+
+    def counting(a):
+        with open(log, "a") as f:
+            f.write("solve\n")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return lambda: len(log.read_text().splitlines()) if log.exists() else 0
+
+
+def test_csr_after_spectrum_reuses_its_eigensolves(tmp_path, monkeypatch):
+    solves = _count_eigensolves(monkeypatch, tmp_path / "solves.log")
+    p = tmp_path / "c.json"
+    memo_after_spectrum = []
+    for workers in ("1", "2"):
+        eigenvalue_memo.clear()
+        _write_config(p, mode="spectrum", realizations=3, tau=[0.05, 1.0], epsilon=[0.2], kraus_count=2)
+        before = solves()
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / f"spectrum{workers}"),
+                         "--workers", workers]) == 0
+        assert solves() - before == 6
+        memo_after_spectrum.append([key for key, _ in eigenvalue_memo.used_since(0)])
+        warm, cold = tmp_path / f"warm{workers}", tmp_path / f"cold{workers}"
+        _write_config(p, mode="csr", realizations=3, tau=[1.0], epsilon=[0.2], kraus_count=2)
+        before = solves()
+        assert cli.main(["run", str(p), "--output-dir", str(warm), "--workers", workers]) == 0
+        assert solves() == before  # every tau = 1.0 spectrum was solved by `spectrum`
+        eigenvalue_memo.clear()
+        assert cli.main(["run", str(p), "--output-dir", str(cold), "--workers", workers]) == 0
+        assert solves() - before == 3
+        artifacts = json.loads((warm / "manifest.json").read_text())["artifacts"]
+        assert len(artifacts) == 3
+        for art in artifacts:
+            assert (warm / art["path"]).read_bytes() == (cold / art["path"]).read_bytes(), art["path"]
+    # forked workers leave the parent's memo as the serial run does: same spectra, same order
+    assert memo_after_spectrum[0] == memo_after_spectrum[1]
+    assert len(memo_after_spectrum[0]) == 6
 
 
 def test_ed_sff_gamma_list_matches_one_gamma_runs(tmp_path):

@@ -1,6 +1,7 @@
 """Property tests: the fused Kraus step against its references, channels
 from a pre-rotated pair against channels from the raw pair, the two
-spacing-ratio paths against each other, the shared dephasing kernel against
+spacing-ratio paths against each other and the brute path against a per-row
+lexsort ranking, the shared dephasing kernel against
 one-gamma calls and the written-out pair sums, the numpy log-sum-exp against
 scipy's, and the ensemble reducer under any merge order."""
 
@@ -131,6 +132,38 @@ def test_csr_paths_agree_on_conjugate_symmetric_clouds(xy, ones):
     # a channel spectrum's shape: conjugate pairs plus a stack of eigenvalues at 1
     z = np.array([complex(x, y) for x, y in xy])
     _assert_paths_agree(np.concatenate([z, z.conj(), np.ones(ones, dtype=complex)]))
+
+
+def _lexsort_neighbours(points):
+    """nn and nnn of every point, one full lexsort per row: distance first, then index."""
+    n = points.size
+    nn, nnn = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for r in range(n):
+        row = (points[r].real - points.real) ** 2 + (points[r].imag - points.imag) ** 2
+        row[r] = np.inf
+        order = np.lexsort((np.arange(n), row))
+        nn[r], nnn[r] = order[0], order[1]
+    return nn, nnn
+
+
+@given(seeds, st.integers(0, 300), st.integers(0, 300), st.integers(0, 40), st.booleans())
+def test_brute_neighbours_match_a_per_row_lexsort_on_tied_clouds(seed, lattice, reals, scattered, shuffle):
+    # a lattice (coincident points, many equal distances), exact reals, an
+    # 8-fold degenerate eigenvalue and a few generic points; up to ~650 points,
+    # so the 256-row blocks are crossed
+    rng = rng_from_seed(seed)
+    z = np.concatenate([
+        rng.integers(-4, 5, lattice) + 1j * rng.integers(-4, 5, lattice),
+        rng.integers(-8, 9, reals) / 4.0 + 0j,
+        np.full(8, 0.5 + 0.25j),
+        rng.normal(size=scattered) + 1j * rng.normal(size=scattered),
+    ])
+    if shuffle:
+        z = rng.permutation(z)
+    nn, nnn = _lexsort_neighbours(z)
+    brute = complex_spacing_ratios(z, method="brute")
+    assert np.array_equal(brute.nn_indices, nn)
+    assert np.array_equal(brute.nnn_indices, nnn)
 
 
 gammas = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)

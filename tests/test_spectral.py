@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from openchaos.pqc import ParametricChannel, Superoperator, build_superoperator
 from openchaos.rmt import critical_tau, derive_seed, rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import (
     Boundary,
     EigensolverError,
+    EigenvalueMemo,
     annular_boundaries,
     boundary_power,
     classify_phase,
@@ -18,6 +21,7 @@ from openchaos.spectral import (
     critical_epsilon,
     density_grid,
     disk_boundary,
+    eigenvalue_memo,
     eigenvalues,
     phase_boundary,
     phi_max,
@@ -212,6 +216,101 @@ def test_eigenvalues_error_carries_context():
     bad = Superoperator(np.full((4, 4), np.nan), 2)
     with pytest.raises(EigensolverError, match="tau=0.3"):
         eigenvalues(bad, context="tau=0.3, eps=0.1")
+
+
+def _channel_superoperator(seed, d=6, tau=0.4, eps=0.3):
+    ch = ParametricChannel(
+        tau=tau, epsilon=eps,
+        hamiltonian=sample_goe(d, 1.0, derive_seed(seed, 0, 0)),
+        kraus=sample_kraus_set(d, 2, derive_seed(seed, 1, 0)),
+    )
+    return build_superoperator(ch)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or solve(a))
+    return calls
+
+
+def test_eigenvalues_reuse_the_solve_of_an_equal_matrix(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    op = _channel_superoperator(70)
+    first = eigenvalues(op)
+    again = eigenvalues(Superoperator(op.matrix.copy(order="F"), op.hilbert_dim))
+    assert len(calls) == 1
+    assert np.array_equal(first, again) and first is not again
+    changed = op.matrix.copy()
+    changed[0, 1] += 1e-15
+    eigenvalues(Superoperator(changed, op.hilbert_dim))
+    assert len(calls) == 2
+
+
+def test_writing_to_returned_eigenvalues_leaves_the_memo_unchanged(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    op = _channel_superoperator(71)
+    solved = eigenvalues(op)
+    expected = solved.copy()
+    solved[:] = 0.0  # the array of the solve that filled the memo
+    hit = eigenvalues(op)
+    assert np.array_equal(hit, expected)
+    hit[:] = 0.0  # the array of a hit
+    assert np.array_equal(eigenvalues(op), expected)
+    assert len(calls) == 1
+
+
+def test_failed_eigensolve_is_not_stored(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    bad = Superoperator(np.full((4, 4), np.nan), 2)
+    for _ in range(2):
+        with pytest.raises(EigensolverError, match=r"failed at tau=0\.3, eps=0\.1: "):
+            eigenvalues(bad, context="tau=0.3, eps=0.1")
+    assert len(calls) == 2
+    assert len(eigenvalue_memo) == 0 and eigenvalue_memo.nbytes == 0
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 12)), max_size=60))
+def test_eigenvalue_memo_stays_in_budget_and_drops_least_recent_first(ops):
+    # a reference LRU as a plain list, least recent first, against random puts and gets
+    budget = 16 * 20
+    memo, model = EigenvalueMemo(budget), []
+    for is_put, key, size in ops:
+        held = dict(model)
+        if is_put:
+            values = np.full(size, key + 0.5j)
+            memo.put(key, values)
+            model = [(k, v) for k, v in model if k != key]
+            if values.nbytes <= budget:
+                while sum(v.nbytes for _, v in model) + values.nbytes > budget:
+                    model.pop(0)
+                model.append((key, values))
+        else:
+            got = memo.get(key)
+            if key in held:
+                assert np.array_equal(got, held[key])
+                model = [(k, v) for k, v in model if k != key] + [(key, held[key])]
+            else:
+                assert got is None
+        assert memo.nbytes == sum(v.nbytes for _, v in model) <= budget
+        assert [k for k, _ in memo.used_since(0)] == [k for k, _ in model]
+
+
+def test_used_since_lists_the_entries_used_after_the_mark_and_adopt_replays_them():
+    memo = EigenvalueMemo(1 << 20)
+    memo.put("a", np.ones(3))
+    memo.put("b", np.ones(3))
+    mark = memo.mark()
+    memo.put("c", np.full(3, 2.0))
+    memo.get("a")
+    used = memo.used_since(mark)
+    assert [k for k, _ in used] == ["c", "a"]
+    other = EigenvalueMemo(1 << 20)
+    other.put("a", np.zeros(3))
+    other.put("d", np.zeros(3))
+    other.adopt(used)
+    assert [k for k, _ in other.used_since(0)] == ["d", "c", "a"]
+    assert np.array_equal(other.get("a"), np.ones(3))
 
 
 def test_split_bulk_picks_nearest_to_one():
