@@ -41,7 +41,6 @@ from .rmt import (
     sample_cue,
     sample_goe,
     sample_kraus_set,
-    semicircle_density,
     semicircle_radius,
 )
 from .states import (
@@ -61,9 +60,7 @@ from .pqc import (
     build_superoperator,
     build_wu_channel,
     evolve_discrete,
-    kick_superoperator,
     lindblad_generator,
-    unitary_superoperator,
 )
 from .dephasing import (
     EDParams,
@@ -77,13 +74,11 @@ from .diagnostics import (
     SeriesAccumulator,
     channel_diagnostics,
     cl1_norm,
-    diagonal_weight,
     ed_diagnostics,
     effective_depth,
     ensemble_average,
     estimate_thouless,
     purity,
-    relative_effective_depth,
     sandwich_bounds,
     series_to_csv,
     sff_cl1_sandwich,
@@ -104,7 +99,6 @@ from .spectral import (
     eigenvalues,
     phase_boundary,
     phi_max,
-    sector_half_angle,
     shifted_disk_boundary,
     spectral_report,
     split_bulk,
@@ -116,29 +110,26 @@ __all__ = [
     "HamiltonianSpectrum", "KrausSet", "critical_tau", "derive_seed",
     "heisenberg_time", "kraus_from_truncation", "mean_level_spacing",
     "rng_from_seed", "sample_cue", "sample_goe", "sample_kraus_set",
-    "semicircle_density", "semicircle_radius",
+    "semicircle_radius",
     # states
     "CoherentGibbsState", "cgs_density",
     "devectorize", "log_partition_function", "make_cgs", "partition_function",
     "plateau_value", "vectorize",
     # pqc
     "ParametricChannel", "Superoperator", "apply_channel", "build_superoperator",
-    "build_wu_channel", "evolve_discrete", "kick_superoperator",
-    "lindblad_generator", "unitary_superoperator",
+    "build_wu_channel", "evolve_discrete", "lindblad_generator",
     # dephasing
     "EDParams", "ed_closed_forms", "ed_evolve",
     "ed_liouvillian", "ed_sff_lower_bound",
     # diagnostics
     "DiagnosticSeries", "SeriesAccumulator", "channel_diagnostics",
-    "cl1_norm", "diagonal_weight", "ed_diagnostics", "effective_depth",
-    "ensemble_average", "estimate_thouless", "purity",
-    "relative_effective_depth", "sandwich_bounds", "series_to_csv",
+    "cl1_norm", "ed_diagnostics", "effective_depth", "ensemble_average",
+    "estimate_thouless", "purity", "sandwich_bounds", "series_to_csv",
     "sff_cl1_sandwich", "sff_fidelity",
     # spectral
     "Boundary", "EigensolverError", "SpectralReport", "annular_boundaries",
     "boundary_power", "classify_phase", "complex_spacing_ratios",
     "containment_fraction", "critical_epsilon", "density_grid",
     "disk_boundary", "eigenvalues", "phase_boundary", "phi_max",
-    "sector_half_angle", "shifted_disk_boundary", "spectral_report",
-    "split_bulk",
+    "shifted_disk_boundary", "spectral_report", "split_bulk",
 ]

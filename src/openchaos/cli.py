@@ -50,6 +50,7 @@ import numpy as np
 from . import __version__
 from .dephasing import EDParams
 from .diagnostics import (
+    DiagnosticSeries,
     SeriesAccumulator,
     channel_diagnostics,
     columns_to_csv,
@@ -398,6 +399,19 @@ def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Option
 # mode implementations
 
 
+def _ensemble_means(results: Iterator[list], count: int) -> List[DiagnosticSeries]:
+    """Mean of each of `count` series slots over the realizations.
+
+    `results` yields one list of `count` series per realization; they are
+    added in realization order, so the means do not depend on the worker count.
+    """
+    accs = [SeriesAccumulator() for _ in range(count)]
+    for series_list in results:
+        for acc, s in zip(accs, series_list):
+            acc.add(s)
+    return [acc.finalize() for acc in accs]
+
+
 def _write_ensemble_means(
     results: Iterator[list], points: List[tuple], out: Path, manifest: dict
 ) -> None:
@@ -406,12 +420,7 @@ def _write_ensemble_means(
     `results` yields one list of series per realization, in grid order;
     `points` holds each grid point's (artifact tag, manifest parameters).
     """
-    accs = [SeriesAccumulator() for _ in points]
-    for series_list in results:
-        for acc, s in zip(accs, series_list):
-            acc.add(s)
-    for (tag, params), acc in zip(points, accs):
-        mean = acc.finalize()
+    for (tag, params), mean in zip(points, _ensemble_means(results, len(points))):
         _write(out / f"{manifest['mode']}_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
         manifest["grid"].append({**params, "status": "ok", "n": mean.n_realizations})
 
@@ -589,36 +598,31 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     iso_params = EDParams(0.0, cfg.hbar)
 
     def worker(idx: int):
+        """Per tau: the isolated series, then one series per eps."""
         h, kraus = _realization(cfg, idx)
-        per_tau = []
+        out_series = []
         for tau in taus:
             times = np.arange(j_max[tau] + 1) * tau
             iso = ed_diagnostics(h, cfg.beta, iso_params, times)
-            rows = []
+            out_series.append(iso)
             for eps in cfg.epsilon:
                 if eps == 0.0:
-                    rows.append(iso)
-                    continue
-                ch = _channel(cfg, h, kraus, tau, eps)
-                rows.append(channel_diagnostics(ch, cfg.beta, j_max[tau], metadata={"mode": "depth-grid"}))
-            per_tau.append((iso, rows))
-        return per_tau
+                    out_series.append(iso)
+                else:
+                    ch = _channel(cfg, h, kraus, tau, eps)
+                    out_series.append(
+                        channel_diagnostics(ch, cfg.beta, j_max[tau], metadata={"mode": "depth-grid"})
+                    )
+        return out_series
 
-    iso_accs = {t: SeriesAccumulator() for t in taus}
-    accs = {(t, e): SeriesAccumulator() for t in taus for e in cfg.epsilon}
-    for per_tau in _ensemble_map(cfg, worker, workers):
-        for tau, (iso, rows) in zip(taus, per_tau):
-            iso_accs[tau].add(iso)
-            for eps, s in zip(cfg.epsilon, rows):
-                accs[(tau, eps)].add(s)
-
+    width = 1 + len(cfg.epsilon)
+    means = _ensemble_means(_ensemble_map(cfg, worker, workers), width * len(taus))
     table = []
-    for tau in taus:
-        iso_mean = iso_accs[tau].finalize()
+    for i, tau in enumerate(taus):
+        iso_mean, *eps_means = means[i * width:(i + 1) * width]
         t_th = estimate_thouless(iso_mean, t_h)
         d_iso = effective_depth(iso_mean, t_th, t_h, tau)
-        for eps in cfg.epsilon:
-            mean = accs[(tau, eps)].finalize()
+        for eps, mean in zip(cfg.epsilon, eps_means):
             depth = effective_depth(mean, t_th, t_h, tau)
             rel = depth / d_iso if d_iso > 0 else np.nan
             table.append((tau, eps, depth, d_iso, rel, t_th, t_h))
@@ -678,17 +682,27 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
 
 def emit_gnuplot_script(manifest: dict) -> str:
-    """Gnuplot commands that render a run's artifacts next to the manifest."""
+    """Gnuplot commands that render a run's artifacts next to the manifest.
+
+    Raises ValueError unless the manifest is an object whose artifact
+    entries each carry a string path, kind and label.
+    """
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts", []), list):
+        raise ValueError("manifest must be a JSON object with an 'artifacts' list")
+    artifacts = manifest.get("artifacts", [])
+    for i, art in enumerate(artifacts):
+        if not isinstance(art, dict) or not all(isinstance(art.get(k), str) for k in ("path", "kind", "label")):
+            raise ValueError(f"manifest artifact {i} needs string 'path', 'kind' and 'label'")
     mode = manifest.get("mode", "")
     lines = [
         "# generated by openchaos plot-script",
         "set datafile separator ','",
         "set terminal pngcairo size 900,650",
     ]
-    series = [a for a in manifest.get("artifacts", []) if a["kind"] == "series"]
-    clouds = [a for a in manifest.get("artifacts", []) if a["kind"] == "cloud"]
-    ratios = [a for a in manifest.get("artifacts", []) if a["kind"] == "ratios"]
-    boundaries = {a["label"]: a for a in manifest.get("artifacts", []) if a["kind"] == "boundary"}
+    series = [a for a in artifacts if a["kind"] == "series"]
+    clouds = [a for a in artifacts if a["kind"] == "cloud"]
+    ratios = [a for a in artifacts if a["kind"] == "ratios"]
+    boundaries = {a["label"]: a for a in artifacts if a["kind"] == "boundary"}
     for art in series:
         png = art["path"].replace(".csv", ".png")
         lines += [
@@ -802,7 +816,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    script = emit_gnuplot_script(manifest)
+    try:
+        script = emit_gnuplot_script(manifest)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     if args.output:
         Path(args.output).write_text(script)
     else:

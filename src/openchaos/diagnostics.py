@@ -28,9 +28,9 @@ argmin of the 5-point smoothed ensemble mean restricted to t < t_H.
 Reduction over realizations is done with compensated (Kahan) sums held in
 `SeriesAccumulator`.  The CLI adds realizations in index order, so its
 output is byte-identical for any worker count.  `merge` combines partial
-accumulators, but floating-point addition is not associative: a different
-split or merge order agrees only up to roundoff (tested to 1e-12 of the
-data scale), not bit for bit.
+accumulators, compensation terms included, but floating-point addition is
+not associative: a different split or merge order agrees only up to roundoff
+(tested to 1e-12 of the data scale), not bit for bit.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ __all__ = [
     "sff_fidelity",
     "cl1_norm",
     "purity",
-    "diagonal_weight",
     "DiagnosticSeries",
     "SandwichReport",
     "sandwich_bounds",
     "sff_cl1_sandwich",
     "effective_depth",
-    "relative_effective_depth",
     "estimate_thouless",
     "SeriesAccumulator",
     "ensemble_average",
@@ -93,11 +91,6 @@ def cl1_norm(rho: np.ndarray) -> float:
 def purity(rho: np.ndarray) -> float:
     """Tr[rho^2] evaluated as the squared Frobenius norm (rho Hermitian)."""
     return float(np.real(np.vdot(rho, rho)))
-
-
-def diagonal_weight(rho: np.ndarray) -> float:
-    """sum_n |rho_nn|^2, the population part of the purity."""
-    return float(np.sum(np.abs(np.diagonal(rho)) ** 2))
 
 
 @dataclass
@@ -222,25 +215,6 @@ def effective_depth(
     return math.sqrt(max(0.0, total))
 
 
-def relative_effective_depth(
-    series: DiagnosticSeries,
-    isolated: DiagnosticSeries,
-    t_thouless: float,
-    t_heisenberg: float,
-    tau: float,
-    tau_isolated: Optional[float] = None,
-) -> float:
-    """Depth of `series` over the depth of the isolated reference, same window.
-
-    The isolated run may live on its own step size; its depth must be
-    positive or there is nothing to normalize by.
-    """
-    d_iso = effective_depth(isolated, t_thouless, t_heisenberg, tau_isolated or tau)
-    if d_iso == 0.0:
-        raise ValueError("isolated reference has zero depth")
-    return effective_depth(series, t_thouless, t_heisenberg, tau) / d_iso
-
-
 def _smooth5(x: np.ndarray) -> np.ndarray:
     """Centered moving average over 5 points, window shrinking at the edges."""
     csum = np.concatenate(([0.0], np.cumsum(x)))
@@ -269,8 +243,8 @@ class SeriesAccumulator:
 
     Kahan-compensated elementwise sums of the observables and their squares.
     Adding the same series in the same order gives the same bytes.  `merge`
-    combines two accumulators (the other's compensation terms are dropped),
-    so another reduction tree changes the result by roundoff only.
+    folds the other accumulator's sums and then its compensation terms into
+    this one, so another reduction tree changes the result by roundoff only.
     """
 
     _FIELDS = ("sff", "cl1", "purity")
@@ -332,7 +306,9 @@ class SeriesAccumulator:
             raise ValueError("accumulators disagree on grid, beta or dim")
         for f in self._FIELDS:
             self._kahan_add(self._sum[f], self._comp[f], other._sum[f])
+            self._kahan_add(self._sum[f], self._comp[f], -other._comp[f])
             self._kahan_add(self._sumsq[f], self._compsq[f], other._sumsq[f])
+            self._kahan_add(self._sumsq[f], self._compsq[f], -other._compsq[f])
         if (self._bound_sum is None) != (other._bound_sum is None):
             raise ValueError("mixing series with and without lower bounds")
         if self._bound_sum is not None:

@@ -29,6 +29,12 @@ the Lindblad generator of the continuous weak-coupling limit eps = 2*gamma*tau,
 
 With the single generator-only operator N_1 = H this Lindblad form collapses
 to the energy-dephasing master equation.
+
+One builder, `_liouville`, writes both dense channel matrices: a diagonal plus
+eps * sum_r N_r (x) conj(N_r), one operator at a time.  `build_superoperator`
+hands it the (1-eps)-weighted phases; `build_wu_channel` hands it a constant
+(1-eps) and scales the columns by the phases afterwards.
+The Lindblad generator keeps its own loop for the anticommutator term.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ __all__ = [
     "apply_interleaved",
     "build_superoperator",
     "evolve_discrete",
-    "unitary_superoperator",
-    "kick_superoperator",
     "build_wu_channel",
     "lindblad_generator",
 ]
@@ -71,11 +75,6 @@ class Superoperator:
             raise ValueError(
                 f"matrix shape {m.shape} does not match hilbert_dim {self.hilbert_dim}"
             )
-
-    @property
-    def dim(self) -> int:
-        """Liouville-space dimension d^2."""
-        return self.hilbert_dim**2
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Matrix action devectorize(L @ vectorize(rho))."""
@@ -253,19 +252,12 @@ def evolve_discrete(
         yield state
 
 
-def unitary_superoperator(channel: ParametricChannel) -> Superoperator:
-    """Vectorized conjugation U_tau: diagonal phases exp(i*tau*(E_m - E_n)/hbar)."""
-    diag = _phase_diagonal(channel.energies, channel.tau, channel.hbar)
-    return Superoperator(np.diag(diag), channel.dim)
-
-
-def kick_superoperator(channel: ParametricChannel) -> Superoperator:
-    """Environment event W_eps = (1-eps)*1 + eps * sum_r N_r (x) conj(N_r)."""
-    d = channel.dim
-    m = (1.0 - channel.epsilon) * np.eye(d * d, dtype=complex)
+def _liouville(channel: ParametricChannel, diagonal: np.ndarray) -> np.ndarray:
+    """diag(diagonal) + eps * sum_r N_r (x) conj(N_r), the operators added in order."""
+    m = np.diag(diagonal)
     for n in channel.kraus_ops:
         m += channel.epsilon * np.kron(n, n.conj())
-    return Superoperator(m, d)
+    return m
 
 
 def build_superoperator(channel: ParametricChannel) -> Superoperator:
@@ -274,23 +266,21 @@ def build_superoperator(channel: ParametricChannel) -> Superoperator:
     (1-eps) sits on the diagonal phase part; the Kraus part adds
     eps * sum_r N_r (x) conj(N_r).
     """
-    d = channel.dim
     diag = _phase_diagonal(channel.energies, channel.tau, channel.hbar)
-    m = np.diag((1.0 - channel.epsilon) * diag)
-    for n in channel.kraus_ops:
-        m += channel.epsilon * np.kron(n, n.conj())
-    return Superoperator(m, d)
+    return Superoperator(_liouville(channel, (1.0 - channel.epsilon) * diag), channel.dim)
 
 
 def build_wu_channel(channel: ParametricChannel) -> Superoperator:
     """Interleaved step W_eps U_tau (environment event after the kick).
 
+    W_eps = (1-eps)*1 + eps * sum_r N_r (x) conj(N_r); the diagonal U_tau on
+    its right scales column n*d + m by exp(i*tau*(E_m - E_n)/hbar).
     Differs from the mixed channel by eps * (sum_r N_r (x) conj(N_r)) (U_tau - 1),
     i.e. the two agree to first order in eps*tau/hbar.
     """
     diag = _phase_diagonal(channel.energies, channel.tau, channel.hbar)
-    w = kick_superoperator(channel)
-    return Superoperator(w.matrix * diag[np.newaxis, :], channel.dim)
+    w = _liouville(channel, np.full(diag.size, 1.0 - channel.epsilon, dtype=complex))
+    return Superoperator(w * diag[np.newaxis, :], channel.dim)
 
 
 def lindblad_generator(

@@ -45,7 +45,6 @@ __all__ = [
     "kraus_from_truncation",
     "sample_kraus_set",
     "semicircle_radius",
-    "semicircle_density",
     "mean_level_spacing",
     "heisenberg_time",
     "critical_tau",
@@ -249,16 +248,6 @@ def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> Kraus
 def semicircle_radius(d: int, sigma: float) -> float:
     """Edge of the eigenvalue support, sigma*sqrt(2d)."""
     return float(sigma * np.sqrt(2.0 * d))
-
-
-def semicircle_density(energies: np.ndarray, d: int, sigma: float) -> np.ndarray:
-    """Semicircle eigenvalue density mu(E); zero outside the support."""
-    e = np.asarray(energies, dtype=float)
-    r2 = 2.0 * d * sigma**2
-    out = np.zeros_like(e)
-    inside = e**2 < r2
-    out[inside] = np.sqrt(r2 - e[inside] ** 2) / (np.pi * d * sigma**2)
-    return out
 
 
 def mean_level_spacing(d: int, sigma: float) -> float:

@@ -45,7 +45,6 @@ import numpy as np
 
 from .pqc import Superoperator, build_superoperator
 from .rmt import critical_tau
-from .states import EnergiesLike, as_energies
 
 __all__ = [
     "EigensolverError",
@@ -59,7 +58,6 @@ __all__ = [
     "shifted_disk_boundary",
     "critical_epsilon",
     "phi_max",
-    "sector_half_angle",
     "classify_phase",
     "Boundary",
     "phase_boundary",
@@ -265,12 +263,6 @@ def phi_max(tau: float, d: int, sigma: float, hbar: float = 1.0) -> float:
     if d < 2 or sigma <= 0 or hbar <= 0:
         raise ValueError("need d >= 2, sigma > 0, hbar > 0")
     return float(tau * sigma * np.sqrt(8.0 * d) / hbar)
-
-
-def sector_half_angle(tau: float, energies: EnergiesLike, hbar: float = 1.0) -> float:
-    """Exact sector half-angle tau*(E_max - E_min)/hbar of a sampled spectrum."""
-    e = as_energies(energies)
-    return float(tau * (e.max() - e.min()) / hbar)
 
 
 def classify_phase(

@@ -374,6 +374,22 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     assert "set size ratio -1" in text
 
 
+@pytest.mark.parametrize("manifest", [
+    "{not json",
+    "[]",
+    '{"artifacts": {}}',
+    '{"artifacts": [{"path": "a.csv", "label": "x"}]}',
+    '{"artifacts": [{"path": 3, "kind": "series", "label": "x"}]}',
+    '{"artifacts": ["a.csv"]}',
+])
+def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    assert cli.main(["plot-script", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ") and out.out == ""
+
+
 def test_full_scale_flag_raises_dim_and_realizations(tmp_path, monkeypatch):
     p = tmp_path / "c.json"
     # load_config applies the scaling when the key is in the file

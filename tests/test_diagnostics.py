@@ -12,13 +12,11 @@ from openchaos.diagnostics import (
     SeriesAccumulator,
     channel_diagnostics,
     cl1_norm,
-    diagonal_weight,
     ed_diagnostics,
     effective_depth,
     ensemble_average,
     estimate_thouless,
     purity,
-    relative_effective_depth,
     sandwich_bounds,
     series_to_csv,
     sff_cl1_sandwich,
@@ -66,7 +64,6 @@ def test_pointwise_observables_on_known_matrix():
     m = np.array([[0.5, 0.25j], [-0.25j, 0.5]], dtype=complex)
     assert cl1_norm(m) == pytest.approx(0.5, abs=1e-14)
     assert purity(m) == pytest.approx(0.625, abs=1e-14)
-    assert diagonal_weight(m) == pytest.approx(0.5, abs=1e-14)
     psi = make_cgs(np.array([0.0, 1.0]), 0.0)
     assert sff_fidelity(psi, m) == pytest.approx(0.5, abs=1e-14)
 
@@ -128,19 +125,6 @@ def test_effective_depth_off_grid_times_raise():
         effective_depth(s, 0.1, 0.3, 0.1)
 
 
-def test_relative_depth_normalizes_and_guards():
-    tau, plateau = 0.1, 0.125
-    hole = [plateau] * 2 + [plateau * 0.3] * 5 + [plateau] * 2
-    shallow = [plateau] * 2 + [plateau * 0.7] * 5 + [plateau] * 2
-    deep_s = _flat_series(hole, tau, plateau)
-    shal_s = _flat_series(shallow, tau, plateau)
-    rel = relative_effective_depth(shal_s, deep_s, 0.15, 0.55, tau)
-    assert 0.0 < rel < 1.0
-    flat = _flat_series([plateau] * 9, tau, plateau)
-    with pytest.raises(ValueError):
-        relative_effective_depth(shal_s, flat, 0.15, 0.55, tau)
-
-
 def test_estimate_thouless_finds_the_hole_minimum():
     n = 200
     times = np.linspace(0.01, 20.0, n)
@@ -187,6 +171,21 @@ def test_accumulator_merge_matches_sequential():
     direct = seq.finalize()
     assert np.max(np.abs(merged.sff - direct.sff)) < 1e-13
     assert np.max(np.abs(merged.sff_stderr - direct.sff_stderr)) < 1e-13
+
+
+def test_merge_keeps_the_other_accumulators_compensation():
+    # fifty 1e-17 terms vanish against 1.0 in a plain sum; Kahan keeps them in
+    # the compensation term, which the merge must carry over
+    def point(x):
+        return DiagnosticSeries(dim=2, beta=0.0, times=np.zeros(1), sff=[x], cl1=[x], purity=[x], plateau=0.5)
+
+    left, right = SeriesAccumulator(), SeriesAccumulator()
+    left.add(point(-1.0))
+    for x in [1.0] + [1e-17] * 50:
+        right.add(point(x))
+    mean = left.merge(right).finalize()
+    exact = math.fsum([-1.0, 1.0] + [1e-17] * 50) / 52
+    assert mean.sff[0] == mean.cl1[0] == mean.purity[0] == exact
 
 
 def test_accumulator_is_deterministic_in_fixed_order():

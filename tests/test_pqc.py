@@ -11,9 +11,7 @@ from openchaos.pqc import (
     build_superoperator,
     build_wu_channel,
     evolve_discrete,
-    kick_superoperator,
     lindblad_generator,
-    unitary_superoperator,
 )
 from openchaos.rmt import KrausSet, derive_seed, sample_goe, sample_kraus_set
 from openchaos.states import cgs_density, make_cgs, vectorize
@@ -43,21 +41,6 @@ def test_superoperator_is_trace_preserving():
         ch = _channel(idx=idx, tau=0.7, eps=0.6)
         assert build_superoperator(ch).trace_defect() < 1e-12
         assert build_wu_channel(ch).trace_defect() < 1e-12
-
-
-def test_channel_factorizes_into_unitary_and_kick():
-    ch = _channel(tau=0.2, eps=0.3)
-    u = unitary_superoperator(ch).matrix
-    kick = kick_superoperator(ch).matrix
-    d2 = ch.dim**2
-    expect = (1 - ch.epsilon) * u + kick - (1 - ch.epsilon) * np.eye(d2)
-    assert np.max(np.abs(build_superoperator(ch).matrix - expect)) < 1e-12
-
-
-def test_wu_channel_is_kick_times_unitary():
-    ch = _channel(tau=0.2, eps=0.3)
-    expect = kick_superoperator(ch).matrix @ unitary_superoperator(ch).matrix
-    assert np.max(np.abs(build_wu_channel(ch).matrix - expect)) < 1e-12
 
 
 def test_channel_forms_coincide_at_tau_zero():

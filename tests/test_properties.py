@@ -1,7 +1,8 @@
-"""Property tests: the fused Kraus step against its references, channels
-from a pre-rotated pair against channels from the raw pair, the two
-spacing-ratio paths against each other and the brute path against a per-row
-lexsort ranking, the shared dephasing kernel against
+"""Property tests: the fused Kraus step against its references, the dense
+channel builder against the kron loops and the kick-times-unitary
+factorization, channels from a pre-rotated pair against channels from the
+raw pair, the two spacing-ratio paths against each other and the brute path
+against a per-row lexsort ranking, the shared dephasing kernel against
 one-gamma calls and the written-out pair sums, the numpy log-sum-exp against
 scipy's, and the ensemble reducer under any merge order."""
 
@@ -85,6 +86,42 @@ def test_interleaved_step_matches_wu_matrix(ch, seed):
     rho = _density(ch.dim, seed)
     out = apply_interleaved(ch, rho)
     assert np.max(np.abs(out - build_wu_channel(ch).apply(rho))) <= 1e-13 * np.linalg.norm(rho)
+
+
+def _kron_loop_matrices(ch):
+    """The mixture and W_eps U_tau matrices written out with one kron loop each."""
+    d = ch.dim
+    w = ch.energies[np.newaxis, :] - ch.energies[:, np.newaxis]
+    diag = np.exp(1j * ch.tau * w / ch.hbar).reshape(-1)
+    mixture = np.diag((1.0 - ch.epsilon) * diag)
+    for n in ch.kraus_ops:
+        mixture += ch.epsilon * np.kron(n, n.conj())
+    kick = (1.0 - ch.epsilon) * np.eye(d * d, dtype=complex)
+    for n in ch.kraus_ops:
+        kick += ch.epsilon * np.kron(n, n.conj())
+    return mixture, kick * diag[np.newaxis, :]
+
+
+@given(channels())
+def test_shared_builder_matches_the_kron_loops_bytewise(ch):
+    mixture, wu = _kron_loop_matrices(ch)
+    assert np.array_equal(build_superoperator(ch).matrix, mixture)
+    assert np.array_equal(build_wu_channel(ch).matrix, wu)
+
+
+@given(channels())
+def test_channel_matrices_factor_into_kick_and_unitary(ch):
+    # U_tau is the mixture at eps = 0, W_eps the mixture at tau = 0
+    def at(tau, eps):
+        return build_superoperator(ParametricChannel(
+            tau=tau, epsilon=eps, hamiltonian=ch.hamiltonian, kraus=ch.kraus, hbar=ch.hbar,
+        )).matrix
+
+    u, w = at(ch.tau, 0.0), at(0.0, ch.epsilon)
+    one = np.eye(ch.dim**2)
+    assert np.max(np.abs(build_wu_channel(ch).matrix - w @ u)) <= 1e-13
+    mixture = (1.0 - ch.epsilon) * u + w - (1.0 - ch.epsilon) * one
+    assert np.max(np.abs(build_superoperator(ch).matrix - mixture)) <= 1e-13
 
 
 @given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, st.floats(0.0, 3.0), epsilons)

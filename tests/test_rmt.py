@@ -17,7 +17,6 @@ from openchaos.rmt import (
     sample_cue,
     sample_goe,
     sample_kraus_set,
-    semicircle_density,
     semicircle_radius,
 )
 
@@ -96,15 +95,6 @@ def test_goe_semicircle_distribution():
     u = np.clip(x / r, -1.0, 1.0)
     cdf = 0.5 + (u * np.sqrt(1 - u**2) + np.arcsin(u)) / np.pi
     assert np.max(np.abs(ecdf - cdf)) < 0.02
-
-
-def test_semicircle_density_normalization():
-    d, sigma = 32, 1.0
-    r = semicircle_radius(d, sigma)
-    e = np.linspace(-r, r, 20001)
-    mass = np.trapezoid(semicircle_density(e, d, sigma), e)
-    assert abs(mass - 1.0) < 1e-6
-    assert semicircle_density(np.array([1.5 * r]), d, sigma)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

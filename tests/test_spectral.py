@@ -25,7 +25,6 @@ from openchaos.spectral import (
     eigenvalues,
     phase_boundary,
     phi_max,
-    sector_half_angle,
     shifted_disk_boundary,
     spectral_report,
     split_bulk,
@@ -75,11 +74,6 @@ def test_phi_max_values():
     # at the critical period the sector closes exactly
     for d in (8, 32, 64):
         assert phi_max(critical_tau(d, 1.0, 1.0), d, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
-
-
-def test_sector_half_angle_uses_actual_gap():
-    e = np.array([-2.0, 0.5, 3.0])
-    assert sector_half_angle(0.4, e) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_parameter_validation():
