@@ -687,9 +687,9 @@ def emit_gnuplot_script(manifest: dict) -> str:
     Raises ValueError unless the manifest is an object whose artifact
     entries each carry a string path, kind and label.
     """
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts", []), list):
+    artifacts = manifest.get("artifacts", []) if isinstance(manifest, dict) else None
+    if not isinstance(artifacts, list):
         raise ValueError("manifest must be a JSON object with an 'artifacts' list")
-    artifacts = manifest.get("artifacts", [])
     for i, art in enumerate(artifacts):
         if not isinstance(art, dict) or not all(isinstance(art.get(k), str) for k in ("path", "kind", "label")):
             raise ValueError(f"manifest artifact {i} needs string 'path', 'kind' and 'label'")
