@@ -43,6 +43,31 @@ def test_superoperator_is_trace_preserving():
         assert build_wu_channel(ch).trace_defect() < 1e-12
 
 
+def _factors(ch):
+    """U_tau (the channel at eps = 0) and W_eps (the channel at tau = 0)."""
+    def at(tau, eps):
+        return build_superoperator(ParametricChannel(
+            tau=tau, epsilon=eps, hamiltonian=ch.hamiltonian, kraus=ch.kraus, hbar=ch.hbar,
+        )).matrix
+
+    return at(ch.tau, 0.0), at(0.0, ch.epsilon)
+
+
+def test_channel_factorizes_into_unitary_and_kick():
+    ch = _channel(tau=0.2, eps=0.3)
+    u, kick = _factors(ch)
+    d2 = ch.dim**2
+    expect = (1 - ch.epsilon) * u + kick - (1 - ch.epsilon) * np.eye(d2)
+    assert np.max(np.abs(build_superoperator(ch).matrix - expect)) < 1e-12
+
+
+def test_wu_channel_is_kick_times_unitary():
+    ch = _channel(tau=0.2, eps=0.3)
+    u, kick = _factors(ch)
+    expect = kick @ u
+    assert np.max(np.abs(build_wu_channel(ch).matrix - expect)) < 1e-12
+
+
 def test_channel_forms_coincide_at_tau_zero():
     ch = _channel(tau=0.0, eps=0.4)
     a = build_superoperator(ch).matrix
