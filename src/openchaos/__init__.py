@@ -58,8 +58,8 @@ from .pqc import (
     Superoperator,
     apply_channel,
     build_superoperator,
-    build_wu_channel,
     evolve_discrete,
+    interleaved,
     lindblad_generator,
 )
 from .dephasing import (
@@ -117,7 +117,7 @@ __all__ = [
     "plateau_value", "vectorize",
     # pqc
     "ParametricChannel", "Superoperator", "apply_channel", "build_superoperator",
-    "build_wu_channel", "evolve_discrete", "lindblad_generator",
+    "evolve_discrete", "interleaved", "lindblad_generator",
     # dephasing
     "EDParams", "ed_closed_forms", "ed_evolve",
     "ed_liouvillian", "ed_sff_lower_bound",

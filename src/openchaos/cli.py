@@ -59,7 +59,7 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, apply_interleaved, build_superoperator, build_wu_channel, in_eigenbasis
+from .pqc import ParametricChannel, build_superoperator, in_eigenbasis, interleaved
 from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
@@ -288,24 +288,14 @@ def _realization(cfg: ExperimentConfig, idx: int):
 
 
 def _channel(cfg: ExperimentConfig, h, kraus, tau: float, eps: float) -> ParametricChannel:
-    return ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus, hbar=cfg.hbar)
+    """The configured channel form at (tau, eps).
 
-
-def _channel_matrix(cfg: ExperimentConfig, channel: ParametricChannel):
-    if cfg.channel_form == "interleaved":
-        return build_wu_channel(channel)
-    return build_superoperator(channel)
-
-
-def _step(cfg: ExperimentConfig, channel: ParametricChannel):
-    """One-step map of the configured channel form; None selects the Kraus-form mixture.
-
-    The interleaved product W_eps U_tau steps in Kraus form too: the mixture's
-    Kraus sum applied to the phase-twisted state (`apply_interleaved`).
+    The interleaved product W_eps U_tau is the mixture channel of the Kraus
+    set {N_r U_tau} (`interleaved`), so every mode steps it with
+    `apply_channel` and writes its matrix with `build_superoperator`.
     """
-    if cfg.channel_form == "interleaved":
-        return lambda rho: apply_interleaved(channel, rho)
-    return None
+    ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus, hbar=cfg.hbar)
+    return interleaved(ch) if cfg.channel_form == "interleaved" else ch
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -450,7 +440,6 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
             out_series.append(channel_diagnostics(
                 ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau],
                 metadata={"mode": "pqc-sff", "channel_form": cfg.channel_form},
-                step=_step(cfg, ch),
             ))
         return out_series
 
@@ -473,9 +462,8 @@ def _spectra(cfg: ExperimentConfig, workers: int):
         h, kraus = _realization(cfg, idx)
         spectra = []
         for tau, eps in grid:
-            ch = _channel(cfg, h, kraus, tau, eps)
             ev = eigenvalues(
-                _channel_matrix(cfg, ch),
+                build_superoperator(_channel(cfg, h, kraus, tau, eps)),
                 context=f"tau={tau}, eps={eps}, realization={idx}",
             )
             spectra.append(ev)
@@ -822,7 +810,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        Path(args.output).write_text(script)
+        try:
+            Path(args.output).write_text(script)
+        except OSError as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(script, end="")
     return 0

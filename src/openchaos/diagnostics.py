@@ -35,9 +35,10 @@ not associative: a different split or merge order agrees only up to roundoff
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -245,6 +246,8 @@ class SeriesAccumulator:
     Adding the same series in the same order gives the same bytes.  `merge`
     folds the other accumulator's sums and then its compensation terms into
     this one, so another reduction tree changes the result by roundoff only.
+    It always returns this accumulator; an empty one takes a deep copy of
+    the other's state, so later adds to either leave the other alone.
     """
 
     _FIELDS = ("sff", "cl1", "purity")
@@ -300,7 +303,8 @@ class SeriesAccumulator:
         if other.count == 0:
             return self
         if self.count == 0:
-            return other
+            self.__dict__.update(copy.deepcopy(other.__dict__))
+            return self
         ref, oth = self._template, other._template
         if not np.array_equal(ref.times, oth.times) or ref.beta != oth.beta or ref.dim != oth.dim:
             raise ValueError("accumulators disagree on grid, beta or dim")
@@ -397,16 +401,14 @@ def channel_diagnostics(
     steps: int,
     record_steps: Optional[Sequence[int]] = None,
     metadata: Optional[dict] = None,
-    step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DiagnosticSeries:
     """Evolve the coherent Gibbs state through the channel and record diagnostics.
 
     The evolution streams through all j = 0..steps; observables are stored at
     `record_steps` only (default: every step).  Each observable costs O(d^2)
-    per recorded step on top of the channel application itself.  `step` maps
-    rho_j to rho_{j+1} (see `evolve_discrete`); the default is the Kraus-form
-    mixture, and the caller passes any other form, such as the interleaved
-    W_eps U_tau.
+    per recorded step on top of the channel application itself.  Every step
+    is `apply_channel`; for the interleaved form W_eps U_tau pass
+    `interleaved(channel)`, itself a mixture channel.
     """
     cgs = make_cgs(channel.energies, beta)
     rho0 = cgs_density(cgs)
@@ -422,7 +424,7 @@ def channel_diagnostics(
     cl1 = np.empty(record.size)
     pur = np.empty(record.size)
     pos = 0
-    for j, rho in enumerate(evolve_discrete(channel, rho0, int(record[-1]), step)):
+    for j, rho in enumerate(evolve_discrete(channel, rho0, int(record[-1]))):
         if pos < record.size and j == record[pos]:
             sff[pos] = sff_fidelity(cgs, rho)
             cl1[pos] = cl1_norm(rho)

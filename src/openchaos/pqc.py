@@ -20,27 +20,27 @@ that basis at channel construction.  `in_eigenbasis` does the rotation ahead
 of time, so that all channels of one (H, Kraus set) pair share it: the CLI
 rotates once per realization, not once per grid point.
 
-Two related generators are provided for limit checks: the interleaved product
-W_eps U_tau, which agrees with L_{tau,eps} to first order in eps*tau/hbar, and
-the Lindblad generator of the continuous weak-coupling limit eps = 2*gamma*tau,
+The interleaved product W_eps U_tau (the event after the kick) is the same
+kind of channel: W_eps[U rho U^dag] = (1-eps) U rho U^dag
++ eps * sum_r (N_r U) rho (N_r U)^dag, so `interleaved` returns the mixture
+channel of the Kraus set {N_r U_tau}, which is trace preserving because U_tau
+is unitary.  The two forms agree to first order in eps*tau/hbar.  Every form
+steps through `apply_channel` and is written out by `build_superoperator`.
+
+The Lindblad generator of the continuous weak-coupling limit eps = 2*gamma*tau,
 
     d rho/dt = -(i/hbar)[H, rho]
-               + 2*gamma * sum_r (N_r rho N_r^dag - {N_r^dag N_r, rho}/2).
+               + 2*gamma * sum_r (N_r rho N_r^dag - {N_r^dag N_r, rho}/2),
 
-With the single generator-only operator N_1 = H this Lindblad form collapses
-to the energy-dephasing master equation.
-
-One builder, `_liouville`, writes both dense channel matrices: a diagonal plus
-eps * sum_r N_r (x) conj(N_r), one operator at a time.  `build_superoperator`
-hands it the (1-eps)-weighted phases; `build_wu_channel` hands it a constant
-(1-eps) and scales the columns by the phases afterwards.
-The Lindblad generator keeps its own loop for the anticommutator term.
+keeps its own loop for the anticommutator term.  With the single
+generator-only operator N_1 = H it collapses to the energy-dephasing master
+equation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -51,11 +51,10 @@ __all__ = [
     "Superoperator",
     "ParametricChannel",
     "in_eigenbasis",
+    "interleaved",
     "apply_channel",
-    "apply_interleaved",
     "build_superoperator",
     "evolve_discrete",
-    "build_wu_channel",
     "lindblad_generator",
 ]
 
@@ -87,15 +86,6 @@ class Superoperator:
         return float(np.max(np.abs(one @ self.matrix - one)))
 
 
-def _phase_diagonal(energies: np.ndarray, tau: float, hbar: float) -> np.ndarray:
-    """Diagonal of the vectorized conjugation by exp(-i*tau*H/hbar).
-
-    Entry (n*d + m) is exp(i*tau*(E_m - E_n)/hbar).
-    """
-    w = energies[np.newaxis, :] - energies[:, np.newaxis]  # w[n, m] = E_m - E_n
-    return np.exp(1j * tau * w / hbar).reshape(-1)
-
-
 def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, kraus: KrausSet) -> np.ndarray:
     """Kraus operators conjugated by the eigenvector matrix of H, if one was kept."""
     q = hamiltonian.eigenvectors
@@ -114,10 +104,7 @@ def in_eigenbasis(
     skips its own rotation; its constants are the same bytes as those of a
     channel built from the original pair.
     """
-    spectrum = HamiltonianSpectrum(
-        dim=hamiltonian.dim, sigma=hamiltonian.sigma, energies=hamiltonian.energies,
-        seed=hamiltonian.seed,
-    )
+    spectrum = replace(hamiltonian, matrix=None, eigenvectors=None)
     rotated = KrausSet(
         dim=kraus.dim, operators=_to_eigenbasis(hamiltonian, kraus), seed=kraus.seed,
         generator_only=kraus.generator_only,
@@ -135,10 +122,10 @@ class ParametricChannel:
     States handed to `apply_channel` are understood in the eigenbasis as
     well, which is where the coherent Gibbs state lives anyway.
 
-    The constants of one step are built here as well: the phase twist
-    `phase[n, m] = exp(-i*tau*(E_n - E_m)/hbar)` of U rho U^dag, its
-    (1-eps)-weighted copy `mask`, and the adjoints stacked as
-    [N_1^dag; ...; N_K^dag], a (K*d, d) matrix.
+    The constants of one step are built here as well: the (1-eps)-weighted
+    phase twist `mask[n, m] = (1-eps) * exp(-i*tau*(E_n - E_m)/hbar)` of
+    U rho U^dag, and the adjoints stacked as [N_1^dag; ...; N_K^dag], a
+    (K*d, d) matrix.
     """
 
     tau: float
@@ -147,7 +134,6 @@ class ParametricChannel:
     kraus: KrausSet
     hbar: float = 1.0
     kraus_ops: np.ndarray = field(init=False, repr=False)
-    phase: np.ndarray = field(init=False, repr=False)
     mask: np.ndarray = field(init=False, repr=False)
     kraus_adjoints: np.ndarray = field(init=False, repr=False)
 
@@ -166,10 +152,9 @@ class ParametricChannel:
             )
         ops = np.ascontiguousarray(_to_eigenbasis(self.hamiltonian, self.kraus), dtype=complex)
         k, d = ops.shape[0], ops.shape[1]
-        phase = _phase_diagonal(self.energies, self.tau, self.hbar).reshape(d, d)
+        w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "mask", (1.0 - self.epsilon) * phase)
+        object.__setattr__(self, "mask", (1.0 - self.epsilon) * np.exp(1j * self.tau * w / self.hbar))
         object.__setattr__(self, "kraus_adjoints", ops.conj().transpose(0, 2, 1).reshape(k * d, d))
 
     @property
@@ -179,6 +164,21 @@ class ParametricChannel:
     @property
     def energies(self) -> np.ndarray:
         return self.hamiltonian.energies
+
+
+def interleaved(channel: ParametricChannel) -> ParametricChannel:
+    """The interleaved step W_eps U_tau (event after the kick) at the same (tau, eps, hbar).
+
+    It is the mixture channel of the Kraus set {N_r U_tau}.  In the
+    eigenbasis U_tau is diagonal, so N_r U_tau scales column m of N_r by
+    exp(-i*tau*E_m/hbar); the returned channel holds no eigenvectors.
+    """
+    u = np.exp(-1j * channel.tau * channel.energies / channel.hbar)
+    kraus = KrausSet(dim=channel.dim, operators=channel.kraus_ops * u, seed=channel.kraus.seed)
+    return ParametricChannel(
+        tau=channel.tau, epsilon=channel.epsilon, kraus=kraus, hbar=channel.hbar,
+        hamiltonian=replace(channel.hamiltonian, matrix=None, eigenvectors=None),
+    )
 
 
 def _kraus_sum(channel: ParametricChannel, m: np.ndarray) -> np.ndarray:
@@ -213,74 +213,33 @@ def apply_channel(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_interleaved(channel: ParametricChannel, rho: np.ndarray) -> np.ndarray:
-    """One step of the interleaved product W_eps U_tau, in Kraus form.
+def evolve_discrete(channel: ParametricChannel, rho0: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Yield rho_0, rho_1, ..., rho_steps under repeated `apply_channel` steps.
 
-    With sigma = U rho U^dag = phase * rho the step is
-    (1-eps) sigma + eps sum_r N_r sigma N_r^dag, the same two GEMMs as
-    `apply_channel` applied to the twisted state; `build_wu_channel` is
-    its d^2 x d^2 matrix.
-    """
-    m = _as_state(channel, rho)
-    out = channel.mask * m
-    if channel.epsilon > 0.0:
-        out += channel.epsilon * _kraus_sum(channel, channel.phase * m)
-    return out
-
-
-def evolve_discrete(
-    channel: ParametricChannel,
-    rho0: np.ndarray,
-    steps: int,
-    step: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Iterator[np.ndarray]:
-    """Yield rho_0, rho_1, ..., rho_steps under repeated application of one step map.
-
-    `step` maps rho_j to rho_{j+1}; without one it is the Kraus-form mixture
-    `apply_channel`, looked up at every step.  Streaming generator: memory
-    stays O(d^2) no matter how long the run is, so diagnostics can be
-    accumulated on the fly.
+    Streaming generator: memory stays O(d^2) no matter how long the run is,
+    so diagnostics can be accumulated on the fly.  The interleaved form is
+    stepped by handing in `interleaved(channel)`.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if step is None:
-        step = lambda rho: apply_channel(channel, rho)  # noqa: E731
     state = np.array(rho0, dtype=complex)
     yield state
     for _ in range(steps):
-        state = step(state)
+        state = apply_channel(channel, state)
         yield state
-
-
-def _liouville(channel: ParametricChannel, diagonal: np.ndarray) -> np.ndarray:
-    """diag(diagonal) + eps * sum_r N_r (x) conj(N_r), the operators added in order."""
-    m = np.diag(diagonal)
-    for n in channel.kraus_ops:
-        m += channel.epsilon * np.kron(n, n.conj())
-    return m
 
 
 def build_superoperator(channel: ParametricChannel) -> Superoperator:
     """Dense matrix of Lambda_{tau,eps} in the H eigenbasis.
 
-    (1-eps) sits on the diagonal phase part; the Kraus part adds
-    eps * sum_r N_r (x) conj(N_r).
+    The diagonal is the flattened `mask`, (1-eps) times the phases
+    exp(i*tau*(E_m - E_n)/hbar) at n*d + m; the Kraus part adds
+    eps * sum_r N_r (x) conj(N_r), one operator at a time.
     """
-    diag = _phase_diagonal(channel.energies, channel.tau, channel.hbar)
-    return Superoperator(_liouville(channel, (1.0 - channel.epsilon) * diag), channel.dim)
-
-
-def build_wu_channel(channel: ParametricChannel) -> Superoperator:
-    """Interleaved step W_eps U_tau (environment event after the kick).
-
-    W_eps = (1-eps)*1 + eps * sum_r N_r (x) conj(N_r); the diagonal U_tau on
-    its right scales column n*d + m by exp(i*tau*(E_m - E_n)/hbar).
-    Differs from the mixed channel by eps * (sum_r N_r (x) conj(N_r)) (U_tau - 1),
-    i.e. the two agree to first order in eps*tau/hbar.
-    """
-    diag = _phase_diagonal(channel.energies, channel.tau, channel.hbar)
-    w = _liouville(channel, np.full(diag.size, 1.0 - channel.epsilon, dtype=complex))
-    return Superoperator(w * diag[np.newaxis, :], channel.dim)
+    m = np.diag(channel.mask.reshape(-1))
+    for n in channel.kraus_ops:
+        m += channel.epsilon * np.kron(n, n.conj())
+    return Superoperator(m, channel.dim)
 
 
 def lindblad_generator(

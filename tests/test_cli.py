@@ -132,6 +132,10 @@ _SMALL_RUNS = {
     "phase-grid": dict(mode="phase-grid", realizations=1, tau=[0.05, 1.0], epsilon=[0.2, 0.7]),
     "depth-grid": dict(mode="depth-grid", realizations=3, tau=[0.5], epsilon=[0.0, 0.2],
                        kraus_count=2),
+    "depth-grid-interleaved": dict(mode="depth-grid", channel_form="interleaved", realizations=3,
+                                   tau=[0.5], epsilon=[0.0, 0.2], kraus_count=2),
+    "spectrum-interleaved": dict(mode="spectrum", channel_form="interleaved", realizations=2,
+                                 tau=[0.05, 1.0], epsilon=[0.2], kraus_count=2),
 }
 
 
@@ -323,6 +327,23 @@ def test_run_depth_grid_contains_isolated_reference(tmp_path):
     assert float(eps2[4]) <= 1.0 + 1e-12
 
 
+def test_depth_grid_honours_channel_form(tmp_path):
+    # eps > 0 rows step the configured form; eps = 0 rows both come from the
+    # isolated closed form, so they agree byte for byte
+    p = tmp_path / "c.json"
+    rows = {}
+    for form in ("mixture", "interleaved"):
+        _write_config(p, mode="depth-grid", channel_form=form, dim=8, realizations=3, tau=[0.3],
+                      epsilon=[0.0, 0.3], kraus_count=3, output_dir=str(tmp_path / form))
+        assert cli.main(["run", str(p)]) == 0
+        rows[form] = (tmp_path / form / "depth_grid.csv").read_text().strip().split("\n")
+    mixture, inter = rows["mixture"], rows["interleaved"]
+    assert len(mixture) == len(inter) == 3
+    assert mixture[:2] == inter[:2]
+    assert mixture[2] != inter[2]
+    assert float(mixture[2].split(",")[2]) != float(inter[2].split(",")[2])
+
+
 def test_run_phase_grid(tmp_path):
     p = tmp_path / "c.json"
     _write_config(p, mode="phase-grid", tau=[1e-4, 1.0], epsilon=[0.2, 0.7],
@@ -388,6 +409,18 @@ def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     assert cli.main(["plot-script", str(path)]) == 1
     out = capsys.readouterr()
     assert out.err.startswith("config error: ") and out.out == ""
+
+
+def test_plot_script_into_missing_directory_is_a_runtime_error(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    _write_config(p)
+    assert cli.main(["run", str(p)]) == 0
+    capsys.readouterr()
+    target = tmp_path / "missing" / "plots.gp"
+    assert cli.main(["plot-script", str(tmp_path / "out" / "manifest.json"), "-o", str(target)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("runtime error: ") and out.out == ""
+    assert not target.exists()
 
 
 def test_full_scale_flag_raises_dim_and_realizations(tmp_path, monkeypatch):

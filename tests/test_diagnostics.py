@@ -22,7 +22,7 @@ from openchaos.diagnostics import (
     sff_cl1_sandwich,
     sff_fidelity,
 )
-from openchaos.pqc import ParametricChannel, apply_interleaved, build_wu_channel
+from openchaos.pqc import ParametricChannel, build_superoperator, interleaved
 from openchaos.rmt import derive_seed, rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.states import cgs_density, devectorize, make_cgs, vectorize
 
@@ -188,6 +188,23 @@ def test_merge_keeps_the_other_accumulators_compensation():
     assert mean.sff[0] == mean.cl1[0] == mean.purity[0] == exact
 
 
+def test_merge_into_an_empty_accumulator_copies_the_other():
+    rng = rng_from_seed(47)
+    batch = [_series(rng, with_bound=True) for _ in range(4)]
+    empty, full = SeriesAccumulator(), SeriesAccumulator()
+    for s in batch[:3]:
+        full.add(s)
+    expect = full.finalize()
+    assert empty.merge(full) is empty
+    full.add(batch[3])  # must not reach the merged copy
+    got = empty.finalize()
+    for field in ("sff", "cl1", "purity", "sff_stderr", "cl1_stderr", "purity_stderr", "lower_bound"):
+        assert np.array_equal(getattr(got, field), getattr(expect, field)), field
+    assert got.n_realizations == 3 and got.plateau == expect.plateau
+    empty.add(batch[3])  # nor the other way round
+    assert full.count == empty.count == 4
+
+
 def test_accumulator_is_deterministic_in_fixed_order():
     rng1, rng2 = rng_from_seed(46), rng_from_seed(46)
     a, b = SeriesAccumulator(), SeriesAccumulator()
@@ -294,22 +311,25 @@ def test_channel_diagnostics_records_requested_steps():
 
 
 def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
-    # the interleaved form steps with W_eps U_tau in Kraus form; its series
-    # must be the observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps
+    # the interleaved form steps as the mixture channel of {N_r U_tau}; its series
+    # must be the observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps,
+    # with U_tau the mixture at eps = 0 and W_eps the mixture at tau = 0
     beta = 0.3
-    ch = ParametricChannel(
-        tau=0.4, epsilon=0.3,
-        hamiltonian=sample_goe(6, 1.0, derive_seed(51, 0, 3)),
-        kraus=sample_kraus_set(6, 2, derive_seed(51, 1, 3)),
-    )
-    wu = build_wu_channel(ch)
+    h = sample_goe(6, 1.0, derive_seed(51, 0, 3))
+    kraus = sample_kraus_set(6, 2, derive_seed(51, 1, 3))
+
+    def at(tau, eps):
+        return ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus)
+
+    ch = at(0.4, 0.3)
+    wu = build_superoperator(at(0.0, 0.3)).matrix @ build_superoperator(at(0.4, 0.0)).matrix
     rec = np.array([0, 1, 4, 9])
-    s = channel_diagnostics(ch, beta, 9, record_steps=rec, step=lambda rho: apply_interleaved(ch, rho))
+    s = channel_diagnostics(interleaved(ch), beta, 9, record_steps=rec)
     mixture = channel_diagnostics(ch, beta, 9, record_steps=rec)
     cgs = make_cgs(ch.energies, beta)
     vec0 = vectorize(cgs_density(cgs))
     for pos, j in enumerate(rec):
-        rho_j = devectorize(np.linalg.matrix_power(wu.matrix, j) @ vec0)
+        rho_j = devectorize(np.linalg.matrix_power(wu, j) @ vec0)
         assert s.sff[pos] == pytest.approx(sff_fidelity(cgs, rho_j), abs=1e-12)
         assert s.cl1[pos] == pytest.approx(cl1_norm(rho_j), abs=1e-12)
         assert s.purity[pos] == pytest.approx(purity(rho_j), abs=1e-12)

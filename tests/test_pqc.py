@@ -9,8 +9,8 @@ from openchaos.pqc import (
     ParametricChannel,
     apply_channel,
     build_superoperator,
-    build_wu_channel,
     evolve_discrete,
+    interleaved,
     lindblad_generator,
 )
 from openchaos.rmt import KrausSet, derive_seed, sample_goe, sample_kraus_set
@@ -40,7 +40,7 @@ def test_superoperator_is_trace_preserving():
     for idx in range(5):
         ch = _channel(idx=idx, tau=0.7, eps=0.6)
         assert build_superoperator(ch).trace_defect() < 1e-12
-        assert build_wu_channel(ch).trace_defect() < 1e-12
+        assert build_superoperator(interleaved(ch)).trace_defect() < 1e-12
 
 
 def _factors(ch):
@@ -65,14 +65,15 @@ def test_wu_channel_is_kick_times_unitary():
     ch = _channel(tau=0.2, eps=0.3)
     u, kick = _factors(ch)
     expect = kick @ u
-    assert np.max(np.abs(build_wu_channel(ch).matrix - expect)) < 1e-12
+    assert np.max(np.abs(build_superoperator(interleaved(ch)).matrix - expect)) < 1e-12
 
 
 def test_channel_forms_coincide_at_tau_zero():
+    # U_tau = 1 exactly, so the dressed operators N_r U_tau are the N_r themselves
     ch = _channel(tau=0.0, eps=0.4)
     a = build_superoperator(ch).matrix
-    b = build_wu_channel(ch).matrix
-    assert np.max(np.abs(a - b)) < 1e-14
+    b = build_superoperator(interleaved(ch)).matrix
+    assert np.array_equal(a, b)
 
 
 def test_channel_forms_differ_at_first_order_in_tau():
@@ -83,7 +84,8 @@ def test_channel_forms_differ_at_first_order_in_tau():
     taus = (1e-2, 1e-3, 1e-4)
     for tau in taus:
         ch = ParametricChannel(tau=tau, epsilon=0.5, hamiltonian=h, kraus=ks)
-        gaps.append(np.max(np.abs(build_superoperator(ch).matrix - build_wu_channel(ch).matrix)))
+        gap = build_superoperator(ch).matrix - build_superoperator(interleaved(ch)).matrix
+        gaps.append(np.max(np.abs(gap)))
     slope = np.polyfit(np.log(taus), np.log(gaps), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
 

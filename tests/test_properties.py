@@ -19,10 +19,9 @@ from openchaos.diagnostics import DiagnosticSeries, SeriesAccumulator, ed_diagno
 from openchaos.pqc import (
     ParametricChannel,
     apply_channel,
-    apply_interleaved,
     build_superoperator,
-    build_wu_channel,
     in_eigenbasis,
+    interleaved,
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
@@ -75,17 +74,10 @@ def test_fused_step_matches_superoperator_and_operator_loop(ch, seed):
 def test_fused_step_preserves_trace_and_hermiticity(ch, seed):
     rho = _density(ch.dim, seed)
     tol = 1e-13 * np.linalg.norm(rho)
-    for step in (apply_channel, apply_interleaved):
-        out = step(ch, rho)
+    for form in (ch, interleaved(ch)):
+        out = apply_channel(form, rho)
         assert abs(np.trace(out) - np.trace(rho)) <= tol
         assert np.max(np.abs(out - out.conj().T)) <= tol
-
-
-@given(channels(), seeds)
-def test_interleaved_step_matches_wu_matrix(ch, seed):
-    rho = _density(ch.dim, seed)
-    out = apply_interleaved(ch, rho)
-    assert np.max(np.abs(out - build_wu_channel(ch).apply(rho))) <= 1e-13 * np.linalg.norm(rho)
 
 
 def _kron_loop_matrices(ch):
@@ -102,11 +94,26 @@ def _kron_loop_matrices(ch):
     return mixture, kick * diag[np.newaxis, :]
 
 
+@given(channels(), seeds)
+def test_interleaved_step_matches_wu_matrix(ch, seed):
+    # W_eps U_tau written out term by term: sigma = U rho U^dag is the phase
+    # twist of rho, then (1-eps) sigma + eps sum_r N_r sigma N_r^dag
+    rho = _density(ch.dim, seed)
+    tol = 1e-13 * np.linalg.norm(rho)
+    e = ch.energies
+    sigma = np.exp(-1j * ch.tau * (e[:, np.newaxis] - e[np.newaxis, :]) / ch.hbar) * rho
+    expect = (1.0 - ch.epsilon) * sigma
+    for n in ch.kraus_ops:
+        expect = expect + ch.epsilon * (n @ sigma @ n.conj().T)
+    out = apply_channel(interleaved(ch), rho)
+    assert np.max(np.abs(out - expect)) <= tol
+    wu = _kron_loop_matrices(ch)[1]
+    assert np.max(np.abs(out.reshape(-1) - wu @ rho.reshape(-1))) <= tol
+
+
 @given(channels())
 def test_shared_builder_matches_the_kron_loops_bytewise(ch):
-    mixture, wu = _kron_loop_matrices(ch)
-    assert np.array_equal(build_superoperator(ch).matrix, mixture)
-    assert np.array_equal(build_wu_channel(ch).matrix, wu)
+    assert np.array_equal(build_superoperator(ch).matrix, _kron_loop_matrices(ch)[0])
 
 
 @given(channels())
@@ -119,7 +126,7 @@ def test_channel_matrices_factor_into_kick_and_unitary(ch):
 
     u, w = at(ch.tau, 0.0), at(0.0, ch.epsilon)
     one = np.eye(ch.dim**2)
-    assert np.max(np.abs(build_wu_channel(ch).matrix - w @ u)) <= 1e-13
+    assert np.max(np.abs(build_superoperator(interleaved(ch)).matrix - w @ u)) <= 1e-13
     mixture = (1.0 - ch.epsilon) * u + w - (1.0 - ch.epsilon) * one
     assert np.max(np.abs(build_superoperator(ch).matrix - mixture)) <= 1e-13
 
@@ -134,7 +141,7 @@ def test_channel_from_rotated_pair_has_the_raw_pair_constants_bytewise(d, k, hse
     assert np.array_equal(rh.energies, h.energies)
     raw = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus)
     pre = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=rh, kraus=rk)
-    for name in ("kraus_ops", "phase", "mask", "kraus_adjoints"):
+    for name in ("kraus_ops", "mask", "kraus_adjoints"):
         assert np.array_equal(getattr(raw, name), getattr(pre, name)), name
     assert np.array_equal(build_superoperator(raw).matrix, build_superoperator(pre).matrix)
 
