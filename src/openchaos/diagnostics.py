@@ -179,7 +179,7 @@ def sff_cl1_sandwich(series: DiagnosticSeries, tol: float = 1e-10) -> SandwichRe
     )
 
 
-def _step_indices(series: DiagnosticSeries, tau: float) -> np.ndarray:
+def _integer_steps(series: DiagnosticSeries, tau: float) -> np.ndarray:
     """Integer step labels of the series grid; raises if times are off-grid."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -205,7 +205,7 @@ def effective_depth(
     j_h = math.ceil(t_heisenberg / tau)
     if j_th > j_h:
         raise ValueError(f"empty depth window: ceil(t_Th/tau)={j_th} > ceil(t_H/tau)={j_h}")
-    j = _step_indices(series, tau)
+    j = _integer_steps(series, tau)
     pos = np.searchsorted(j, np.arange(j_th, j_h + 1))
     if np.any(pos >= j.size) or np.any(j[pos] != np.arange(j_th, j_h + 1)):
         raise ValueError(f"series is missing steps in the window [{j_th}, {j_h}]")
