@@ -231,6 +231,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"grid_kind must be 'log' or 'linear', got {cfg.grid_kind!r}")
     if cfg.t_min <= 0 and cfg.grid_kind == "log":
         say(f"t_min must be > 0 on a log grid, got {cfg.t_min}")
+    elif cfg.t_min < 0:
+        say(f"t_min must be >= 0, got {cfg.t_min}")
     if cfg.t_max is not None and cfg.t_max <= cfg.t_min:
         say(f"t_max={cfg.t_max} must exceed t_min={cfg.t_min}")
     if cfg.channel_form not in ("mixture", "interleaved"):

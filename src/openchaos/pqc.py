@@ -39,6 +39,7 @@ equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Tuple
 
@@ -138,12 +139,12 @@ class ParametricChannel:
     kraus_adjoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be > 0, got {self.hbar}")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
         if self.kraus.generator_only:
             raise ValueError("generator-only Kraus sets cannot form a discrete channel")
         if self.kraus.dim != self.hamiltonian.dim:

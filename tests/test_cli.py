@@ -62,6 +62,18 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         assert all(name in err for name in names), (overrides, err)
 
 
+def test_validate_rejects_a_negative_t_min_on_a_linear_grid(tmp_path, capsys):
+    # the run would fail only at the kernel's time check, with exit 2
+    p = tmp_path / "c.json"
+    _write_config(p, grid_kind="linear", t_min=-1.0)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert "t_min" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    _write_config(p, grid_kind="linear", t_min=0.0)
+    assert cli.main(["validate", str(p)]) == 0
+
+
 def test_validate_rejects_colliding_artifact_tags(tmp_path, capsys):
     # tags print 6 significant digits: these lists would write one file name twice
     p = tmp_path / "c.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -89,6 +90,48 @@ def test_ed_sff_gamma_zero_is_isolated_form_factor():
         assert ed_closed_forms(h, beta, EDParams(0.0), t).sff == pytest.approx(abs(z) ** 2, abs=1e-12)
 
 
+def _mp_closed_forms(energies, beta, params, times):
+    """SFF, C_l1, dC_l1/dgamma and purity as double sums over all levels, at 40 digits.
+
+    The inputs are the kernel's floats, taken exactly; only the result is rounded.
+    """
+    with mpmath.workdps(40):
+        levels = [mpmath.mpf(x) for x in energies]
+        weights = [mpmath.exp(-mpmath.mpf(beta) * x) for x in levels]
+        p = [x / mpmath.fsum(weights) for x in weights]
+        gamma, hbar = mpmath.mpf(params.gamma), mpmath.mpf(params.hbar)
+        out = []
+        for t in map(mpmath.mpf, times):
+            sff, cl1, slope, purity = [], [], [], []
+            for n, (pn, en) in enumerate(zip(p, levels)):
+                for m, (pm, em) in enumerate(zip(p, levels)):
+                    w = en - em
+                    damp = mpmath.exp(-gamma * t * w**2)
+                    sff.append(pn * pm * damp * mpmath.cos(w * t / hbar))
+                    purity.append(pn * pm * damp**2)
+                    if n != m:
+                        cl1.append(mpmath.sqrt(pn * pm) * damp)
+                        slope.append(-mpmath.sqrt(pn * pm) * t * w**2 * damp)
+            out.append([float(mpmath.fsum(x)) for x in (sff, cl1, slope, purity)])
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("gamma, hbar", [(0.0, 1.0), (0.3, 0.7), (2.0, 2.5)])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("d", [6, 16])
+def test_closed_forms_match_40_digit_sums(d, beta, gamma, hbar):
+    # times up to 400 put the phases w*t/hbar far past 2*pi, where their rounding grows
+    e = sample_goe(d, 1.0, derive_seed(21, 0, 13)).energies
+    params = EDParams(gamma, hbar)
+    t = np.array([0.0, 0.3, 2.0, 11.0, 50.0, 400.0])
+    sff, cl1, slope, purity = _mp_closed_forms(e, beta, params, t)
+    forms = ed_closed_forms(e, beta, params, t)
+    assert np.max(np.abs(forms.sff - sff)) <= 1e-12
+    assert np.max(np.abs(forms.purity - purity)) <= 1e-12
+    assert np.all(np.abs(forms.cl1 - cl1) <= 1e-13 * np.abs(cl1))
+    assert np.all(np.abs(forms.cl1_gamma_derivative - slope) <= 1e-13 * np.abs(slope))
+
+
 def test_ed_cl1_initial_value_and_decay():
     d = 12
     h = sample_goe(d, 1.0, derive_seed(21, 0, 4))
@@ -162,6 +205,17 @@ def test_ed_liouvillian_is_diagonal_kernel():
 def test_negative_gamma_rejected():
     with pytest.raises(ValueError):
         EDParams(-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", math.nan), ("gamma", math.inf), ("hbar", math.nan), ("hbar", math.inf),
+])
+def test_params_must_be_finite(field, value):
+    # NaN slips through every ordered comparison, and an infinite gamma gives NaN at t = 0
+    kwargs = dict(gamma=0.1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        EDParams(**kwargs)
 
 
 def test_params_sequence_must_be_nonempty_with_one_hbar():

@@ -373,4 +373,4 @@ def test_golden_ensemble_checksum():
         acc.add(ed_diagnostics(h, 0.0, EDParams(0.5), times))
     text = series_to_csv(acc.finalize())
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "bafcceb5cacc45a5f9c1259688a42589573871123328e6af684c5e5ed9647db5"
+    assert digest == "85f31e1e51b87b492dc954059d5bab56be9d2be6fc134252b40589673bf5f270"

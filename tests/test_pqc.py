@@ -1,5 +1,7 @@
 """Discrete channel: Kraus form vs superoperator matrix, limits and fixed points."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -194,6 +196,18 @@ def test_channel_parameter_validation():
         ParametricChannel(tau=0.1, epsilon=1.5, hamiltonian=h, kraus=ks)
     with pytest.raises(ValueError):
         ParametricChannel(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks, hbar=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan), ("tau", math.inf), ("epsilon", math.nan), ("hbar", math.nan), ("hbar", math.inf),
+])
+def test_channel_parameters_must_be_finite(field, value):
+    h = sample_goe(4, 1.0, derive_seed(31, 0, 8))
+    ks = sample_kraus_set(4, 2, derive_seed(31, 1, 8))
+    kwargs = dict(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        ParametricChannel(**kwargs)
 
 
 def test_evolve_discrete_yields_states_inclusive():

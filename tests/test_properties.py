@@ -3,8 +3,8 @@ channel builder against the kron loops and the kick-times-unitary
 factorization, channels from a pre-rotated pair against channels from the
 raw pair, the two spacing-ratio paths against each other and the brute path
 against a per-row lexsort ranking, the shared dephasing kernel against
-one-gamma calls and the written-out pair sums, the numpy log-sum-exp against
-scipy's, and the ensemble reducer under any merge order."""
+one-gamma calls, small blocks and the written-out pair sums, the numpy
+log-sum-exp against scipy's, and the ensemble reducer under any merge order."""
 
 from unittest import mock
 
@@ -231,7 +231,7 @@ def test_log_partition_function_is_scipy_logsumexp_bitwise(d, seed, scale, ties,
 
 def _pair_sums(e, beta, params, t):
     """The four closed forms of one gamma as whole-grid pair sums, without blocks or buffers."""
-    w, pp, sqpp = dephasing._pair_data(e, beta)
+    w, pp, sqpp, _ = dephasing._pair_data(e, beta)
     fp = plateau_value(e, beta)
     ts = np.atleast_1d(t).reshape(-1)[:, np.newaxis]
     damp = np.exp(-params.gamma * ts * w**2)
@@ -246,17 +246,32 @@ def _pair_sums(e, beta, params, t):
 
 @given(st.integers(2, 24), seeds, gammas, betas, times, hbars, st.integers(1, 64))
 def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hbar, block):
+    """Shared, one-gamma and small-block calls agree bytewise; the pair sums to roundoff.
+
+    The kernel takes the pair cosines from per-level phases t*E/hbar, whose
+    rounding grows with t*max|E|/hbar, and sums rows with `np.vecdot`, so
+    against the written-out sums SFF and purity are bounded by
+    1e-13 * (1 + t*max|E|/hbar).  The terms of C_l1 and of its derivative
+    all have one sign, so the sum of their absolute values is |sum| and
+    those two are bounded by 1e-13 * |sum|.  Below the normal range (a
+    subnormal t) the written-out products t * ... round absolutely, so the
+    bound also allows the smallest normal float.
+    """
     e = sample_goe(d, 1.0, seed).energies
     params = [EDParams(g, hbar) for g in gs]
     shared = ed_closed_forms(e, beta, params, t)
     with mock.patch.object(dephasing, "_PAIR_BLOCK", block):
         tiny = ed_closed_forms(e, beta, params, t)
     assert len(shared) == len(tiny) == len(params)
+    phase = 1.0 + np.asarray(t) * np.max(np.abs(e)) / hbar
     for p, forms, tiny_forms in zip(params, shared, tiny):
         one = ed_closed_forms(e, beta, p, t)
-        for field, x, y, z, r in zip(forms._fields, forms, one, tiny_forms, _pair_sums(e, beta, p, t)):
+        sums = _pair_sums(e, beta, p, t)
+        scales = (phase, np.abs(sums[1]), np.abs(sums[2]), phase)
+        for field, x, y, z, r, scale in zip(forms._fields, forms, one, tiny_forms, sums, scales):
             assert np.shape(x) == np.shape(t), field
-            assert all(np.array_equal(x, other) for other in (y, z, r)), field
+            assert np.array_equal(x, y) and np.array_equal(x, z), field
+            assert np.all(np.abs(x - r) <= 1e-13 * scale + np.finfo(float).tiny), field
 
 
 @given(st.integers(2, 12), seeds, gammas, betas)
