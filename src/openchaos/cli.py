@@ -19,10 +19,7 @@ drawn, the Kraus set is rotated into the eigenbasis of H once, and every grid
 point reuses that pair.  With --workers N > 1 the jobs run in N forked worker
 processes (serially where the platform cannot fork); workers only change
 scheduling, because results are reduced in realization order, so the emitted
-CSV numbers are byte-identical for any --workers value.  `spectrum` and `csr`
-solve through `spectral.eigenvalues`, whose memo outlives a run: a worker
-starts from its parent's memo and sends back the spectra it used, so a later
-run in the same process reuses them whatever --workers was.
+CSV numbers are byte-identical for any --workers value.
 
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
@@ -67,7 +64,6 @@ from .spectral import (
     complex_spacing_ratios,
     containment_fraction,
     density_grid,
-    eigenvalue_memo,
     eigenvalues,
     phase_boundary,
     phi_max,
@@ -225,6 +221,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"beta must be >= 0, got {cfg.beta}")
     if cfg.realizations < 1:
         say(f"realizations must be >= 1, got {cfg.realizations}")
+    if cfg.master_seed < 0:
+        say(f"master_seed must be >= 0, got {cfg.master_seed}")
     if cfg.points < 2:
         say(f"points must be >= 2, got {cfg.points}")
     if cfg.grid_kind not in ("log", "linear"):
@@ -422,7 +420,7 @@ def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) 
     params = [EDParams(g, cfg.hbar) for g in cfg.gamma]
 
     def worker(idx: int):
-        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times, metadata={"mode": "ed-sff"})
+        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times)
 
     points = [(_tag(gamma=g), {"gamma": g}) for g in cfg.gamma]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
@@ -439,10 +437,9 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
         out_series = []
         for tau, eps in grid:
             ch = _channel(cfg, h, kraus, tau, eps)
-            out_series.append(channel_diagnostics(
-                ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau],
-                metadata={"mode": "pqc-sff", "channel_form": cfg.channel_form},
-            ))
+            out_series.append(
+                channel_diagnostics(ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau])
+            )
         return out_series
 
     points = [(_tag(tau=t, eps=e), {"tau": t, "epsilon": e}) for t, e in grid]
@@ -450,33 +447,20 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
 
 
 def _spectra(cfg: ExperimentConfig, workers: int):
-    """Eigenvalue clouds for every (tau, eps) grid point and realization.
-
-    Each realization also returns the memo entries it used, and they are
-    adopted here in realization order, so this process's eigenvalue memo ends
-    up as a serial run would leave it, whether or not they were used in a
-    forked worker.
-    """
+    """Grid points and, per point, the eigenvalue cloud of every realization."""
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
 
     def worker(idx: int):
-        mark = eigenvalue_memo.mark()
         h, kraus = _realization(cfg, idx)
-        spectra = []
-        for tau, eps in grid:
-            ev = eigenvalues(
+        return [
+            eigenvalues(
                 build_superoperator(_channel(cfg, h, kraus, tau, eps)),
                 context=f"tau={tau}, eps={eps}, realization={idx}",
             )
-            spectra.append(ev)
-        return spectra, eigenvalue_memo.used_since(mark)
+            for tau, eps in grid
+        ]
 
-    per_point = [[] for _ in grid]
-    for spectra, used in _ensemble_map(cfg, worker, workers):
-        eigenvalue_memo.adopt(used)
-        for store, ev in zip(per_point, spectra):
-            store.append(ev)
-    return grid, per_point
+    return grid, list(zip(*_ensemble_map(cfg, worker, workers)))
 
 
 def _run_spectrum(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
@@ -600,9 +584,7 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
                     out_series.append(iso)
                 else:
                     ch = _channel(cfg, h, kraus, tau, eps)
-                    out_series.append(
-                        channel_diagnostics(ch, cfg.beta, j_max[tau], metadata={"mode": "depth-grid"})
-                    )
+                    out_series.append(channel_diagnostics(ch, cfg.beta, j_max[tau]))
         return out_series
 
     width = 1 + len(cfg.epsilon)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -116,7 +116,6 @@ class DiagnosticSeries:
     cl1_stderr: Optional[np.ndarray] = None
     purity_stderr: Optional[np.ndarray] = None
     lower_bound: Optional[np.ndarray] = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -288,13 +287,13 @@ class SeriesAccumulator:
                 raise ValueError("all series in one ensemble must share the time grid")
             if series.beta != ref.beta or series.dim != ref.dim:
                 raise ValueError("all series in one ensemble must share beta and dim")
+            if (series.lower_bound is None) != (self._bound_sum is None):
+                raise ValueError("mixing series with and without lower bounds")
         for f in self._FIELDS:
             x = getattr(series, f)
             self._kahan_add(self._sum[f], self._comp[f], x)
             self._kahan_add(self._sumsq[f], self._compsq[f], x * x)
         if self._bound_sum is not None:
-            if series.lower_bound is None:
-                raise ValueError("mixing series with and without lower bounds")
             self._bound_sum += series.lower_bound
         self._plateau_sum += series.plateau
         self.count += 1
@@ -348,7 +347,6 @@ class SeriesAccumulator:
             cl1_stderr=errs["cl1"],
             purity_stderr=errs["purity"],
             lower_bound=None if self._bound_sum is None else self._bound_sum / n,
-            metadata=dict(ref.metadata, n_realizations=n),
         )
 
 
@@ -365,7 +363,6 @@ def ed_diagnostics(
     beta: float,
     params: EDParams | Sequence[EDParams],
     times: np.ndarray,
-    metadata: Optional[dict] = None,
 ) -> DiagnosticSeries | List[DiagnosticSeries]:
     """Closed-form dephasing series on an arbitrary time grid.
 
@@ -388,7 +385,6 @@ def ed_diagnostics(
             purity=forms.purity,
             plateau=fp,
             lower_bound=taylor_lower_bound(forms, e.size, p, t) if beta == 0.0 else None,
-            metadata=dict(metadata or {}, gamma=p.gamma, hbar=p.hbar),
         )
         for p, forms in zip(plist, ed_closed_forms(e, beta, plist, t))
     ]
@@ -400,7 +396,6 @@ def channel_diagnostics(
     beta: float,
     steps: int,
     record_steps: Optional[Sequence[int]] = None,
-    metadata: Optional[dict] = None,
 ) -> DiagnosticSeries:
     """Evolve the coherent Gibbs state through the channel and record diagnostics.
 
@@ -438,13 +433,6 @@ def channel_diagnostics(
         cl1=cl1,
         purity=pur,
         plateau=plateau_value(channel.energies, beta),
-        metadata=dict(
-            metadata or {},
-            tau=channel.tau,
-            epsilon=channel.epsilon,
-            kraus_count=channel.kraus.count,
-            hbar=channel.hbar,
-        ),
     )
 
 

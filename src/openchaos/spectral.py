@@ -39,7 +39,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class EigenvalueMemo:
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (last use, values)
-        self._clock = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> values, least recent first
         self._lock = threading.Lock()
 
     @staticmethod
@@ -107,12 +106,11 @@ class EigenvalueMemo:
     def get(self, key: tuple) -> Optional[np.ndarray]:
         """A copy of the values stored under `key`, or None."""
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
+            values = self._entries.get(key)
+            if values is None:
                 return None
-            self._clock += 1
-            self._entries[key] = (self._clock, entry[1])
-        return entry[1].copy()
+            self._entries.move_to_end(key)
+        return values.copy()
 
     def put(self, key: tuple, values: np.ndarray) -> None:
         """Store a copy of `values` under `key` as the most recently used entry."""
@@ -120,39 +118,19 @@ class EigenvalueMemo:
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
-                self.nbytes -= old[1].nbytes
+                self.nbytes -= old.nbytes
             if values.nbytes > self.budget:
                 return
             while self.nbytes + values.nbytes > self.budget:
-                _, (_, dropped) = self._entries.popitem(last=False)
+                _, dropped = self._entries.popitem(last=False)
                 self.nbytes -= dropped.nbytes
-            self._clock += 1
-            self._entries[key] = (self._clock, values)
+            self._entries[key] = values
             self.nbytes += values.nbytes
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.nbytes = 0
-
-    def mark(self) -> int:
-        """A point in this memo's history for `used_since`."""
-        with self._lock:
-            return self._clock
-
-    def used_since(self, mark: int) -> List[Tuple[tuple, np.ndarray]]:
-        """(key, values) of every entry stored or returned after `mark`, least recent first.
-
-        A forked worker sends these back so the parent can `adopt` them: its
-        memo then holds what a serial run would have left in it.
-        """
-        with self._lock:
-            return [(k, v) for k, (used, v) in self._entries.items() if used > mark]
-
-    def adopt(self, entries: Iterable[Tuple[tuple, np.ndarray]]) -> None:
-        """`put` each (key, values) pair in order, as if solved in this process."""
-        for key, values in entries:
-            self.put(key, values)
 
 
 # The memo's byte budget: 64 MiB holds about a thousand d = 64 spectra
@@ -177,10 +155,10 @@ def eigenvalues(superop: Superoperator, context: str = "") -> np.ndarray:
     process, and still in `eigenvalue_memo` (64 MiB of spectra, least recently
     used out first), is not solved again: a copy of its eigenvalues comes
     back.  That serves a process that solves one channel twice, such as `csr`
-    after `spectrum` in one session; forked `openchaos run` workers start from
-    their parent's memo and send what they used back to it.  Solved or reused,
-    the result is the bytes `np.linalg.eigvals` gives for that matrix, so no
-    output depends on the memo's state.  A failed solve raises
+    after `spectrum` in one session; a forked `openchaos run` worker starts
+    from its parent's memo, and what it solves stays in that worker.  Solved
+    or reused, the result is the bytes `np.linalg.eigvals` gives for that
+    matrix, so no output depends on the memo's state.  A failed solve raises
     EigensolverError with `context` in its message and stores nothing.
     """
     key = eigenvalue_memo.key(superop.matrix)

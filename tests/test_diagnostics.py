@@ -244,6 +244,18 @@ def test_accumulator_bound_presence_must_be_uniform():
         acc.add(_series(rng, with_bound=False))
 
 
+def test_accumulator_rejects_a_bound_after_series_without_one():
+    # either order raises before any sum moves, so the rejected series leaves no trace
+    rng = rng_from_seed(49)
+    for first, second in ((False, True), (True, False)):
+        acc, first_series = SeriesAccumulator(), _series(rng, with_bound=first)
+        acc.add(first_series)
+        with pytest.raises(ValueError, match="with and without lower bounds"):
+            acc.add(_series(rng, with_bound=second))
+        assert acc.count == 1
+        assert np.array_equal(acc.finalize().sff, first_series.sff)
+
+
 def test_ensemble_average_two_point():
     rng = rng_from_seed(50)
     a, b = _series(rng), _series(rng)
@@ -265,7 +277,6 @@ def test_ed_diagnostics_consistency():
     assert s.lower_bound is not None
     assert sff_cl1_sandwich(s).ok
     assert np.all(s.sff >= s.lower_bound - 1e-12)
-    assert s.metadata["gamma"] == 0.3
     s2 = ed_diagnostics(h, 0.4, EDParams(0.3), times)
     assert s2.lower_bound is None  # bound only proven at beta=0
 
@@ -306,7 +317,6 @@ def test_channel_diagnostics_records_requested_steps():
     rec = np.array([0, 3, 7])
     s = channel_diagnostics(ch, 0.0, 7, record_steps=rec)
     assert np.array_equal(s.times, rec * 0.2)
-    assert s.metadata["tau"] == 0.2
     assert s.sff[0] == pytest.approx(1.0, abs=1e-12)
 
 

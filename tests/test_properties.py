@@ -279,11 +279,11 @@ def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
     h = sample_goe(d, 1.0, seed)
     t = np.geomspace(0.1, 30.0, 9)
     params = [EDParams(g, 0.7) for g in gs]
-    for p, s in zip(params, ed_diagnostics(h, beta, params, t, metadata={"mode": "x"})):
-        one = ed_diagnostics(h, beta, p, t, metadata={"mode": "x"})
+    for p, s in zip(params, ed_diagnostics(h, beta, params, t)):
+        one = ed_diagnostics(h, beta, p, t)
         for field in ("sff", "cl1", "purity", "lower_bound"):
             assert np.array_equal(getattr(s, field), getattr(one, field)), field
-        assert (s.plateau, s.metadata) == (one.plateau, one.metadata)
+        assert s.plateau == one.plateau
 
 
 def _random_series(rng, n, scale, with_bound):

@@ -287,24 +287,7 @@ def test_eigenvalue_memo_stays_in_budget_and_drops_least_recent_first(ops):
             else:
                 assert got is None
         assert memo.nbytes == sum(v.nbytes for _, v in model) <= budget
-        assert [k for k, _ in memo.used_since(0)] == [k for k, _ in model]
-
-
-def test_used_since_lists_the_entries_used_after_the_mark_and_adopt_replays_them():
-    memo = EigenvalueMemo(1 << 20)
-    memo.put("a", np.ones(3))
-    memo.put("b", np.ones(3))
-    mark = memo.mark()
-    memo.put("c", np.full(3, 2.0))
-    memo.get("a")
-    used = memo.used_since(mark)
-    assert [k for k, _ in used] == ["c", "a"]
-    other = EigenvalueMemo(1 << 20)
-    other.put("a", np.zeros(3))
-    other.put("d", np.zeros(3))
-    other.adopt(used)
-    assert [k for k, _ in other.used_since(0)] == ["d", "c", "a"]
-    assert np.array_equal(other.get("a"), np.ones(3))
+        assert list(memo._entries) == [k for k, _ in model]
 
 
 def test_split_bulk_picks_nearest_to_one():
