@@ -26,16 +26,13 @@ square root negative.  `estimate_thouless` fixes j_Th operationally as the
 argmin of the 5-point smoothed ensemble mean restricted to t < t_H.
 
 Reduction over realizations is done with compensated (Kahan) sums held in
-`SeriesAccumulator`.  The CLI adds realizations in index order, so its
-output is byte-identical for any worker count.  `merge` combines partial
-accumulators, compensation terms included, but floating-point addition is
-not associative: a different split or merge order agrees only up to roundoff
-(tested to 1e-12 of the data scale), not bit for bit.
+`SeriesAccumulator`; only the SFF carries a standard error.  The CLI adds
+realizations in index order, so its output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -99,9 +96,10 @@ class DiagnosticSeries:
     """SFF / coherence / purity sampled on a time grid, for one run or an ensemble mean.
 
     `plateau` carries F_p = Z(2 beta)/Z(beta)^2 of the underlying spectrum
-    (ensemble mean thereof after reduction).  Standard errors are attached by
-    `ensemble_average` and stay None for a single realization.  `lower_bound`
-    holds the dephasing Taylor bound where one applies.
+    (ensemble mean thereof after reduction).  Only the SFF carries a standard
+    error, attached by `ensemble_average`; it stays None for a single
+    realization.  `lower_bound` holds the dephasing Taylor bound where one
+    applies.
     """
 
     dim: int
@@ -113,8 +111,6 @@ class DiagnosticSeries:
     plateau: float
     n_realizations: int = 1
     sff_stderr: Optional[np.ndarray] = None
-    cl1_stderr: Optional[np.ndarray] = None
-    purity_stderr: Optional[np.ndarray] = None
     lower_bound: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -241,12 +237,9 @@ def estimate_thouless(series: DiagnosticSeries, t_heisenberg: float) -> float:
 class SeriesAccumulator:
     """Streaming mean/stderr reducer over equally gridded DiagnosticSeries.
 
-    Kahan-compensated elementwise sums of the observables and their squares.
-    Adding the same series in the same order gives the same bytes.  `merge`
-    folds the other accumulator's sums and then its compensation terms into
-    this one, so another reduction tree changes the result by roundoff only.
-    It always returns this accumulator; an empty one takes a deep copy of
-    the other's state, so later adds to either leave the other alone.
+    Kahan-compensated elementwise sums of the observables and of the squared
+    SFF, the one spread an artifact reads.  Adding the same series in the
+    same order gives the same bytes.
     """
 
     _FIELDS = ("sff", "cl1", "purity")
@@ -256,8 +249,8 @@ class SeriesAccumulator:
         self._template: Optional[DiagnosticSeries] = None
         self._sum: dict = {}
         self._comp: dict = {}
-        self._sumsq: dict = {}
-        self._compsq: dict = {}
+        self._sff_sq: Optional[np.ndarray] = None
+        self._sff_sq_comp: Optional[np.ndarray] = None
         self._plateau_sum = 0.0
         self._bound_sum: Optional[np.ndarray] = None
 
@@ -275,8 +268,8 @@ class SeriesAccumulator:
             for f in self._FIELDS:
                 self._sum[f] = np.zeros(n)
                 self._comp[f] = np.zeros(n)
-                self._sumsq[f] = np.zeros(n)
-                self._compsq[f] = np.zeros(n)
+            self._sff_sq = np.zeros(n)
+            self._sff_sq_comp = np.zeros(n)
             if series.lower_bound is not None:
                 self._bound_sum = np.zeros(n)
         else:
@@ -290,50 +283,24 @@ class SeriesAccumulator:
             if (series.lower_bound is None) != (self._bound_sum is None):
                 raise ValueError("mixing series with and without lower bounds")
         for f in self._FIELDS:
-            x = getattr(series, f)
-            self._kahan_add(self._sum[f], self._comp[f], x)
-            self._kahan_add(self._sumsq[f], self._compsq[f], x * x)
+            self._kahan_add(self._sum[f], self._comp[f], getattr(series, f))
+        self._kahan_add(self._sff_sq, self._sff_sq_comp, series.sff * series.sff)
         if self._bound_sum is not None:
             self._bound_sum += series.lower_bound
         self._plateau_sum += series.plateau
         self.count += 1
-
-    def merge(self, other: "SeriesAccumulator") -> "SeriesAccumulator":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.__dict__.update(copy.deepcopy(other.__dict__))
-            return self
-        ref, oth = self._template, other._template
-        if not np.array_equal(ref.times, oth.times) or ref.beta != oth.beta or ref.dim != oth.dim:
-            raise ValueError("accumulators disagree on grid, beta or dim")
-        for f in self._FIELDS:
-            self._kahan_add(self._sum[f], self._comp[f], other._sum[f])
-            self._kahan_add(self._sum[f], self._comp[f], -other._comp[f])
-            self._kahan_add(self._sumsq[f], self._compsq[f], other._sumsq[f])
-            self._kahan_add(self._sumsq[f], self._compsq[f], -other._compsq[f])
-        if (self._bound_sum is None) != (other._bound_sum is None):
-            raise ValueError("mixing series with and without lower bounds")
-        if self._bound_sum is not None:
-            self._bound_sum += other._bound_sum
-        self._plateau_sum += other._plateau_sum
-        self.count += other.count
-        return self
 
     def finalize(self) -> DiagnosticSeries:
         if self.count == 0:
             raise ValueError("cannot average an empty ensemble")
         n = self.count
         ref = self._template
-        means, errs = {}, {}
-        for f in self._FIELDS:
-            mean = self._sum[f] / n
-            if n > 1:
-                var = np.maximum(self._sumsq[f] - n * mean**2, 0.0) / (n - 1)
-                errs[f] = np.sqrt(var / n)
-            else:
-                errs[f] = np.zeros_like(mean)
-            means[f] = mean
+        means = {f: self._sum[f] / n for f in self._FIELDS}
+        if n > 1:
+            var = np.maximum(self._sff_sq - n * means["sff"] ** 2, 0.0) / (n - 1)
+            err = np.sqrt(var / n)
+        else:
+            err = np.zeros_like(means["sff"])
         return DiagnosticSeries(
             dim=ref.dim,
             beta=ref.beta,
@@ -343,9 +310,7 @@ class SeriesAccumulator:
             purity=means["purity"],
             plateau=self._plateau_sum / n,
             n_realizations=n,
-            sff_stderr=errs["sff"],
-            cl1_stderr=errs["cl1"],
-            purity_stderr=errs["purity"],
+            sff_stderr=err,
             lower_bound=None if self._bound_sum is None else self._bound_sum / n,
         )
 

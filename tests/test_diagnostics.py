@@ -156,53 +156,20 @@ def test_accumulator_mean_and_stderr_match_numpy():
     assert mean.n_realizations == 7
 
 
-def test_accumulator_merge_matches_sequential():
-    rng = rng_from_seed(45)
-    batch = [_series(rng) for _ in range(9)]
-    seq = SeriesAccumulator()
-    for s in batch:
-        seq.add(s)
-    left, right = SeriesAccumulator(), SeriesAccumulator()
-    for s in batch[:4]:
-        left.add(s)
-    for s in batch[4:]:
-        right.add(s)
-    merged = left.merge(right).finalize()
-    direct = seq.finalize()
-    assert np.max(np.abs(merged.sff - direct.sff)) < 1e-13
-    assert np.max(np.abs(merged.sff_stderr - direct.sff_stderr)) < 1e-13
-
-
-def test_merge_keeps_the_other_accumulators_compensation():
+def test_accumulator_means_keep_their_kahan_compensation():
     # fifty 1e-17 terms vanish against 1.0 in a plain sum; Kahan keeps them in
-    # the compensation term, which the merge must carry over
+    # the compensation term, so every mean equals the correctly rounded sum / n
     def point(x):
         return DiagnosticSeries(dim=2, beta=0.0, times=np.zeros(1), sff=[x], cl1=[x], purity=[x], plateau=0.5)
 
-    left, right = SeriesAccumulator(), SeriesAccumulator()
-    left.add(point(-1.0))
-    for x in [1.0] + [1e-17] * 50:
-        right.add(point(x))
-    mean = left.merge(right).finalize()
-    exact = math.fsum([-1.0, 1.0] + [1e-17] * 50) / 52
+    values = [1.0] + [1e-17] * 50
+    acc = SeriesAccumulator()
+    for x in values:
+        acc.add(point(x))
+    mean = acc.finalize()
+    exact = math.fsum(values) / 51
+    assert sum(values) / 51 != exact
     assert mean.sff[0] == mean.cl1[0] == mean.purity[0] == exact
-
-
-def test_merge_into_an_empty_accumulator_copies_the_other():
-    rng = rng_from_seed(47)
-    batch = [_series(rng, with_bound=True) for _ in range(4)]
-    empty, full = SeriesAccumulator(), SeriesAccumulator()
-    for s in batch[:3]:
-        full.add(s)
-    expect = full.finalize()
-    assert empty.merge(full) is empty
-    full.add(batch[3])  # must not reach the merged copy
-    got = empty.finalize()
-    for field in ("sff", "cl1", "purity", "sff_stderr", "cl1_stderr", "purity_stderr", "lower_bound"):
-        assert np.array_equal(getattr(got, field), getattr(expect, field)), field
-    assert got.n_realizations == 3 and got.plateau == expect.plateau
-    empty.add(batch[3])  # nor the other way round
-    assert full.count == empty.count == 4
 
 
 def test_accumulator_is_deterministic_in_fixed_order():

@@ -3,8 +3,8 @@ channel builder against the kron loops and the kick-times-unitary
 factorization, channels from a pre-rotated pair against channels from the
 raw pair, the two spacing-ratio paths against each other and the brute path
 against a per-row lexsort ranking, the shared dephasing kernel against
-one-gamma calls, small blocks and the written-out pair sums, the numpy
-log-sum-exp against scipy's, and the ensemble reducer under any merge order."""
+one-gamma calls, small blocks and the written-out pair sums, and the numpy
+log-sum-exp against scipy's."""
 
 from unittest import mock
 
@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 
 from openchaos import dephasing
 from openchaos.dephasing import EDParams, ed_closed_forms
-from openchaos.diagnostics import DiagnosticSeries, SeriesAccumulator, ed_diagnostics
+from openchaos.diagnostics import ed_diagnostics
 from openchaos.pqc import (
     ParametricChannel,
     apply_channel,
@@ -285,51 +285,3 @@ def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
             assert np.array_equal(getattr(s, field), getattr(one, field)), field
         assert s.plateau == one.plateau
 
-
-def _random_series(rng, n, scale, with_bound):
-    return DiagnosticSeries(
-        dim=8, beta=0.0, times=np.linspace(0.0, 3.0, n),
-        sff=scale * rng.uniform(0.01, 1.0, n), cl1=scale * rng.uniform(0.0, 7.0, n),
-        purity=scale * rng.uniform(0.125, 1.0, n), plateau=scale * rng.uniform(0.1, 1.0),
-        lower_bound=scale * rng.uniform(-1.0, 0.5, n) if with_bound else None,
-    )
-
-
-@given(
-    seeds, st.integers(1, 16), st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(),
-    st.randoms(use_true_random=False),
-)
-def test_merge_order_changes_the_ensemble_only_by_roundoff(seed, count, scale, with_bound, rnd):
-    """Any split into accumulators, merged in any order, matches one in-order pass.
-
-    The sums are compensated but `merge` is not exactly associative in
-    floating point, so the bound is relative to the data scale: means,
-    plateau and bound to 1e-12 * max|x|, squared standard errors to
-    1e-12 * max|x|^2.
-    """
-    rng = rng_from_seed(seed)
-    batch = [_random_series(rng, 7, scale, with_bound) for _ in range(count)]
-    direct = SeriesAccumulator()
-    for s in batch:
-        direct.add(s)
-    order = rnd.sample(batch, len(batch))
-    cuts = sorted(rnd.sample(range(1, count), rnd.randint(0, count - 1)))
-    parts = []
-    for lo, hi in zip([0] + cuts, cuts + [count]):
-        acc = SeriesAccumulator()
-        for s in order[lo:hi]:
-            acc.add(s)
-        parts.append(acc)
-    rnd.shuffle(parts)
-    merged = parts[0]
-    for acc in parts[1:]:
-        merged = merged.merge(acc)
-    a, b = direct.finalize(), merged.finalize()
-    assert a.n_realizations == b.n_realizations == count
-    for field in ("sff", "cl1", "purity") + (("lower_bound",) if with_bound else ()):
-        top = max(np.max(np.abs(getattr(s, field))) for s in batch)
-        assert np.max(np.abs(getattr(a, field) - getattr(b, field))) <= 1e-12 * top, field
-        if field != "lower_bound":
-            err_a, err_b = getattr(a, field + "_stderr"), getattr(b, field + "_stderr")
-            assert np.max(np.abs(err_a**2 - err_b**2)) <= 1e-12 * top**2, field
-    assert abs(a.plateau - b.plateau) <= 1e-12 * max(s.plateau for s in batch)
