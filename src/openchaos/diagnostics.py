@@ -237,22 +237,23 @@ def estimate_thouless(series: DiagnosticSeries, t_heisenberg: float) -> float:
 class SeriesAccumulator:
     """Streaming mean/stderr reducer over equally gridded DiagnosticSeries.
 
-    Kahan-compensated elementwise sums of the observables and of the squared
-    SFF, the one spread an artifact reads.  Adding the same series in the
-    same order gives the same bytes.
+    The means of sff, cl1, purity and, when the series carry one, the lower
+    bound are Kahan-compensated elementwise sums.  Only the SFF carries a
+    spread: plain sums of d = sff - sff_first and d^2 about the first series
+    added, which avoid the cancellation of sum(x^2) - n mean^2 where the
+    spread is far below the mean (Chan, Golub & LeVeque, Am. Stat. 37, 242
+    (1983)).  Adding the same series in the same order gives the same bytes.
     """
-
-    _FIELDS = ("sff", "cl1", "purity")
 
     def __init__(self) -> None:
         self.count = 0
         self._template: Optional[DiagnosticSeries] = None
         self._sum: dict = {}
         self._comp: dict = {}
-        self._sff_sq: Optional[np.ndarray] = None
-        self._sff_sq_comp: Optional[np.ndarray] = None
+        self._shift: Optional[np.ndarray] = None
+        self._dev: Optional[np.ndarray] = None
+        self._dev_sq: Optional[np.ndarray] = None
         self._plateau_sum = 0.0
-        self._bound_sum: Optional[np.ndarray] = None
 
     @staticmethod
     def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> None:
@@ -264,14 +265,13 @@ class SeriesAccumulator:
     def add(self, series: DiagnosticSeries) -> None:
         if self._template is None:
             self._template = series
+            fields = ("sff", "cl1", "purity") + (("lower_bound",) if series.lower_bound is not None else ())
             n = series.times.size
-            for f in self._FIELDS:
-                self._sum[f] = np.zeros(n)
-                self._comp[f] = np.zeros(n)
-            self._sff_sq = np.zeros(n)
-            self._sff_sq_comp = np.zeros(n)
-            if series.lower_bound is not None:
-                self._bound_sum = np.zeros(n)
+            self._sum = {f: np.zeros(n) for f in fields}
+            self._comp = {f: np.zeros(n) for f in fields}
+            self._shift = series.sff.copy()
+            self._dev = np.zeros(n)
+            self._dev_sq = np.zeros(n)
         else:
             ref = self._template
             if series.times.shape != ref.times.shape or not np.array_equal(
@@ -280,13 +280,13 @@ class SeriesAccumulator:
                 raise ValueError("all series in one ensemble must share the time grid")
             if series.beta != ref.beta or series.dim != ref.dim:
                 raise ValueError("all series in one ensemble must share beta and dim")
-            if (series.lower_bound is None) != (self._bound_sum is None):
+            if (series.lower_bound is None) == ("lower_bound" in self._sum):
                 raise ValueError("mixing series with and without lower bounds")
-        for f in self._FIELDS:
-            self._kahan_add(self._sum[f], self._comp[f], getattr(series, f))
-        self._kahan_add(self._sff_sq, self._sff_sq_comp, series.sff * series.sff)
-        if self._bound_sum is not None:
-            self._bound_sum += series.lower_bound
+        for f, total in self._sum.items():
+            self._kahan_add(total, self._comp[f], getattr(series, f))
+        d = series.sff - self._shift
+        self._dev += d
+        self._dev_sq += d * d
         self._plateau_sum += series.plateau
         self.count += 1
 
@@ -295,9 +295,9 @@ class SeriesAccumulator:
             raise ValueError("cannot average an empty ensemble")
         n = self.count
         ref = self._template
-        means = {f: self._sum[f] / n for f in self._FIELDS}
+        means = {f: total / n for f, total in self._sum.items()}
         if n > 1:
-            var = np.maximum(self._sff_sq - n * means["sff"] ** 2, 0.0) / (n - 1)
+            var = np.maximum(self._dev_sq - self._dev**2 / n, 0.0) / (n - 1)
             err = np.sqrt(var / n)
         else:
             err = np.zeros_like(means["sff"])
@@ -311,7 +311,7 @@ class SeriesAccumulator:
             plateau=self._plateau_sum / n,
             n_realizations=n,
             sff_stderr=err,
-            lower_bound=None if self._bound_sum is None else self._bound_sum / n,
+            lower_bound=means.get("lower_bound"),
         )
 
 

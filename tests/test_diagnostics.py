@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ def test_accumulator_mean_and_stderr_match_numpy():
     expect_se = stack.std(axis=0, ddof=1) / math.sqrt(7)
     assert np.max(np.abs(mean.sff_stderr - expect_se)) < 1e-13
     assert mean.n_realizations == 7
+
+
+def test_stderr_on_a_plateau_matches_an_exact_oracle():
+    # eight series of mean 1 and spread 1e-9, like an SFF settled on its
+    # plateau: sum(x^2) - n*mean^2 cancels all but a few bits there, the sums
+    # about the first series do not
+    rng = rng_from_seed(48)
+    batch = [
+        DiagnosticSeries(dim=2, beta=0.0, times=np.arange(5.0), sff=1.0 + 1e-9 * rng.standard_normal(5),
+                         cl1=np.zeros(5), purity=np.full(5, 0.5), plateau=0.5)
+        for _ in range(8)
+    ]
+    got = ensemble_average(batch).sff_stderr
+    for k in range(5):
+        xs = [Fraction(s.sff[k]) for s in batch]
+        mean = sum(xs) / 8
+        exact = math.sqrt(sum((x - mean) ** 2 for x in xs) / (7 * 8))
+        assert abs(got[k] - exact) <= 1e-14 * exact, k
 
 
 def test_accumulator_means_keep_their_kahan_compensation():
@@ -350,4 +369,4 @@ def test_golden_ensemble_checksum():
         acc.add(ed_diagnostics(h, 0.0, EDParams(0.5), times))
     text = series_to_csv(acc.finalize())
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "85f31e1e51b87b492dc954059d5bab56be9d2be6fc134252b40589673bf5f270"
+    assert digest == "0ddcb094e003b47c8937c24a2565c95ce2d8961294b4f1b9881086768abfca0a"
