@@ -389,17 +389,25 @@ def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Option
 # mode implementations
 
 
-def _ensemble_means(results: Iterator[list], count: int) -> List[DiagnosticSeries]:
-    """Mean of each of `count` series slots over the realizations.
+def _ensemble_means(results: Iterator[list], labels: Sequence[str]) -> List[DiagnosticSeries]:
+    """Mean of each series slot over the realizations, one slot per grid-point label.
 
-    `results` yields one list of `count` series per realization; they are
-    added in realization order, so the means do not depend on the worker count.
+    `results` yields one list of series per realization, in slot order; they
+    are added in realization order, so the means do not depend on the worker
+    count.  A non-finite mean, SFF standard error or lower bound raises a
+    RuntimeError naming its grid point, before any artifact is written.
     """
-    accs = [SeriesAccumulator() for _ in range(count)]
+    accs = [SeriesAccumulator() for _ in labels]
     for series_list in results:
         for acc, s in zip(accs, series_list):
             acc.add(s)
-    return [acc.finalize() for acc in accs]
+    means = [acc.finalize() for acc in accs]
+    for label, mean in zip(labels, means):
+        for name in ("sff", "sff_stderr", "cl1", "purity", "lower_bound"):
+            values = getattr(mean, name)
+            if values is not None and not np.all(np.isfinite(values)):
+                raise RuntimeError(f"{label}: ensemble {name} is not finite")
+    return means
 
 
 def _write_ensemble_means(
@@ -408,9 +416,10 @@ def _write_ensemble_means(
     """Average each grid point's series over the realizations; write one CSV per point.
 
     `results` yields one list of series per realization, in grid order;
-    `points` holds each grid point's (artifact tag, manifest parameters).
+    `points` holds each grid point's (artifact tag, label, manifest parameters).
     """
-    for (tag, params), mean in zip(points, _ensemble_means(results, len(points))):
+    means = _ensemble_means(results, [label for _, label, _ in points])
+    for (tag, _, params), mean in zip(points, means):
         _write(out / f"{manifest['mode']}_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
         manifest["grid"].append({**params, "status": "ok", "n": mean.n_realizations})
 
@@ -422,7 +431,7 @@ def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) 
     def worker(idx: int):
         return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times)
 
-    points = [(_tag(gamma=g), {"gamma": g}) for g in cfg.gamma]
+    points = [(_tag(gamma=g), f"gamma={g}", {"gamma": g}) for g in cfg.gamma]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
@@ -442,7 +451,7 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
             )
         return out_series
 
-    points = [(_tag(tau=t, eps=e), {"tau": t, "epsilon": e}) for t, e in grid]
+    points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}", {"tau": t, "epsilon": e}) for t, e in grid]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
@@ -588,7 +597,10 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
         return out_series
 
     width = 1 + len(cfg.epsilon)
-    means = _ensemble_means(_ensemble_map(cfg, worker, workers), width * len(taus))
+    labels = []
+    for tau in taus:
+        labels += [f"isolated reference at tau={tau}"] + [f"tau={tau}, eps={e}" for e in cfg.epsilon]
+    means = _ensemble_means(_ensemble_map(cfg, worker, workers), labels)
     table = []
     for i, tau in enumerate(taus):
         iso_mean, *eps_means = means[i * width:(i + 1) * width]

@@ -274,9 +274,7 @@ class SeriesAccumulator:
             self._dev_sq = np.zeros(n)
         else:
             ref = self._template
-            if series.times.shape != ref.times.shape or not np.array_equal(
-                series.times, ref.times
-            ):
+            if not np.array_equal(series.times, ref.times):
                 raise ValueError("all series in one ensemble must share the time grid")
             if series.beta != ref.beta or series.dim != ref.dim:
                 raise ValueError("all series in one ensemble must share beta and dim")
@@ -296,11 +294,7 @@ class SeriesAccumulator:
         n = self.count
         ref = self._template
         means = {f: total / n for f, total in self._sum.items()}
-        if n > 1:
-            var = np.maximum(self._dev_sq - self._dev**2 / n, 0.0) / (n - 1)
-            err = np.sqrt(var / n)
-        else:
-            err = np.zeros_like(means["sff"])
+        var = np.maximum(self._dev_sq - self._dev**2 / n, 0.0) / max(n - 1, 1)
         return DiagnosticSeries(
             dim=ref.dim,
             beta=ref.beta,
@@ -310,7 +304,7 @@ class SeriesAccumulator:
             purity=means["purity"],
             plateau=self._plateau_sum / n,
             n_realizations=n,
-            sff_stderr=err,
+            sff_stderr=np.sqrt(var / n),
             lower_bound=means.get("lower_bound"),
         )
 

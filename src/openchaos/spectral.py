@@ -38,7 +38,7 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -511,7 +511,6 @@ class SpectralReport:
     boundary: Boundary
     containment: float
     margin: float
-    metadata: dict = field(default_factory=dict)
 
 
 def spectral_report(channel, margin: float = 0.02, samples: int = 2048) -> SpectralReport:
@@ -539,5 +538,4 @@ def spectral_report(channel, margin: float = 0.02, samples: int = 2048) -> Spect
         boundary=boundary,
         containment=frac,
         margin=margin,
-        metadata={"sigma": h.sigma, "hbar": channel.hbar, "seed": h.seed},
     )

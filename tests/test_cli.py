@@ -390,6 +390,25 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert manifest["errors"] == ["synthetic failure"]
 
 
+@pytest.mark.parametrize("mode, point", [
+    ("ed-sff", "gamma=0.2"),
+    ("pqc-sff", "tau=0.5, eps=0.0"),
+    ("depth-grid", "isolated reference at tau=0.5"),
+])
+def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mode, point):
+    # hbar = 5e-324 passes validation, but tau*w/hbar and t*E/hbar overflow
+    p = tmp_path / "c.json"
+    _write_config(p, mode=mode, hbar=5e-324, dim=4, realizations=2, points=5, t_max=3.0,
+                  tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2)
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", str(p)]) == 2
+    assert f"{point}: ensemble sff is not finite" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["errors"] == [f"{point}: ensemble sff is not finite"]
+    assert manifest["artifacts"] == []
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
+
 def test_plot_script_references_artifacts(tmp_path, capsys):
     p = tmp_path / "c.json"
     _write_config(p)
