@@ -14,7 +14,7 @@ Modules
 rmt
     Matrix ensembles, seed derivation and spectral time scales.
 states
-    Coherent Gibbs states, partition functions and vectorization.
+    Coherent Gibbs states and vectorization.
 pqc
     The discrete channel, its superoperator forms and the Lindblad limit.
 dephasing
@@ -47,9 +47,7 @@ from .states import (
     CoherentGibbsState,
     cgs_density,
     devectorize,
-    log_partition_function,
     make_cgs,
-    partition_function,
     plateau_value,
     vectorize,
 )
@@ -113,8 +111,7 @@ __all__ = [
     "semicircle_radius",
     # states
     "CoherentGibbsState", "cgs_density",
-    "devectorize", "log_partition_function", "make_cgs", "partition_function",
-    "plateau_value", "vectorize",
+    "devectorize", "make_cgs", "plateau_value", "vectorize",
     # pqc
     "ParametricChannel", "Superoperator", "apply_channel", "build_superoperator",
     "evolve_discrete", "interleaved", "lindblad_generator",

@@ -245,6 +245,10 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         if any(g < 0 for g in cfg.gamma):
             say("gamma values must be >= 0")
         issues += _tag_collisions("gamma", "gamma", cfg.gamma)
+        if cfg.t_max is None and cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
+            t_max = cfg.resolved_t_max()
+            if t_max <= cfg.t_min:
+                say(f"resolved t_max={t_max} (4 t_H) must exceed t_min={cfg.t_min}")
     else:
         d2 = cfg.dim**2
         if not 1 <= cfg.kraus_count <= d2 - 2:

@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .pqc import Superoperator
-from .states import EnergiesLike, as_energies, plateau_value
+from .states import EnergiesLike, as_energies, make_cgs, plateau_value
 
 __all__ = [
     "EDParams",
@@ -89,14 +89,11 @@ def _pair_data(energies: EnergiesLike, beta: float):
     The fourth array is each pair's flat index i*d + j into a d x d matrix,
     where w = E_i - E_j, i < j.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     e = as_energies(energies)
-    half = np.exp(-0.5 * beta * (e - e.min()))
-    p = half**2 / np.sum(half**2)
+    a = make_cgs(e, beta).amplitudes
     i, j = np.triu_indices(e.size, k=1)
-    w = e[i] - e[j]
-    return w, p[i] * p[j], np.sqrt(p[i] * p[j]), i * e.size + j
+    sq = a[i] * a[j]
+    return e[i] - e[j], sq * sq, sq, i * e.size + j
 
 
 class EDClosedForms(NamedTuple):

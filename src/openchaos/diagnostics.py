@@ -194,7 +194,7 @@ def effective_depth(
 
     Sums ln(F_p / SFF(j*tau)) over whole steps j = ceil(t_Th/tau) ..
     ceil(t_H/tau); every step in the window must be present in the series.
-    The sum is clamped at zero before the square root.
+    The sum is clamped at zero before the square root; a non-finite sum raises.
     """
     j_th = math.ceil(t_thouless / tau)
     j_h = math.ceil(t_heisenberg / tau)
@@ -208,6 +208,8 @@ def effective_depth(
     if np.any(sff <= 0):
         raise ValueError("SFF must be positive inside the depth window")
     total = float(np.sum(np.log(series.plateau / sff)))
+    if not math.isfinite(total):
+        raise ValueError(f"log-ratio sum over the depth window is not finite: {total}")
     return math.sqrt(max(0.0, total))
 
 

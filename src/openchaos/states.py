@@ -1,4 +1,4 @@
-"""Coherent Gibbs states, partition functions and Liouville-space vectorization.
+"""Coherent Gibbs states and Liouville-space vectorization.
 
 The reference state throughout is the coherent Gibbs state
 
@@ -15,8 +15,8 @@ kron(A, B^T) |rho).  With this convention the Hilbert-Schmidt product is
 (A|B) = Tr[A^dag B] and devectorize(vectorize(rho)) is an exact reshape
 round trip.  Every superoperator in the package uses the same stacking.
 
-Partition sums are evaluated with the dominant energy shifted out of the
-exponent, so large beta*|E| does not overflow.
+The populations p_n are the squared `make_cgs` amplitudes, with E_min
+shifted out.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .rmt import HamiltonianSpectrum
 __all__ = [
     "EnergiesLike",
     "as_energies",
-    "log_partition_function",
-    "partition_function",
     "CoherentGibbsState",
     "make_cgs",
     "cgs_density",
@@ -52,29 +50,6 @@ def as_energies(energies: EnergiesLike) -> np.ndarray:
     if e.ndim != 1 or e.size < 1:
         raise ValueError(f"energies must be a non-empty 1-D array, got shape {e.shape}")
     return e
-
-
-def log_partition_function(energies: EnergiesLike, beta: float) -> float:
-    """log Z(beta) via a shifted log-sum-exp; beta must be >= 0, energies finite.
-
-    The m terms at the maximum a_max of a = -beta*E are taken out of the sum
-    s of the others' exp(a - a_max), and log Z = log1p(s/m) + log(m) + a_max.
-    That is the order of operations of scipy.special.logsumexp (scipy 1.17),
-    so the result is the same to the bit, without importing scipy.special.
-    """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    a = -beta * as_energies(energies)
-    a_max = np.max(a)
-    at_max = a == a_max
-    m = np.count_nonzero(at_max)
-    s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
-    return float(np.log1p(s / m) + np.log(m) + a_max)
-
-
-def partition_function(energies: EnergiesLike, beta: float) -> float:
-    """Partition function Z(beta) = sum_n exp(-beta*E_n)."""
-    return float(np.exp(log_partition_function(energies, beta)))
 
 
 @dataclass(frozen=True)
@@ -141,12 +116,10 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 
 
 def plateau_value(energies: EnergiesLike, beta: float) -> float:
-    """Late-time fidelity plateau F_p = Z(2*beta)/Z(beta)^2.
+    """Late-time fidelity plateau F_p = Z(2*beta)/Z(beta)^2 = sum_n p_n^2.
 
-    Equals the purity of the dephased Gibbs populations; 1/d at beta = 0.
-    Evaluated in log space so it is overflow safe.
+    The inverse participation ratio of the coherent Gibbs state, and the
+    purity of its dephased populations; 1/d at beta = 0.
     """
-    e = as_energies(energies)
-    return float(
-        np.exp(log_partition_function(e, 2.0 * beta) - 2.0 * log_partition_function(e, beta))
-    )
+    p = make_cgs(energies, beta).amplitudes ** 2
+    return float(p @ p)

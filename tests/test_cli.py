@@ -74,6 +74,21 @@ def test_validate_rejects_a_negative_t_min_on_a_linear_grid(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 0
 
 
+def test_validate_rejects_an_ed_sff_grid_ending_before_t_min(tmp_path, capsys):
+    # t_max = null resolves to 4 t_H; at hbar = 1e-3 that is 0.0133 < t_min = 0.1,
+    # and at hbar = 5e-324 about 6e-323, where the phases would overflow
+    p = tmp_path / "c.json"
+    for hbar in (1e-3, 5e-324):
+        _write_config(p, dim=4, hbar=hbar, realizations=2, points=5, t_max=None)
+        for command in ("validate", "run"):
+            assert cli.main([command, str(p)]) == 1
+            err = capsys.readouterr().err
+            assert "t_max=" in err and "t_min=0.1" in err, err
+        assert not (tmp_path / "out").exists()
+    _write_config(p, dim=4, hbar=1e-3, realizations=2, points=5, t_max=None, t_min=1e-3)
+    assert cli.main(["validate", str(p)]) == 0
+
+
 def test_validate_rejects_a_negative_master_seed(tmp_path, capsys):
     # the seed streams would fail only inside the run, with exit 2
     p = tmp_path / "c.json"

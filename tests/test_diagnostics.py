@@ -119,6 +119,20 @@ def test_effective_depth_missing_steps_raises():
         effective_depth(s, 0.4, 0.2, 0.1)  # empty window
 
 
+def test_effective_depth_nan_sff_raises():
+    # max(0.0, nan) is 0.0, so a NaN inside the window must not read as no hole
+    s = _flat_series([0.125, 0.1, float("nan"), 0.1, 0.125], 0.1, 0.125)
+    with pytest.raises(ValueError, match="not finite"):
+        effective_depth(s, 0.1, 0.3, 0.1)
+
+
+def test_effective_depth_subnormal_sff_raises():
+    # plateau / 5e-324 overflows to inf
+    s = _flat_series([0.125, 0.1, 5e-324, 0.1, 0.125], 0.1, 0.125)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        effective_depth(s, 0.1, 0.3, 0.1)
+
+
 def test_effective_depth_off_grid_times_raise():
     s = _flat_series([0.125] * 5, 0.1, 0.125)
     s.times = s.times + 0.03

@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 from openchaos import dephasing
 from openchaos.dephasing import EDParams, ed_closed_forms
@@ -25,7 +24,7 @@ from openchaos.pqc import (
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
-from openchaos.states import log_partition_function, plateau_value
+from openchaos.states import plateau_value
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
@@ -217,16 +216,6 @@ times = st.one_of(
     st.floats(0.0, 50.0),
     st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30).map(np.array),
 )
-
-
-@given(
-    st.integers(1, 40), seeds, st.sampled_from([0.1, 1.0, 30.0]), st.integers(0, 3),
-    st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
-)
-def test_log_partition_function_is_scipy_logsumexp_bitwise(d, seed, scale, ties, beta):
-    e = scale * rng_from_seed(seed).normal(size=d)
-    e = np.sort(np.concatenate([e, np.full(ties, e.min())]))  # extra terms at the maximum of -beta*E
-    assert log_partition_function(e, beta) == float(logsumexp(-beta * e))
 
 
 def _pair_sums(e, beta, params, t):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,34 +11,10 @@ from openchaos.states import (
     CoherentGibbsState,
     cgs_density,
     devectorize,
-    log_partition_function,
     make_cgs,
-    partition_function,
     plateau_value,
     vectorize,
 )
-
-
-def test_partition_function_two_levels():
-    e = np.array([-1.0, 1.0])
-    assert partition_function(e, 1.0) == pytest.approx(2 * math.cosh(1.0), rel=1e-14)
-    assert partition_function(e, 0.0) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_log_partition_function_matches_brute_force():
-    rng = rng_from_seed(11)
-    e = rng.normal(size=40)
-    for beta in (0.0, 0.3, 2.0):
-        brute = math.log(np.sum(np.exp(-beta * e)))
-        assert log_partition_function(e, beta) == pytest.approx(brute, abs=1e-12)
-
-
-def test_log_partition_function_large_beta_stable():
-    # naive sum underflows; the shifted form must return -beta*E_min + log(...)
-    e = np.array([0.0, 1.0, 2.0])
-    beta = 1e4
-    assert np.isfinite(log_partition_function(e, beta))
-    assert log_partition_function(e, beta) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_plateau_value_frozen():
@@ -50,6 +27,23 @@ def test_plateau_value_frozen():
 def test_plateau_is_uniform_at_infinite_temperature():
     h = sample_goe(12, 1.0, derive_seed(10, 0, 0))
     assert plateau_value(h, 0.0) == pytest.approx(1 / 12, rel=1e-14)
+
+
+def test_plateau_matches_exact_partition_ratio():
+    # Z(2*beta)/Z(beta)^2 at 40 digits; beta = 50 at sigma = 300 puts beta*|E| at
+    # 2e4-1e5, far past where exp(-beta*E) overflows in floats
+    for d in (4, 8, 16, 32):
+        for sigma in (1.0, 30.0, 300.0):
+            e = sample_goe(d, sigma, derive_seed(7, 0, d)).energies
+            for beta in (0.0, 0.5, 5.0, 50.0):
+                with mpmath.workdps(40):
+                    levels = [mpmath.mpf(x) for x in e]
+                    z1 = mpmath.fsum(mpmath.exp(-beta * x) for x in levels)
+                    z2 = mpmath.fsum(mpmath.exp(-2 * beta * x) for x in levels)
+                    exact = float(z2 / z1**2)
+                got = plateau_value(e, beta)
+                assert math.isfinite(got), (d, sigma, beta)
+                assert abs(got - exact) <= 2e-15 * exact, (d, sigma, beta, got, exact)
 
 
 def test_cgs_amplitudes_are_boltzmann():
