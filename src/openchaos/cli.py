@@ -245,10 +245,6 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         if any(g < 0 for g in cfg.gamma):
             say("gamma values must be >= 0")
         issues += _tag_collisions("gamma", "gamma", cfg.gamma)
-        if cfg.t_max is None and cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
-            t_max = cfg.resolved_t_max()
-            if t_max <= cfg.t_min:
-                say(f"resolved t_max={t_max} (4 t_H) must exceed t_min={cfg.t_min}")
     else:
         d2 = cfg.dim**2
         if not 1 <= cfg.kraus_count <= d2 - 2:
@@ -268,7 +264,27 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say("epsilon values must lie in [0, 1]")
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
+    if cfg.mode in ("ed-sff", "pqc-sff", "depth-grid") and cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
+        issues += _time_scale_issues(cfg)
     return issues
+
+
+def _time_scale_issues(cfg: ExperimentConfig) -> List[str]:
+    """A t_H (`depth-grid`) or a resolved t_max (`ed-sff`, `pqc-sff`) that is inf.
+
+    An `ed-sff` t_max resolved from t_H must also exceed t_min.
+    """
+    if cfg.mode == "depth-grid":
+        t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
+        return [] if math.isfinite(t_h) else [f"t_H={t_h} from sigma={cfg.sigma} is not finite"]
+    if cfg.t_max is not None:
+        return []
+    t_max = cfg.resolved_t_max()
+    if not math.isfinite(t_max):
+        return [f"resolved t_max={t_max} (a multiple of t_H) from sigma={cfg.sigma} is not finite"]
+    if cfg.mode == "ed-sff" and t_max <= cfg.t_min:
+        return [f"resolved t_max={t_max} (4 t_H) must exceed t_min={cfg.t_min}"]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,13 @@ __all__ = [
 ]
 
 # Pair terms per block of times in `ed_closed_forms`: 512 KB per float buffer,
-# so the three block buffers stay in cache.
+# so the two block buffers stay in cache.
 _PAIR_BLOCK = 1 << 16
+
+# `np.exp(x)` is exactly 0.0 for x < -745.14; `ed_closed_forms` skips the pair
+# terms with gamma*t*w^2 > _UNDERFLOW, and the margin covers the rounding of
+# that product.
+_UNDERFLOW = 746.0
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,19 @@ def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, params: EDParams, t: flo
 
 
 def _pair_data(energies: EnergiesLike, beta: float):
-    """The m < n pair arrays (w, p_n*p_m, sqrt(p_n*p_m)) of the Gibbs populations p_n.
+    """The m < n pair arrays (w, sqrt(p_n*p_m)) of the Gibbs populations p_n, by ascending w^2.
 
-    The fourth array is each pair's flat index i*d + j into a d x d matrix,
-    where w = E_i - E_j, i < j.
+    The third array is each pair's flat index i*d + j into a d x d matrix,
+    where w = E_i - E_j, i < j.  The sort is stable, so equal gaps keep the
+    row-major pair order.
     """
     e = as_energies(energies)
     a = make_cgs(e, beta).amplitudes
     i, j = np.triu_indices(e.size, k=1)
-    sq = a[i] * a[j]
-    return e[i] - e[j], sq * sq, sq, i * e.size + j
+    w = e[i] - e[j]
+    order = np.argsort(w * w, kind="stable")
+    i, j = i[order], j[order]
+    return w[order], a[i] * a[j], i * e.size + j
 
 
 class EDClosedForms(NamedTuple):
@@ -122,22 +130,28 @@ def ed_closed_forms(
     gives a list of them in the same order from a single pass over the level
     pairs.
 
-    Per block of times the pair cosines come from per-level phases
+    The level pairs are taken in ascending order of w^2, once per call.  Per
+    block of times the pair cosines come from per-level phases
     theta_n = t*E_n/hbar: cos(w*t/hbar) = cos theta_n cos theta_m +
     sin theta_n sin theta_m, so a time costs d cosines and d sines, and one
     batched matmul of the stacked [cos theta, sin theta] with its transpose
-    gives every product, from which the pair entries are taken.  They are
-    shared by every gamma.  Each gamma then takes one exponential,
-    damp = exp(-gamma*t*w^2), and four row-wise `np.vecdot` sums: damp*cos
-    and damp*damp against p_n p_m (SFF, purity), damp against sqrt(p_n p_m)
-    (C_l1) and against sqrt(p_n p_m) w^2 (the derivative, times -2t).
-    Blocks hold about `_PAIR_BLOCK` pair terms, so the three block buffers
-    (cosines, damping, product) take 512 KB each for any grid length (one
-    time row each once d(d-1)/2 is larger).  `np.vecdot` sums each row on
-    its own, so a row's value depends neither on the block size nor on the
-    rest of the grid or the gamma list.  It does depend on the BLAS thread
-    count once a row is long enough for the BLAS to split its dot product
-    (OpenBLAS: above 10^4 pairs, d >= 142).  Scalar t in, floats out.
+    gives every product, from which the pair entries are taken.  Weighted
+    once, q = sqrt(p_n p_m) cos(w*t/hbar), they are shared by every gamma.
+    Each gamma then takes u = sqrt(p_n p_m) exp(-gamma*t*w^2) and four
+    row-wise `np.vecdot` sums: SFF = F_p + 2 u.q, C_l1 = 2 u.1,
+    dC_l1/dgamma = -2t u.w^2 and purity = F_p + 2 u.u.  Past the first
+    `cut` pairs of a block, gamma*t*w^2 > 746 at the block's smallest t, so
+    `np.exp` would give exactly 0.0 there (it does for any argument below
+    -745.14, and the margin covers the rounding of the product); only the
+    first `cut` pairs are exponentiated and the rest of u is zero-filled,
+    which gives the same bytes as exponentiating every pair.  Blocks hold
+    about `_PAIR_BLOCK` pair terms, so the two block buffers (q and u) take
+    512 KB each for any grid length (one time row each once d(d-1)/2 is
+    larger).  `np.vecdot` sums each full-length row on its own, so a row's
+    value depends neither on the block size nor on the rest of the grid or
+    the gamma list.  It does depend on the BLAS thread count once a row is
+    long enough for the BLAS to split its dot product (OpenBLAS: above
+    10^4 pairs, d >= 142).  Scalar t in, floats out.
     """
     single = isinstance(params, EDParams)
     plist = [params] if single else list(params)
@@ -148,32 +162,40 @@ def ed_closed_forms(
         raise ValueError("all EDParams of one call must share hbar")
     t = _check_times(t)
     e = as_energies(energies)
-    w, pp, sqpp, flat_pairs = _pair_data(e, beta)
+    w, sqpp, flat_pairs = _pair_data(e, beta)
     w2 = w**2
-    sqpp_w2 = sqpp * w2
+    ones = np.ones_like(w)
     fp = plateau_value(e, beta)
     flat = np.atleast_1d(t).reshape(-1)
     out = np.empty((len(plist), 4, flat.size))
     rows = max(1, _PAIR_BLOCK // max(w.size, 1))
-    buffers = np.empty((3, min(rows, flat.size), w.size))
+    buffers = np.empty((2, min(rows, flat.size), w.size))
     for lo in range(0, flat.size, rows):
         ts = flat[lo:lo + rows, np.newaxis]
-        cos, damp, term = buffers[:, :ts.shape[0]]
-        # the same for every gamma: cos(w*t/hbar) from the per-level phases
+        t_lo = float(ts.min())
+        q, u = buffers[:, :ts.shape[0]]
+        # the same for every gamma: q = sqrt(p_n p_m) cos(w*t/hbar), the
+        # cosines from the per-level phases
         theta = ts * e / hbar
         phases = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         products = np.matmul(phases.transpose(0, 2, 1), phases)
-        np.take(products.reshape(ts.shape[0], -1), flat_pairs, axis=1, out=cos)
+        np.take(products.reshape(ts.shape[0], -1), flat_pairs, axis=1, out=q)
+        np.multiply(q, sqpp, out=q)
         for p, forms in zip(plist, out):
             block = forms[:, lo:lo + rows]
-            np.multiply(-p.gamma * ts, w2, out=damp)
-            np.exp(damp, out=damp)
-            np.multiply(damp, cos, out=term)
-            block[0] = fp + 2.0 * np.vecdot(term, pp)
-            block[1] = 2.0 * np.vecdot(damp, sqpp)
-            block[2] = -2.0 * ts[:, 0] * np.vecdot(damp, sqpp_w2)
-            np.multiply(damp, damp, out=term)
-            block[3] = fp + 2.0 * np.vecdot(term, pp)
+            # Python floats: a subnormal rate makes the limit inf, without a warning
+            rate = float(p.gamma) * t_lo
+            limit = _UNDERFLOW / rate if rate > 0.0 else math.inf
+            cut = int(np.searchsorted(w2, limit, side="right"))
+            head = u[:, :cut]
+            np.multiply(-p.gamma * ts, w2[:cut], out=head)
+            np.exp(head, out=head)
+            np.multiply(head, sqpp[:cut], out=head)
+            u[:, cut:] = 0.0
+            block[0] = fp + 2.0 * np.vecdot(u, q)
+            block[1] = 2.0 * np.vecdot(u, ones)
+            block[2] = -2.0 * ts[:, 0] * np.vecdot(u, w2)
+            block[3] = fp + 2.0 * np.vecdot(u, u)
     if t.ndim == 0:
         results = [EDClosedForms(*(float(x[0]) for x in forms)) for forms in out]
     else:

@@ -424,7 +424,7 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
       brute-force formula and the window widened until its farthest candidate
       lies beyond the second neighbour, so the selection is bit-identical
       even under ties;
-    - "auto": kdtree above 512 eigenvalues.
+    - "auto": kdtree above 1024 eigenvalues, where it starts to beat brute.
 
     Fewer than 3 eigenvalues leave no second neighbour and raise.  In the
     degenerate corner where both neighbours coincide with lambda_i the ratio
@@ -435,7 +435,7 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
     if n < 3:
         raise ValueError(f"need at least 3 eigenvalues for spacing ratios, got {n}")
     if method == "auto":
-        method = "kdtree" if n > 512 else "brute"
+        method = "kdtree" if n > 1024 else "brute"
     if method not in ("brute", "kdtree"):
         raise ValueError(f"unknown method {method!r}")
 

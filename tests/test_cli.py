@@ -89,6 +89,28 @@ def test_validate_rejects_an_ed_sff_grid_ending_before_t_min(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 0
 
 
+@pytest.mark.parametrize("mode, sigma, name", [
+    ("ed-sff", 1e-320, "resolved t_max=inf"),
+    ("ed-sff", 3e-308, "resolved t_max=inf"),  # t_H is finite, 4 t_H is not
+    ("pqc-sff", 1e-320, "resolved t_max=inf"),
+    ("depth-grid", 1e-320, "t_H=inf"),
+])
+def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, sigma, name):
+    # the runs would compute every realization and exit 2 on a non-finite
+    # ensemble mean or an infinite step count; with t_max set, only
+    # depth-grid still reads t_H
+    p = tmp_path / "c.json"
+    _write_config(p, mode=mode, dim=4, sigma=sigma, realizations=2, points=5, t_max=None,
+                  tau=[0.5], epsilon=[0.3])
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    _write_config(p, mode=mode, dim=4, sigma=sigma, realizations=2, points=5, t_max=3.0,
+                  tau=[0.5], epsilon=[0.3])
+    assert cli.main(["validate", str(p)]) == (1 if mode == "depth-grid" else 0)
+
+
 def test_validate_rejects_a_negative_master_seed(tmp_path, capsys):
     # the seed streams would fail only inside the run, with exit 2
     p = tmp_path / "c.json"

@@ -17,6 +17,8 @@ from openchaos.dephasing import (
 from openchaos.rmt import derive_seed, sample_goe
 from openchaos.states import cgs_density, make_cgs, plateau_value, vectorize, devectorize
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _rk4(deriv, rho0, t, steps):
     """Classic fixed-step RK4; the independent route for the closed form."""
@@ -171,6 +173,21 @@ def test_ed_long_time_plateau():
     assert late.sff == pytest.approx(fp, abs=1e-12)
     assert late.purity == pytest.approx(fp, abs=1e-12)
     assert late.cl1 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_extreme_finite_rates_raise_no_warning():
+    # gamma*t from subnormal, where 746/(gamma*t) overflows, to 2e300, where
+    # every pair term underflows and the forms sit exactly on the plateau;
+    # one time per call makes each the smallest time of its block
+    d, beta = 8, 0.3
+    h = sample_goe(d, 1.0, derive_seed(21, 0, 17))
+    params = [EDParams(g) for g in (0.0, 5e-324, 1.0, 2.0)]
+    for t in (0.0, 5e-324, 1.1e-307, 1e-300, 1.0, 1e300):
+        for forms in ed_closed_forms(h, beta, params, t):
+            assert all(map(math.isfinite, forms)), (t, forms)
+    late = ed_closed_forms(h, beta, params[-1], 1e300)
+    assert late.sff == late.purity == plateau_value(h, beta)
+    assert late.cl1 == late.cl1_gamma_derivative == 0.0
 
 
 def test_lower_bound_at_time_zero_is_one():

@@ -383,4 +383,4 @@ def test_golden_ensemble_checksum():
         acc.add(ed_diagnostics(h, 0.0, EDParams(0.5), times))
     text = series_to_csv(acc.finalize())
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "0ddcb094e003b47c8937c24a2565c95ce2d8961294b4f1b9881086768abfca0a"
+    assert digest == "b1c6bd589cb124ca57ed9f5faeac7d23c404b9276eea8ae6e88615ebdcd2f3fd"

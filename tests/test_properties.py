@@ -3,13 +3,15 @@ channel builder against the kron loops and the kick-times-unitary
 factorization, channels from a pre-rotated pair against channels from the
 raw pair, the two spacing-ratio paths against each other and the brute path
 against a per-row lexsort ranking, the shared dephasing kernel against
-one-gamma calls, small blocks and the written-out pair sums, and the numpy
-log-sum-exp against scipy's."""
+one-gamma calls, small blocks, the written-out pair sums and the unskipped
+exponentials, and the numpy log-sum-exp against scipy's."""
 
+import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from openchaos import dephasing
@@ -220,7 +222,8 @@ times = st.one_of(
 
 def _pair_sums(e, beta, params, t):
     """The four closed forms of one gamma as whole-grid pair sums, without blocks or buffers."""
-    w, pp, sqpp, _ = dephasing._pair_data(e, beta)
+    w, sqpp, _ = dephasing._pair_data(e, beta)
+    pp = sqpp * sqpp
     fp = plateau_value(e, beta)
     ts = np.atleast_1d(t).reshape(-1)[:, np.newaxis]
     damp = np.exp(-params.gamma * ts * w**2)
@@ -233,6 +236,7 @@ def _pair_sums(e, beta, params, t):
     return [x.reshape(np.shape(t)) for x in sums]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(2, 24), seeds, gammas, betas, times, hbars, st.integers(1, 64))
 def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hbar, block):
     """Shared, one-gamma and small-block calls agree bytewise; the pair sums to roundoff.
@@ -263,6 +267,36 @@ def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hb
             assert np.all(np.abs(x - r) <= 1e-13 * scale + np.finfo(float).tiny), field
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    st.integers(2, 24), seeds, gammas, betas, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=30),
+    st.lists(st.floats(700.0, 760.0), max_size=8), hbars, st.integers(1, 64),
+)
+@example(2, 0, [1.0], 0.0, [0.0], [744.5], 1.0, 1)
+@example(24, 0, [0.3], 0.0, [1.0], [735.0], 1.0, 8)
+def test_underflow_skip_matches_exponentiating_every_pair_bytewise(d, seed, gs, beta, t, edges, hbar, block):
+    """Zero-filling the pair terms past gamma*t*w^2 = 746 gives the bytes of exponentiating them.
+
+    Times up to 1e4 underflow whole blocks.  The `edges` put gamma*t*w^2 of
+    the closest level pair near the threshold, where every other pair term
+    is smaller still; there a threshold below 745 zeroes terms whose
+    exponential is not 0.0 (the examples: d = 2 at 744.5, whose one term is
+    a subnormal, and d = 24 at 735).
+    """
+    e = sample_goe(d, 1.0, seed).energies
+    gap2 = float(np.min(np.diff(e))) ** 2
+    t = t + [x / (g * gap2) for g in gs if g >= 1e-3 and gap2 > 0.0 for x in edges]
+    params = [EDParams(g, hbar) for g in gs]
+    with mock.patch.object(dephasing, "_PAIR_BLOCK", block):
+        skipped = ed_closed_forms(e, beta, params, np.array(t))
+        with mock.patch.object(dephasing, "_UNDERFLOW", math.inf):
+            full = ed_closed_forms(e, beta, params, np.array(t))
+    for forms, reference in zip(skipped, full):
+        for field, x, y in zip(forms._fields, forms, reference):
+            assert np.array_equal(x, y), field
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(2, 12), seeds, gammas, betas)
 def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
     h = sample_goe(d, 1.0, seed)

@@ -346,7 +346,7 @@ def test_csr_modulus_bounded_by_one():
 
 def test_csr_dual_paths_agree_exactly():
     rng = rng_from_seed(64)
-    for n in (50, 700):  # below and above the auto kdtree threshold
+    for n in (50, 1100):  # below and above the auto kdtree threshold
         pts = rng.normal(size=n) + 1j * rng.normal(size=n)
         brute = complex_spacing_ratios(pts, method="brute")
         fast = complex_spacing_ratios(pts, method="kdtree")
