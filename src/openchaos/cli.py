@@ -270,21 +270,25 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 
 
 def _time_scale_issues(cfg: ExperimentConfig) -> List[str]:
-    """A t_H (`depth-grid`) or a resolved t_max (`ed-sff`, `pqc-sff`) that is inf.
+    """A t_H (`depth-grid`) or resolved t_max (`ed-sff`, `pqc-sff`) that is inf or too far.
 
-    An `ed-sff` t_max resolved from t_H must also exceed t_min.
+    An `ed-sff` t_max resolved from t_H must exceed t_min, and gamma*t_max must be
+    finite.  A step count, ceil(t_max/tau) or ceil(t_H/tau)+1, must not pass 2**53.
     """
     if cfg.mode == "depth-grid":
-        t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
-        return [] if math.isfinite(t_h) else [f"t_H={t_h} from sigma={cfg.sigma} is not finite"]
-    if cfg.t_max is not None:
-        return []
-    t_max = cfg.resolved_t_max()
-    if not math.isfinite(t_max):
-        return [f"resolved t_max={t_max} (a multiple of t_H) from sigma={cfg.sigma} is not finite"]
-    if cfg.mode == "ed-sff" and t_max <= cfg.t_min:
-        return [f"resolved t_max={t_max} (4 t_H) must exceed t_min={cfg.t_min}"]
-    return []
+        t_end, name, limit = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar), "t_H", 2**53 - 1
+        if not math.isfinite(t_end):
+            return [f"t_H={t_end} from sigma={cfg.sigma} is not finite"]
+    else:
+        t_end, name, limit = cfg.resolved_t_max(), "t_max", 2**53
+        if cfg.t_max is None and not math.isfinite(t_end):
+            return [f"resolved t_max={t_end} (a multiple of t_H) from sigma={cfg.sigma} is not finite"]
+        if cfg.t_max is None and cfg.mode == "ed-sff" and t_end <= cfg.t_min:
+            return [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"]
+    if cfg.mode == "ed-sff":
+        return [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
+    return [f"tau={tau} takes more than 2**53 steps to reach {name}={t_end}"
+            for tau in cfg.tau if tau > 0 and t_end / tau > limit]
 
 
 # ---------------------------------------------------------------------------

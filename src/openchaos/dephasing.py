@@ -151,7 +151,8 @@ def ed_closed_forms(
     value depends neither on the block size nor on the rest of the grid or
     the gamma list.  It does depend on the BLAS thread count once a row is
     long enough for the BLAS to split its dot product (OpenBLAS: above
-    10^4 pairs, d >= 142).  Scalar t in, floats out.
+    10^4 pairs, d >= 142).  Scalar t in, floats out.  A largest t at which
+    gamma*t*w^2, t*w^2*d or t*|E|/hbar overflows raises ValueError.
     """
     single = isinstance(params, EDParams)
     plist = [params] if single else list(params)
@@ -162,6 +163,13 @@ def ed_closed_forms(
         raise ValueError("all EDParams of one call must share hbar")
     t = _check_times(t)
     e = as_energies(energies)
+    # Every product the kernel forms must be finite; as Python floats they overflow to inf
+    # quietly, and an infinite gamma*t times a zero w^2 is nan.
+    t_top, g_top = float(np.max(t, initial=0.0)), float(max(p.gamma for p in plist))
+    span, e_top = float(e.max()) - float(e.min()), float(np.abs(e).max())
+    scales = (g_top * t_top * (span * span), t_top * (span * span) * e.size, t_top * e_top / float(hbar))
+    if not all(map(math.isfinite, scales)):
+        raise ValueError(f"t={t_top} with gamma={g_top} overflows gamma*t*w^2, t*w^2*d or t*|E|/hbar")
     w, sqpp, flat_pairs = _pair_data(e, beta)
     w2 = w**2
     ones = np.ones_like(w)

@@ -24,20 +24,20 @@ tie-break rule and must agree to the bit.
 `eigenvalues` remembers what it solved.  A matrix whose shape, dtype and
 bytes equal those of one solved before gets that solve's eigenvalues back
 without a second LAPACK call: `csr` after `spectrum` on the same grid point,
-or `spectral_report` twice on one channel.  The memo (`eigenvalue_memo`)
-drops the least recently used spectrum once the ones it holds would pass
-64 MiB.  It lives as long as the process, so only a process that solves the
-same channel twice gains; a one-shot `openchaos run` solves each matrix once
-and gains nothing.  The eigenvalues returned are the bytes a fresh solve of
-the same matrix gives, so no output depends on what the memo holds.
+or `spectral_report` twice on one channel.  The memo is a plain dict keyed on
+the shape, dtype and sha256 of the matrix bytes; once it holds 1024 spectra
+(16 MiB at d = 32, 64 MiB at d = 64) it empties itself before the next one
+goes in.  Each update is a single dict operation, so a thread or a forked
+child never sees one half done; the worst a race can do is solve a matrix
+twice.  The memo lives as long as the process, so only a process that solves
+the same channel twice gains; a one-shot `openchaos run` solves each matrix
+once and gains nothing.  The eigenvalues returned are the bytes a fresh solve
+of the same matrix gives, so no output depends on what the memo holds.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,10 +48,7 @@ from .rmt import critical_tau
 
 __all__ = [
     "EigensolverError",
-    "EigenvalueMemo",
-    "eigenvalue_memo",
     "eigenvalues",
-    "fixed_point_index",
     "split_bulk",
     "annular_boundaries",
     "disk_boundary",
@@ -77,115 +74,43 @@ class EigensolverError(RuntimeError):
     """Dense eigensolve failed; the message carries the parameter point."""
 
 
-class EigenvalueMemo:
-    """Solved spectra keyed on matrix content; least recently used out first.
-
-    The key is the shape, the dtype and the sha256 of the C-contiguous matrix
-    bytes, so a matrix built twice from the same inputs matches and a matrix
-    changed in place does not.  Values are copied on the way in and on the
-    way out, so a caller that writes to its array leaves the memo unchanged.
-    The bytes of the values held never exceed `budget`: a new entry pushes out
-    the least recently used ones until it fits, and one larger than the whole
-    budget is not kept.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> values, least recent first
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key(matrix: np.ndarray) -> tuple:
-        m = np.ascontiguousarray(matrix)
-        return m.shape, m.dtype.str, hashlib.sha256(m).digest()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> Optional[np.ndarray]:
-        """A copy of the values stored under `key`, or None."""
-        with self._lock:
-            values = self._entries.get(key)
-            if values is None:
-                return None
-            self._entries.move_to_end(key)
-        return values.copy()
-
-    def put(self, key: tuple, values: np.ndarray) -> None:
-        """Store a copy of `values` under `key` as the most recently used entry."""
-        values = np.array(values)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.nbytes -= old.nbytes
-            if values.nbytes > self.budget:
-                return
-            while self.nbytes + values.nbytes > self.budget:
-                _, dropped = self._entries.popitem(last=False)
-                self.nbytes -= dropped.nbytes
-            self._entries[key] = values
-            self.nbytes += values.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-# The memo's byte budget: 64 MiB holds about a thousand d = 64 spectra
-# (4096 eigenvalues of 16 bytes) or ten thousand at d = 20.
-_EIGENVALUE_MEMO_BYTES = 64 * 2**20
-
-eigenvalue_memo = EigenvalueMemo(_EIGENVALUE_MEMO_BYTES)
-
-# Hold the lock across fork(), so a child never inherits the memo mid-update.
-if hasattr(os, "register_at_fork"):  # absent where the platform cannot fork
-    os.register_at_fork(
-        before=eigenvalue_memo._lock.acquire,
-        after_in_parent=eigenvalue_memo._lock.release,
-        after_in_child=eigenvalue_memo._lock.release,
-    )
+_memo: dict = {}
+_MEMO_SPECTRA = 1024
 
 
 def eigenvalues(superop: Superoperator, context: str = "") -> np.ndarray:
     """All d^2 eigenvalues of the channel matrix (dense, non-Hermitian solve).
 
-    A matrix equal in shape, dtype and bytes to one solved before in this
-    process, and still in `eigenvalue_memo` (64 MiB of spectra, least recently
-    used out first), is not solved again: a copy of its eigenvalues comes
-    back.  That serves a process that solves one channel twice, such as `csr`
-    after `spectrum` in one session; a forked `openchaos run` worker starts
-    from its parent's memo, and what it solves stays in that worker.  Solved
-    or reused, the result is the bytes `np.linalg.eigvals` gives for that
-    matrix, so no output depends on the memo's state.  A failed solve raises
+    A matrix equal in shape, dtype and bytes to one the memo holds is not
+    solved again (see the module docstring); a forked worker starts from its
+    parent's memo.  Solved or reused, the result is a copy of the bytes
+    `np.linalg.eigvals` gives for that matrix.  A failed solve raises
     EigensolverError with `context` in its message and stores nothing.
     """
-    key = eigenvalue_memo.key(superop.matrix)
-    ev = eigenvalue_memo.get(key)
+    m = np.ascontiguousarray(superop.matrix)
+    key = (m.shape, m.dtype.str, hashlib.sha256(m).digest())
+    ev = _memo.get(key)
     if ev is None:
         try:
             ev = np.linalg.eigvals(superop.matrix)
         except np.linalg.LinAlgError as exc:
             where = f" at {context}" if context else ""
             raise EigensolverError(f"eigenvalue solve failed{where}: {exc}") from exc
-        eigenvalue_memo.put(key, ev)
-    return ev
-
-
-def fixed_point_index(evals: np.ndarray) -> int:
-    """Index of the trace fixed point: nearest to 1, ties to the larger modulus."""
-    ev = np.asarray(evals, dtype=complex)
-    if ev.size == 0:
-        raise ValueError("empty spectrum")
-    order = np.lexsort((-np.abs(ev), np.abs(ev - 1.0)))
-    return int(order[0])
+        if len(_memo) >= _MEMO_SPECTRA:
+            _memo.clear()
+        _memo[key] = ev
+    return ev.copy()
 
 
 def split_bulk(evals: np.ndarray) -> Tuple[np.ndarray, complex]:
-    """Split a spectrum into (bulk, fixed point)."""
+    """Split a spectrum into (bulk, fixed point).
+
+    The fixed point is the eigenvalue nearest to 1, ties to the larger modulus.
+    """
     ev = np.asarray(evals, dtype=complex)
-    k = fixed_point_index(ev)
+    if ev.size == 0:
+        raise ValueError("empty spectrum")
+    k = np.lexsort((-np.abs(ev), np.abs(ev - 1.0)))[0]
     return np.delete(ev, k), complex(ev[k])
 
 

@@ -10,7 +10,7 @@ verdict depends on which tests solved which matrices before it.
 import pytest
 from hypothesis import settings
 
-from openchaos.spectral import eigenvalue_memo
+from openchaos import spectral
 
 settings.register_profile("openchaos", derandomize=True, database=None, deadline=None, print_blob=True)
 settings.load_profile("openchaos")
@@ -18,4 +18,4 @@ settings.load_profile("openchaos")
 
 @pytest.fixture(autouse=True)
 def _empty_eigenvalue_memo():
-    eigenvalue_memo.clear()
+    spectral._memo.clear()

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openchaos import cli
-from openchaos.spectral import EigensolverError, eigenvalue_memo
+from openchaos import cli, spectral
+from openchaos.spectral import EigensolverError
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -205,7 +205,7 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
     p = tmp_path / "c.json"
     _write_config(p, **_SMALL_RUNS[name])
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "a")]) == 0
-    eigenvalue_memo.clear()  # so the forked workers solve again rather than reuse the serial run's spectra
+    spectral._memo.clear()  # so the forked workers solve again rather than reuse the serial run's spectra
     assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "b"), "--workers", "3"]) == 0
     artifacts = json.loads((tmp_path / "a" / "manifest.json").read_text())["artifacts"]
     assert artifacts
@@ -232,7 +232,7 @@ def test_csr_after_spectrum_reuses_its_eigensolves(tmp_path, monkeypatch):
     solves = _count_eigensolves(monkeypatch, tmp_path / "solves.log")
     p = tmp_path / "c.json"
     for workers in ("1", "2"):
-        eigenvalue_memo.clear()
+        spectral._memo.clear()
         _write_config(p, mode="spectrum", realizations=3, tau=[0.05, 1.0], epsilon=[0.2], kraus_count=2)
         before = solves()
         assert cli.main(["run", str(p), "--output-dir", str(tmp_path / f"spectrum{workers}"),
@@ -245,7 +245,7 @@ def test_csr_after_spectrum_reuses_its_eigensolves(tmp_path, monkeypatch):
         if workers == "1":
             assert solves() == before  # every tau = 1.0 spectrum was solved by `spectrum`
         before = solves()
-        eigenvalue_memo.clear()
+        spectral._memo.clear()
         assert cli.main(["run", str(p), "--output-dir", str(cold), "--workers", workers]) == 0
         assert solves() - before == 3
         artifacts = json.loads((warm / "manifest.json").read_text())["artifacts"]
@@ -310,6 +310,38 @@ def test_forked_workers_with_default_blas_threads_match_one_worker(tmp_path):
     assert artifacts
     for art in artifacts:
         assert (tmp_path / "1" / art["path"]).read_bytes() == (tmp_path / "2" / art["path"]).read_bytes()
+
+
+def _blas_is_openblas() -> bool:
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+
+
+_THREAD_RUNS = {
+    "pqc-sff": dict(mode="pqc-sff", dim=24, realizations=2, tau=[0.5], epsilon=[0.3],
+                    kraus_count=2, points=20, t_max=20.0),
+    "depth-grid": dict(mode="depth-grid", dim=16, realizations=2, tau=[0.5], epsilon=[0.0, 0.3],
+                       kraus_count=2),
+    # 7140 level pairs, below the 10^4 where OpenBLAS splits a dot product
+    "ed-sff": dict(mode="ed-sff", dim=120, allow_large=True, realizations=2, gamma=[0.01, 1.0],
+                   points=50, t_max=100.0),
+}
+
+
+@pytest.mark.skipif(not _blas_is_openblas(), reason="the thread-count guarantee is stated for OpenBLAS")
+@pytest.mark.parametrize("name", sorted(_THREAD_RUNS))
+def test_series_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, name):
+    p = tmp_path / "c.json"
+    _write_config(p, **_THREAD_RUNS[name])
+    env = {k: v for k, v in _subprocess_env().items() if not k.endswith("_NUM_THREADS")}
+    digests = []
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "openchaos.cli", "run", str(p), "--output-dir", str(tmp_path / threads)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), timeout=300, check=True, capture_output=True,
+        )
+        artifacts = json.loads((tmp_path / threads / "manifest.json").read_text())["artifacts"]
+        digests.append([(art["path"], art["sha256"]) for art in artifacts])
+    assert digests[0] and digests[0] == digests[1]
 
 
 def test_importing_the_cli_loads_neither_scipy_special_nor_spatial():
@@ -428,12 +460,10 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("mode, point", [
-    ("ed-sff", "gamma=0.2"),
     ("pqc-sff", "tau=0.5, eps=0.0"),
-    ("depth-grid", "isolated reference at tau=0.5"),
 ])
 def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mode, point):
-    # hbar = 5e-324 passes validation, but tau*w/hbar and t*E/hbar overflow
+    # hbar = 5e-324 passes validation, but tau*w/hbar overflows
     p = tmp_path / "c.json"
     _write_config(p, mode=mode, hbar=5e-324, dim=4, realizations=2, points=5, t_max=3.0,
                   tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2)
@@ -444,6 +474,44 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mod
     assert manifest["errors"] == [f"{point}: ensemble sff is not finite"]
     assert manifest["artifacts"] == []
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode, overrides", [
+    pytest.param("ed-sff", dict(hbar=5e-324), id="ed-sff-hbar=5e-324"),
+    pytest.param("depth-grid", dict(hbar=5e-324), id="depth-grid-hbar=5e-324"),
+    pytest.param("ed-sff", dict(t_max=1e308), id="ed-sff-t_max=1e308"),
+])
+def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, overrides):
+    # valid configs whose t*E/hbar overflows for the sampled levels: the
+    # closed-form kernel raises before it computes a nan or warns
+    p = tmp_path / "c.json"
+    _write_config(p, **dict(dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0,
+                                 tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2), **overrides))
+    assert cli.main(["validate", str(p)]) == 0
+    assert cli.main(["run", str(p)]) == 2
+    assert "t*|E|/hbar" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(dict(gamma=[0.1, 1e300], t_max=1e10),
+                 "gamma=1e+300 times t_max=10000000000.0 is not finite", id="ed-sff-gamma"),
+    pytest.param(dict(mode="pqc-sff", tau=[0.5, 1e-17], t_max=1000.0),
+                 "tau=1e-17 takes more than 2**53 steps to reach t_max=1000.0", id="pqc-sff-steps"),
+    pytest.param(dict(mode="depth-grid", tau=[0.5, 1e-300]),
+                 "tau=1e-300 takes more than 2**53 steps to reach t_H=", id="depth-grid-steps"),
+])
+def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, overrides, message):
+    # past validation, each would warn, fail at run time or step on a wrong grid
+    p = tmp_path / "c.json"
+    _write_config(p, **dict(dict(dim=4, realizations=2, points=5, epsilon=[0.3], kraus_count=2),
+                            **overrides))
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_plot_script_references_artifacts(tmp_path, capsys):

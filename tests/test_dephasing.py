@@ -190,6 +190,20 @@ def test_extreme_finite_rates_raise_no_warning():
     assert late.cl1 == late.cl1_gamma_derivative == 0.0
 
 
+@pytest.mark.parametrize("levels, gamma, t, hbar", [
+    pytest.param([-1.0, 0.5, 2.0], 1e300, [0.1, 1e10], 1.0, id="gamma*t"),
+    # the degenerate pair's -inf*0 made all four forms nan
+    pytest.param([-1.0, 0.5, 0.5], 1e300, 1e10, 1.0, id="gamma*t-degenerate"),
+    pytest.param([-1.0, 0.5, 2.0], 100.0, [1e-300, 1e306], 1.0, id="gamma*t*w^2"),
+    pytest.param([-1.0, 0.5, 2.0], 0.0, 1e307, 1.0, id="t*w^2*d"),  # the derivative's scale
+    pytest.param([1e10, 1e10 + 0.5, 1e10 + 2.0], 0.1, 1e300, 1.0, id="t*E"),  # the phases
+    pytest.param([-1.0, 0.5, 2.0], 0.1, 3.0, 5e-324, id="t*E/hbar"),
+])
+def test_overflowing_products_raise_before_the_kernel_runs(levels, gamma, t, hbar):
+    with pytest.raises(ValueError, match="overflows"):
+        ed_closed_forms(np.array(levels), 0.0, EDParams(gamma, hbar), t)
+
+
 def test_lower_bound_at_time_zero_is_one():
     h = sample_goe(8, 1.0, derive_seed(21, 0, 8))
     assert ed_sff_lower_bound(h, EDParams(0.7), 0.0) == pytest.approx(1.0, abs=1e-12)

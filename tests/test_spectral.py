@@ -4,15 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
+from openchaos import spectral
 from openchaos.pqc import ParametricChannel, Superoperator, build_superoperator
 from openchaos.rmt import critical_tau, derive_seed, rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import (
     Boundary,
     EigensolverError,
-    EigenvalueMemo,
     annular_boundaries,
     boundary_power,
     classify_phase,
@@ -21,7 +19,6 @@ from openchaos.spectral import (
     critical_epsilon,
     density_grid,
     disk_boundary,
-    eigenvalue_memo,
     eigenvalues,
     phase_boundary,
     phi_max,
@@ -261,33 +258,21 @@ def test_failed_eigensolve_is_not_stored(monkeypatch):
         with pytest.raises(EigensolverError, match=r"failed at tau=0\.3, eps=0\.1: "):
             eigenvalues(bad, context="tau=0.3, eps=0.1")
     assert len(calls) == 2
-    assert len(eigenvalue_memo) == 0 and eigenvalue_memo.nbytes == 0
+    assert spectral._memo == {}
 
 
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 12)), max_size=60))
-def test_eigenvalue_memo_stays_in_budget_and_drops_least_recent_first(ops):
-    # a reference LRU as a plain list, least recent first, against random puts and gets
-    budget = 16 * 20
-    memo, model = EigenvalueMemo(budget), []
-    for is_put, key, size in ops:
-        held = dict(model)
-        if is_put:
-            values = np.full(size, key + 0.5j)
-            memo.put(key, values)
-            model = [(k, v) for k, v in model if k != key]
-            if values.nbytes <= budget:
-                while sum(v.nbytes for _, v in model) + values.nbytes > budget:
-                    model.pop(0)
-                model.append((key, values))
-        else:
-            got = memo.get(key)
-            if key in held:
-                assert np.array_equal(got, held[key])
-                model = [(k, v) for k, v in model if k != key] + [(key, held[key])]
-            else:
-                assert got is None
-        assert memo.nbytes == sum(v.nbytes for _, v in model) <= budget
-        assert list(memo._entries) == [k for k, _ in model]
+def test_full_memo_empties_before_the_next_spectrum(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(spectral, "_MEMO_SPECTRA", 2)
+    ops = [_channel_superoperator(seed) for seed in (72, 73, 74)]
+    for op in ops[:2]:
+        eigenvalues(op)
+    assert len(spectral._memo) == 2 and len(calls) == 2
+    third = eigenvalues(ops[2])  # the memo is full: it empties, then holds only this one
+    assert len(spectral._memo) == 1 and len(calls) == 3
+    assert np.array_equal(eigenvalues(ops[2]), third) and len(calls) == 3
+    eigenvalues(ops[0])  # dropped when the memo emptied, so solved again
+    assert len(spectral._memo) == 2 and len(calls) == 4
 
 
 def test_split_bulk_picks_nearest_to_one():
