@@ -29,104 +29,14 @@ cli
 
 __version__ = "0.1.0"
 
-from .rmt import (
-    HamiltonianSpectrum,
-    KrausSet,
-    critical_tau,
-    derive_seed,
-    heisenberg_time,
-    kraus_from_truncation,
-    mean_level_spacing,
-    rng_from_seed,
-    sample_cue,
-    sample_goe,
-    sample_kraus_set,
-    semicircle_radius,
-)
-from .states import (
-    CoherentGibbsState,
-    cgs_density,
-    devectorize,
-    make_cgs,
-    plateau_value,
-    vectorize,
-)
-from .pqc import (
-    ParametricChannel,
-    Superoperator,
-    apply_channel,
-    build_superoperator,
-    evolve_discrete,
-    interleaved,
-    lindblad_generator,
-)
-from .dephasing import (
-    EDParams,
-    ed_closed_forms,
-    ed_evolve,
-    ed_liouvillian,
-    ed_sff_lower_bound,
-)
-from .diagnostics import (
-    DiagnosticSeries,
-    SeriesAccumulator,
-    channel_diagnostics,
-    cl1_norm,
-    ed_diagnostics,
-    effective_depth,
-    ensemble_average,
-    estimate_thouless,
-    purity,
-    sandwich_bounds,
-    series_to_csv,
-    sff_cl1_sandwich,
-    sff_fidelity,
-)
-from .spectral import (
-    Boundary,
-    EigensolverError,
-    SpectralReport,
-    annular_boundaries,
-    boundary_power,
-    classify_phase,
-    complex_spacing_ratios,
-    containment_fraction,
-    critical_epsilon,
-    density_grid,
-    disk_boundary,
-    eigenvalues,
-    phase_boundary,
-    phi_max,
-    shifted_disk_boundary,
-    spectral_report,
-    split_bulk,
-)
+from . import rmt, states, pqc, dephasing, diagnostics, spectral
+from .rmt import *
+from .states import *
+from .pqc import *
+from .dephasing import *
+from .diagnostics import *
+from .spectral import *
 
-__all__ = [
-    "__version__",
-    # rmt
-    "HamiltonianSpectrum", "KrausSet", "critical_tau", "derive_seed",
-    "heisenberg_time", "kraus_from_truncation", "mean_level_spacing",
-    "rng_from_seed", "sample_cue", "sample_goe", "sample_kraus_set",
-    "semicircle_radius",
-    # states
-    "CoherentGibbsState", "cgs_density",
-    "devectorize", "make_cgs", "plateau_value", "vectorize",
-    # pqc
-    "ParametricChannel", "Superoperator", "apply_channel", "build_superoperator",
-    "evolve_discrete", "interleaved", "lindblad_generator",
-    # dephasing
-    "EDParams", "ed_closed_forms", "ed_evolve",
-    "ed_liouvillian", "ed_sff_lower_bound",
-    # diagnostics
-    "DiagnosticSeries", "SeriesAccumulator", "channel_diagnostics",
-    "cl1_norm", "ed_diagnostics", "effective_depth", "ensemble_average",
-    "estimate_thouless", "purity", "sandwich_bounds", "series_to_csv",
-    "sff_cl1_sandwich", "sff_fidelity",
-    # spectral
-    "Boundary", "EigensolverError", "SpectralReport", "annular_boundaries",
-    "boundary_power", "classify_phase", "complex_spacing_ratios",
-    "containment_fraction", "critical_epsilon", "density_grid",
-    "disk_boundary", "eigenvalues", "phase_boundary", "phi_max",
-    "shifted_disk_boundary", "spectral_report", "split_bulk",
-]
+# The public names are each library module's own `__all__`; `cli` is not re-exported.
+__all__ = ["__version__", *rmt.__all__, *states.__all__, *pqc.__all__,
+           *dephasing.__all__, *diagnostics.__all__, *spectral.__all__]

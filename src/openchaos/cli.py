@@ -35,6 +35,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -72,8 +73,6 @@ from .spectral import (
 )
 
 __all__ = ["ExperimentConfig", "load_config", "validate_config", "run", "emit_gnuplot_script", "main"]
-
-MODES = ("ed-sff", "pqc-sff", "spectrum", "csr", "phase-grid", "depth-grid")
 
 _GOE_STREAM = 0
 _CUE_STREAM = 1
@@ -264,8 +263,12 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say("epsilon values must lie in [0, 1]")
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
-    if cfg.mode in ("ed-sff", "pqc-sff", "depth-grid") and cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
-        issues += _time_scale_issues(cfg)
+    if cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
+        if cfg.mode in ("ed-sff", "pqc-sff", "depth-grid"):
+            issues += _time_scale_issues(cfg)
+        elif cfg.mode == "phase-grid":  # `phi_max`'s product; Python floats overflow to inf quietly
+            issues += [f"tau={tau} makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow" for tau in cfg.tau
+                       if not math.isfinite(tau * cfg.sigma * math.sqrt(8.0 * cfg.dim) / cfg.hbar)]
     return issues
 
 
@@ -649,6 +652,7 @@ _RUNNERS = {
     "phase-grid": _run_phase_grid,
     "depth-grid": _run_depth_grid,
 }
+MODES = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
@@ -693,7 +697,9 @@ def emit_gnuplot_script(manifest: dict) -> str:
     """Gnuplot commands that render a run's artifacts next to the manifest.
 
     Raises ValueError unless the manifest is an object whose artifact
-    entries each carry a string path, kind and label.
+    entries each carry a string path, kind and label, and each path is a bare
+    name of the characters `run` writes, [A-Za-z0-9._+-]: a quote or a
+    separator would end the quoted gnuplot string and open a command.
     """
     artifacts = manifest.get("artifacts", []) if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
@@ -701,6 +707,8 @@ def emit_gnuplot_script(manifest: dict) -> str:
     for i, art in enumerate(artifacts):
         if not isinstance(art, dict) or not all(isinstance(art.get(k), str) for k in ("path", "kind", "label")):
             raise ValueError(f"manifest artifact {i} needs string 'path', 'kind' and 'label'")
+        if not re.fullmatch(r"[A-Za-z0-9._+-]+", art["path"]):
+            raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a bare artifact name")
     mode = manifest.get("mode", "")
     lines = [
         "# generated by openchaos plot-script",

@@ -212,20 +212,24 @@ def ed_closed_forms(
 
 
 def taylor_lower_bound(forms: EDClosedForms, dim: int, params: EDParams, t) -> np.ndarray:
-    """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms."""
-    t = np.asarray(t, dtype=float)
-    return (1.0 + forms.cl1 + t * forms.cl1_gamma_derivative / (2.0 * params.hbar**2)) / dim
+    """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms.
 
-
-def ed_sff_lower_bound(
-    energies: EnergiesLike, params: EDParams, t, beta: float = 0.0
-) -> np.ndarray:
-    """Coherence lower bound (1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) at beta = 0.
-
-    Only the infinite-temperature form is known; any other beta raises.
+    The last term is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, so a small hbar
+    cannot underflow hbar^2 to zero first.  Where it overflows at the largest
+    |t| and |dC_l1/dgamma|, ValueError is raised.
     """
-    if beta != 0.0:
-        raise ValueError(f"lower bound is only defined at beta = 0, got beta = {beta}")
+    t = np.asarray(t, dtype=float)
+    hbar = float(params.hbar)
+    # Python floats overflow to inf quietly
+    t_top = float(np.max(np.abs(t), initial=0.0))
+    slope_top = float(np.max(np.abs(forms.cl1_gamma_derivative), initial=0.0))
+    if not math.isfinite((t_top / hbar) * (slope_top / hbar) / 2.0):
+        raise ValueError(f"t={t_top} with hbar={hbar} overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)")
+    return (1.0 + forms.cl1 + (t / hbar) * (forms.cl1_gamma_derivative / hbar) / 2.0) / dim
+
+
+def ed_sff_lower_bound(energies: EnergiesLike, params: EDParams, t) -> np.ndarray:
+    """Coherence lower bound (1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)), known only at beta = 0."""
     e = as_energies(energies)
     return taylor_lower_bound(ed_closed_forms(e, 0.0, params, t), e.size, params, t)
 

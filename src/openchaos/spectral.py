@@ -38,6 +38,7 @@ of the same matrix gives, so no output depends on what the memo holds.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -68,6 +69,9 @@ __all__ = [
 ]
 
 PHASES = ("annular", "disk", "crescent", "shifted-disk")
+
+# Points per sampled boundary curve.
+_BOUNDARY_SAMPLES = 2048
 
 
 class EigensolverError(RuntimeError):
@@ -160,12 +164,16 @@ def _check_eps_k(eps: float, k: int) -> None:
 
 
 def phi_max(tau: float, d: int, sigma: float, hbar: float = 1.0) -> float:
-    """Ensemble estimate of the phase sector half-angle, tau*sigma*sqrt(8d)/hbar."""
+    """Ensemble estimate of the phase sector half-angle, tau*sigma*sqrt(8d)/hbar; raises if it overflows."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if d < 2 or sigma <= 0 or hbar <= 0:
         raise ValueError("need d >= 2, sigma > 0, hbar > 0")
-    return float(tau * sigma * np.sqrt(8.0 * d) / hbar)
+    # Python floats overflow to inf without a warning
+    phi = float(tau) * float(sigma) * math.sqrt(8.0 * d) / float(hbar)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi_max=tau*sigma*sqrt(8d)/hbar overflows at tau={tau}, hbar={hbar}")
+    return phi
 
 
 def classify_phase(
@@ -189,8 +197,8 @@ def classify_phase(
     return "shifted-disk" if eps >= threshold else "crescent"
 
 
-def _circle(center: complex, radius: float, samples: int) -> np.ndarray:
-    phi = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=True)
+def _circle(center: complex, radius: float) -> np.ndarray:
+    phi = np.linspace(0.0, 2.0 * np.pi, _BOUNDARY_SAMPLES, endpoint=True)
     return center + radius * np.exp(1j * phi)
 
 
@@ -267,7 +275,6 @@ def phase_boundary(
     d: Optional[int] = None,
     sigma: Optional[float] = None,
     hbar: float = 1.0,
-    samples: int = 2048,
 ) -> Boundary:
     """Analytic bulk boundary for one phase label.
 
@@ -276,18 +283,16 @@ def phase_boundary(
     """
     if phase == "annular":
         outer, inner = annular_boundaries(eps, k)
-        curves = [_circle(0.0, outer, samples)]
+        curves = [_circle(0.0, outer)]
         if inner:
-            curves.append(_circle(0.0, inner, samples))
+            curves.append(_circle(0.0, inner))
         return Boundary("annular", tuple(curves), outer=outer, inner=inner)
     if phase == "disk":
         outer = disk_boundary(eps, k)
-        return Boundary("disk", (_circle(0.0, outer, samples),), outer=outer)
+        return Boundary("disk", (_circle(0.0, outer),), outer=outer)
     if phase == "shifted-disk":
         center, radius = shifted_disk_boundary(eps, k)
-        return Boundary(
-            "shifted-disk", (_circle(center, radius, samples),), center=center, outer=radius
-        )
+        return Boundary("shifted-disk", (_circle(center, radius),), center=center, outer=radius)
     if phase == "crescent":
         if tau is None or d is None or sigma is None:
             raise ValueError("crescent boundary needs tau, d and sigma")
@@ -296,7 +301,7 @@ def phase_boundary(
         # sector is cut out of the unit disk rather than the annular radius.
         angle = min(phi_max(tau, d, sigma, hbar), np.pi)
         radius = 1.0
-        arc = radius * np.exp(1j * np.linspace(-angle, angle, samples))
+        arc = radius * np.exp(1j * np.linspace(-angle, angle, _BOUNDARY_SAMPLES))
         curve = np.concatenate([[0.0 + 0.0j], arc, [0.0 + 0.0j]])
         return Boundary("crescent", (curve,), outer=radius, half_angle=angle)
     raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
@@ -438,7 +443,7 @@ class SpectralReport:
     margin: float
 
 
-def spectral_report(channel, margin: float = 0.02, samples: int = 2048) -> SpectralReport:
+def spectral_report(channel, margin: float = 0.02) -> SpectralReport:
     """Eigensolve one channel and audit its bulk against the analytic boundary."""
     h = channel.hamiltonian
     ev = eigenvalues(
@@ -449,7 +454,7 @@ def spectral_report(channel, margin: float = 0.02, samples: int = 2048) -> Spect
     phase = classify_phase(channel.epsilon, channel.tau, channel.kraus.count, h.dim, h.sigma, channel.hbar)
     boundary = phase_boundary(
         phase, channel.epsilon, channel.kraus.count,
-        tau=channel.tau, d=h.dim, sigma=h.sigma, hbar=channel.hbar, samples=samples,
+        tau=channel.tau, d=h.dim, sigma=h.sigma, hbar=channel.hbar,
     )
     frac = containment_fraction(bulk, boundary, margin)
     return SpectralReport(

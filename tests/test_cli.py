@@ -476,21 +476,31 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mod
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
+_LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("mode, overrides", [
-    pytest.param("ed-sff", dict(hbar=5e-324), id="ed-sff-hbar=5e-324"),
-    pytest.param("depth-grid", dict(hbar=5e-324), id="depth-grid-hbar=5e-324"),
-    pytest.param("ed-sff", dict(t_max=1e308), id="ed-sff-t_max=1e308"),
+@pytest.mark.parametrize("mode, overrides, message", [
+    pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
+    pytest.param("depth-grid", dict(hbar=5e-324), "t*|E|/hbar", id="depth-grid-hbar=5e-324"),
+    pytest.param("ed-sff", dict(t_max=1e308), "t*|E|/hbar", id="ed-sff-t_max=1e308"),
+    # the Taylor lower bound's t*dC_l1/dgamma/(2*hbar^2), past the kernel's own checks
+    pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200),
+                 f"t=1e+200 with hbar=1.0 {_LOWER_BOUND_OVERFLOW}", id="ed-sff-bound-t_max=1e200"),
+    pytest.param("ed-sff", dict(hbar=1e-200),
+                 f"t=3.0 with hbar=1e-200 {_LOWER_BOUND_OVERFLOW}", id="ed-sff-bound-hbar=1e-200"),
+    pytest.param("depth-grid", dict(tau=[1e300]),
+                 f"t=2e+300 with hbar=1.0 {_LOWER_BOUND_OVERFLOW}", id="depth-grid-bound-tau=1e300"),
 ])
-def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, overrides):
-    # valid configs whose t*E/hbar overflows for the sampled levels: the
-    # closed-form kernel raises before it computes a nan or warns
+def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, overrides, message):
+    # valid configs whose t*E/hbar or lower bound overflows for the sampled
+    # levels: the closed forms raise before they compute a nan or warn
     p = tmp_path / "c.json"
     _write_config(p, **dict(dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0,
                                  tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2), **overrides))
     assert cli.main(["validate", str(p)]) == 0
     assert cli.main(["run", str(p)]) == 2
-    assert "t*|E|/hbar" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
@@ -502,6 +512,10 @@ def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsy
                  "tau=1e-17 takes more than 2**53 steps to reach t_max=1000.0", id="pqc-sff-steps"),
     pytest.param(dict(mode="depth-grid", tau=[0.5, 1e-300]),
                  "tau=1e-300 takes more than 2**53 steps to reach t_H=", id="depth-grid-steps"),
+    pytest.param(dict(mode="phase-grid", tau=[1.0], epsilon=[0.1], hbar=1e-310),
+                 "tau=1.0 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-hbar"),
+    pytest.param(dict(mode="phase-grid", tau=[1e308], epsilon=[0.1]),
+                 "tau=1e+308 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-tau"),
 ])
 def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, overrides, message):
     # past validation, each would warn, fail at run time or step on a wrong grid
@@ -547,6 +561,9 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     '{"artifacts": [{"path": "a.csv", "label": "x"}]}',
     '{"artifacts": [{"path": 3, "kind": "series", "label": "x"}]}',
     '{"artifacts": ["a.csv"]}',
+    # a quote would close gnuplot's string and run system() from plot.gp
+    pytest.param(json.dumps({"artifacts": [{"path": "a.csv' ; system('echo INJECTED') ; print '",
+                                            "kind": "series", "label": "x"}]}), id="quote-in-path"),
 ])
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"

@@ -209,10 +209,12 @@ def test_lower_bound_at_time_zero_is_one():
     assert ed_sff_lower_bound(h, EDParams(0.7), 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lower_bound_requires_infinite_temperature():
+def test_lower_bound_divides_by_hbar_once_per_factor():
+    # hbar^2 = 1e-340 underflows to 0, where t*dC_l1/dgamma/(2*hbar^2) was -inf
     h = sample_goe(8, 1.0, derive_seed(21, 0, 9))
-    with pytest.raises(ValueError):
-        ed_sff_lower_bound(h, EDParams(0.7), 1.0, beta=0.5)
+    assert np.isfinite(ed_sff_lower_bound(h, EDParams(0.7, 1e-170), 1e-20))
+    with pytest.raises(ValueError, match="t=3.0 with hbar=1e-200 overflows the lower bound"):
+        ed_sff_lower_bound(h, EDParams(0.7, 1e-200), 3.0)
 
 
 def test_lower_bound_holds_pointwise():

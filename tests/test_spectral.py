@@ -68,6 +68,9 @@ def test_shifted_disk_values():
 def test_phi_max_values():
     assert phi_max(1.0, 64, 1.0) == pytest.approx(math.sqrt(512), rel=1e-12)
     assert phi_max(0.0, 64, 1.0) == 0.0
+    for tau, hbar in ((1.0, 1e-310), (1e308, 1.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            phi_max(tau, 4, 1.0, hbar)
     # at the critical period the sector closes exactly
     for d in (8, 32, 64):
         assert phi_max(critical_tau(d, 1.0, 1.0), d, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
