@@ -77,6 +77,11 @@ __all__ = ["ExperimentConfig", "load_config", "validate_config", "run", "emit_gn
 _GOE_STREAM = 0
 _CUE_STREAM = 1
 
+# Size limits: `density_grid` holds bins^2 counts and writes them as one JSON
+# list, and `ed-sff` holds 4 * |gamma| * points doubles.
+_MAX_HISTOGRAM_BINS = 4096
+_MAX_POINTS = 10**6
+
 # Full-scale realization counts, enabled by --full-scale / "full_scale".
 _FULL_SCALE_REALIZATIONS = {
     "ed-sff": 500,
@@ -222,8 +227,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"realizations must be >= 1, got {cfg.realizations}")
     if cfg.master_seed < 0:
         say(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if cfg.points < 2:
-        say(f"points must be >= 2, got {cfg.points}")
+    if not 2 <= cfg.points <= _MAX_POINTS:
+        say(f"points must lie in [2, {_MAX_POINTS}], got {cfg.points}")
     if cfg.grid_kind not in ("log", "linear"):
         say(f"grid_kind must be 'log' or 'linear', got {cfg.grid_kind!r}")
     if cfg.t_min <= 0 and cfg.grid_kind == "log":
@@ -236,8 +241,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"channel_form must be 'mixture' or 'interleaved', got {cfg.channel_form!r}")
     if cfg.margin < 0:
         say(f"margin must be >= 0, got {cfg.margin}")
-    if cfg.histogram_bins < 8:
-        say(f"histogram_bins must be >= 8, got {cfg.histogram_bins}")
+    if not 8 <= cfg.histogram_bins <= _MAX_HISTOGRAM_BINS:
+        say(f"histogram_bins must lie in [8, {_MAX_HISTOGRAM_BINS}], got {cfg.histogram_bins}")
     if cfg.mode == "ed-sff":
         if not cfg.gamma:
             say("ed-sff needs a non-empty gamma list")

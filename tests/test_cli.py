@@ -528,6 +528,25 @@ def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, ov
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode, name, value, message", [
+    ("spectrum", "histogram_bins", 4097, "histogram_bins must lie in [8, 4096], got 4097"),
+    ("csr", "histogram_bins", 10**9, "histogram_bins must lie in [8, 4096], got 1000000000"),
+    ("ed-sff", "points", 10**6 + 1, "points must lie in [2, 1000000], got 1000001"),
+    ("pqc-sff", "points", 10**15, "points must lie in [2, 1000000], got 1000000000000000"),
+])
+def test_validate_rejects_oversized_grids(tmp_path, capsys, mode, name, value, message):
+    # each would allocate gigabytes or more past validation; at the limit the config is valid
+    p = tmp_path / "c.json"
+    base = dict(mode=mode, dim=4, realizations=2, tau=[1.0], epsilon=[0.2], kraus_count=2)
+    _write_config(p, **base, **{name: value})
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    _write_config(p, **base, **{name: 4096 if name == "histogram_bins" else 10**6})
+    assert cli.main(["validate", str(p)]) == 0
+
+
 def test_plot_script_references_artifacts(tmp_path, capsys):
     p = tmp_path / "c.json"
     _write_config(p)

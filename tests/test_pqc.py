@@ -12,6 +12,7 @@ from openchaos.pqc import (
     apply_channel,
     build_superoperator,
     evolve_discrete,
+    in_eigenbasis,
     interleaved,
     lindblad_generator,
 )
@@ -218,3 +219,17 @@ def test_evolve_discrete_yields_states_inclusive():
     assert np.array_equal(states[0], rho)
     for s in states:
         assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_step_reads_the_kraus_operators_without_copying():
+    # the first GEMM reads [N_1 | ... | N_K] as a (d*K, d) view of kraus_ops
+    h = sample_goe(7, 1.0, derive_seed(31, 0, 9))
+    ks = sample_kraus_set(7, 3, derive_seed(31, 1, 9))
+    raw = ParametricChannel(tau=0.3, epsilon=0.4, hamiltonian=h, kraus=ks)
+    rh, rk = in_eigenbasis(h, ks)
+    pre = ParametricChannel(tau=0.3, epsilon=0.4, hamiltonian=rh, kraus=rk)
+    for ch in (pre, raw, interleaved(raw)):
+        ops = ch.kraus_ops
+        assert ops.shape == (3, 7, 7)
+        assert np.shares_memory(ops.transpose(1, 0, 2).reshape(7 * 3, 7), ops)
+        assert np.array_equal(ch.kraus_adjoints, ops.conj().transpose(0, 2, 1).reshape(3 * 7, 7))

@@ -1,7 +1,8 @@
 """Property tests: the fused Kraus step against its references, the dense
 channel builder against the kron loops and the kick-times-unitary
 factorization, channels from a pre-rotated pair against channels from the
-raw pair, the two spacing-ratio paths against each other and the brute path
+raw pair, the buffered observables against the one-state functions, the
+two spacing-ratio paths against each other and the brute path
 against a per-row lexsort ranking, the shared dephasing kernel against
 one-gamma calls, small blocks, the written-out pair sums and the unskipped
 exponentials, and the numpy log-sum-exp against scipy's."""
@@ -14,19 +15,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from openchaos import dephasing
+from openchaos import dephasing, diagnostics
 from openchaos.dephasing import EDParams, ed_closed_forms
-from openchaos.diagnostics import ed_diagnostics
+from openchaos.diagnostics import channel_diagnostics, cl1_norm, ed_diagnostics, purity, sff_fidelity
 from openchaos.pqc import (
     ParametricChannel,
     apply_channel,
     build_superoperator,
+    evolve_discrete,
     in_eigenbasis,
     interleaved,
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
-from openchaos.states import plateau_value
+from openchaos.states import cgs_density, make_cgs, plateau_value
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
@@ -145,6 +147,42 @@ def test_channel_from_rotated_pair_has_the_raw_pair_constants_bytewise(d, k, hse
     for name in ("kraus_ops", "mask", "kraus_adjoints"):
         assert np.array_equal(getattr(raw, name), getattr(pre, name)), name
     assert np.array_equal(build_superoperator(raw).matrix, build_superoperator(pre).matrix)
+
+
+@given(
+    st.integers(2, 40), seeds, seeds, epsilons, st.sampled_from([0.0, 0.7]),
+    st.integers(0, 3), st.integers(1, 2), st.integers(-1, 1), st.one_of(st.none(), seeds),
+)
+@example(40, 0, 0, 0.3, 0.0, 0, 2, 1, None)
+@example(40, 0, 0, 0.3, 0.7, 0, 1, 0, 5)
+def test_batched_observables_match_the_one_state_functions_bytewise(
+    d, hseed, kseed, eps, beta, per_buffer, fills, offset, sparse_seed,
+):
+    """The buffered reductions give the bytes of sff_fidelity, cl1_norm and purity per state.
+
+    The buffer holds `per_buffer` states (at 0 one state is over the budget
+    and the buffer holds it alone), and the record count falls one below, on
+    or one above a buffer boundary.  Sparse records skip up to 3 steps in 4.
+    """
+    state_bytes = 16 * d * d
+    budget = per_buffer * state_bytes if per_buffer else state_bytes - 1
+    n = max(1, fills * max(per_buffer, 1) + offset)
+    if sparse_seed is None:
+        record = np.arange(n)
+    else:
+        record = np.sort(rng_from_seed(sparse_seed).choice(4 * n, n, replace=False))
+    ch = ParametricChannel(
+        tau=0.3, epsilon=eps, hamiltonian=sample_goe(d, 1.0, hseed),
+        kraus=sample_kraus_set(d, min(3, d * d - 2), kseed),
+    )
+    with mock.patch.object(diagnostics, "_OBSERVE_BYTES", budget):
+        series = channel_diagnostics(ch, beta, int(record[-1]), record_steps=record)
+    cgs = make_cgs(ch.energies, beta)
+    states = list(evolve_discrete(ch, cgs_density(cgs), int(record[-1])))
+    recorded = [states[j] for j in record]
+    assert np.array_equal(series.sff, [sff_fidelity(cgs, rho) for rho in recorded])
+    assert np.array_equal(series.cl1, [cl1_norm(rho) for rho in recorded])
+    assert np.array_equal(series.purity, [purity(rho) for rho in recorded])
 
 
 def _assert_paths_agree(points):
