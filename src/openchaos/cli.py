@@ -61,12 +61,11 @@ from .pqc import ParametricChannel, build_superoperator, in_eigenbasis, interlea
 from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
+    audit_bulk,
     classify_phase,
     complex_spacing_ratios,
-    containment_fraction,
     density_grid,
     eigenvalues,
-    phase_boundary,
     phi_max,
     shifted_disk_boundary,
     split_bulk,
@@ -177,13 +176,18 @@ def _apply_full_scale(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _type_issues(cfg: ExperimentConfig) -> List[str]:
-    """Fields whose value does not fit their annotation; bools are not integers, NaN is not a number."""
+    """Fields whose value does not fit their annotation; bools are not integers, NaN is not a number.
+
+    Integers other than `master_seed`, which may be any int, must fit int64, so no float of them overflows.
+    """
     issues = []
     for f in fields(cfg):
         accepts, what = _TYPE_CHECKS[f.type]
         value = getattr(cfg, f.name)
         if not accepts(value):
             issues.append(f"{f.name} must be {what}, got {value!r}")
+        elif f.type == "int" and f.name != "master_seed" and not -(2**63) <= value < 2**63:
+            issues.append(f"{f.name} must fit a 64-bit signed integer")
     return issues
 
 
@@ -510,12 +514,10 @@ def _run_spectrum(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int
     for (tau, eps), clouds in zip(grid, per_point):
         tag = _tag(tau=tau, eps=eps)
         bulks, fixed = zip(*map(split_bulk, clouds))
-        phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
-        boundary = phase_boundary(
-            phase, eps, cfg.kraus_count, tau=tau, d=cfg.dim, sigma=cfg.sigma, hbar=cfg.hbar
-        )
         pooled = np.concatenate(bulks)
-        frac = containment_fraction(pooled, boundary, cfg.margin)
+        phase, boundary, frac = audit_bulk(
+            pooled, tau, eps, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar, cfg.margin
+        )
         cloud = np.concatenate([np.append(b, f) for b, f in zip(bulks, fixed)])
         is_fixed = np.concatenate([np.append(np.zeros(b.size, int), 1) for b in bulks])
         realization = np.concatenate([np.full(b.size + 1, r) for r, b in enumerate(bulks)])
@@ -803,7 +805,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command in ("run", "validate"):
         try:
             cfg = load_config(args.config)
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError, json.JSONDecodeError, RecursionError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         if args.command == "run":
@@ -834,7 +836,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         print(f"config error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 1
     try:

@@ -44,7 +44,6 @@ __all__ = [
     "sample_cue",
     "kraus_from_truncation",
     "sample_kraus_set",
-    "semicircle_radius",
     "mean_level_spacing",
     "heisenberg_time",
     "critical_tau",
@@ -103,18 +102,6 @@ class HamiltonianSpectrum:
             )
         if np.any(np.diff(energies) < 0):
             raise ValueError("energies must be sorted ascending")
-
-    def validate(self, rtol: float = 1e-10) -> None:
-        """Check that `matrix`, when present, reproduces `energies`.
-
-        Relative tolerance is measured against the spectral width.
-        """
-        if self.matrix is None:
-            return
-        ev = np.linalg.eigvalsh(self.matrix)
-        scale = max(np.max(np.abs(self.energies)), 1.0)
-        if np.max(np.abs(ev - self.energies)) > rtol * scale:
-            raise ValueError("matrix eigenvalues disagree with stored energies")
 
 
 @dataclass(frozen=True)
@@ -243,11 +230,6 @@ def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> Kraus
     """Sample CUE(K*d) and truncate it into a KrausSet (convenience wrapper)."""
     v = sample_cue(k * d, seed)
     return kraus_from_truncation(v, d, k, column_offset=column_offset, seed=int(seed))
-
-
-def semicircle_radius(d: int, sigma: float) -> float:
-    """Edge of the eigenvalue support, sigma*sqrt(2d)."""
-    return float(sigma * np.sqrt(2.0 * d))
 
 
 def mean_level_spacing(d: int, sigma: float) -> float:

@@ -1,4 +1,4 @@
-"""Superoperator spectra: phase boundaries, classification and spacing ratios.
+"""Superoperator spectra: phase boundaries, classification, bulk audit and spacing ratios.
 
 The channel's d^2 eigenvalues sit inside the unit disk with one trace fixed
 point at lambda = 1.  Where the rest of the cloud condenses is governed by
@@ -14,6 +14,11 @@ tau_c the unitary phases cover only a sector of half-angle
 phi_max = tau*sigma*sqrt(8d)/hbar and the annulus collapses to a crescent;
 `classify_phase` encodes the resulting phase diagram with the sector sine
 clamped at 1 once phi_max passes pi/2.
+
+`audit_bulk` is the one audit of a bulk at a grid point: phase label, its
+analytic `Boundary`, and the fraction of the bulk inside it.  `spectral_report`
+runs it on one channel's bulk, the `spectrum` CLI mode on the bulks pooled
+over realizations.
 
 Spacing statistics use the complex ratio z = (nn - lambda)/(nnn - lambda)
 built from the two nearest neighbours of each eigenvalue, which always lands
@@ -52,15 +57,14 @@ __all__ = [
     "eigenvalues",
     "split_bulk",
     "annular_boundaries",
-    "disk_boundary",
     "shifted_disk_boundary",
     "critical_epsilon",
     "phi_max",
     "classify_phase",
     "Boundary",
     "phase_boundary",
-    "boundary_power",
     "containment_fraction",
+    "audit_bulk",
     "SpacingRatioSet",
     "complex_spacing_ratios",
     "density_grid",
@@ -72,6 +76,8 @@ PHASES = ("annular", "disk", "crescent", "shifted-disk")
 
 # Points per sampled boundary curve.
 _BOUNDARY_SAMPLES = 2048
+# Half-width of the `density_grid` square: the unit disk plus a rim.
+_HISTOGRAM_EXTENT = 1.05
 
 
 class EigensolverError(RuntimeError):
@@ -137,12 +143,6 @@ def annular_boundaries(eps: float, k: int) -> Tuple[float, Optional[float]]:
     return outer, float(np.sqrt(disc))
 
 
-def disk_boundary(eps: float, k: int) -> float:
-    """Bulk radius sqrt((1-eps)^2 + eps^2/K) in the disk phase."""
-    _check_eps_k(eps, k)
-    return float(np.sqrt((1.0 - eps) ** 2 + eps**2 / k))
-
-
 def shifted_disk_boundary(eps: float, k: int) -> Tuple[float, float]:
     """(center, radius) = (1-eps, eps/sqrt(K)) of the tau -> 0 bulk disk."""
     _check_eps_k(eps, k)
@@ -204,13 +204,12 @@ def _circle(center: complex, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Boundary:
-    """Region the bulk should occupy: analytic parameters plus sampled curves.
+    """Region the bulk should occupy in one phase: analytic parameters plus sampled outlines.
 
-    For the three circular kinds containment is evaluated from the radii; a
-    `curve` boundary (e.g. a powered shifted disk) falls back to a winding
-    number test against its sampled outline, with the margin measured to the
-    samples.  Curves are closed and dense enough that the sampling error is
-    far below any margin of interest.
+    `kind` is the phase label.  Containment is evaluated from the parameters
+    alone: radii for the annulus and the two disks, Euclidean distance to the
+    sector for the crescent.  `curves` are the closed outlines written to the
+    boundary CSVs; nothing measures against them.
     """
 
     kind: str
@@ -231,7 +230,7 @@ class Boundary:
             return (r <= self.outer + margin) & (r >= inner - margin)
         if self.kind == "crescent":
             return _sector_distance(z, self.outer, self.half_angle) <= margin
-        return _inside_curves(z, self.curves, margin)
+        raise ValueError(f"unknown boundary kind {self.kind!r}; expected one of {PHASES}")
 
 
 def _sector_distance(z: np.ndarray, radius: float, half_angle: float) -> np.ndarray:
@@ -250,21 +249,6 @@ def _sector_distance(z: np.ndarray, radius: float, half_angle: float) -> np.ndar
         )
         dist = np.minimum(dist, np.where(inside_angle, dist, seg))
     return dist
-
-
-def _inside_curves(z: np.ndarray, curves: Tuple[np.ndarray, ...], margin: float) -> np.ndarray:
-    out = np.zeros(z.shape, dtype=bool)
-    for curve in curves:
-        c = np.asarray(curve, dtype=complex)
-        closed = np.concatenate([c, c[:1]])
-        for lo in range(0, z.size, 512):
-            chunk = z[lo : lo + 512, np.newaxis]
-            near = np.min(np.abs(chunk - c[np.newaxis, :]), axis=1) <= margin
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ang = np.angle((closed[np.newaxis, 1:] - chunk) / (closed[np.newaxis, :-1] - chunk))
-                winding = np.abs(np.nansum(ang, axis=1)) / (2.0 * np.pi) > 0.5
-            out[lo : lo + 512] |= near | winding
-    return out
 
 
 def phase_boundary(
@@ -288,7 +272,7 @@ def phase_boundary(
             curves.append(_circle(0.0, inner))
         return Boundary("annular", tuple(curves), outer=outer, inner=inner)
     if phase == "disk":
-        outer = disk_boundary(eps, k)
+        outer = annular_boundaries(eps, k)[0]
         return Boundary("disk", (_circle(0.0, outer),), outer=outer)
     if phase == "shifted-disk":
         center, radius = shifted_disk_boundary(eps, k)
@@ -307,31 +291,26 @@ def phase_boundary(
     raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
 
-def boundary_power(boundary: Boundary, kappa: int) -> Boundary:
-    """Image of a boundary under lambda -> lambda^kappa.
-
-    Rotation-invariant regions stay annuli/disks with powered radii; anything
-    else turns into a sampled curve (the shifted disk powers into cardioid
-    shapes) handled by the winding test.  kappa = 1 returns the input.
-    """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if kappa == 1:
-        return boundary
-    curves = tuple(np.asarray(c, dtype=complex) ** kappa for c in boundary.curves)
-    if boundary.kind in ("annular", "disk") and boundary.center == 0:
-        outer = None if boundary.outer is None else boundary.outer**kappa
-        inner = None if boundary.inner is None else boundary.inner**kappa
-        return Boundary(boundary.kind, curves, outer=outer, inner=inner)
-    return Boundary("curve", curves)
-
-
 def containment_fraction(evals: np.ndarray, boundary: Boundary, margin: float = 0.0) -> float:
     """Fraction of the supplied eigenvalues inside the dilated boundary."""
     ev = np.atleast_1d(np.asarray(evals, dtype=complex))
     if ev.size == 0:
         raise ValueError("containment fraction of an empty spectrum is undefined")
     return float(np.mean(boundary.contains(ev, margin)))
+
+
+def audit_bulk(
+    bulk: np.ndarray, tau: float, eps: float, k: int, d: int, sigma: float,
+    hbar: float = 1.0, margin: float = 0.0,
+) -> Tuple[str, Boundary, float]:
+    """(phase, boundary, containment) of a bulk at the grid point (tau, eps, K, d, sigma, hbar).
+
+    The phase label comes from the parameters alone; the containment is the
+    fraction of `bulk` inside that phase's boundary dilated by `margin`.
+    """
+    phase = classify_phase(eps, tau, k, d, sigma, hbar)
+    boundary = phase_boundary(phase, eps, k, tau=tau, d=d, sigma=sigma, hbar=hbar)
+    return phase, boundary, containment_fraction(bulk, boundary, margin)
 
 
 @dataclass(frozen=True)
@@ -412,15 +391,14 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
     return SpacingRatioSet(ratios=ratios, nn_indices=nn, nnn_indices=nnn)
 
 
-def density_grid(points: np.ndarray, bins: int = 256, extent: float = 1.05) -> dict:
-    """2-D histogram of a complex point cloud as a JSON-ready dict."""
+def density_grid(points: np.ndarray, bins: int = 256) -> dict:
+    """2-D histogram of a complex point cloud over the square |Re|, |Im| <= 1.05, as a JSON-ready dict."""
     z = np.asarray(points, dtype=complex).ravel()
-    counts, xe, ye = np.histogram2d(
-        z.real, z.imag, bins=bins, range=[[-extent, extent], [-extent, extent]]
-    )
+    e = _HISTOGRAM_EXTENT
+    counts, xe, ye = np.histogram2d(z.real, z.imag, bins=bins, range=[[-e, e], [-e, e]])
     return {
         "bins": int(bins),
-        "extent": float(extent),
+        "extent": e,
         "re_edges": xe.tolist(),
         "im_edges": ye.tolist(),
         "counts": counts.astype(int).tolist(),
@@ -444,24 +422,20 @@ class SpectralReport:
 
 
 def spectral_report(channel, margin: float = 0.02) -> SpectralReport:
-    """Eigensolve one channel and audit its bulk against the analytic boundary."""
-    h = channel.hamiltonian
+    """Eigensolve one channel and audit its bulk (`audit_bulk`)."""
+    h, k = channel.hamiltonian, channel.kraus.count
     ev = eigenvalues(
-        build_superoperator(channel),
-        context=f"tau={channel.tau}, eps={channel.epsilon}, K={channel.kraus.count}",
+        build_superoperator(channel), context=f"tau={channel.tau}, eps={channel.epsilon}, K={k}"
     )
     bulk, fixed = split_bulk(ev)
-    phase = classify_phase(channel.epsilon, channel.tau, channel.kraus.count, h.dim, h.sigma, channel.hbar)
-    boundary = phase_boundary(
-        phase, channel.epsilon, channel.kraus.count,
-        tau=channel.tau, d=h.dim, sigma=h.sigma, hbar=channel.hbar,
+    phase, boundary, frac = audit_bulk(
+        bulk, channel.tau, channel.epsilon, k, h.dim, h.sigma, channel.hbar, margin
     )
-    frac = containment_fraction(bulk, boundary, margin)
     return SpectralReport(
         dim=h.dim,
         tau=channel.tau,
         epsilon=channel.epsilon,
-        kraus_count=channel.kraus.count,
+        kraus_count=k,
         phase=phase,
         bulk=bulk,
         fixed_point=fixed,

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from openchaos import cli, spectral
+from openchaos.pqc import ParametricChannel
+from openchaos.rmt import derive_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import EigensolverError
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -54,6 +56,9 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         (dict(sigma=float("inf"), t_max="10"), ("sigma", "t_max")),
         (dict(mode="pqc-sff", tau=[float("nan")], epsilon=[None]), ("tau", "epsilon")),
         (dict(full_scale="yes"), ("full_scale",)),
+        # a float of dim overflows in t_H or phi_max
+        (dict(mode="pqc-sff", dim=10**400, allow_large=True), ("dim",)),
+        (dict(mode="phase-grid", dim=10**400, allow_large=True), ("dim",)),
     ]
     for overrides, names in cases:
         _write_config(p, **overrides)
@@ -150,10 +155,16 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
-def test_validate_rejects_broken_json(tmp_path):
+@pytest.mark.parametrize("text", [
+    "{not json",
+    pytest.param("[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
+])
+def test_validate_rejects_broken_json(tmp_path, capsys, text):
     p = tmp_path / "c.json"
-    p.write_text("{not json")
-    assert cli.main(["validate", str(p)]) == 1
+    p.write_text(text)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_large_dim_needs_explicit_flag(tmp_path):
@@ -392,6 +403,28 @@ def test_run_spectrum_grid(tmp_path):
     assert sum(1 for r in cloud[1:] if r.split(",")[2] == "1") == 2
 
 
+@pytest.mark.parametrize("tau, eps, phase", [
+    (0.1, 0.2, "crescent"), (1.0, 0.2, "annular"), (1.0, 0.9, "disk"), (0.01, 0.9, "shifted-disk"),
+])
+def test_spectrum_run_matches_spectral_report(tmp_path, monkeypatch, tau, eps, phase):
+    p = tmp_path / "c.json"
+    cfg = _write_config(p, mode="spectrum", dim=6, kraus_count=2, realizations=1,
+                        tau=[tau], epsilon=[eps])
+    assert cli.main(["run", str(p)]) == 0
+    monkeypatch.setattr(spectral, "_memo", {})  # the report solves its own matrix
+    seed = cfg["master_seed"]
+    ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=sample_goe(6, 1.0, derive_seed(seed, 0, 0)),
+                           kraus=sample_kraus_set(6, 2, derive_seed(seed, 1, 0)))
+    report = spectral.spectral_report(ch)
+    out = tmp_path / "out"
+    row = (out / "spectrum_summary.csv").read_text().split("\n")[1].split(",")
+    assert row[2] == report.phase == phase
+    assert float(row[3]) == report.containment
+    cloud = np.loadtxt(out / f"spectrum_{cli._tag(tau=tau, eps=eps)}.csv", delimiter=",", skiprows=1)
+    bulk = cloud[cloud[:, 2] == 0]
+    assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report.bulk)
+
+
 def test_run_csr_has_depletion_column(tmp_path):
     p = tmp_path / "c.json"
     _write_config(p, mode="csr", dim=6, realizations=2, tau=[1.0], epsilon=[0.3],
@@ -583,6 +616,7 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     # a quote would close gnuplot's string and run system() from plot.gp
     pytest.param(json.dumps({"artifacts": [{"path": "a.csv' ; system('echo INJECTED') ; print '",
                                             "kind": "series", "label": "x"}]}), id="quote-in-path"),
+    pytest.param('{"artifacts": ' + "[" * 200_000 + "]" * 200_000 + "}", id="nested-200000-deep"),
 ])
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"

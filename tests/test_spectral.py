@@ -12,13 +12,12 @@ from openchaos.spectral import (
     Boundary,
     EigensolverError,
     annular_boundaries,
-    boundary_power,
+    audit_bulk,
     classify_phase,
     complex_spacing_ratios,
     containment_fraction,
     critical_epsilon,
     density_grid,
-    disk_boundary,
     eigenvalues,
     phase_boundary,
     phi_max,
@@ -50,10 +49,10 @@ def test_inner_radius_vanishes_at_critical_epsilon():
 
 
 def test_disk_boundary_values():
-    assert disk_boundary(1.0, 4) == pytest.approx(0.5, rel=1e-14)
-    assert disk_boundary(0.0, 7) == pytest.approx(1.0, rel=1e-14)
-    # continuous with the annular outer radius
-    assert disk_boundary(0.37, 5) == pytest.approx(annular_boundaries(0.37, 5)[0], rel=1e-14)
+    assert phase_boundary("disk", 1.0, 4).outer == pytest.approx(0.5, rel=1e-14)
+    assert phase_boundary("disk", 0.0, 7).outer == pytest.approx(1.0, rel=1e-14)
+    # the disk radius is the annular outer radius, to the bit
+    assert phase_boundary("disk", 0.37, 5).outer == annular_boundaries(0.37, 5)[0]
 
 
 def test_shifted_disk_values():
@@ -62,7 +61,7 @@ def test_shifted_disk_values():
     assert radius == pytest.approx(0.40414518843273806, rel=1e-12)
     assert shifted_disk_boundary(0.0, 3) == (1.0, 0.0)
     c1, r1 = shifted_disk_boundary(1.0, 3)
-    assert c1 == 0.0 and r1 == pytest.approx(disk_boundary(1.0, 3), rel=1e-12)
+    assert c1 == 0.0 and r1 == pytest.approx(annular_boundaries(1.0, 3)[0], rel=1e-12)
 
 
 def test_phi_max_values():
@@ -156,50 +155,16 @@ def test_containment_fraction_and_empty_error():
     b = phase_boundary("disk", 1.0, 4)
     pts = np.array([0.1, 0.2, 0.9])
     assert containment_fraction(pts, b) == pytest.approx(2 / 3, rel=1e-12)
+    # the same chain from the parameters: tau = 1 > tau_c(8) and eps = 1 > eps_c give the disk
+    phase, boundary, frac = audit_bulk(pts, 1.0, 1.0, 4, 8, 1.0)
+    assert (phase, boundary.outer, frac) == ("disk", b.outer, containment_fraction(pts, b))
     with pytest.raises(ValueError):
         containment_fraction(np.array([]), b)
 
 
-def test_curve_winding_containment():
-    # a powered shifted disk is only reachable through the sampled-curve
-    # winding test; check hand-picked interior and exterior points
-    b = boundary_power(phase_boundary("shifted-disk", 0.2, 2), 3)
-    assert b.kind == "curve"
-    inside = np.array([0.8**3, 0.9**3])          # images of disk points
-    outside = np.array([0.0 + 0.0j, 0.5 + 0.5j])  # no cube root lands in the disk
-    assert list(b.contains(inside)) == [True, True]
-    assert list(b.contains(outside)) == [False, False]
-
-
-# ---------------------------------------------------------------------------
-# boundary powers
-
-
-def test_boundary_power_identity_and_radii():
-    b = phase_boundary("annular", 0.2, 3)
-    assert boundary_power(b, 1) is b
-    b2 = boundary_power(b, 2)
-    assert b2.kind == "annular"
-    assert b2.outer == pytest.approx(b.outer**2, rel=1e-12)
-    assert b2.inner == pytest.approx(b.inner**2, rel=1e-12)
-    with pytest.raises(ValueError):
-        boundary_power(b, 0)
-
-
-def test_powered_shifted_disk_contains_powered_eigenvalues():
-    # eigenvalues of the channel power are the powers of the eigenvalues, so
-    # the powered boundary curve must contain them (winding-number test)
-    d, k, kappa = 8, 2, 25
-    h = sample_goe(d, 1.0, derive_seed(61, 0, 0))
-    ks = sample_kraus_set(d, k, derive_seed(61, 1, 0))
-    ch = ParametricChannel(tau=0.01, epsilon=0.2, hamiltonian=h, kraus=ks)
-    assert classify_phase(0.2, 0.01, k, d, 1.0) == "shifted-disk"
-    m = build_superoperator(ch).matrix
-    ev = np.linalg.eigvals(np.linalg.matrix_power(m, kappa))
-    bulk, _ = split_bulk(ev)
-    b = boundary_power(phase_boundary("shifted-disk", 0.2, k), kappa)
-    assert b.kind == "curve"
-    assert containment_fraction(bulk, b, margin=1e-3) >= 0.99
+def test_unknown_boundary_kind_raises():
+    with pytest.raises(ValueError, match="unknown boundary kind"):
+        Boundary("curve", ()).contains(np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +266,12 @@ def test_spectral_report_end_to_end():
 def test_density_grid_layout():
     rng = rng_from_seed(62)
     pts = rng.normal(size=200) + 1j * rng.normal(size=200)
-    g = density_grid(pts, bins=32, extent=3.0)
+    g = density_grid(pts, bins=32)
     counts = np.asarray(g["counts"])
     assert counts.shape == (32, 32)
     assert counts.sum() <= 200
-    assert g["extent"] == 3.0
+    assert g["extent"] == 1.05
+    assert g["re_edges"][0] == g["im_edges"][0] == -1.05 and g["re_edges"][-1] == 1.05
 
 
 # ---------------------------------------------------------------------------
