@@ -81,7 +81,7 @@ _CUE_STREAM = 1
 _MAX_HISTOGRAM_BINS = 4096
 _MAX_POINTS = 10**6
 
-# Full-scale realization counts, enabled by --full-scale / "full_scale".
+# Full-scale realization counts, enabled by the "full_scale" config key.
 _FULL_SCALE_REALIZATIONS = {
     "ed-sff": 500,
     "pqc-sff": 500,
@@ -148,7 +148,11 @@ _TYPE_CHECKS = {
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a JSON config file; unknown keys are rejected by validate_config."""
+    """Parse a JSON config file; unknown keys and a missing mode raise ValueError.
+
+    `"full_scale": true` raises dim and the ensemble sizes; a config with
+    mistyped fields is left as it is for validate_config to reject.
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -160,14 +164,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("gamma", "tau", "epsilon"):
         if key in raw and not isinstance(raw[key], list):
             raw[key] = [raw[key]]
-    return _apply_full_scale(ExperimentConfig(**raw))
-
-
-def _apply_full_scale(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Raise dim and ensemble sizes when full_scale is set (in the file or by --full-scale).
-
-    A config with mistyped fields is left as it is for validate_config to reject.
-    """
+    cfg = ExperimentConfig(**raw)
     if cfg.full_scale is True and not _type_issues(cfg):
         cfg.dim = max(cfg.dim, 64)
         cfg.realizations = _FULL_SCALE_REALIZATIONS.get(cfg.mode, cfg.realizations)
@@ -644,9 +641,9 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
             depth = effective_depth(mean, t_th, t_h, tau)
             rel = depth / d_iso if d_iso > 0 else np.nan
             table.append((tau, eps, depth, d_iso, rel, t_th, t_h))
-            manifest["grid"].append(
-                {"tau": tau, "epsilon": eps, "status": "ok", "relative_depth": rel}
-            )
+            # JSON has no NaN, so the manifest records a non-finite ratio as null
+            manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok",
+                                     "relative_depth": rel if np.isfinite(rel) else None})
     header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
     _write(out / "depth_grid.csv", columns_to_csv(header, zip(*table)), manifest, "grid", "depth-grid")
 
@@ -703,12 +700,12 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
 def emit_gnuplot_script(manifest: dict) -> str:
     """Gnuplot commands that render a run's artifacts next to the manifest.
 
-    Raises ValueError unless the manifest is an object whose artifact
-    entries each carry a string path, kind and label, and each path is a bare
-    name of the characters `run` writes, [A-Za-z0-9._+-]: a quote or a
+    Raises ValueError unless the manifest is an object with an 'artifacts'
+    list of entries that each carry a string path, kind and label, each path a
+    bare name of the characters `run` writes, [A-Za-z0-9._+-]: a quote or a
     separator would end the quoted gnuplot string and open a command.
     """
-    artifacts = manifest.get("artifacts", []) if isinstance(manifest, dict) else None
+    artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
         raise ValueError("manifest must be a JSON object with an 'artifacts' list")
     for i, art in enumerate(artifacts):
@@ -791,7 +788,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "for any value",
     )
     p_run.add_argument("--output-dir", default=None, help="override the config output_dir")
-    p_run.add_argument("--full-scale", action="store_true", help="full-scale dim and ensemble sizes")
 
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("config", help="path to a JSON config file")
@@ -808,12 +804,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError, TypeError, json.JSONDecodeError, RecursionError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        if args.command == "run":
-            if args.output_dir:
-                cfg.output_dir = args.output_dir
-            if args.full_scale:
-                cfg.full_scale = True
-                _apply_full_scale(cfg)
+        if args.command == "run" and args.output_dir:
+            cfg.output_dir = args.output_dir
         issues = validate_config(cfg)
         if issues:
             for issue in issues:

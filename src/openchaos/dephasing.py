@@ -238,9 +238,9 @@ def ed_liouvillian(energies: EnergiesLike, params: EDParams) -> Superoperator:
     """Dephasing Liouvillian, diagonal in the vectorized eigenbasis.
 
     Entry (n*d + m) is -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2; matches the
-    Lindblad generator with the single generator-only operator N_1 = H.
+    Lindblad generator with the single operator N_1 = H.
     """
     e = as_energies(energies)
     w = (e[:, np.newaxis] - e[np.newaxis, :]).reshape(-1)
     diag = -1j * w / params.hbar - params.gamma * w**2
-    return Superoperator(np.diag(diag), e.size)
+    return Superoperator(np.diag(diag))

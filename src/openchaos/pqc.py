@@ -37,9 +37,9 @@ The Lindblad generator of the continuous weak-coupling limit eps = 2*gamma*tau,
     d rho/dt = -(i/hbar)[H, rho]
                + 2*gamma * sum_r (N_r rho N_r^dag - {N_r^dag N_r, rho}/2),
 
-keeps its own loop for the anticommutator term.  With the single
-generator-only operator N_1 = H it collapses to the energy-dephasing master
-equation.
+keeps its own loop for the anticommutator term.  It takes a plain operator
+stack, which need not be trace preserving: with the single operator N_1 = H
+it collapses to the energy-dephasing master equation.
 """
 
 from __future__ import annotations
@@ -67,19 +67,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense d^2 x d^2 matrix acting on row-major vectorized operators."""
+    """Dense d^2 x d^2 matrix acting on row-major vectorized operators; d is `hilbert_dim`."""
 
     matrix: np.ndarray
-    hilbert_dim: int
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        d2 = self.hilbert_dim**2
-        if m.shape != (d2, d2):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match hilbert_dim {self.hilbert_dim}"
-            )
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or math.isqrt(m.shape[0]) ** 2 != m.shape[0]:
+            raise ValueError(f"matrix must be square with a perfect-square side, got shape {m.shape}")
+
+    @property
+    def hilbert_dim(self) -> int:
+        return math.isqrt(self.matrix.shape[0])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Matrix action devectorize(L @ vectorize(rho))."""
@@ -92,12 +92,12 @@ class Superoperator:
         return float(np.max(np.abs(one @ self.matrix - one)))
 
 
-def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, kraus: KrausSet) -> np.ndarray:
-    """Kraus operators conjugated by the eigenvector matrix of H, if one was kept."""
+def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> np.ndarray:
+    """A (K, d, d) operator stack conjugated by the eigenvector matrix of H, if one was kept."""
     q = hamiltonian.eigenvectors
     if q is None:
-        return kraus.operators
-    return np.einsum("in,rij,jm->rnm", q.conj(), kraus.operators, q)
+        return operators
+    return np.einsum("in,rij,jm->rnm", q.conj(), operators, q)
 
 
 def in_eigenbasis(
@@ -105,17 +105,13 @@ def in_eigenbasis(
 ) -> Tuple[HamiltonianSpectrum, KrausSet]:
     """The pair with the Kraus operators rotated into the eigenbasis of H.
 
-    The spectrum keeps dim, sigma, energies and seed but drops the matrix and
-    its eigenvectors, so a `ParametricChannel` built from the returned pair
-    skips its own rotation; its constants are the same bytes as those of a
-    channel built from the original pair.
+    The spectrum keeps sigma, energies and seed but drops the matrix and its
+    eigenvectors, and the Kraus set keeps its seed, so a `ParametricChannel`
+    built from the returned pair skips its own rotation; its constants are the
+    same bytes as those of a channel built from the original pair.
     """
     spectrum = replace(hamiltonian, matrix=None, eigenvectors=None)
-    rotated = KrausSet(
-        dim=kraus.dim, operators=_to_eigenbasis(hamiltonian, kraus), seed=kraus.seed,
-        generator_only=kraus.generator_only,
-    )
-    return spectrum, rotated
+    return spectrum, KrausSet(_to_eigenbasis(hamiltonian, kraus.operators), seed=kraus.seed)
 
 
 @dataclass(frozen=True)
@@ -152,13 +148,11 @@ class ParametricChannel:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if not 0.0 < self.hbar < math.inf:
             raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
-        if self.kraus.generator_only:
-            raise ValueError("generator-only Kraus sets cannot form a discrete channel")
         if self.kraus.dim != self.hamiltonian.dim:
             raise ValueError(
                 f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
             )
-        rotated = _to_eigenbasis(self.hamiltonian, self.kraus).transpose(1, 0, 2)
+        rotated = _to_eigenbasis(self.hamiltonian, self.kraus.operators).transpose(1, 0, 2)
         ops = np.ascontiguousarray(rotated, dtype=complex).transpose(1, 0, 2)  # (d, K, d) memory
         k, d = ops.shape[0], ops.shape[1]
         w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
@@ -183,7 +177,7 @@ def interleaved(channel: ParametricChannel) -> ParametricChannel:
     exp(-i*tau*E_m/hbar); the returned channel holds no eigenvectors.
     """
     u = np.exp(-1j * channel.tau * channel.energies / channel.hbar)
-    kraus = KrausSet(dim=channel.dim, operators=channel.kraus_ops * u, seed=channel.kraus.seed)
+    kraus = KrausSet(channel.kraus_ops * u, seed=channel.kraus.seed)
     return ParametricChannel(
         tau=channel.tau, epsilon=channel.epsilon, kraus=kraus, hbar=channel.hbar,
         hamiltonian=replace(channel.hamiltonian, matrix=None, eigenvectors=None),
@@ -251,12 +245,12 @@ def build_superoperator(channel: ParametricChannel) -> Superoperator:
     m = np.diag(channel.mask.reshape(-1))
     for n in channel.kraus_ops:
         m += channel.epsilon * np.kron(n, n.conj())
-    return Superoperator(m, channel.dim)
+    return Superoperator(m)
 
 
 def lindblad_generator(
     hamiltonian: HamiltonianSpectrum,
-    kraus: KrausSet,
+    operators: np.ndarray,
     gamma: float,
     hbar: float = 1.0,
 ) -> Superoperator:
@@ -266,27 +260,28 @@ def lindblad_generator(
         + 2*gamma * sum_r [ N_r (x) conj(N_r)
                             - (N_r^dag N_r (x) 1 + 1 (x) (N_r^dag N_r)^T)/2 ]
 
-    built in the H eigenbasis.  Accepts generator-only Kraus sets; with the
-    single operator N_1 = diag(E) the result is the energy-dephasing
-    Liouvillian, diagonal with entries -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2.
+    built in the H eigenbasis.  `operators` is a (K, d, d) stack N_1..N_K in
+    the basis of H's matrix, and need not be trace preserving; with the single
+    operator N_1 = H (`h.matrix[np.newaxis]`) the result is the
+    energy-dephasing Liouvillian, diagonal with entries
+    -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if hbar <= 0:
         raise ValueError(f"hbar must be > 0, got {hbar}")
-    if kraus.dim != hamiltonian.dim:
-        raise ValueError(
-            f"Kraus dimension {kraus.dim} != Hamiltonian dimension {hamiltonian.dim}"
-        )
     d = hamiltonian.dim
+    operators = np.asarray(operators, dtype=complex)
+    if operators.ndim != 3 or operators.shape[1:] != (d, d):
+        raise ValueError(f"operators must have shape (K, {d}, {d}), got {operators.shape}")
     e = as_energies(hamiltonian)
     ident = np.eye(d, dtype=complex)
     w = e[:, np.newaxis] - e[np.newaxis, :]  # w[n, m] = E_n - E_m
     gen = np.diag((-1j / hbar) * w.reshape(-1)).astype(complex)
-    for n in _to_eigenbasis(hamiltonian, kraus):
+    for n in _to_eigenbasis(hamiltonian, operators):
         ndn = n.conj().T @ n
         gen += 2.0 * gamma * (
             np.kron(n, n.conj())
             - 0.5 * (np.kron(ndn, ident) + np.kron(ident, ndn.T))
         )
-    return Superoperator(gen, d)
+    return Superoperator(gen)

@@ -77,12 +77,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 class HamiltonianSpectrum:
     """Spectrum (and optionally the matrix) of one sampled Hamiltonian.
 
-    energies are sorted ascending.  When `matrix` is kept, `eigenvectors`
-    holds the orthogonal matrix Q with H = Q diag(energies) Q^T; channel
-    builders use it to rotate environment operators into the eigenbasis.
+    energies are sorted ascending, at least two levels; `dim` is their
+    count.  When `matrix` is kept, `eigenvectors` holds the orthogonal
+    matrix Q with H = Q diag(energies) Q^T; channel builders use it to rotate
+    environment operators into the eigenbasis.
     """
 
-    dim: int
     sigma: float
     energies: np.ndarray
     seed: int
@@ -92,50 +92,46 @@ class HamiltonianSpectrum:
     def __post_init__(self) -> None:
         energies = np.asarray(self.energies, dtype=float)
         object.__setattr__(self, "energies", energies)
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if energies.shape != (self.dim,):
-            raise ValueError(
-                f"energies shape {energies.shape} does not match dim {self.dim}"
-            )
+        if energies.ndim != 1 or energies.size < 2:
+            raise ValueError(f"energies must be 1-D with at least 2 levels, got shape {energies.shape}")
         if np.any(np.diff(energies) < 0):
             raise ValueError("energies must be sorted ascending")
+
+    @property
+    def dim(self) -> int:
+        return self.energies.size
 
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A set of d x d environment operators N_1..N_K.
+    """A trace-preserving set of K d x d environment operators N_1..N_K, 1 <= K <= d^2 - 2.
 
-    Trace preservation sum_r N_r^dag N_r = 1 is checked on construction to
-    1e-12 in max norm.  `generator_only=True` skips that check; it marks sets
-    that only make sense inside a Lindblad generator (e.g. the single
-    operator N_1 = H reproducing energy dephasing) and such sets are rejected
-    by the discrete-channel constructors.
+    `operators` is the (K, d, d) stack; `dim` and `count` are read off its
+    shape.  Trace preservation sum_r N_r^dag N_r = 1 is checked on
+    construction to 1e-12 in max norm.
     """
 
-    dim: int
     operators: np.ndarray
     seed: Optional[int] = None
-    generator_only: bool = False
 
     def __post_init__(self) -> None:
         ops = np.asarray(self.operators, dtype=complex)
         object.__setattr__(self, "operators", ops)
-        if ops.ndim != 3 or ops.shape[1:] != (self.dim, self.dim):
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"operators must have shape (K, d, d), got {ops.shape}")
+        if not 1 <= self.count <= self.dim**2 - 2:
+            raise ValueError(f"count K={self.count} outside allowed range [1, d^2-2]")
+        defect = self.trace_defect()
+        if defect > 1e-12:
             raise ValueError(
-                f"operators must have shape (K, {self.dim}, {self.dim}), got {ops.shape}"
+                f"Kraus set is not trace preserving: |sum N^dag N - 1|_max = {defect:.3e}"
             )
-        k = ops.shape[0]
-        if not self.generator_only and not 1 <= k <= self.dim**2 - 2:
-            raise ValueError(f"count K={k} outside allowed range [1, d^2-2]")
-        if not self.generator_only:
-            defect = self.trace_defect()
-            if defect > 1e-12:
-                raise ValueError(
-                    f"Kraus set is not trace preserving: |sum N^dag N - 1|_max = {defect:.3e}"
-                )
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[1]
 
     @property
     def count(self) -> int:
@@ -170,9 +166,7 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     a = rng.normal(0.0, sigma, size=(d, d))
     h = (a + a.T) / 2.0
     energies, vecs = np.linalg.eigh(h)
-    return HamiltonianSpectrum(
-        dim=d, sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs
-    )
+    return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 
 
 def sample_cue(n: int, seed: int) -> np.ndarray:
@@ -216,14 +210,14 @@ def kraus_from_truncation(
         raise ValueError(f"unitary has shape {u.shape}, expected {(k * d, k * d)}")
     if k == 1:
         ops = u[np.newaxis, :, :].copy()
-        return KrausSet(dim=d, operators=ops, seed=seed)
+        return KrausSet(ops, seed=seed)
     if not 1 <= column_offset <= d * (k - 1):
         raise ValueError(
             f"column_offset={column_offset} outside allowed range [1, {d * (k - 1)}]"
         )
     cols = slice(column_offset, column_offset + d)
     ops = np.stack([u[r * d : (r + 1) * d, cols] for r in range(k)])
-    return KrausSet(dim=d, operators=ops, seed=seed)
+    return KrausSet(ops, seed=seed)
 
 
 def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> KrausSet:

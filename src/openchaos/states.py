@@ -58,14 +58,12 @@ class CoherentGibbsState:
 
     beta: float
     amplitudes: np.ndarray
-    energies: np.ndarray
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=float)
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        if amp.ndim != 1 or amp.shape != self.energies.shape:
-            raise ValueError("amplitudes and energies must be 1-D arrays of equal length")
+        if amp.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-D array, got shape {amp.shape}")
         if np.any(amp < 0):
             raise ValueError("amplitudes must be non-negative")
         norm = float(np.sum(amp**2))
@@ -88,7 +86,7 @@ def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     e = as_energies(energies)
     half = np.exp(-0.5 * beta * (e - e.min()))
     amp = half / np.linalg.norm(half)
-    return CoherentGibbsState(beta=float(beta), amplitudes=amp, energies=e)
+    return CoherentGibbsState(beta=float(beta), amplitudes=amp)
 
 
 def cgs_density(state: CoherentGibbsState) -> np.ndarray:

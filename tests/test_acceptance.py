@@ -36,7 +36,6 @@ from openchaos.pqc import (
     lindblad_generator,
 )
 from openchaos.rmt import (
-    KrausSet,
     derive_seed,
     heisenberg_time,
     sample_goe,
@@ -213,7 +212,7 @@ def test_markov_limit_first_order(verdict):
     d, gamma, horizon = 8, 0.5, 1.0
     h = sample_goe(d, 1.0, derive_seed(MASTER, 0, 300))
     ks = sample_kraus_set(d, KRAUS, derive_seed(MASTER, 1, 300))
-    target = expm(horizon * lindblad_generator(h, ks, gamma).matrix)
+    target = expm(horizon * lindblad_generator(h, ks.operators, gamma).matrix)
     taus = (1e-2, 1e-3, 1e-4)
     errs = []
     for tau in taus:
@@ -221,11 +220,10 @@ def test_markov_limit_first_order(verdict):
         prop = np.linalg.matrix_power(build_superoperator(ch).matrix, round(horizon / tau))
         errs.append(float(np.max(np.abs(prop - target))))
     slope = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
-    hk = KrausSet(d, h.matrix[np.newaxis].astype(complex), seed=None, generator_only=True)
     ed_gap = float(
         np.max(
             np.abs(
-                lindblad_generator(h, hk, gamma).matrix
+                lindblad_generator(h, h.matrix[np.newaxis], gamma).matrix
                 - ed_liouvillian(h, EDParams(gamma)).matrix
             )
         )

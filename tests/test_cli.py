@@ -580,6 +580,29 @@ def test_validate_rejects_oversized_grids(tmp_path, capsys, mode, name, value, m
     assert cli.main(["validate", str(p)]) == 0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# d = 2 has no isolated hole: relative_depth is nan in depth_grid.csv at every grid point
+_NO_HOLE = dict(mode="depth-grid", dim=2, realizations=2, kraus_count=1, tau=[0.5, 3.0], epsilon=[0.0, 0.3])
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS) + ["depth-grid-no-hole"])
+def test_manifest_is_strict_json(tmp_path, name):
+    p = tmp_path / "c.json"
+    if name == "depth-grid-no-hole":
+        p.write_text(json.dumps(dict(_NO_HOLE, output_dir=str(tmp_path / "out"))))
+    else:
+        _write_config(p, **_SMALL_RUNS[name])
+    assert cli.main(["run", str(p)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(), parse_constant=_reject_constant)
+    if name == "depth-grid-no-hole":
+        assert [g["relative_depth"] for g in manifest["grid"]] == [None] * 4
+        rows = (tmp_path / "out" / "depth_grid.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["nan"] * 4
+
+
 def test_plot_script_references_artifacts(tmp_path, capsys):
     p = tmp_path / "c.json"
     _write_config(p)
@@ -617,6 +640,8 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     pytest.param(json.dumps({"artifacts": [{"path": "a.csv' ; system('echo INJECTED') ; print '",
                                             "kind": "series", "label": "x"}]}), id="quote-in-path"),
     pytest.param('{"artifacts": ' + "[" * 200_000 + "]" * 200_000 + "}", id="nested-200000-deep"),
+    # a run config is no manifest: it has no artifacts list
+    '{"mode": "pqc-sff", "dim": 4}',
 ])
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -638,23 +663,16 @@ def test_plot_script_into_missing_directory_is_a_runtime_error(tmp_path, capsys)
     assert not target.exists()
 
 
-def test_full_scale_flag_raises_dim_and_realizations(tmp_path, monkeypatch):
+def test_full_scale_key_raises_dim_and_realizations(tmp_path):
     p = tmp_path / "c.json"
-    # load_config applies the scaling when the key is in the file
     _write_config(p, mode="csr", kraus_count=2, tau=[1.0], epsilon=[0.3],
                   full_scale=True)
-    from_file = cli.load_config(p)
-    # main applies it for --full-scale; capture the config instead of running it
-    _write_config(p, mode="csr", kraus_count=2, tau=[1.0], epsilon=[0.3])
-    seen = []
-    monkeypatch.setattr(cli, "run", lambda cfg, workers=1: seen.append(cfg) or {"artifacts": []})
-    assert cli.main(["run", str(p), "--full-scale"]) == 0
-    for loaded in (from_file, seen[0]):
-        assert loaded.full_scale
-        assert loaded.dim == 64
-        assert loaded.realizations == 4
-        assert loaded.allow_large
-        assert not cli.validate_config(loaded)
+    loaded = cli.load_config(p)
+    assert loaded.full_scale
+    assert loaded.dim == 64
+    assert loaded.realizations == 4
+    assert loaded.allow_large
+    assert not cli.validate_config(loaded)
 
 
 def test_gamma_scalar_promoted_to_list(tmp_path):

@@ -297,7 +297,7 @@ def test_channel_diagnostics_against_markov_limit():
     steps = 400
     rec = np.arange(0, steps + 1, 50)
     s = channel_diagnostics(ch, 0.0, steps, record_steps=rec)
-    gen = lindblad_generator(h, ks, gamma).matrix
+    gen = lindblad_generator(h, ks.operators, gamma).matrix
     cgs = make_cgs(h, 0.0)
     vec0 = vectorize(cgs_density(cgs))
     for pos, t in enumerate(s.times):

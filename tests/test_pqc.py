@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from openchaos.dephasing import EDParams, ed_liouvillian
 from openchaos.pqc import (
     ParametricChannel,
+    Superoperator,
     apply_channel,
     build_superoperator,
     evolve_discrete,
@@ -16,7 +17,7 @@ from openchaos.pqc import (
     interleaved,
     lindblad_generator,
 )
-from openchaos.rmt import KrausSet, derive_seed, sample_goe, sample_kraus_set
+from openchaos.rmt import derive_seed, sample_goe, sample_kraus_set
 from openchaos.states import cgs_density, make_cgs, vectorize
 
 
@@ -44,6 +45,10 @@ def test_superoperator_is_trace_preserving():
         ch = _channel(idx=idx, tau=0.7, eps=0.6)
         assert build_superoperator(ch).trace_defect() < 1e-12
         assert build_superoperator(interleaved(ch)).trace_defect() < 1e-12
+    assert build_superoperator(ch).hilbert_dim == ch.dim == 8
+    # a 6 x 6 matrix acts on no d x d operator, so it has no trace to keep
+    with pytest.raises(ValueError, match="perfect-square side"):
+        Superoperator(np.eye(6))
 
 
 def _factors(ch):
@@ -151,8 +156,7 @@ def test_markov_generator_with_hamiltonian_kraus_is_dephasing():
     # dephasing Liouvillian, entry by entry
     d, gamma = 8, 0.3
     h = sample_goe(d, 1.0, derive_seed(31, 0, 5))
-    ks = KrausSet(d, h.matrix[np.newaxis].astype(complex), seed=None, generator_only=True)
-    gen = lindblad_generator(h, ks, gamma)
+    gen = lindblad_generator(h, h.matrix[np.newaxis], gamma)
     led = ed_liouvillian(h, EDParams(gamma))
     assert np.max(np.abs(gen.matrix - led.matrix)) < 1e-12
 
@@ -161,7 +165,7 @@ def test_markov_generator_preserves_trace():
     d = 6
     h = sample_goe(d, 1.0, derive_seed(31, 0, 6))
     ks = sample_kraus_set(d, 3, derive_seed(31, 1, 6))
-    gen = lindblad_generator(h, ks, 0.4)
+    gen = lindblad_generator(h, ks.operators, 0.4)
     one = np.eye(d, dtype=complex).reshape(-1)
     assert np.max(np.abs(one @ gen.matrix)) < 1e-12
 
@@ -170,7 +174,7 @@ def test_markov_limit_fixed_horizon_first_order():
     d, gamma, t = 6, 0.5, 1.0
     h = sample_goe(d, 1.0, derive_seed(31, 0, 7))
     ks = sample_kraus_set(d, 3, derive_seed(31, 1, 7))
-    target = expm(t * lindblad_generator(h, ks, gamma).matrix)
+    target = expm(t * lindblad_generator(h, ks.operators, gamma).matrix)
     errs, taus = [], (1e-2, 1e-3, 1e-4)
     for tau in taus:
         ch = ParametricChannel(tau=tau, epsilon=2 * gamma * tau, hamiltonian=h, kraus=ks)
@@ -178,14 +182,6 @@ def test_markov_limit_fixed_horizon_first_order():
         errs.append(np.max(np.abs(prop - target)))
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
-
-
-def test_channel_rejects_generator_only_kraus():
-    h = sample_goe(4, 1.0, derive_seed(31, 0, 8))
-    ops = np.stack([np.eye(4, dtype=complex)])
-    ks = KrausSet(4, ops, seed=None, generator_only=True)
-    with pytest.raises(ValueError):
-        ParametricChannel(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks)
 
 
 def test_channel_parameter_validation():
@@ -197,6 +193,8 @@ def test_channel_parameter_validation():
         ParametricChannel(tau=0.1, epsilon=1.5, hamiltonian=h, kraus=ks)
     with pytest.raises(ValueError):
         ParametricChannel(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks, hbar=0.0)
+    with pytest.raises(ValueError, match=r"operators must have shape \(K, 4, 4\)"):
+        lindblad_generator(h, ks.operators[:, :3, :3], 0.1)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from openchaos.rmt import (
+    HamiltonianSpectrum,
     KrausSet,
     critical_tau,
     derive_seed,
@@ -56,6 +57,10 @@ def test_goe_matrix_is_symmetric_and_validates():
     assert np.allclose(h.matrix, h.matrix.T)
     assert np.all(np.diff(h.energies) >= 0)
     assert np.max(np.abs(np.linalg.eigvalsh(h.matrix) - h.energies)) < 1e-10 * np.max(np.abs(h.energies))
+    assert h.dim == 16
+    for energies in (h.energies[np.newaxis], h.energies[:1]):
+        with pytest.raises(ValueError, match="1-D with at least 2 levels"):
+            HamiltonianSpectrum(sigma=1.0, energies=energies, seed=h.seed)
 
 
 def test_goe_eigendecomposition_consistent():
@@ -157,13 +162,13 @@ def test_kraus_set_count_bounds():
         sample_kraus_set(4, 0, derive_seed(6, 1, 3))
 
 
-def test_generator_only_skips_trace_check():
+def test_kraus_set_rejects_a_stack_that_is_not_trace_preserving():
     ops = np.zeros((1, 4, 4))
     ops[0] = np.diag([1.0, 2.0, 3.0, 4.0])
-    ks = KrausSet(4, ops, seed=None, generator_only=True)
-    assert ks.generator_only
-    with pytest.raises(ValueError):
-        KrausSet(4, ops, seed=None)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        KrausSet(ops)
+    ks = KrausSet(np.eye(4)[np.newaxis])
+    assert (ks.dim, ks.count) == (4, 1)
 
 
 # ---------------------------------------------------------------------------

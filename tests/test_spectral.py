@@ -172,7 +172,7 @@ def test_unknown_boundary_kind_raises():
 
 
 def test_eigenvalues_error_carries_context():
-    bad = Superoperator(np.full((4, 4), np.nan), 2)
+    bad = Superoperator(np.full((4, 4), np.nan))
     with pytest.raises(EigensolverError, match="tau=0.3"):
         eigenvalues(bad, context="tau=0.3, eps=0.1")
 
@@ -197,12 +197,12 @@ def test_eigenvalues_reuse_the_solve_of_an_equal_matrix(monkeypatch):
     calls = _count_solves(monkeypatch)
     op = _channel_superoperator(70)
     first = eigenvalues(op)
-    again = eigenvalues(Superoperator(op.matrix.copy(order="F"), op.hilbert_dim))
+    again = eigenvalues(Superoperator(op.matrix.copy(order="F")))
     assert len(calls) == 1
     assert np.array_equal(first, again) and first is not again
     changed = op.matrix.copy()
     changed[0, 1] += 1e-15
-    eigenvalues(Superoperator(changed, op.hilbert_dim))
+    eigenvalues(Superoperator(changed))
     assert len(calls) == 2
 
 
@@ -221,7 +221,7 @@ def test_writing_to_returned_eigenvalues_leaves_the_memo_unchanged(monkeypatch):
 
 def test_failed_eigensolve_is_not_stored(monkeypatch):
     calls = _count_solves(monkeypatch)
-    bad = Superoperator(np.full((4, 4), np.nan), 2)
+    bad = Superoperator(np.full((4, 4), np.nan))
     for _ in range(2):
         with pytest.raises(EigensolverError, match=r"failed at tau=0\.3, eps=0\.1: "):
             eigenvalues(bad, context="tau=0.3, eps=0.1")

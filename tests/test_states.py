@@ -63,11 +63,12 @@ def test_cgs_uniform_at_beta_zero():
 
 
 def test_cgs_rejects_bad_amplitudes():
-    e = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
-        CoherentGibbsState(beta=0.0, amplitudes=np.array([1.0, 1.0]), energies=e)
+        CoherentGibbsState(beta=0.0, amplitudes=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        CoherentGibbsState(beta=0.0, amplitudes=np.array([-1.0, 0.0]), energies=e)
+        CoherentGibbsState(beta=0.0, amplitudes=np.array([-1.0, 0.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        CoherentGibbsState(beta=0.0, amplitudes=np.array([[1.0, 0.0]]))
 
 
 def test_cgs_density_is_pure_projector():
