@@ -46,7 +46,6 @@ from typing import Callable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .dephasing import EDParams
 from .diagnostics import (
     DiagnosticSeries,
     SeriesAccumulator,
@@ -232,25 +231,28 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"points must lie in [2, {_MAX_POINTS}], got {cfg.points}")
     if cfg.grid_kind not in ("log", "linear"):
         say(f"grid_kind must be 'log' or 'linear', got {cfg.grid_kind!r}")
-    if cfg.t_min <= 0 and cfg.grid_kind == "log":
-        say(f"t_min must be > 0 on a log grid, got {cfg.t_min}")
-    elif cfg.t_min < 0:
-        say(f"t_min must be >= 0, got {cfg.t_min}")
-    if cfg.t_max is not None and cfg.t_max <= cfg.t_min:
-        say(f"t_max={cfg.t_max} must exceed t_min={cfg.t_min}")
     if cfg.channel_form not in ("mixture", "interleaved"):
         say(f"channel_form must be 'mixture' or 'interleaved', got {cfg.channel_form!r}")
     if cfg.margin < 0:
         say(f"margin must be >= 0, got {cfg.margin}")
     if not 8 <= cfg.histogram_bins <= _MAX_HISTOGRAM_BINS:
         say(f"histogram_bins must lie in [8, {_MAX_HISTOGRAM_BINS}], got {cfg.histogram_bins}")
+    # only ed-sff reads t_min; pqc-sff reads t_max alone, the other modes neither
     if cfg.mode == "ed-sff":
+        if cfg.t_min <= 0 and cfg.grid_kind == "log":
+            say(f"t_min must be > 0 on a log grid, got {cfg.t_min}")
+        elif cfg.t_min < 0:
+            say(f"t_min must be >= 0, got {cfg.t_min}")
+        if cfg.t_max is not None and cfg.t_max <= cfg.t_min:
+            say(f"t_max={cfg.t_max} must exceed t_min={cfg.t_min}")
         if not cfg.gamma:
             say("ed-sff needs a non-empty gamma list")
         if any(g < 0 for g in cfg.gamma):
             say("gamma values must be >= 0")
         issues += _tag_collisions("gamma", "gamma", cfg.gamma)
     else:
+        if cfg.mode == "pqc-sff" and cfg.t_max is not None and cfg.t_max <= 0:
+            say(f"t_max must be > 0, got {cfg.t_max}")
         d2 = cfg.dim**2
         if not 1 <= cfg.kraus_count <= d2 - 2:
             say(f"kraus_count must lie in [1, {d2 - 2}], got {cfg.kraus_count}")
@@ -459,10 +461,9 @@ def _write_ensemble_means(
 
 def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     times = _time_grid(cfg)
-    params = [EDParams(g, cfg.hbar) for g in cfg.gamma]
 
     def worker(idx: int):
-        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, params, times)
+        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, times, cfg.hbar)
 
     points = [(_tag(gamma=g), f"gamma={g}", {"gamma": g}) for g in cfg.gamma]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
@@ -609,7 +610,6 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
     taus = list(cfg.tau)
     j_max = {t: math.ceil(t_h / t) + 1 for t in taus}
-    iso_params = EDParams(0.0, cfg.hbar)
 
     def worker(idx: int):
         """Per tau: the isolated series, then one series per eps."""
@@ -617,7 +617,7 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
         out_series = []
         for tau in taus:
             times = np.arange(j_max[tau] + 1) * tau
-            iso = ed_diagnostics(h, cfg.beta, iso_params, times)
+            (iso,) = ed_diagnostics(h, cfg.beta, [0.0], times, cfg.hbar)
             out_series.append(iso)
             for eps in cfg.epsilon:
                 if eps == 0.0:

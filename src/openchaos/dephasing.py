@@ -27,21 +27,18 @@ common convention hbar = 1 makes it invisible.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .pqc import Superoperator
+from .pqc import Superoperator, _check_rates
 from .states import EnergiesLike, as_energies, make_cgs, plateau_value
 
 __all__ = [
-    "EDParams",
     "ed_evolve",
     "EDClosedForms",
     "ed_closed_forms",
     "taylor_lower_bound",
-    "ed_sff_lower_bound",
     "ed_liouvillian",
 ]
 
@@ -55,36 +52,23 @@ _PAIR_BLOCK = 1 << 16
 _UNDERFLOW = 746.0
 
 
-@dataclass(frozen=True)
-class EDParams:
-    """Finite dephasing strength gamma >= 0 and finite hbar > 0."""
-
-    gamma: float
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not 0.0 < self.hbar < math.inf:
-            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
-
-
 def _check_times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("times must be >= 0")
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be finite and >= 0")
     return t
 
 
-def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, params: EDParams, t: float) -> np.ndarray:
+def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, gamma: float, t: float, hbar: float = 1.0) -> np.ndarray:
     """Exact dephasing propagation of rho0 (eigenbasis) to time t >= 0."""
+    _check_rates([gamma], hbar)
     tt = float(_check_times(t))
     m = np.asarray(rho0, dtype=complex)
     e = as_energies(energies)
     if m.shape[0] != e.size:
         raise ValueError(f"state dimension {m.shape[0]} != spectrum size {e.size}")
     w = e[:, np.newaxis] - e[np.newaxis, :]
-    kernel = np.exp(-1j * tt * w / params.hbar - params.gamma * tt * w**2)
+    kernel = np.exp(-1j * tt * w / hbar - gamma * tt * w**2)
     return m * kernel
 
 
@@ -114,8 +98,8 @@ class EDClosedForms(NamedTuple):
 
 
 def ed_closed_forms(
-    energies: EnergiesLike, beta: float, params: EDParams | Sequence[EDParams], t
-) -> EDClosedForms | List[EDClosedForms]:
+    energies: EnergiesLike, beta: float, gammas: Sequence[float], t, hbar: float = 1.0
+) -> List[EDClosedForms]:
     """SFF, l1 coherence, dC_l1/dgamma and purity under dephasing, vectorized over t.
 
     With w = E_n - E_m and one sum over level pairs m < n,
@@ -125,10 +109,9 @@ def ed_closed_forms(
         dC_l1/dgamma = -2 * sum sqrt(p_n p_m) t w^2 exp(-gamma*t*w^2)
         purity(t)    = F_p + 2 * sum p_n p_m exp(-2*gamma*t*w^2)
 
-    C_l1 is d - 1 at t = 0, beta = 0.  `params` is one EDParams, which gives
-    one EDClosedForms, or a sequence of EDParams sharing one hbar, which
-    gives a list of them in the same order from a single pass over the level
-    pairs.
+    C_l1 is d - 1 at t = 0, beta = 0.  One call takes a non-empty sequence of
+    gammas and returns one EDClosedForms per gamma, in the same order, from a
+    single pass over the level pairs.
 
     The level pairs are taken in ascending order of w^2, once per call.  Per
     block of times the pair cosines come from per-level phases
@@ -151,21 +134,19 @@ def ed_closed_forms(
     value depends neither on the block size nor on the rest of the grid or
     the gamma list.  It does depend on the BLAS thread count once a row is
     long enough for the BLAS to split its dot product (OpenBLAS: above
-    10^4 pairs, d >= 142).  Scalar t in, floats out.  A largest t at which
-    gamma*t*w^2, t*w^2*d or t*|E|/hbar overflows raises ValueError.
+    10^4 pairs, d >= 142).  Scalar t in, floats out.  Times must be finite
+    and >= 0; a largest t at which gamma*t*w^2, t*w^2*d or t*|E|/hbar
+    overflows raises ValueError.
     """
-    single = isinstance(params, EDParams)
-    plist = [params] if single else list(params)
-    if not plist:
-        raise ValueError("need at least one EDParams")
-    hbar = plist[0].hbar
-    if any(p.hbar != hbar for p in plist):
-        raise ValueError("all EDParams of one call must share hbar")
+    gammas = list(gammas)
+    if not gammas:
+        raise ValueError("need at least one gamma")
+    _check_rates(gammas, hbar)
     t = _check_times(t)
     e = as_energies(energies)
     # Every product the kernel forms must be finite; as Python floats they overflow to inf
     # quietly, and an infinite gamma*t times a zero w^2 is nan.
-    t_top, g_top = float(np.max(t, initial=0.0)), float(max(p.gamma for p in plist))
+    t_top, g_top = float(np.max(t, initial=0.0)), float(max(gammas))
     span, e_top = float(e.max()) - float(e.min()), float(np.abs(e).max())
     scales = (g_top * t_top * (span * span), t_top * (span * span) * e.size, t_top * e_top / float(hbar))
     if not all(map(math.isfinite, scales)):
@@ -175,7 +156,7 @@ def ed_closed_forms(
     ones = np.ones_like(w)
     fp = plateau_value(e, beta)
     flat = np.atleast_1d(t).reshape(-1)
-    out = np.empty((len(plist), 4, flat.size))
+    out = np.empty((len(gammas), 4, flat.size))
     rows = max(1, _PAIR_BLOCK // max(w.size, 1))
     buffers = np.empty((2, min(rows, flat.size), w.size))
     for lo in range(0, flat.size, rows):
@@ -189,14 +170,14 @@ def ed_closed_forms(
         products = np.matmul(phases.transpose(0, 2, 1), phases)
         np.take(products.reshape(ts.shape[0], -1), flat_pairs, axis=1, out=q)
         np.multiply(q, sqpp, out=q)
-        for p, forms in zip(plist, out):
+        for gamma, forms in zip(gammas, out):
             block = forms[:, lo:lo + rows]
             # Python floats: a subnormal rate makes the limit inf, without a warning
-            rate = float(p.gamma) * t_lo
+            rate = float(gamma) * t_lo
             limit = _UNDERFLOW / rate if rate > 0.0 else math.inf
             cut = int(np.searchsorted(w2, limit, side="right"))
             head = u[:, :cut]
-            np.multiply(-p.gamma * ts, w2[:cut], out=head)
+            np.multiply(-gamma * ts, w2[:cut], out=head)
             np.exp(head, out=head)
             np.multiply(head, sqpp[:cut], out=head)
             u[:, cut:] = 0.0
@@ -205,21 +186,20 @@ def ed_closed_forms(
             block[2] = -2.0 * ts[:, 0] * np.vecdot(u, w2)
             block[3] = fp + 2.0 * np.vecdot(u, u)
     if t.ndim == 0:
-        results = [EDClosedForms(*(float(x[0]) for x in forms)) for forms in out]
-    else:
-        results = [EDClosedForms(*(x.reshape(t.shape) for x in forms)) for forms in out]
-    return results[0] if single else results
+        return [EDClosedForms(*(float(x[0]) for x in forms)) for forms in out]
+    return [EDClosedForms(*(x.reshape(t.shape) for x in forms)) for forms in out]
 
 
-def taylor_lower_bound(forms: EDClosedForms, dim: int, params: EDParams, t) -> np.ndarray:
+def taylor_lower_bound(forms: EDClosedForms, dim: int, t, hbar: float = 1.0) -> np.ndarray:
     """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms.
 
     The last term is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, so a small hbar
     cannot underflow hbar^2 to zero first.  Where it overflows at the largest
     |t| and |dC_l1/dgamma|, ValueError is raised.
     """
+    _check_rates((), hbar)
     t = np.asarray(t, dtype=float)
-    hbar = float(params.hbar)
+    hbar = float(hbar)
     # Python floats overflow to inf quietly
     t_top = float(np.max(np.abs(t), initial=0.0))
     slope_top = float(np.max(np.abs(forms.cl1_gamma_derivative), initial=0.0))
@@ -228,19 +208,14 @@ def taylor_lower_bound(forms: EDClosedForms, dim: int, params: EDParams, t) -> n
     return (1.0 + forms.cl1 + (t / hbar) * (forms.cl1_gamma_derivative / hbar) / 2.0) / dim
 
 
-def ed_sff_lower_bound(energies: EnergiesLike, params: EDParams, t) -> np.ndarray:
-    """Coherence lower bound (1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)), known only at beta = 0."""
-    e = as_energies(energies)
-    return taylor_lower_bound(ed_closed_forms(e, 0.0, params, t), e.size, params, t)
-
-
-def ed_liouvillian(energies: EnergiesLike, params: EDParams) -> Superoperator:
+def ed_liouvillian(energies: EnergiesLike, gamma: float, hbar: float = 1.0) -> Superoperator:
     """Dephasing Liouvillian, diagonal in the vectorized eigenbasis.
 
     Entry (n*d + m) is -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2; matches the
     Lindblad generator with the single operator N_1 = H.
     """
+    _check_rates([gamma], hbar)
     e = as_energies(energies)
     w = (e[:, np.newaxis] - e[np.newaxis, :]).reshape(-1)
-    diag = -1j * w / params.hbar - params.gamma * w**2
+    diag = -1j * w / hbar - gamma * w**2
     return Superoperator(np.diag(diag))

@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .dephasing import EDParams, ed_closed_forms, taylor_lower_bound
+from .dephasing import ed_closed_forms, taylor_lower_bound
 from .pqc import ParametricChannel, evolve_discrete
 from .states import (
     CoherentGibbsState,
@@ -341,23 +341,18 @@ def ensemble_average(series: Iterable[DiagnosticSeries]) -> DiagnosticSeries:
 
 
 def ed_diagnostics(
-    energies: EnergiesLike,
-    beta: float,
-    params: EDParams | Sequence[EDParams],
-    times: np.ndarray,
-) -> DiagnosticSeries | List[DiagnosticSeries]:
-    """Closed-form dephasing series on an arbitrary time grid.
+    energies: EnergiesLike, beta: float, gammas: Sequence[float], times: np.ndarray, hbar: float = 1.0
+) -> List[DiagnosticSeries]:
+    """Closed-form dephasing series on an arbitrary time grid, one per gamma.
 
-    `params` is one EDParams, which gives one series, or a sequence of
-    EDParams sharing one hbar, which gives a list of series in the same
-    order from one pass of `ed_closed_forms` over the level pairs.
+    The series come in the order of `gammas`, from one pass of
+    `ed_closed_forms` over the level pairs; at beta = 0 each carries the
+    Taylor lower bound.
     """
     e = as_energies(energies)
     t = np.asarray(times, dtype=float)
-    single = isinstance(params, EDParams)
-    plist = [params] if single else list(params)
     fp = plateau_value(e, beta)
-    series = [
+    return [
         DiagnosticSeries(
             dim=e.size,
             beta=beta,
@@ -366,11 +361,10 @@ def ed_diagnostics(
             cl1=forms.cl1,
             purity=forms.purity,
             plateau=fp,
-            lower_bound=taylor_lower_bound(forms, e.size, p, t) if beta == 0.0 else None,
+            lower_bound=taylor_lower_bound(forms, e.size, t, hbar) if beta == 0.0 else None,
         )
-        for p, forms in zip(plist, ed_closed_forms(e, beta, plist, t))
+        for forms in ed_closed_forms(e, beta, gammas, t, hbar)
     ]
-    return series[0] if single else series
 
 
 def channel_diagnostics(

@@ -92,6 +92,15 @@ class Superoperator:
         return float(np.max(np.abs(one @ self.matrix - one)))
 
 
+def _check_rates(gammas, hbar: float) -> None:
+    """Every rate gamma finite and >= 0, hbar finite and > 0; NaN fails both."""
+    for gamma in gammas:
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
+
+
 def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> np.ndarray:
     """A (K, d, d) operator stack conjugated by the eigenvector matrix of H, if one was kept."""
     q = hamiltonian.eigenvectors
@@ -146,8 +155,7 @@ class ParametricChannel:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.hbar < math.inf:
-            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
+        _check_rates((), self.hbar)
         if self.kraus.dim != self.hamiltonian.dim:
             raise ValueError(
                 f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
@@ -266,10 +274,7 @@ def lindblad_generator(
     energy-dephasing Liouvillian, diagonal with entries
     -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if hbar <= 0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
+    _check_rates([gamma], hbar)
     d = hamiltonian.dim
     operators = np.asarray(operators, dtype=complex)
     if operators.ndim != 3 or operators.shape[1:] != (d, d):

@@ -13,13 +13,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.spatial.distance import cdist
 
-from openchaos.dephasing import (
-    EDParams,
-    ed_closed_forms,
-    ed_evolve,
-    ed_liouvillian,
-    ed_sff_lower_bound,
-)
+from openchaos.dephasing import ed_closed_forms, ed_evolve, ed_liouvillian
 from openchaos.diagnostics import (
     SeriesAccumulator,
     channel_diagnostics,
@@ -117,9 +111,8 @@ def test_coherence_sandwich_ed_and_channel(goe100, verdict):
     times = np.geomspace(0.1, 4.0 * T_H, 400)
     count, worst = 0, 0.0
     for gamma in (0.1, 4.0):
-        params = EDParams(gamma)
         for h in goe100[:50]:
-            rep = sff_cl1_sandwich(ed_diagnostics(h, 0.0, params, times), tol=1e-10)
+            rep = sff_cl1_sandwich(ed_diagnostics(h, 0.0, [gamma], times)[0], tol=1e-10)
             count += rep.count
             worst = max(worst, rep.max_violation)
     steps = round(2.0 * T_H / 0.01)
@@ -145,9 +138,9 @@ def test_dephasing_taylor_lower_bound(goe100, verdict):
     times = np.geomspace(0.01, 4.0 * T_H, 400)
     worst = -np.inf
     for gamma in (0.1, 1.0, 4.0):
-        params = EDParams(gamma)
         for h in goe100[:50]:
-            gap = ed_sff_lower_bound(h, params, times) - ed_closed_forms(h, 0.0, params, times).sff
+            bound = ed_diagnostics(h, 0.0, [gamma], times)[0].lower_bound
+            gap = bound - ed_closed_forms(h, 0.0, [gamma], times)[0].sff
             worst = max(worst, float(np.max(gap)))
     verdict(
         2,
@@ -195,7 +188,7 @@ def test_dual_route_oracles(verdict):
         k3 = rhs(r + 0.5 * dt * k2)
         k4 = rhs(r + dt * k3)
         r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    closed = ed_evolve(rho0, h, EDParams(gamma), horizon)
+    closed = ed_evolve(rho0, h, gamma, horizon)
     worst_rk4 = float(np.max(np.abs(closed - q.T @ r @ q)))
     verdict(
         3,
@@ -224,7 +217,7 @@ def test_markov_limit_first_order(verdict):
         np.max(
             np.abs(
                 lindblad_generator(h, h.matrix[np.newaxis], gamma).matrix
-                - ed_liouvillian(h, EDParams(gamma)).matrix
+                - ed_liouvillian(h, gamma).matrix
             )
         )
     )
@@ -296,7 +289,7 @@ def test_correlation_hole_suppression(goe100, verdict):
         ks = sample_kraus_set(DIM, KRAUS, derive_seed(MASTER, 1, i))
         for tau in taus:
             times = np.arange(j_max[tau] + 1) * tau
-            iso_acc[tau].add(ed_diagnostics(h, 0.0, EDParams(0.0), times))
+            iso_acc[tau].add(ed_diagnostics(h, 0.0, [0.0], times)[0])
         for tau, eps in pairs:
             ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=ks)
             acc[(tau, eps)].add(channel_diagnostics(ch, 0.0, j_max[tau]))
@@ -326,12 +319,12 @@ def test_plateau_and_timescales(goe100, verdict):
     # late-time SFF mean vs F_p (paired per realization), Thouless growth
     # with gamma, and spectrum of a channel power vs power of the spectrum
     window = np.linspace(2.0 * T_H, 4.0 * T_H, 64)
-    params = EDParams(0.01)
+    gammas = [0.01]
     tstats = []
     for beta in (0.0, 0.1):
         devs = np.array(
             [
-                float(np.mean(ed_closed_forms(h, beta, params, window).sff) - plateau_value(h, beta))
+                float(np.mean(ed_closed_forms(h, beta, gammas, window)[0].sff) - plateau_value(h, beta))
                 for h in goe100
             ]
         )
@@ -341,7 +334,7 @@ def test_plateau_and_timescales(goe100, verdict):
     t_ths = []
     for gamma in (0.0, 0.1, 1.0):
         mean = ensemble_average(
-            ed_diagnostics(h, 0.0, EDParams(gamma), times) for h in goe100
+            ed_diagnostics(h, 0.0, [gamma], times)[0] for h in goe100
         )
         t_ths.append(estimate_thouless(mean, T_H))
     monotone = all(a <= b for a, b in zip(t_ths, t_ths[1:]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -13,8 +14,16 @@ import numpy as np
 import pytest
 
 from openchaos import cli, spectral
+from openchaos.diagnostics import (
+    SeriesAccumulator,
+    columns_to_csv,
+    ed_diagnostics,
+    effective_depth,
+    estimate_thouless,
+    series_to_csv,
+)
 from openchaos.pqc import ParametricChannel
-from openchaos.rmt import derive_seed, sample_goe, sample_kraus_set
+from openchaos.rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from openchaos.spectral import EigensolverError
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -59,6 +68,9 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         # a float of dim overflows in t_H or phi_max
         (dict(mode="pqc-sff", dim=10**400, allow_large=True), ("dim",)),
         (dict(mode="phase-grid", dim=10**400, allow_large=True), ("dim",)),
+        # pqc-sff reads t_max but not t_min
+        (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=0.0), ("t_max must be > 0, got 0.0",)),
+        (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=-1.0), ("t_max must be > 0, got -1.0",)),
     ]
     for overrides, names in cases:
         _write_config(p, **overrides)
@@ -114,6 +126,22 @@ def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, sigm
     _write_config(p, mode=mode, dim=4, sigma=sigma, realizations=2, points=5, t_max=3.0,
                   tau=[0.5], epsilon=[0.3])
     assert cli.main(["validate", str(p)]) == (1 if mode == "depth-grid" else 0)
+
+
+@pytest.mark.parametrize("config", [
+    # t_min defaults to 0.1, which pqc-sff never reads
+    pytest.param(dict(mode="pqc-sff", dim=4, kraus_count=2, tau=[0.01], epsilon=[0.2], t_max=0.05),
+                 id="pqc-sff-t_max-below-t_min"),
+    pytest.param(dict(mode="depth-grid", dim=4, kraus_count=2, realizations=2, tau=[0.5],
+                      epsilon=[0.0, 0.2], t_max=0.05), id="depth-grid-t_max"),
+    pytest.param(dict(mode="spectrum", dim=4, kraus_count=2, realizations=2, tau=[0.5],
+                      epsilon=[0.2], t_min=0), id="spectrum-t_min=0"),
+])
+def test_time_grid_rules_bind_only_the_modes_that_read_them(tmp_path, config):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
+    assert cli.main(["validate", str(p)]) == 0
+    assert cli.main(["run", str(p)]) == 0
 
 
 def test_validate_rejects_a_negative_master_seed(tmp_path, capsys):
@@ -276,6 +304,40 @@ def test_ed_sff_gamma_list_matches_one_gamma_runs(tmp_path):
         assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "one")]) == 0
         name = f"ed-sff_gamma{g:g}.csv"
         assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+def test_runs_pass_hbar_to_the_dephasing_kernel(tmp_path):
+    # the ed-sff series and the depth-grid isolated reference are the library's at hbar = 0.7
+    hbar = 0.7
+    p = tmp_path / "c.json"
+    raw = _write_config(p, gamma=[0.1, 1.0], hbar=hbar)
+    assert cli.main(["run", str(p)]) == 0
+    cfg = cli.ExperimentConfig(**raw)
+    times = np.geomspace(cfg.t_min, cfg.t_max, cfg.points)
+    accs = [SeriesAccumulator() for _ in cfg.gamma]
+    for idx in range(cfg.realizations):  # seed stream 0 draws the Hamiltonians
+        h = sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, 0, idx))
+        for acc, s in zip(accs, ed_diagnostics(h, cfg.beta, cfg.gamma, times, hbar)):
+            acc.add(s)
+    for g, acc in zip(cfg.gamma, accs):
+        assert (tmp_path / "out" / f"ed-sff_gamma{g:g}.csv").read_text() == series_to_csv(acc.finalize())
+
+    raw = _write_config(p, mode="depth-grid", dim=6, realizations=3, tau=[0.5], epsilon=[0.0],
+                        kraus_count=2, hbar=hbar, output_dir=str(tmp_path / "depth"))
+    assert cli.main(["run", str(p)]) == 0
+    cfg = cli.ExperimentConfig(**raw)
+    t_h = heisenberg_time(cfg.dim, cfg.sigma, hbar)
+    times = np.arange(math.ceil(t_h / 0.5) + 2) * 0.5
+    acc = SeriesAccumulator()
+    for idx in range(cfg.realizations):
+        h = sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, 0, idx))
+        acc.add(ed_diagnostics(h, cfg.beta, [0.0], times, hbar)[0])
+    iso = acc.finalize()
+    t_th = estimate_thouless(iso, t_h)
+    d_iso = effective_depth(iso, t_th, t_h, 0.5)
+    header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
+    expect = columns_to_csv(header, zip((0.5, 0.0, d_iso, d_iso, 1.0, t_th, t_h)))
+    assert (tmp_path / "depth" / "depth_grid.csv").read_text() == expect
 
 
 def test_run_shuts_its_worker_threads_down(tmp_path):

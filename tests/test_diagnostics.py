@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from openchaos.dephasing import EDParams
 from openchaos.diagnostics import (
     DiagnosticSeries,
     SeriesAccumulator,
@@ -272,12 +271,12 @@ def test_ensemble_average_two_point():
 def test_ed_diagnostics_consistency():
     h = sample_goe(10, 1.0, derive_seed(51, 0, 0))
     times = np.geomspace(0.05, 30.0, 60)
-    s = ed_diagnostics(h, 0.0, EDParams(0.3), times)
+    (s,) = ed_diagnostics(h, 0.0, [0.3], times)
     s.validate()
     assert s.lower_bound is not None
     assert sff_cl1_sandwich(s).ok
     assert np.all(s.sff >= s.lower_bound - 1e-12)
-    s2 = ed_diagnostics(h, 0.4, EDParams(0.3), times)
+    (s2,) = ed_diagnostics(h, 0.4, [0.3], times)
     assert s2.lower_bound is None  # bound only proven at beta=0
 
 
@@ -353,7 +352,7 @@ def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
 def test_series_to_csv_layout_and_determinism():
     h = sample_goe(8, 1.0, derive_seed(52, 0, 0))
     times = np.geomspace(0.1, 10.0, 20)
-    s = ed_diagnostics(h, 0.0, EDParams(0.2), times)
+    (s,) = ed_diagnostics(h, 0.0, [0.2], times)
     text = series_to_csv(s)
     lines = text.strip().split("\n")
     assert lines[0] == "t,sff,sff_stderr,cl1,purity,lower_bound,upper_bound"
@@ -366,7 +365,7 @@ def test_series_to_csv_layout_and_determinism():
 
 def test_series_to_csv_finite_temperature_blanks_sandwich():
     h = sample_goe(8, 1.0, derive_seed(52, 0, 1))
-    s = ed_diagnostics(h, 0.5, EDParams(0.2), np.array([0.5, 1.0]))
+    (s,) = ed_diagnostics(h, 0.5, [0.2], np.array([0.5, 1.0]))
     rows = series_to_csv(s).strip().split("\n")[1:]
     for row in rows:
         cols = row.split(",")
@@ -380,7 +379,7 @@ def test_golden_ensemble_checksum():
     acc = SeriesAccumulator()
     for i in range(20):
         h = sample_goe(16, 1.0, derive_seed(99, 0, i))
-        acc.add(ed_diagnostics(h, 0.0, EDParams(0.5), times))
+        acc.add(ed_diagnostics(h, 0.0, [0.5], times)[0])
     text = series_to_csv(acc.finalize())
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "b1c6bd589cb124ca57ed9f5faeac7d23c404b9276eea8ae6e88615ebdcd2f3fd"

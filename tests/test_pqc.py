@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from openchaos.dephasing import EDParams, ed_liouvillian
+from openchaos.dephasing import ed_liouvillian
 from openchaos.pqc import (
     ParametricChannel,
     Superoperator,
@@ -157,7 +157,7 @@ def test_markov_generator_with_hamiltonian_kraus_is_dephasing():
     d, gamma = 8, 0.3
     h = sample_goe(d, 1.0, derive_seed(31, 0, 5))
     gen = lindblad_generator(h, h.matrix[np.newaxis], gamma)
-    led = ed_liouvillian(h, EDParams(gamma))
+    led = ed_liouvillian(h, gamma)
     assert np.max(np.abs(gen.matrix - led.matrix)) < 1e-12
 
 
@@ -195,6 +195,11 @@ def test_channel_parameter_validation():
         ParametricChannel(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks, hbar=0.0)
     with pytest.raises(ValueError, match=r"operators must have shape \(K, 4, 4\)"):
         lindblad_generator(h, ks.operators[:, :3, :3], 0.1)
+    # a nan gamma gave a nan generator, and an infinite hbar passed
+    for gamma, hbar, name in [(math.nan, 1.0, "gamma"), (math.inf, 1.0, "gamma"), (-0.1, 1.0, "gamma"),
+                              (0.1, math.inf, "hbar"), (0.1, math.nan, "hbar"), (0.1, 0.0, "hbar")]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            lindblad_generator(h, ks.operators, gamma, hbar)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from openchaos import dephasing, diagnostics
-from openchaos.dephasing import EDParams, ed_closed_forms
+from openchaos.dephasing import ed_closed_forms
 from openchaos.diagnostics import channel_diagnostics, cl1_norm, ed_diagnostics, purity, sff_fidelity
 from openchaos.pqc import (
     ParametricChannel,
@@ -258,18 +258,18 @@ times = st.one_of(
 )
 
 
-def _pair_sums(e, beta, params, t):
+def _pair_sums(e, beta, gamma, hbar, t):
     """The four closed forms of one gamma as whole-grid pair sums, without blocks or buffers."""
     w, sqpp, _ = dephasing._pair_data(e, beta)
     pp = sqpp * sqpp
     fp = plateau_value(e, beta)
     ts = np.atleast_1d(t).reshape(-1)[:, np.newaxis]
-    damp = np.exp(-params.gamma * ts * w**2)
+    damp = np.exp(-gamma * ts * w**2)
     sums = (
-        fp + 2.0 * np.sum(pp * damp * np.cos(w * ts / params.hbar), axis=1),
+        fp + 2.0 * np.sum(pp * damp * np.cos(w * ts / hbar), axis=1),
         2.0 * np.sum(sqpp * damp, axis=1),
         -2.0 * np.sum(sqpp * ts * w**2 * damp, axis=1),
-        fp + 2.0 * np.sum(pp * np.exp(-2.0 * params.gamma * ts * w**2), axis=1),
+        fp + 2.0 * np.sum(pp * np.exp(-2.0 * gamma * ts * w**2), axis=1),
     )
     return [x.reshape(np.shape(t)) for x in sums]
 
@@ -289,15 +289,14 @@ def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hb
     bound also allows the smallest normal float.
     """
     e = sample_goe(d, 1.0, seed).energies
-    params = [EDParams(g, hbar) for g in gs]
-    shared = ed_closed_forms(e, beta, params, t)
+    shared = ed_closed_forms(e, beta, gs, t, hbar)
     with mock.patch.object(dephasing, "_PAIR_BLOCK", block):
-        tiny = ed_closed_forms(e, beta, params, t)
-    assert len(shared) == len(tiny) == len(params)
+        tiny = ed_closed_forms(e, beta, gs, t, hbar)
+    assert len(shared) == len(tiny) == len(gs)
     phase = 1.0 + np.asarray(t) * np.max(np.abs(e)) / hbar
-    for p, forms, tiny_forms in zip(params, shared, tiny):
-        one = ed_closed_forms(e, beta, p, t)
-        sums = _pair_sums(e, beta, p, t)
+    for g, forms, tiny_forms in zip(gs, shared, tiny):
+        (one,) = ed_closed_forms(e, beta, [g], t, hbar)
+        sums = _pair_sums(e, beta, g, hbar, t)
         scales = (phase, np.abs(sums[1]), np.abs(sums[2]), phase)
         for field, x, y, z, r, scale in zip(forms._fields, forms, one, tiny_forms, sums, scales):
             assert np.shape(x) == np.shape(t), field
@@ -324,11 +323,10 @@ def test_underflow_skip_matches_exponentiating_every_pair_bytewise(d, seed, gs, 
     e = sample_goe(d, 1.0, seed).energies
     gap2 = float(np.min(np.diff(e))) ** 2
     t = t + [x / (g * gap2) for g in gs if g >= 1e-3 and gap2 > 0.0 for x in edges]
-    params = [EDParams(g, hbar) for g in gs]
     with mock.patch.object(dephasing, "_PAIR_BLOCK", block):
-        skipped = ed_closed_forms(e, beta, params, np.array(t))
+        skipped = ed_closed_forms(e, beta, gs, np.array(t), hbar)
         with mock.patch.object(dephasing, "_UNDERFLOW", math.inf):
-            full = ed_closed_forms(e, beta, params, np.array(t))
+            full = ed_closed_forms(e, beta, gs, np.array(t), hbar)
     for forms, reference in zip(skipped, full):
         for field, x, y in zip(forms._fields, forms, reference):
             assert np.array_equal(x, y), field
@@ -339,9 +337,8 @@ def test_underflow_skip_matches_exponentiating_every_pair_bytewise(d, seed, gs, 
 def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
     h = sample_goe(d, 1.0, seed)
     t = np.geomspace(0.1, 30.0, 9)
-    params = [EDParams(g, 0.7) for g in gs]
-    for p, s in zip(params, ed_diagnostics(h, beta, params, t)):
-        one = ed_diagnostics(h, beta, p, t)
+    for g, s in zip(gs, ed_diagnostics(h, beta, gs, t, 0.7)):
+        (one,) = ed_diagnostics(h, beta, [g], t, 0.7)
         for field in ("sff", "cl1", "purity", "lower_bound"):
             assert np.array_equal(getattr(s, field), getattr(one, field)), field
         assert s.plateau == one.plateau
