@@ -31,7 +31,8 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .pqc import Superoperator, _check_rates
+from .pqc import Superoperator
+from .rmt import _check_scales
 from .states import EnergiesLike, as_energies, make_cgs, plateau_value
 
 __all__ = [
@@ -61,7 +62,7 @@ def _check_times(t) -> np.ndarray:
 
 def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, gamma: float, t: float, hbar: float = 1.0) -> np.ndarray:
     """Exact dephasing propagation of rho0 (eigenbasis) to time t >= 0."""
-    _check_rates([gamma], hbar)
+    _check_scales(gammas=[gamma], hbar=hbar)
     tt = float(_check_times(t))
     m = np.asarray(rho0, dtype=complex)
     e = as_energies(energies)
@@ -141,7 +142,7 @@ def ed_closed_forms(
     gammas = list(gammas)
     if not gammas:
         raise ValueError("need at least one gamma")
-    _check_rates(gammas, hbar)
+    _check_scales(gammas=gammas, hbar=hbar)
     t = _check_times(t)
     e = as_energies(energies)
     # Every product the kernel forms must be finite; as Python floats they overflow to inf
@@ -197,7 +198,7 @@ def taylor_lower_bound(forms: EDClosedForms, dim: int, t, hbar: float = 1.0) -> 
     cannot underflow hbar^2 to zero first.  Where it overflows at the largest
     |t| and |dC_l1/dgamma|, ValueError is raised.
     """
-    _check_rates((), hbar)
+    _check_scales(hbar=hbar)
     t = np.asarray(t, dtype=float)
     hbar = float(hbar)
     # Python floats overflow to inf quietly
@@ -214,7 +215,7 @@ def ed_liouvillian(energies: EnergiesLike, gamma: float, hbar: float = 1.0) -> S
     Entry (n*d + m) is -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2; matches the
     Lindblad generator with the single operator N_1 = H.
     """
-    _check_rates([gamma], hbar)
+    _check_scales(gammas=[gamma], hbar=hbar)
     e = as_energies(energies)
     w = (e[:, np.newaxis] - e[np.newaxis, :]).reshape(-1)
     diag = -1j * w / hbar - gamma * w**2

@@ -41,6 +41,7 @@ import numpy as np
 
 from .dephasing import ed_closed_forms, taylor_lower_bound
 from .pqc import ParametricChannel, evolve_discrete
+from .rmt import _check_scales
 from .states import (
     CoherentGibbsState,
     EnergiesLike,
@@ -145,13 +146,13 @@ class DiagnosticSeries:
                 raise ValueError(f"{name} length does not match times length {n}")
 
     def validate(self, tol: float = 1e-9) -> None:
-        """Range checks: sff and purity in [0, 1], cl1 in [0, d-1], up to tol."""
+        """Range checks: sff and purity in [0, 1], cl1 in [0, d-1], up to tol; NaN fails them."""
         for name, arr, hi in (
             ("sff", self.sff, 1.0),
             ("purity", self.purity, 1.0),
             ("cl1", self.cl1, float(self.dim - 1)),
         ):
-            if np.any(arr < -tol) or np.any(arr > hi + tol):
+            if not np.all((arr >= -tol) & (arr <= hi + tol)):
                 raise ValueError(f"{name} leaves [0, {hi}] beyond tolerance {tol:g}")
 
 
@@ -197,8 +198,9 @@ def sff_cl1_sandwich(series: DiagnosticSeries, tol: float = 1e-10) -> SandwichRe
 
 def _integer_steps(series: DiagnosticSeries, tau: float) -> np.ndarray:
     """Integer step labels of the series grid; raises if times are off-grid."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_scales(tau=tau)
+    if tau == 0.0:
+        raise ValueError("a step series needs a period tau > 0")
     j = np.rint(series.times / tau).astype(int)
     if np.max(np.abs(series.times - j * tau)) > 1e-9 * max(tau, float(series.times.max(initial=tau))):
         raise ValueError("series is not sampled at integer multiples of tau")
@@ -217,11 +219,11 @@ def effective_depth(
     ceil(t_H/tau); every step in the window must be present in the series.
     The sum is clamped at zero before the square root; a non-finite sum raises.
     """
+    j = _integer_steps(series, tau)
     j_th = math.ceil(t_thouless / tau)
     j_h = math.ceil(t_heisenberg / tau)
     if j_th > j_h:
         raise ValueError(f"empty depth window: ceil(t_Th/tau)={j_th} > ceil(t_H/tau)={j_h}")
-    j = _integer_steps(series, tau)
     pos = np.searchsorted(j, np.arange(j_th, j_h + 1))
     if np.any(pos >= j.size) or np.any(j[pos] != np.arange(j_th, j_h + 1)):
         raise ValueError(f"series is missing steps in the window [{j_th}, {j_h}]")

@@ -29,8 +29,8 @@ steps through `apply_channel` and is written out by `build_superoperator`.
 
 A channel keeps its Kraus operators side by side in one contiguous d x K*d
 block [N_1 | ... | N_K], and their adjoints stacked in a K*d x d block, so a
-step is two GEMMs that read both blocks in place: about 42 us at d = 32,
-K = 3 on one BLAS thread.
+step is two GEMMs that read both blocks in place: 42-51 us at d = 32, K = 3
+on one OpenBLAS thread of a 2-vCPU Xeon VM.
 
 The Lindblad generator of the continuous weak-coupling limit eps = 2*gamma*tau,
 
@@ -50,7 +50,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .rmt import HamiltonianSpectrum, KrausSet
+from .rmt import HamiltonianSpectrum, KrausSet, _check_scales
 from .states import as_energies
 
 __all__ = [
@@ -90,15 +90,6 @@ class Superoperator:
         d = self.hilbert_dim
         one = np.eye(d, dtype=complex).reshape(-1)
         return float(np.max(np.abs(one @ self.matrix - one)))
-
-
-def _check_rates(gammas, hbar: float) -> None:
-    """Every rate gamma finite and >= 0, hbar finite and > 0; NaN fails both."""
-    for gamma in gammas:
-        if not 0.0 <= gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and > 0, got {hbar}")
 
 
 def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> np.ndarray:
@@ -151,11 +142,7 @@ class ParametricChannel:
     kraus_adjoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        _check_rates((), self.hbar)
+        _check_scales(tau=self.tau, epsilon=self.epsilon, hbar=self.hbar)
         if self.kraus.dim != self.hamiltonian.dim:
             raise ValueError(
                 f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
@@ -274,7 +261,7 @@ def lindblad_generator(
     energy-dephasing Liouvillian, diagonal with entries
     -(i/hbar)*(E_n - E_m) - gamma*(E_n - E_m)^2.
     """
-    _check_rates([gamma], hbar)
+    _check_scales(gammas=[gamma], hbar=hbar)
     d = hamiltonian.dim
     operators = np.asarray(operators, dtype=complex)
     if operators.ndim != 3 or operators.shape[1:] != (d, d):

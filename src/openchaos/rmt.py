@@ -22,6 +22,10 @@ shape (d, d) are cut out of a CUE(K*d) matrix as vertical blocks of a common
 d-column slab.  Orthonormality of the slab's columns makes the set exactly
 trace preserving, sum_r N_r^dag N_r = 1.
 
+`_check_scales` is the one statement of what values a physical scale may
+take (d, K, sigma, hbar, beta, tau, epsilon, gamma); the library checks its
+scale arguments through it, and NaN or +-inf fails every rule.
+
 Reproducibility: every sampler is driven by the counter-based Philox bit
 generator seeded through numpy's SeedSequence, so a (master seed, realization
 index) pair identifies a stream on any platform.  Use `derive_seed` to build
@@ -30,6 +34,7 @@ per-realization seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,6 +53,27 @@ __all__ = [
     "heisenberg_time",
     "critical_tau",
 ]
+
+
+def _check_scales(*, d=None, k=None, sigma=None, hbar=None, beta=None, tau=None, epsilon=None, gammas=()) -> None:
+    """Raise ValueError unless every scale given lies in its domain; the one statement of these rules.
+
+    d >= 2; 1 <= K <= d^2 - 2 (K >= 1 when d is not given); sigma and hbar
+    finite and > 0; beta, tau and every gamma finite and >= 0; epsilon in
+    [0, 1].  Each rule reads `not lo <= x <= hi`, so NaN fails it.
+    """
+    if d is not None and not 2 <= d < math.inf:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if k is not None and not 1 <= k <= (math.inf if d is None else d * d - 2):
+        raise ValueError(f"K must lie in [1, d^2-2], got {k}")
+    for name, value in (("sigma", sigma), ("hbar", hbar)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    for name, value in (("beta", beta), ("tau", tau), *(("gamma", g) for g in gammas)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if epsilon is not None and not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -92,10 +118,11 @@ class HamiltonianSpectrum:
     def __post_init__(self) -> None:
         energies = np.asarray(self.energies, dtype=float)
         object.__setattr__(self, "energies", energies)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _check_scales(sigma=self.sigma)
         if energies.ndim != 1 or energies.size < 2:
             raise ValueError(f"energies must be 1-D with at least 2 levels, got shape {energies.shape}")
+        if not np.all(np.isfinite(energies)):
+            raise ValueError("energies must be finite")
         if np.any(np.diff(energies) < 0):
             raise ValueError("energies must be sorted ascending")
 
@@ -110,7 +137,7 @@ class KrausSet:
 
     `operators` is the (K, d, d) stack; `dim` and `count` are read off its
     shape.  Trace preservation sum_r N_r^dag N_r = 1 is checked on
-    construction to 1e-12 in max norm.
+    construction to 1e-12 in max norm; a NaN defect fails it.
     """
 
     operators: np.ndarray
@@ -121,10 +148,9 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError(f"operators must have shape (K, d, d), got {ops.shape}")
-        if not 1 <= self.count <= self.dim**2 - 2:
-            raise ValueError(f"count K={self.count} outside allowed range [1, d^2-2]")
+        _check_scales(d=self.dim, k=self.count)
         defect = self.trace_defect()
-        if defect > 1e-12:
+        if not defect <= 1e-12:
             raise ValueError(
                 f"Kraus set is not trace preserving: |sum N^dag N - 1|_max = {defect:.3e}"
             )
@@ -138,8 +164,9 @@ class KrausSet:
         return self.operators.shape[0]
 
     def trace_defect(self) -> float:
-        """Max-norm deviation of sum_r N_r^dag N_r from the identity."""
-        acc = np.einsum("rji,rjk->ik", self.operators.conj(), self.operators)
+        """Max-norm deviation of sum_r N_r^dag N_r = B^dag B from the identity, B = [N_1; ...; N_K]."""
+        b = self.operators.reshape(-1, self.dim)
+        acc = b.conj().T @ b
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
 
@@ -158,10 +185,7 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     HamiltonianSpectrum with sorted energies, the symmetric matrix and its
     eigenvector matrix attached.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_scales(d=d, sigma=sigma)
     rng = rng_from_seed(seed)
     a = rng.normal(0.0, sigma, size=(d, d))
     h = (a + a.T) / 2.0
@@ -201,10 +225,7 @@ def kraus_from_truncation(
     For K == 1 the whole matrix is the single (unitary) operator and
     `column_offset` is ignored.  Otherwise 1 <= column_offset <= d*(K-1).
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if not 1 <= k <= d**2 - 2:
-        raise ValueError(f"k={k} outside allowed range [1, d^2-2]")
+    _check_scales(d=d, k=k)
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (k * d, k * d):
         raise ValueError(f"unitary has shape {u.shape}, expected {(k * d, k * d)}")
@@ -228,17 +249,13 @@ def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> Kraus
 
 def mean_level_spacing(d: int, sigma: float) -> float:
     """Mean spacing Delta = sigma*sqrt(8d)/(d-1): full support width over d-1 gaps."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_scales(d=d, sigma=sigma)
     return float(sigma * np.sqrt(8.0 * d) / (d - 1))
 
 
 def heisenberg_time(d: int, sigma: float, hbar: float = 1.0) -> float:
     """Heisenberg time t_H = 2*pi*hbar/Delta = pi*hbar*(d-1)/(sigma*sqrt(2d))."""
-    if hbar <= 0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
+    _check_scales(hbar=hbar)
     return float(2.0 * np.pi * hbar / mean_level_spacing(d, sigma))
 
 
@@ -248,10 +265,5 @@ def critical_tau(d: int, sigma: float, hbar: float = 1.0) -> float:
     For tau >= tau_c the unitary phases tau*(E_m - E_n)/hbar wrap the whole
     circle; below it they stay in a sector.  Equivalently t_H = (d-1)*tau_c.
     """
-    if hbar <= 0:
-        raise ValueError(f"hbar must be > 0, got {hbar}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_scales(d=d, sigma=sigma, hbar=hbar)
     return float(np.pi * hbar / (sigma * np.sqrt(2.0 * d)))

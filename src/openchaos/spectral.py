@@ -50,7 +50,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .pqc import Superoperator, build_superoperator
-from .rmt import critical_tau
+from .rmt import _check_scales, critical_tau
 
 __all__ = [
     "EigensolverError",
@@ -131,7 +131,7 @@ def annular_boundaries(eps: float, k: int) -> Tuple[float, Optional[float]]:
     A discriminant within a few ulps of zero is snapped to an exactly zero
     inner radius so the crossover point itself reports 0.0 rather than None.
     """
-    _check_eps_k(eps, k)
+    _check_scales(epsilon=eps, k=k)
     lead = (1.0 - eps) ** 2
     cross = eps**2 / k
     outer = float(np.sqrt(lead + cross))
@@ -145,30 +145,19 @@ def annular_boundaries(eps: float, k: int) -> Tuple[float, Optional[float]]:
 
 def shifted_disk_boundary(eps: float, k: int) -> Tuple[float, float]:
     """(center, radius) = (1-eps, eps/sqrt(K)) of the tau -> 0 bulk disk."""
-    _check_eps_k(eps, k)
+    _check_scales(epsilon=eps, k=k)
     return float(1.0 - eps), float(eps / np.sqrt(k))
 
 
 def critical_epsilon(k: int) -> float:
     """Noise strength eps_c = 1/(1 + 1/sqrt(K)) where the annulus fills in."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_scales(k=k)
     return float(1.0 / (1.0 + 1.0 / np.sqrt(k)))
-
-
-def _check_eps_k(eps: float, k: int) -> None:
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def phi_max(tau: float, d: int, sigma: float, hbar: float = 1.0) -> float:
     """Ensemble estimate of the phase sector half-angle, tau*sigma*sqrt(8d)/hbar; raises if it overflows."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if d < 2 or sigma <= 0 or hbar <= 0:
-        raise ValueError("need d >= 2, sigma > 0, hbar > 0")
+    _check_scales(d=d, sigma=sigma, hbar=hbar, tau=tau)
     # Python floats overflow to inf without a warning
     phi = float(tau) * float(sigma) * math.sqrt(8.0 * d) / float(hbar)
     if not math.isfinite(phi):
@@ -187,7 +176,7 @@ def classify_phase(
     the sine clamped at its maximum once phi_max exceeds pi/2.  Near the
     boundary lines the label is advisory: the finite-size cloud interpolates.
     """
-    _check_eps_k(eps, k)
+    _check_scales(d=d, k=k, tau=tau, epsilon=eps)
     if tau >= critical_tau(d, sigma, hbar):
         return "annular" if eps < critical_epsilon(k) else "disk"
     s = np.sin(min(phi_max(tau, d, sigma, hbar), np.pi / 2.0))

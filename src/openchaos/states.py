@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .rmt import HamiltonianSpectrum
+from .rmt import HamiltonianSpectrum, _check_scales
 
 __all__ = [
     "EnergiesLike",
@@ -43,12 +43,14 @@ EnergiesLike = Union[HamiltonianSpectrum, np.ndarray]
 
 
 def as_energies(energies: EnergiesLike) -> np.ndarray:
-    """Coerce a HamiltonianSpectrum or array-like into a 1-D float array."""
+    """Coerce a HamiltonianSpectrum or array-like into a finite 1-D float array."""
     if isinstance(energies, HamiltonianSpectrum):
         return energies.energies
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size < 1:
         raise ValueError(f"energies must be a non-empty 1-D array, got shape {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energies must be finite")
     return e
 
 
@@ -62,12 +64,13 @@ class CoherentGibbsState:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=float)
         object.__setattr__(self, "amplitudes", amp)
+        _check_scales(beta=self.beta)
         if amp.ndim != 1:
             raise ValueError(f"amplitudes must be a 1-D array, got shape {amp.shape}")
-        if np.any(amp < 0):
+        if not np.all(amp >= 0):
             raise ValueError("amplitudes must be non-negative")
         norm = float(np.sum(amp**2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes not normalized: sum p_n = {norm!r}")
 
     @property
@@ -81,8 +84,7 @@ def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     Amplitudes are computed as exp(-beta*(E_n - E_min)/2) and normalized, so
     the result is finite for any beta >= 0.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    _check_scales(beta=beta)
     e = as_energies(energies)
     half = np.exp(-0.5 * beta * (e - e.min()))
     amp = half / np.linalg.norm(half)

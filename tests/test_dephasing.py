@@ -247,7 +247,8 @@ def test_negative_gamma_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("gamma", math.nan), ("gamma", math.inf), ("hbar", math.nan), ("hbar", math.inf),
+    ("gamma", math.nan), ("gamma", math.inf), ("gamma", -math.inf),
+    ("hbar", math.nan), ("hbar", math.inf), ("hbar", -math.inf),
 ])
 def test_params_must_be_finite(field, value):
     # NaN slips through every ordered comparison, and an infinite gamma gives NaN at t = 0
@@ -261,6 +262,17 @@ def test_params_must_be_finite(field, value):
     for call in calls:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             call(**kwargs)
+
+
+@pytest.mark.parametrize("energies", [[0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+def test_energies_must_be_finite(energies):
+    # ed_closed_forms([0, nan], ...) blamed an overflow of gamma*t*w^2
+    rho0 = np.eye(2, dtype=complex) / 2
+    for call in (lambda: ed_closed_forms(energies, 0.0, [0.1], [1.0]),
+                 lambda: ed_evolve(rho0, energies, 0.1, 1.0),
+                 lambda: ed_liouvillian(energies, 0.1)):
+        with pytest.raises(ValueError, match="^energies must be finite"):
+            call()
 
 
 def test_params_sequence_must_be_nonempty_with_one_hbar():

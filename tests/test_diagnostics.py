@@ -139,6 +139,23 @@ def test_effective_depth_off_grid_times_raise():
         effective_depth(s, 0.1, 0.3, 0.1)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
+def test_effective_depth_needs_a_finite_positive_period(tau):
+    # tau = 0 divided by zero and a nan tau failed converting ceil(nan) before the period was checked
+    s = _flat_series([0.125] * 5, 0.1, 0.125)
+    with pytest.raises(ValueError, match="tau"):
+        effective_depth(s, 0.1, 0.3, tau)
+
+
+@pytest.mark.parametrize("name", ["sff", "purity", "cl1"])
+def test_validate_rejects_nan(name):
+    # NaN fails no ordered comparison, so a NaN series passed its range check
+    s = _flat_series([0.125] * 5, 0.1, 0.125)
+    getattr(s, name)[2] = math.nan
+    with pytest.raises(ValueError, match=f"^{name} leaves"):
+        s.validate()
+
+
 def test_estimate_thouless_finds_the_hole_minimum():
     n = 200
     times = np.linspace(0.01, 20.0, n)

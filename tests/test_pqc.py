@@ -203,7 +203,8 @@ def test_channel_parameter_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tau", math.nan), ("tau", math.inf), ("epsilon", math.nan), ("hbar", math.nan), ("hbar", math.inf),
+    ("tau", math.nan), ("tau", math.inf), ("tau", -math.inf), ("epsilon", math.nan), ("epsilon", math.inf),
+    ("epsilon", -math.inf), ("hbar", math.nan), ("hbar", math.inf), ("hbar", -math.inf),
 ])
 def test_channel_parameters_must_be_finite(field, value):
     h = sample_goe(4, 1.0, derive_seed(31, 0, 8))

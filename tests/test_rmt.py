@@ -165,8 +165,10 @@ def test_kraus_set_count_bounds():
 def test_kraus_set_rejects_a_stack_that_is_not_trace_preserving():
     ops = np.zeros((1, 4, 4))
     ops[0] = np.diag([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="not trace preserving"):
-        KrausSet(ops)
+    # a NaN stack has a NaN defect, which no ordered comparison rejects
+    for bad in (ops, np.full((1, 3, 3), math.nan)):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausSet(bad)
     ks = KrausSet(np.eye(4)[np.newaxis])
     assert (ks.dim, ks.count) == (4, 1)
 
@@ -196,3 +198,34 @@ def test_heisenberg_critical_tau_relation():
         assert heisenberg_time(d, 1.3, 0.7) == pytest.approx(
             (d - 1) * critical_tau(d, 1.3, 0.7), rel=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# input domains
+
+
+_SCALE_CALLS = {
+    "heisenberg_time": (heisenberg_time, dict(d=4, sigma=1.0, hbar=1.0)),
+    "critical_tau": (critical_tau, dict(d=4, sigma=1.0, hbar=1.0)),
+    "mean_level_spacing": (mean_level_spacing, dict(d=4, sigma=1.0)),
+    "sample_goe": (sample_goe, dict(d=4, sigma=1.0, seed=3)),
+    "HamiltonianSpectrum": (HamiltonianSpectrum, dict(sigma=1.0, energies=[0.0, 1.0], seed=0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, arg", [
+    (entry, arg) for entry, (_, kwargs) in _SCALE_CALLS.items() for arg in kwargs if arg in ("d", "sigma", "hbar")
+])
+def test_non_finite_scales_raise_naming_the_argument(entry, arg, value):
+    # heisenberg_time(4, 1.0, nan) returned nan, and sample_goe(inf, ...) failed inside numpy
+    call, kwargs = _SCALE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        call(**dict(kwargs, **{arg: value}))
+
+
+@pytest.mark.parametrize("energies", [[1.0, math.nan, 0.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+def test_spectrum_energies_must_be_finite(energies):
+    # the sorted check compares against NaN, so [1, nan, 0] passed as sorted
+    with pytest.raises(ValueError, match="^energies must be finite"):
+        HamiltonianSpectrum(1.0, energies, 0)

@@ -76,12 +76,26 @@ def test_phi_max_values():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        annular_boundaries(-0.1, 3)
-    with pytest.raises(ValueError):
+    for eps in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^epsilon must lie in"):
+            annular_boundaries(eps, 3)
+        with pytest.raises(ValueError, match="^epsilon must lie in"):
+            classify_phase(eps, 1.0, 3, 8, 1.0)
+    with pytest.raises(ValueError, match="^K must"):
         annular_boundaries(0.2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^K must"):
         critical_epsilon(0)
+    with pytest.raises(ValueError, match="^K must"):
+        classify_phase(0.2, 1.0, 63, 8, 1.0)  # K > d^2 - 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["tau", "d", "sigma", "hbar"])
+def test_phi_max_scales_must_be_finite(arg, value):
+    # a nan hbar was reported as an overflow at hbar=nan, and an infinite hbar gave 0
+    kwargs = dict(tau=0.1, d=4, sigma=1.0, hbar=1.0)
+    with pytest.raises(ValueError, match=f"^{arg} must"):
+        phi_max(**dict(kwargs, **{arg: value}))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,26 @@ def test_cgs_rejects_bad_amplitudes():
         CoherentGibbsState(beta=0.0, amplitudes=np.array([-1.0, 0.0]))
     with pytest.raises(ValueError, match="1-D"):
         CoherentGibbsState(beta=0.0, amplitudes=np.array([[1.0, 0.0]]))
+    # NaN slips past both an ordered sign test and an ordered norm test
+    with pytest.raises(ValueError, match="^amplitudes must be non-negative"):
+        CoherentGibbsState(beta=0.0, amplitudes=np.array([math.nan, math.nan]))
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        CoherentGibbsState(beta=math.nan, amplitudes=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [make_cgs, plateau_value])
+def test_beta_must_be_finite(call, value):
+    # make_cgs(e, inf) gave NaN amplitudes, and the state accepted them
+    with pytest.raises(ValueError, match="^beta must be finite and >= 0"):
+        call(np.array([0.0, 1.0]), value)
+
+
+@pytest.mark.parametrize("energies", [[0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf]])
+@pytest.mark.parametrize("call", [make_cgs, plateau_value])
+def test_energies_must_be_finite(call, energies):
+    with pytest.raises(ValueError, match="^energies must be finite"):
+        call(energies, 0.0)
 
 
 def test_cgs_density_is_pure_projector():
