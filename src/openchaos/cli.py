@@ -57,7 +57,7 @@ from .diagnostics import (
     series_to_csv,
 )
 from .pqc import ParametricChannel, build_superoperator, in_eigenbasis, interleaved
-from .rmt import derive_seed, heisenberg_time, sample_goe, sample_kraus_set
+from .rmt import _check_scales, critical_tau, derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -203,26 +203,33 @@ def _tag_collisions(name: str, key: str, values: Sequence[float]) -> List[str]:
     return issues
 
 
+def _ask(prefix: str, check: Callable, *args, **kwargs) -> List[str]:
+    """No issue, or the library's ValueError on config values behind `prefix`."""
+    try:
+        check(*args, **kwargs)
+        return []
+    except ValueError as exc:
+        return [f"{prefix}{exc}"]
+
+
 def validate_config(cfg: ExperimentConfig) -> List[str]:
-    """Collect every problem with the config; an empty list means runnable."""
-    issues: List[str] = []
-    say = issues.append
+    """Collect every problem with the config; an empty list means runnable.
+
+    The library judges each physical key and, in the modes that read it, each
+    derived scale; the rules stated here are the CLI's own.
+    """
     if cfg.mode not in MODES:
-        say(f"mode must be one of {MODES}, got {cfg.mode!r}")
-        return issues
-    issues += _type_issues(cfg)
+        return [f"mode must be one of {MODES}, got {cfg.mode!r}"]
+    issues = _type_issues(cfg)
     if issues:
         return issues
-    if cfg.dim < 2:
-        say(f"dim must be >= 2, got {cfg.dim}")
+    say = issues.append
+    # the library names each scale as the config does, but calls dim d and kraus_count K
+    dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
+    base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
+    issues += base + _ask("", _check_scales, beta=cfg.beta)
     if cfg.dim > 32 and not cfg.allow_large:
         say(f"dim={cfg.dim} above the desk-scale limit 32 requires allow_large=true")
-    if cfg.sigma <= 0:
-        say(f"sigma must be > 0, got {cfg.sigma}")
-    if cfg.hbar <= 0:
-        say(f"hbar must be > 0, got {cfg.hbar}")
-    if cfg.beta < 0:
-        say(f"beta must be >= 0, got {cfg.beta}")
     if cfg.realizations < 1:
         say(f"realizations must be >= 1, got {cfg.realizations}")
     if cfg.master_seed < 0:
@@ -247,49 +254,42 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say(f"t_max={cfg.t_max} must exceed t_min={cfg.t_min}")
         if not cfg.gamma:
             say("ed-sff needs a non-empty gamma list")
-        if any(g < 0 for g in cfg.gamma):
-            say("gamma values must be >= 0")
+        issues += _ask("", _check_scales, gammas=cfg.gamma)
         issues += _tag_collisions("gamma", "gamma", cfg.gamma)
     else:
         if cfg.mode == "pqc-sff" and cfg.t_max is not None and cfg.t_max <= 0:
             say(f"t_max must be > 0, got {cfg.t_max}")
-        d2 = cfg.dim**2
-        if not 1 <= cfg.kraus_count <= d2 - 2:
-            say(f"kraus_count must lie in [1, {d2 - 2}], got {cfg.kraus_count}")
-        elif cfg.kraus_count > 1 and not 1 <= cfg.column_offset <= cfg.dim * (cfg.kraus_count - 1):
-            say(
-                f"column_offset must lie in [1, {cfg.dim * (cfg.kraus_count - 1)}],"
-                f" got {cfg.column_offset}"
-            )
+        k_issues = _ask("kraus_count: ", _check_scales, k=cfg.kraus_count, d=None if dim_issues else cfg.dim)
+        issues += k_issues
+        top = cfg.dim * (cfg.kraus_count - 1)
+        if not (dim_issues or k_issues or cfg.kraus_count == 1 or 1 <= cfg.column_offset <= top):
+            say(f"column_offset must lie in [1, {top}], got {cfg.column_offset}")
         if not cfg.tau:
             say(f"{cfg.mode} needs a non-empty tau list")
         if any(t <= 0 for t in cfg.tau):
             say("tau values must be > 0")
         if not cfg.epsilon:
             say(f"{cfg.mode} needs a non-empty epsilon list")
-        if any(not 0.0 <= e <= 1.0 for e in cfg.epsilon):
-            say("epsilon values must lie in [0, 1]")
+        issues += [issue for eps in cfg.epsilon for issue in _ask("", _check_scales, epsilon=eps)]
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
-    if cfg.dim >= 2 and cfg.sigma > 0 and cfg.hbar > 0:
-        if cfg.mode in ("ed-sff", "pqc-sff", "depth-grid"):
-            issues += _time_scale_issues(cfg)
-        elif cfg.mode == "phase-grid":  # `phi_max`'s product; Python floats overflow to inf quietly
-            issues += [f"tau={tau} makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow" for tau in cfg.tau
-                       if not math.isfinite(tau * cfg.sigma * math.sqrt(8.0 * cfg.dim) / cfg.hbar)]
-    return issues
+    if base or cfg.mode == "csr":  # csr reads no derived scale; the others read dim, sigma and hbar
+        return issues
+    if cfg.mode in ("spectrum", "phase-grid"):  # `classify_phase` reads tau_c and phi_max
+        return issues + _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar) + [
+            issue for tau in cfg.tau if tau > 0
+            for issue in _ask(f"tau={tau} makes ", phi_max, tau, cfg.dim, cfg.sigma, cfg.hbar)]
+    t_h = []
+    if cfg.mode == "depth-grid" or cfg.t_max is None:
+        t_h = _ask("", heisenberg_time, cfg.dim, cfg.sigma, cfg.hbar)
+    return issues + (t_h or _time_scale_issues(cfg))
 
 
 def _time_scale_issues(cfg: ExperimentConfig) -> List[str]:
-    """A t_H (`depth-grid`) or resolved t_max (`ed-sff`, `pqc-sff`) that is inf or too far.
-
-    An `ed-sff` t_max resolved from t_H must exceed t_min, and gamma*t_max must be
-    finite.  A step count, ceil(t_max/tau) or ceil(t_H/tau)+1, must not pass 2**53.
-    """
+    """A resolved t_max that is inf or (`ed-sff`) not above t_min, an inf gamma*t_max, or
+    a step count, ceil(t_max/tau) or ceil(t_H/tau)+1, above 2**53."""
     if cfg.mode == "depth-grid":
         t_end, name, limit = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar), "t_H", 2**53 - 1
-        if not math.isfinite(t_end):
-            return [f"t_H={t_end} from sigma={cfg.sigma} is not finite"]
     else:
         t_end, name, limit = cfg.resolved_t_max(), "t_max", 2**53
         if cfg.t_max is None and not math.isfinite(t_end):
@@ -334,18 +334,14 @@ def _channel(cfg: ExperimentConfig, h, kraus, tau: float, eps: float) -> Paramet
 
 
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
-    t_max = cfg.resolved_t_max()
-    if cfg.grid_kind == "linear":
-        return np.linspace(cfg.t_min, t_max, cfg.points)
-    return np.geomspace(cfg.t_min, t_max, cfg.points)
+    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
+    return space(cfg.t_min, cfg.resolved_t_max(), cfg.points)
 
 
 def _record_steps(cfg: ExperimentConfig, steps: int) -> np.ndarray:
     """Log-spaced (or linear) subset of integer steps, always including 0."""
-    if cfg.grid_kind == "linear":
-        j = np.rint(np.linspace(1, steps, min(cfg.points, steps))).astype(int)
-    else:
-        j = np.rint(np.geomspace(1, steps, min(cfg.points, steps))).astype(int)
+    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
+    j = np.rint(space(1, steps, min(cfg.points, steps))).astype(int)
     return np.unique(np.concatenate([[0], j]))
 
 

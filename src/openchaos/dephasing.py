@@ -53,10 +53,10 @@ _PAIR_BLOCK = 1 << 16
 _UNDERFLOW = 746.0
 
 
-def _check_times(t) -> np.ndarray:
+def _check_times(t, name: str = "times") -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("times must be finite and >= 0")
+        raise ValueError(f"{name} must be finite and >= 0")
     return t
 
 

@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .dephasing import ed_closed_forms, taylor_lower_bound
+from .dephasing import _check_times, ed_closed_forms, taylor_lower_bound
 from .pqc import ParametricChannel, evolve_discrete
 from .rmt import _check_scales
 from .states import (
@@ -216,10 +216,12 @@ def effective_depth(
     """Correlation-hole depth of an (ensemble-averaged) step series.
 
     Sums ln(F_p / SFF(j*tau)) over whole steps j = ceil(t_Th/tau) ..
-    ceil(t_H/tau); every step in the window must be present in the series.
-    The sum is clamped at zero before the square root; a non-finite sum raises.
+    ceil(t_H/tau), edges finite and >= 0; every step in the window must be in
+    the series.  The sum is clamped at zero before the square root; a non-finite sum raises.
     """
     j = _integer_steps(series, tau)
+    for name, t in (("t_thouless", t_thouless), ("t_heisenberg", t_heisenberg)):
+        _check_times(t, name)
     j_th = math.ceil(t_thouless / tau)
     j_h = math.ceil(t_heisenberg / tau)
     if j_th > j_h:

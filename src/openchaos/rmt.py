@@ -25,6 +25,8 @@ trace preserving, sum_r N_r^dag N_r = 1.
 `_check_scales` is the one statement of what values a physical scale may
 take (d, K, sigma, hbar, beta, tau, epsilon, gamma); the library checks its
 scale arguments through it, and NaN or +-inf fails every rule.
+`_check_derived` checks each derived scale (Delta, t_H, tau_c, phi_max), computed
+in Python floats: one that overflows or underflows raises, naming its inputs.
 
 Reproducibility: every sampler is driven by the counter-based Philox bit
 generator seeded through numpy's SeedSequence, so a (master seed, realization
@@ -74,6 +76,15 @@ def _check_scales(*, d=None, k=None, sigma=None, hbar=None, beta=None, tau=None,
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if epsilon is not None and not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
+def _check_derived(name: str, formula: str, value: float, zero_ok: bool = False, **inputs) -> float:
+    """`value` of `name` = `formula` as a float; raises where it overflowed to inf or underflowed to 0."""
+    if not 0.0 <= value < math.inf or value == 0.0 and not zero_ok:
+        given = ", ".join(f"{k}={v}" for k, v in inputs.items())
+        raise ValueError(f"{name}={formula} {'underflows' if value == 0.0 else 'overflows'} at {given}:"
+                         f" {name}={value} must be finite and {'>=' if zero_ok else '>'} 0")
+    return float(value)
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -250,13 +261,15 @@ def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> Kraus
 def mean_level_spacing(d: int, sigma: float) -> float:
     """Mean spacing Delta = sigma*sqrt(8d)/(d-1): full support width over d-1 gaps."""
     _check_scales(d=d, sigma=sigma)
-    return float(sigma * np.sqrt(8.0 * d) / (d - 1))
+    delta = float(sigma) * math.sqrt(8.0 * d) / (d - 1)
+    return _check_derived("Delta", "sigma*sqrt(8*dim)/(dim-1)", delta, dim=d, sigma=sigma)
 
 
 def heisenberg_time(d: int, sigma: float, hbar: float = 1.0) -> float:
     """Heisenberg time t_H = 2*pi*hbar/Delta = pi*hbar*(d-1)/(sigma*sqrt(2d))."""
     _check_scales(hbar=hbar)
-    return float(2.0 * np.pi * hbar / mean_level_spacing(d, sigma))
+    t_h = 2.0 * math.pi * float(hbar) / mean_level_spacing(d, sigma)
+    return _check_derived("t_H", "2*pi*hbar/Delta", t_h, dim=d, sigma=sigma, hbar=hbar)
 
 
 def critical_tau(d: int, sigma: float, hbar: float = 1.0) -> float:
@@ -266,4 +279,5 @@ def critical_tau(d: int, sigma: float, hbar: float = 1.0) -> float:
     circle; below it they stay in a sector.  Equivalently t_H = (d-1)*tau_c.
     """
     _check_scales(d=d, sigma=sigma, hbar=hbar)
-    return float(np.pi * hbar / (sigma * np.sqrt(2.0 * d)))
+    tau_c = math.pi * float(hbar) / (float(sigma) * math.sqrt(2.0 * d))
+    return _check_derived("tau_c", "pi*hbar/(sigma*sqrt(2*dim))", tau_c, dim=d, sigma=sigma, hbar=hbar)

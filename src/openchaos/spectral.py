@@ -50,7 +50,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .pqc import Superoperator, build_superoperator
-from .rmt import _check_scales, critical_tau
+from .rmt import _check_derived, _check_scales, critical_tau
 
 __all__ = [
     "EigensolverError",
@@ -158,11 +158,9 @@ def critical_epsilon(k: int) -> float:
 def phi_max(tau: float, d: int, sigma: float, hbar: float = 1.0) -> float:
     """Ensemble estimate of the phase sector half-angle, tau*sigma*sqrt(8d)/hbar; raises if it overflows."""
     _check_scales(d=d, sigma=sigma, hbar=hbar, tau=tau)
-    # Python floats overflow to inf without a warning
     phi = float(tau) * float(sigma) * math.sqrt(8.0 * d) / float(hbar)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi_max=tau*sigma*sqrt(8d)/hbar overflows at tau={tau}, hbar={hbar}")
-    return phi
+    return _check_derived("phi_max", "tau*sigma*sqrt(8*dim)/hbar", phi, zero_ok=True,
+                          tau=tau, dim=d, sigma=sigma, hbar=hbar)
 
 
 def classify_phase(

@@ -68,6 +68,10 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         # a float of dim overflows in t_H or phi_max
         (dict(mode="pqc-sff", dim=10**400, allow_large=True), ("dim",)),
         (dict(mode="phase-grid", dim=10**400, allow_large=True), ("dim",)),
+        # a derived scale is listed with the other problems
+        (dict(mode="spectrum", sigma=1e-320, points=1, tau=[1.0], epsilon=[1.5]), ("tau_c=inf", "points", "epsilon")),
+        (dict(mode="phase-grid", hbar=1e-310, realizations=0, tau=[1.0, 1e308], epsilon=[0.2]),
+         ("realizations", "tau=1.0 makes phi_max=", "tau=1e+308 makes phi_max=")),
         # pqc-sff reads t_max but not t_min
         (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=0.0), ("t_max must be > 0, got 0.0",)),
         (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=-1.0), ("t_max must be > 0, got -1.0",)),
@@ -106,26 +110,37 @@ def test_validate_rejects_an_ed_sff_grid_ending_before_t_min(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 0
 
 
-@pytest.mark.parametrize("mode, sigma, name", [
-    ("ed-sff", 1e-320, "resolved t_max=inf"),
-    ("ed-sff", 3e-308, "resolved t_max=inf"),  # t_H is finite, 4 t_H is not
-    ("pqc-sff", 1e-320, "resolved t_max=inf"),
-    ("depth-grid", 1e-320, "t_H=inf"),
+_T_H_INF = "t_H=2*pi*hbar/Delta overflows at dim=4, sigma=1e-320, hbar=1.0: t_H=inf must be finite and > 0"
+_T_H_ZERO = "t_H=2*pi*hbar/Delta underflows at dim=4, sigma=1e+300, hbar=1e-300: t_H=0.0 must be finite and > 0"
+
+
+@pytest.mark.parametrize("mode, scales, name", [
+    pytest.param("ed-sff", dict(sigma=1e-320), _T_H_INF, id="ed-sff-1e-320-t_H=inf"),
+    # t_H is finite, 4 t_H is not
+    pytest.param("ed-sff", dict(sigma=3e-308), "resolved t_max=inf", id="ed-sff-3e-308-resolved t_max=inf"),
+    pytest.param("pqc-sff", dict(sigma=1e-320), _T_H_INF, id="pqc-sff-1e-320-t_H=inf"),
+    pytest.param("depth-grid", dict(sigma=1e-320), "t_H=inf", id="depth-grid-1e-320-t_H=inf"),
+    pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, id="pqc-sff-t_H=0"),
+    pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, id="depth-grid-t_H=0"),
+    # classify_phase reads tau_c
+    pytest.param("spectrum", dict(sigma=1e-320), "tau_c=pi*hbar/(sigma*sqrt(2*dim)) overflows at dim=4, "
+                 "sigma=1e-320, hbar=1.0: tau_c=inf must be finite and > 0", id="spectrum-tau_c=inf"),
 ])
-def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, sigma, name):
+def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, scales, name):
     # the runs would compute every realization and exit 2 on a non-finite
-    # ensemble mean or an infinite step count; with t_max set, only
-    # depth-grid still reads t_H
+    # ensemble mean or an infinite step count, or write phase labels from an
+    # overflowed tau_c; with t_max set, only depth-grid and spectrum still
+    # read a derived scale
     p = tmp_path / "c.json"
-    _write_config(p, mode=mode, dim=4, sigma=sigma, realizations=2, points=5, t_max=None,
-                  tau=[0.5], epsilon=[0.3])
+    _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=None, tau=[0.5], epsilon=[0.3],
+                  **scales)
     for command in ("validate", "run"):
         assert cli.main([command, str(p)]) == 1
         assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    _write_config(p, mode=mode, dim=4, sigma=sigma, realizations=2, points=5, t_max=3.0,
-                  tau=[0.5], epsilon=[0.3])
-    assert cli.main(["validate", str(p)]) == (1 if mode == "depth-grid" else 0)
+    _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=3.0, tau=[0.5], epsilon=[0.3],
+                  **scales)
+    assert cli.main(["validate", str(p)]) == (0 if mode in ("ed-sff", "pqc-sff") else 1)
 
 
 @pytest.mark.parametrize("config", [
@@ -136,6 +151,9 @@ def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, sigm
                       epsilon=[0.0, 0.2], t_max=0.05), id="depth-grid-t_max"),
     pytest.param(dict(mode="spectrum", dim=4, kraus_count=2, realizations=2, tau=[0.5],
                       epsilon=[0.2], t_min=0), id="spectrum-t_min=0"),
+    # t_H and tau_c overflow here, but csr reads neither
+    pytest.param(dict(mode="csr", dim=4, kraus_count=2, realizations=2, tau=[0.5],
+                      epsilon=[0.2], sigma=1e-320), id="csr-sigma=1e-320"),
 ])
 def test_time_grid_rules_bind_only_the_modes_that_read_them(tmp_path, config):
     p = tmp_path / "c.json"
@@ -224,6 +242,7 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
 
 _SMALL_RUNS = {
     "ed-sff": dict(),
+    "ed-sff-hbar": dict(dim=8, realizations=2, gamma=[0.1, 1.0], points=50, t_max=None, hbar=0.5),
     "pqc-sff": dict(mode="pqc-sff", tau=[0.2], epsilon=[0.1], points=8, t_max=4.0),
     "pqc-sff-interleaved": dict(mode="pqc-sff", channel_form="interleaved", tau=[0.2],
                                 epsilon=[0.1], points=8, t_max=4.0),
@@ -574,7 +593,6 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mod
 _LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode, overrides, message", [
     pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
     pytest.param("depth-grid", dict(hbar=5e-324), "t*|E|/hbar", id="depth-grid-hbar=5e-324"),
@@ -599,7 +617,6 @@ def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsy
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("overrides, message", [
     pytest.param(dict(gamma=[0.1, 1e300], t_max=1e10),
                  "gamma=1e+300 times t_max=10000000000.0 is not finite", id="ed-sff-gamma"),
@@ -658,7 +675,9 @@ def test_manifest_is_strict_json(tmp_path, name):
     else:
         _write_config(p, **_SMALL_RUNS[name])
     assert cli.main(["run", str(p)]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(), parse_constant=_reject_constant)
+    manifest_path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(), parse_constant=_reject_constant)
+    assert cli.main(["plot-script", str(manifest_path), "-o", str(tmp_path / "plot.gp")]) == 0
     if name == "depth-grid-no-hole":
         assert [g["relative_depth"] for g in manifest["grid"]] == [None] * 4
         rows = (tmp_path / "out" / "depth_grid.csv").read_text().splitlines()[1:]

@@ -12,8 +12,6 @@ from openchaos.diagnostics import ed_diagnostics
 from openchaos.rmt import derive_seed, sample_goe
 from openchaos.states import cgs_density, make_cgs, plateau_value, vectorize, devectorize
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _rk4(deriv, rho0, t, steps):
     """Classic fixed-step RK4; the independent route for the closed form."""

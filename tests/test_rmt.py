@@ -224,6 +224,19 @@ def test_non_finite_scales_raise_naming_the_argument(entry, arg, value):
         call(**dict(kwargs, **{arg: value}))
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (heisenberg_time, (4, 1e-320), "overflows at dim=4, sigma=1e-320, hbar=1.0: t_H=inf"),
+    (heisenberg_time, (4, 1e300, 1e-300), "underflows at dim=4, sigma=1e+300, hbar=1e-300: t_H=0.0"),
+    (critical_tau, (4, 1e-320), "overflows at dim=4, sigma=1e-320, hbar=1.0: tau_c=inf"),
+    (mean_level_spacing, (4, 1e308), "overflows at dim=4, sigma=1e+308: Delta=inf"),
+], ids=["t_H=inf", "t_H=0", "tau_c=inf", "Delta=inf"])
+def test_derived_scales_that_overflow_raise_naming_the_scale(call, args, message):
+    # heisenberg_time returned inf and 0.0; critical_tau and mean_level_spacing returned inf with a numpy warning
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert message in str(info.value) and str(info.value).endswith("must be finite and > 0")
+
+
 @pytest.mark.parametrize("energies", [[1.0, math.nan, 0.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]])
 def test_spectrum_energies_must_be_finite(energies):
     # the sorted check compares against NaN, so [1, nan, 0] passed as sorted

@@ -89,6 +89,12 @@ def test_parameter_validation():
         classify_phase(0.2, 1.0, 63, 8, 1.0)  # K > d^2 - 2
 
 
+def test_classify_phase_raises_where_tau_c_overflows():
+    # tau_c = pi*hbar/(sigma*sqrt(2d)) overflowed to inf with a numpy warning, and the label followed from it
+    with pytest.raises(ValueError, match=r"^tau_c=.* overflows at dim=8, sigma=1e-320, hbar=1.0: tau_c=inf"):
+        classify_phase(0.2, 1.0, 3, 8, 1e-320)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("arg", ["tau", "d", "sigma", "hbar"])
 def test_phi_max_scales_must_be_finite(arg, value):
