@@ -49,6 +49,7 @@ from . import __version__
 from .diagnostics import (
     DiagnosticSeries,
     SeriesAccumulator,
+    _steps_to,
     channel_diagnostics,
     columns_to_csv,
     ed_diagnostics,
@@ -215,8 +216,9 @@ def _ask(prefix: str, check: Callable, *args, **kwargs) -> List[str]:
 def validate_config(cfg: ExperimentConfig) -> List[str]:
     """Collect every problem with the config; an empty list means runnable.
 
-    The library judges each physical key and, in the modes that read it, each
-    derived scale; the rules stated here are the CLI's own.
+    The library judges each physical key, the column offset once dim and
+    kraus_count have passed and, in the modes that read them, each derived
+    scale and each step count; the rules stated here are the CLI's own.
     """
     if cfg.mode not in MODES:
         return [f"mode must be one of {MODES}, got {cfg.mode!r}"]
@@ -261,9 +263,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
             say(f"t_max must be > 0, got {cfg.t_max}")
         k_issues = _ask("kraus_count: ", _check_scales, k=cfg.kraus_count, d=None if dim_issues else cfg.dim)
         issues += k_issues
-        top = cfg.dim * (cfg.kraus_count - 1)
-        if not (dim_issues or k_issues or cfg.kraus_count == 1 or 1 <= cfg.column_offset <= top):
-            say(f"column_offset must lie in [1, {top}], got {cfg.column_offset}")
+        if not (dim_issues or k_issues):
+            issues += _ask("", _check_scales, d=cfg.dim, k=cfg.kraus_count, column_offset=cfg.column_offset)
         if not cfg.tau:
             say(f"{cfg.mode} needs a non-empty tau list")
         if any(t <= 0 for t in cfg.tau):
@@ -287,19 +288,20 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 
 def _time_scale_issues(cfg: ExperimentConfig) -> List[str]:
     """A resolved t_max that is inf or (`ed-sff`) not above t_min, an inf gamma*t_max, or
-    a step count, ceil(t_max/tau) or ceil(t_H/tau)+1, above 2**53."""
+    a step count to t_max (`pqc-sff`) or t_H (`depth-grid`) that `_steps_to` rejects."""
     if cfg.mode == "depth-grid":
-        t_end, name, limit = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar), "t_H", 2**53 - 1
+        t_end, name = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar), "t_H"
     else:
-        t_end, name, limit = cfg.resolved_t_max(), "t_max", 2**53
+        t_end, name = cfg.resolved_t_max(), "t_max"
         if cfg.t_max is None and not math.isfinite(t_end):
             return [f"resolved t_max={t_end} (a multiple of t_H) from sigma={cfg.sigma} is not finite"]
         if cfg.t_max is None and cfg.mode == "ed-sff" and t_end <= cfg.t_min:
             return [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"]
     if cfg.mode == "ed-sff":
         return [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
-    return [f"tau={tau} takes more than 2**53 steps to reach {name}={t_end}"
-            for tau in cfg.tau if tau > 0 and t_end / tau > limit]
+    if t_end < 0:  # the pqc-sff rule on t_max has said so
+        return []
+    return [issue for tau in cfg.tau if tau > 0 for issue in _ask("", _steps_to, t_end, tau, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +470,7 @@ def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) 
 def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
     t_max = cfg.resolved_t_max()
-    steps = {t: max(1, math.ceil(t_max / t)) for t in cfg.tau}
-    record = {t: _record_steps(cfg, steps[t]) for t in cfg.tau}
+    record = {t: _record_steps(cfg, max(1, _steps_to(t_max, t, "t_max"))) for t in cfg.tau}
 
     def worker(idx: int):
         h, kraus = _realization(cfg, idx)
@@ -605,7 +606,7 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     """
     t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
     taus = list(cfg.tau)
-    j_max = {t: math.ceil(t_h / t) + 1 for t in taus}
+    j_max = {t: _steps_to(t_h, t, "t_H") + 1 for t in taus}
 
     def worker(idx: int):
         """Per tau: the isolated series, then one series per eps."""
@@ -739,7 +740,8 @@ def emit_gnuplot_script(manifest: dict) -> str:
             "set xlabel 'Re'",
             "set ylabel 'Im'",
         ]
-        plot = f"plot '{art['path']}' every ::1 using 1:2 with dots title 'spectrum'"
+        title = "ratios" if art["kind"] == "ratios" else "spectrum"
+        plot = f"plot '{art['path']}' every ::1 using 1:2 with dots title '{title}'"
         b = boundaries.get(art["label"])
         if b is not None:
             plot += f", \\\n     '{b['path']}' every ::1 using 1:2 with lines lc 'black' title 'boundary'"
@@ -767,6 +769,17 @@ def emit_gnuplot_script(manifest: dict) -> str:
 # entry point
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: an integer >= 1; argparse turns anything else into a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="openchaos",
@@ -778,7 +791,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run = sub.add_parser("run", help="execute a config and write CSV artifacts + manifest")
     p_run.add_argument("config", help="path to a JSON config file")
     p_run.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_worker_count, default=1,
         help="parallel workers over realizations: forked processes, at most one per "
         "realization (serial where fork is unavailable); the output is byte-identical "
         "for any value",

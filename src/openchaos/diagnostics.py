@@ -196,11 +196,24 @@ def sff_cl1_sandwich(series: DiagnosticSeries, tol: float = 1e-10) -> SandwichRe
     )
 
 
-def _integer_steps(series: DiagnosticSeries, tau: float) -> np.ndarray:
-    """Integer step labels of the series grid; raises if times are off-grid."""
+def _steps_to(t: float, tau: float, name: str) -> int:
+    """ceil(t/tau), the first whole step of period tau that reaches time `name`=t; the one statement of this rule.
+
+    t must be finite and >= 0, tau finite and > 0, and the count at most
+    2**53, so that every step up to it is an exact double and fits an int64.
+    """
+    _check_times(t, name)
     _check_scales(tau=tau)
     if tau == 0.0:
         raise ValueError("a step series needs a period tau > 0")
+    if not t / tau <= 2**53:
+        raise ValueError(f"tau={tau} takes more than 2**53 steps to reach {name}={t}")
+    return math.ceil(t / tau)
+
+
+def _integer_steps(series: DiagnosticSeries, tau: float) -> np.ndarray:
+    """Integer step labels of the series grid; raises if times are off-grid."""
+    _steps_to(float(series.times.max(initial=0.0)), tau, "times")
     j = np.rint(series.times / tau).astype(int)
     if np.max(np.abs(series.times - j * tau)) > 1e-9 * max(tau, float(series.times.max(initial=tau))):
         raise ValueError("series is not sampled at integer multiples of tau")
@@ -216,14 +229,13 @@ def effective_depth(
     """Correlation-hole depth of an (ensemble-averaged) step series.
 
     Sums ln(F_p / SFF(j*tau)) over whole steps j = ceil(t_Th/tau) ..
-    ceil(t_H/tau), edges finite and >= 0; every step in the window must be in
-    the series.  The sum is clamped at zero before the square root; a non-finite sum raises.
+    ceil(t_H/tau); both edges follow the step rule of `_steps_to`, and every
+    step in the window must be in the series.  The sum is clamped at zero
+    before the square root; a non-finite sum raises.
     """
     j = _integer_steps(series, tau)
-    for name, t in (("t_thouless", t_thouless), ("t_heisenberg", t_heisenberg)):
-        _check_times(t, name)
-    j_th = math.ceil(t_thouless / tau)
-    j_h = math.ceil(t_heisenberg / tau)
+    j_th = _steps_to(t_thouless, tau, "t_thouless")
+    j_h = _steps_to(t_heisenberg, tau, "t_heisenberg")
     if j_th > j_h:
         raise ValueError(f"empty depth window: ceil(t_Th/tau)={j_th} > ceil(t_H/tau)={j_h}")
     pos = np.searchsorted(j, np.arange(j_th, j_h + 1))

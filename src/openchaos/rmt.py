@@ -23,8 +23,9 @@ d-column slab.  Orthonormality of the slab's columns makes the set exactly
 trace preserving, sum_r N_r^dag N_r = 1.
 
 `_check_scales` is the one statement of what values a physical scale may
-take (d, K, sigma, hbar, beta, tau, epsilon, gamma); the library checks its
-scale arguments through it, and NaN or +-inf fails every rule.
+take (d, K, column offset, sigma, hbar, beta, tau, epsilon, gamma); the
+library checks its scale arguments through it, and NaN or +-inf fails every
+rule.
 `_check_derived` checks each derived scale (Delta, t_H, tau_c, phi_max), computed
 in Python floats: one that overflows or underflows raises, naming its inputs.
 
@@ -37,6 +38,7 @@ per-realization seeds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,17 +59,22 @@ __all__ = [
 ]
 
 
-def _check_scales(*, d=None, k=None, sigma=None, hbar=None, beta=None, tau=None, epsilon=None, gammas=()) -> None:
+def _check_scales(*, d=None, k=None, column_offset=None, sigma=None, hbar=None, beta=None, tau=None, epsilon=None,
+                  gammas=()) -> None:
     """Raise ValueError unless every scale given lies in its domain; the one statement of these rules.
 
-    d >= 2; 1 <= K <= d^2 - 2 (K >= 1 when d is not given); sigma and hbar
-    finite and > 0; beta, tau and every gamma finite and >= 0; epsilon in
-    [0, 1].  Each rule reads `not lo <= x <= hi`, so NaN fails it.
+    d >= 2 and no larger than the largest float; 1 <= K <= d^2 - 2 (K >= 1
+    when d is not given); 1 <= column_offset <= d*(K-1), read with d and K
+    and only for K > 1; sigma and hbar finite and > 0; beta, tau and every
+    gamma finite and >= 0; epsilon in [0, 1].  Each rule reads
+    `not lo <= x <= hi`, so NaN fails it.
     """
-    if d is not None and not 2 <= d < math.inf:
-        raise ValueError(f"d must be >= 2, got {d}")
+    if d is not None and not 2 <= d <= sys.float_info.max:
+        raise ValueError(f"d must be >= 2 and convert to a float, got {d}")
     if k is not None and not 1 <= k <= (math.inf if d is None else d * d - 2):
         raise ValueError(f"K must lie in [1, d^2-2], got {k}")
+    if column_offset is not None and k > 1 and not 1 <= column_offset <= d * (k - 1):
+        raise ValueError(f"column_offset={column_offset} outside allowed range [1, {d * (k - 1)}]")
     for name, value in (("sigma", sigma), ("hbar", hbar)):
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -234,19 +241,16 @@ def kraus_from_truncation(
     columns are orthonormal, sum_r N_r^dag N_r = 1 holds exactly.
 
     For K == 1 the whole matrix is the single (unitary) operator and
-    `column_offset` is ignored.  Otherwise 1 <= column_offset <= d*(K-1).
+    `column_offset` is ignored.  Otherwise 1 <= column_offset <= d*(K-1),
+    checked with d and K by `_check_scales`.
     """
-    _check_scales(d=d, k=k)
+    _check_scales(d=d, k=k, column_offset=column_offset)
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (k * d, k * d):
         raise ValueError(f"unitary has shape {u.shape}, expected {(k * d, k * d)}")
     if k == 1:
         ops = u[np.newaxis, :, :].copy()
         return KrausSet(ops, seed=seed)
-    if not 1 <= column_offset <= d * (k - 1):
-        raise ValueError(
-            f"column_offset={column_offset} outside allowed range [1, {d * (k - 1)}]"
-        )
     cols = slice(column_offset, column_offset + d)
     ops = np.stack([u[r * d : (r + 1) * d, cols] for r in range(k)])
     return KrausSet(ops, seed=seed)

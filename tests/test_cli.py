@@ -387,6 +387,19 @@ def test_worker_failure_exits_2_and_leaves_no_child_process(tmp_path, monkeypatc
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "abc"])
+def test_run_rejects_a_worker_count_below_one_as_a_usage_error(tmp_path, capsys, workers):
+    # 0 and -3 ran serially and exited 0
+    p = tmp_path / "c.json"
+    _write_config(p)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", str(p), "--workers", workers])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: openchaos run") and f"argument --workers: must be an integer >= 1, got '{workers}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_forked_workers_with_default_blas_threads_match_one_worker(tmp_path):
     # A worker forked while BLAS threads exist must not hang: a deadlock runs into the timeout.
     p = tmp_path / "c.json"
@@ -640,6 +653,30 @@ def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, ov
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("offset", [0, 5])
+def test_validate_rejects_a_column_offset_outside_the_slab(tmp_path, capsys, offset):
+    # d = 4, K = 2: the d columns of each Kraus block start at 1 .. d(K-1) = 4
+    p = tmp_path / "c.json"
+    base = dict(mode="pqc-sff", dim=4, kraus_count=2, realizations=2, points=5, t_max=3.0,
+                tau=[0.5], epsilon=[0.3])
+    _write_config(p, **base, column_offset=offset)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert f"config error: column_offset={offset} outside allowed range [1, 4]\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # K = 1 reads no offset
+    _write_config(p, **dict(base, kraus_count=1), column_offset=0)
+    assert cli.main(["validate", str(p)]) == 0
+
+
+def test_validate_lists_a_bad_dim_once_and_skips_the_column_offset(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    _write_config(p, mode="pqc-sff", dim=1, kraus_count=2, column_offset=0, tau=[0.5], epsilon=[0.3])
+    assert cli.main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("d must be >= 2") == 1 and "column_offset" not in err, err
+
+
 @pytest.mark.parametrize("mode, name, value, message", [
     ("spectrum", "histogram_bins", 4097, "histogram_bins must lie in [8, 4096], got 4097"),
     ("csr", "histogram_bins", 10**9, "histogram_bins must lie in [8, 4096], got 1000000000"),
@@ -694,6 +731,18 @@ def test_plot_script_references_artifacts(tmp_path, capsys):
     assert "set logscale xy" in script
     assert "ed-sff_gamma0.2.csv" in script
     assert "set datafile separator" in script
+
+
+@pytest.mark.parametrize("name, title", [("spectrum", "spectrum"), ("csr", "ratios")])
+def test_plot_script_titles_clouds_by_what_they_hold(tmp_path, capsys, name, title):
+    # csr ratio clouds were titled 'spectrum'
+    p = tmp_path / "c.json"
+    _write_config(p, **_SMALL_RUNS[name])
+    assert cli.main(["run", str(p)]) == 0
+    assert cli.main(["plot-script", str(tmp_path / "out" / "manifest.json")]) == 0
+    plots = [line for line in capsys.readouterr().out.splitlines() if "with dots" in line]
+    assert plots and all(line.endswith(f"with dots title '{title}'")
+                         or line.endswith(f"with dots title '{title}', \\") for line in plots), plots
 
 
 def test_plot_script_to_file_and_missing_manifest(tmp_path):

@@ -121,6 +121,10 @@ def test_effective_depth_missing_steps_raises():
         effective_depth(s, math.nan, 0.3, 0.1)
     with pytest.raises(ValueError, match="^t_heisenberg must be finite and >= 0"):
         effective_depth(s, 0.1, math.inf, 0.1)
+    # a finite edge whose quotient by tau overflows to inf, where ceil(inf) raised OverflowError
+    s = _flat_series([0.125] * 5, 1e-10, 0.125)
+    with pytest.raises(ValueError, match=r"^tau=1e-10 takes more than 2\*\*53 steps to reach t_heisenberg=1e\+300$"):
+        effective_depth(s, 1e-10, 1e300, 1e-10)
 
 
 def test_effective_depth_nan_sff_raises():

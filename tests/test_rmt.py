@@ -18,6 +18,7 @@ from openchaos.rmt import (
     sample_goe,
     sample_kraus_set,
 )
+from openchaos.spectral import phi_max
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +146,9 @@ def test_kraus_single_operator_is_the_whole_unitary():
 
 def test_kraus_offset_bounds():
     u = sample_cue(24, derive_seed(6, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^column_offset=0 outside allowed range \[1, 16\]$"):
         kraus_from_truncation(u, 8, 3, column_offset=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^column_offset=17 outside allowed range \[1, 16\]$"):
         kraus_from_truncation(u, 8, 3, column_offset=17)
     # largest legal offset still gives exact column orthonormality
     u2 = sample_cue(16, derive_seed(6, 1, 4))
@@ -235,6 +236,18 @@ def test_derived_scales_that_overflow_raise_naming_the_scale(call, args, message
     with pytest.raises(ValueError) as info:
         call(*args)
     assert message in str(info.value) and str(info.value).endswith("must be finite and > 0")
+
+
+@pytest.mark.parametrize("call, args", [
+    (heisenberg_time, (10**400, 1.0)),
+    (mean_level_spacing, (10**400, 1.0)),
+    (critical_tau, (10**400, 1.0)),
+    (phi_max, (1.0, 10**400, 1.0)),
+], ids=["heisenberg_time", "mean_level_spacing", "critical_tau", "phi_max"])
+def test_a_dimension_no_float_holds_raises_naming_d(call, args):
+    # 2 <= 10**400 < inf held, and math.sqrt(8.0 * d) raised OverflowError "int too large to convert to float"
+    with pytest.raises(ValueError, match="^d must be >= 2 and convert to a float"):
+        call(*args)
 
 
 @pytest.mark.parametrize("energies", [[1.0, math.nan, 0.0], [0.0, math.nan], [0.0, math.inf], [-math.inf, 0.0]])
