@@ -58,7 +58,8 @@ from .diagnostics import (
     series_to_csv,
 )
 from .pqc import ParametricChannel, build_superoperator, in_eigenbasis, interleaved
-from .rmt import _check_scales, critical_tau, derive_seed, heisenberg_time, sample_goe, sample_kraus_set
+from .rmt import (_check_cue_side, _check_scales, critical_tau, derive_seed, heisenberg_time, sample_goe,
+                  sample_kraus_set)
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -130,7 +131,9 @@ _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
 
 
 def _is_finite_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """A real, not a bool, within +-sys.float_info.max: NaN and +-inf fail, and so does an int no float holds."""
+    big = sys.float_info.max
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -big <= v <= big
 
 
 # Accepted values per annotation of an ExperimentConfig field, with how to say so.
@@ -216,9 +219,10 @@ def _ask(prefix: str, check: Callable, *args, **kwargs) -> List[str]:
 def validate_config(cfg: ExperimentConfig) -> List[str]:
     """Collect every problem with the config; an empty list means runnable.
 
-    The library judges each physical key, the column offset once dim and
-    kraus_count have passed and, in the modes that read them, each derived
-    scale and each step count; the rules stated here are the CLI's own.
+    The library judges each physical key, the column offset and the CUE side
+    kraus_count*dim once dim and kraus_count have passed and, in the modes
+    that read them, each derived scale and each step count; the rules stated
+    here are the CLI's own.
     """
     if cfg.mode not in MODES:
         return [f"mode must be one of {MODES}, got {cfg.mode!r}"]
@@ -265,6 +269,7 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         issues += k_issues
         if not (dim_issues or k_issues):
             issues += _ask("", _check_scales, d=cfg.dim, k=cfg.kraus_count, column_offset=cfg.column_offset)
+            issues += _ask("kraus_count*dim: ", _check_cue_side, cfg.kraus_count * cfg.dim)
         if not cfg.tau:
             say(f"{cfg.mode} needs a non-empty tau list")
         if any(t <= 0 for t in cfg.tau):

@@ -90,7 +90,7 @@ def _pair_data(energies: EnergiesLike, beta: float):
 
 
 class EDClosedForms(NamedTuple):
-    """Closed-form dephasing observables on one time grid (floats for scalar t)."""
+    """Closed-form dephasing observables on one time grid: four 1-D arrays, one entry per time."""
 
     sff: np.ndarray
     cl1: np.ndarray
@@ -112,7 +112,8 @@ def ed_closed_forms(
 
     C_l1 is d - 1 at t = 0, beta = 0.  One call takes a non-empty sequence of
     gammas and returns one EDClosedForms per gamma, in the same order, from a
-    single pass over the level pairs.
+    single pass over the level pairs.  t is read flattened, a scalar as one
+    time, so every field is a 1-D array with one entry per time.
 
     The level pairs are taken in ascending order of w^2, once per call.  Per
     block of times the pair cosines come from per-level phases
@@ -135,15 +136,14 @@ def ed_closed_forms(
     value depends neither on the block size nor on the rest of the grid or
     the gamma list.  It does depend on the BLAS thread count once a row is
     long enough for the BLAS to split its dot product (OpenBLAS: above
-    10^4 pairs, d >= 142).  Scalar t in, floats out.  Times must be finite
-    and >= 0; a largest t at which gamma*t*w^2, t*w^2*d or t*|E|/hbar
-    overflows raises ValueError.
+    10^4 pairs, d >= 142).  Times must be finite and >= 0; a largest t at
+    which gamma*t*w^2, t*w^2*d or t*|E|/hbar overflows raises ValueError.
     """
     gammas = list(gammas)
     if not gammas:
         raise ValueError("need at least one gamma")
     _check_scales(gammas=gammas, hbar=hbar)
-    t = _check_times(t)
+    t = _check_times(t).reshape(-1)
     e = as_energies(energies)
     # Every product the kernel forms must be finite; as Python floats they overflow to inf
     # quietly, and an infinite gamma*t times a zero w^2 is nan.
@@ -156,12 +156,11 @@ def ed_closed_forms(
     w2 = w**2
     ones = np.ones_like(w)
     fp = plateau_value(e, beta)
-    flat = np.atleast_1d(t).reshape(-1)
-    out = np.empty((len(gammas), 4, flat.size))
+    out = np.empty((len(gammas), 4, t.size))
     rows = max(1, _PAIR_BLOCK // max(w.size, 1))
-    buffers = np.empty((2, min(rows, flat.size), w.size))
-    for lo in range(0, flat.size, rows):
-        ts = flat[lo:lo + rows, np.newaxis]
+    buffers = np.empty((2, min(rows, t.size), w.size))
+    for lo in range(0, t.size, rows):
+        ts = t[lo:lo + rows, np.newaxis]
         t_lo = float(ts.min())
         q, u = buffers[:, :ts.shape[0]]
         # the same for every gamma: q = sqrt(p_n p_m) cos(w*t/hbar), the
@@ -186,9 +185,7 @@ def ed_closed_forms(
             block[1] = 2.0 * np.vecdot(u, ones)
             block[2] = -2.0 * ts[:, 0] * np.vecdot(u, w2)
             block[3] = fp + 2.0 * np.vecdot(u, u)
-    if t.ndim == 0:
-        return [EDClosedForms(*(float(x[0]) for x in forms)) for forms in out]
-    return [EDClosedForms(*(x.reshape(t.shape) for x in forms)) for forms in out]
+    return [EDClosedForms(*forms) for forms in out]
 
 
 def taylor_lower_bound(forms: EDClosedForms, dim: int, t, hbar: float = 1.0) -> np.ndarray:

@@ -17,10 +17,12 @@ follow from the same convention:
 tau_c is the kick period at which the spread of unitary phases
 tau*(E_m - E_n)/hbar first covers the full circle.
 
-Environment (Kraus) operators come from Haar-random unitaries: K operators of
-shape (d, d) are cut out of a CUE(K*d) matrix as vertical blocks of a common
-d-column slab.  Orthonormality of the slab's columns makes the set exactly
-trace preserving, sum_r N_r^dag N_r = 1.
+Environment (Kraus) operators come from Haar-random unitaries: `sample_kraus_set`
+cuts K operators of shape (d, d) out of a CUE(K*d) matrix as the vertical
+blocks of a common d-column slab (K = 1: the whole unitary).  Orthonormality
+of the slab's columns makes the set exactly trace preserving,
+sum_r N_r^dag N_r = 1.  `_check_cue_side` caps K*d at 4096 (256 MiB per
+complex matrix).
 
 `_check_scales` is the one statement of what values a physical scale may
 take (d, K, column offset, sigma, hbar, beta, tau, epsilon, gamma); the
@@ -44,6 +46,10 @@ from typing import Optional
 
 import numpy as np
 
+# The largest side `sample_cue` draws: a 4096 x 4096 complex matrix holds 256 MiB,
+# as much as the d^2 x d^2 superoperator at d = 64.
+_MAX_CUE_SIDE = 4096
+
 __all__ = [
     "HamiltonianSpectrum",
     "KrausSet",
@@ -51,7 +57,6 @@ __all__ = [
     "rng_from_seed",
     "sample_goe",
     "sample_cue",
-    "kraus_from_truncation",
     "sample_kraus_set",
     "mean_level_spacing",
     "heisenberg_time",
@@ -211,15 +216,21 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 
 
+def _check_cue_side(n) -> None:
+    """Raise ValueError unless 1 <= n <= _MAX_CUE_SIDE; the one size rule of a CUE(n) draw."""
+    if not 1 <= n <= _MAX_CUE_SIDE:
+        raise ValueError(f"the CUE side n=K*d must lie in [1, {_MAX_CUE_SIDE}]"
+                         f" (a complex {_MAX_CUE_SIDE} x {_MAX_CUE_SIDE} matrix holds 256 MiB), got {n}")
+
+
 def sample_cue(n: int, seed: int) -> np.ndarray:
-    """Haar-random U(n) matrix.
+    """Haar-random U(n) matrix, 1 <= n <= 4096.
 
     QR decomposition of a complex Ginibre matrix, with the R diagonal
     rescaled to unit modulus so the factorization is unique and Q is
-    Haar distributed.
+    Haar distributed.  The side is checked before anything is allocated.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_cue_side(n)
     rng = rng_from_seed(seed)
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * np.sqrt(0.5)
     q, r = np.linalg.qr(z)
@@ -227,39 +238,24 @@ def sample_cue(n: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def kraus_from_truncation(
-    unitary: np.ndarray,
-    d: int,
-    k: int,
-    column_offset: int = 1,
-    seed: Optional[int] = None,
-) -> KrausSet:
-    """Cut K trace-preserving Kraus operators out of a (K*d) x (K*d) unitary.
+def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> KrausSet:
+    """K trace-preserving Kraus operators cut out of U = sample_cue(K*d, seed).
 
-    Operator r (r = 1..K) is the block of rows (r-1)*d .. r*d - 1 restricted
-    to the d consecutive columns starting at `column_offset`.  Because those
-    columns are orthonormal, sum_r N_r^dag N_r = 1 holds exactly.
-
-    For K == 1 the whole matrix is the single (unitary) operator and
-    `column_offset` is ignored.  Otherwise 1 <= column_offset <= d*(K-1),
-    checked with d and K by `_check_scales`.
+    Operator r (r = 0..K-1) is the block of rows r*d .. (r+1)*d - 1 of U
+    restricted to the d consecutive columns starting at `column_offset`.
+    Because those columns are orthonormal, sum_r N_r^dag N_r = 1 holds
+    exactly.  For K == 1 the whole unitary is the single operator and
+    `column_offset` is ignored; otherwise 1 <= column_offset <= d*(K-1),
+    checked with d and K by `_check_scales`.  To cut another unitary, build a
+    `KrausSet` from its (K, d, d) slab.
     """
     _check_scales(d=d, k=k, column_offset=column_offset)
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (k * d, k * d):
-        raise ValueError(f"unitary has shape {u.shape}, expected {(k * d, k * d)}")
+    u = sample_cue(k * d, seed)
     if k == 1:
-        ops = u[np.newaxis, :, :].copy()
-        return KrausSet(ops, seed=seed)
-    cols = slice(column_offset, column_offset + d)
-    ops = np.stack([u[r * d : (r + 1) * d, cols] for r in range(k)])
-    return KrausSet(ops, seed=seed)
-
-
-def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> KrausSet:
-    """Sample CUE(K*d) and truncate it into a KrausSet (convenience wrapper)."""
-    v = sample_cue(k * d, seed)
-    return kraus_from_truncation(v, d, k, column_offset=column_offset, seed=int(seed))
+        return KrausSet(u[np.newaxis], seed=int(seed))
+    # a contiguous copy of the slab, so the operators do not keep all of U alive
+    slab = np.ascontiguousarray(u[:, column_offset:column_offset + d].reshape(k, d, d))
+    return KrausSet(slab, seed=int(seed))
 
 
 def mean_level_spacing(d: int, sigma: float) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openchaos import cli, spectral
+from openchaos import cli, rmt, spectral
 from openchaos.diagnostics import (
     SeriesAccumulator,
     columns_to_csv,
@@ -694,6 +695,50 @@ def test_validate_rejects_oversized_grids(tmp_path, capsys, mode, name, value, m
     assert not (tmp_path / "out").exists()
     _write_config(p, **base, **{name: 4096 if name == "histogram_bins" else 10**6})
     assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("mode, dim, kraus_count, at_limit", [
+    ("pqc-sff", 32, 1022, (32, 128)),  # CUE(32704): 17 GB per complex matrix
+    ("depth-grid", 64, 65, (64, 64)),
+    ("spectrum", 4097, 1, (4096, 1)),
+])
+def test_validate_rejects_a_cue_side_above_4096_before_any_draw(tmp_path, capsys, monkeypatch, mode, dim,
+                                                                 kraus_count, at_limit):
+    def draw(*args, **kwargs):
+        raise AssertionError("sample_cue was called")
+
+    monkeypatch.setattr(rmt, "sample_cue", draw)
+    p = tmp_path / "c.json"
+    base = dict(mode=mode, allow_large=True, realizations=1, tau=[0.1], epsilon=[0.1])
+    _write_config(p, **base, dim=dim, kraus_count=kraus_count)
+    message = (f"config error: kraus_count*dim: the CUE side n=K*d must lie in [1, 4096]"
+               f" (a complex 4096 x 4096 matrix holds 256 MiB), got {dim * kraus_count}\n")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # at the limit the config is valid
+    _write_config(p, **base, dim=at_limit[0], kraus_count=at_limit[1])
+    assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(sigma=10**400), id="sigma"),
+    pytest.param(dict(t_max=10**400), id="t_max"),
+    pytest.param(dict(gamma=[0.1, 10**400]), id="gamma"),
+    pytest.param(dict(mode="pqc-sff", tau=[-(10**400)], epsilon=[0.1]), id="tau"),
+    pytest.param(dict(full_scale=True, hbar=10**400), id="full_scale"),
+])
+def test_an_integer_no_float_holds_is_not_a_finite_number(tmp_path, capsys, overrides):
+    # math.isfinite raised OverflowError on such a JSON integer, a traceback with exit 1
+    p = tmp_path / "c.json"
+    _write_config(p, **overrides)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^config error: \w+ must be a (list of )?finite number", err, re.M), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _reject_constant(name):

@@ -71,7 +71,7 @@ def test_ed_sff_matches_fidelity_of_evolved_state():
     for t in (0.0, 0.4, 2.0, 10.0):
         rho_t = ed_evolve(rho0, h, gamma, t)
         direct = float(np.real(cgs.amplitudes @ rho_t @ cgs.amplitudes))
-        assert ed_closed_forms(h, beta, [gamma], t)[0].sff == pytest.approx(direct, abs=1e-12)
+        assert ed_closed_forms(h, beta, [gamma], t)[0].sff[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_ed_sff_gamma_zero_is_isolated_form_factor():
@@ -82,7 +82,7 @@ def test_ed_sff_gamma_zero_is_isolated_form_factor():
     p /= p.sum()
     for t in (0.1, 1.0, 7.0):
         z = np.sum(p * np.exp(-1j * t * h.energies))
-        assert ed_closed_forms(h, beta, [0.0], t)[0].sff == pytest.approx(abs(z) ** 2, abs=1e-12)
+        assert ed_closed_forms(h, beta, [0.0], t)[0].sff[0] == pytest.approx(abs(z) ** 2, abs=1e-12)
 
 
 def _mp_closed_forms(energies, beta, gamma, hbar, times):
@@ -126,10 +126,23 @@ def test_closed_forms_match_40_digit_sums(d, beta, gamma, hbar):
     assert np.all(np.abs(forms.cl1_gamma_derivative - slope) <= 1e-13 * np.abs(slope))
 
 
+@pytest.mark.parametrize("t", [0.5, [0.5], np.array([[0.0, 0.5], [1.0, 2.0]])])
+def test_closed_forms_are_1d_arrays_for_any_shape_of_t(t):
+    # t is read flattened: one entry per time, a scalar t included
+    h = sample_goe(6, 1.0, derive_seed(21, 0, 14))
+    flat = np.ravel(t)
+    for gamma, forms in zip((0.0, 0.3), ed_closed_forms(h, 0.2, [0.0, 0.3], t)):
+        for field, x in zip(forms._fields, forms):
+            assert isinstance(x, np.ndarray) and x.shape == flat.shape, field
+        # a time's row does not depend on the rest of the grid
+        (last,) = ed_closed_forms(h, 0.2, [gamma], flat[-1])
+        assert np.array_equal(np.asarray(forms)[:, -1:], last)
+
+
 def test_ed_cl1_initial_value_and_decay():
     d = 12
     h = sample_goe(d, 1.0, derive_seed(21, 0, 4))
-    assert ed_closed_forms(h, 0.0, [0.3], 0.0)[0].cl1 == pytest.approx(d - 1, abs=1e-10)
+    assert ed_closed_forms(h, 0.0, [0.3], 0.0)[0].cl1[0] == pytest.approx(d - 1, abs=1e-10)
     ts = np.linspace(0.0, 5.0, 40)
     c = ed_closed_forms(h, 0.0, [0.3], ts)[0].cl1
     assert np.all(np.diff(c) <= 1e-12)  # pure gaussian damping, no revivals
@@ -139,9 +152,9 @@ def test_ed_cl1_gamma_derivative_matches_finite_difference():
     d, beta, t = 9, 0.2, 1.3
     h = sample_goe(d, 1.0, derive_seed(21, 0, 5))
     gamma, dg = 0.5, 1e-6
-    grad = ed_closed_forms(h, beta, [gamma], t)[0].cl1_gamma_derivative
-    up = ed_closed_forms(h, beta, [gamma + dg], t)[0].cl1
-    down = ed_closed_forms(h, beta, [gamma - dg], t)[0].cl1
+    grad = ed_closed_forms(h, beta, [gamma], t)[0].cl1_gamma_derivative[0]
+    up = ed_closed_forms(h, beta, [gamma + dg], t)[0].cl1[0]
+    down = ed_closed_forms(h, beta, [gamma - dg], t)[0].cl1[0]
     fd = (up - down) / (2 * dg)
     assert grad == pytest.approx(fd, rel=1e-6)
 
@@ -153,7 +166,7 @@ def test_ed_purity_closed_form():
     for t in (0.3, 2.0):
         rho_t = ed_evolve(rho0, h, gamma, t)
         direct = float(np.real(np.vdot(rho_t, rho_t)))
-        assert ed_closed_forms(h, beta, [gamma], t)[0].purity == pytest.approx(direct, abs=1e-12)
+        assert ed_closed_forms(h, beta, [gamma], t)[0].purity[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_ed_long_time_plateau():
@@ -161,9 +174,9 @@ def test_ed_long_time_plateau():
     h = sample_goe(d, 1.0, derive_seed(21, 0, 7))
     fp = plateau_value(h, beta)
     (late,) = ed_closed_forms(h, beta, [gamma], 1e4)
-    assert late.sff == pytest.approx(fp, abs=1e-12)
-    assert late.purity == pytest.approx(fp, abs=1e-12)
-    assert late.cl1 == pytest.approx(0.0, abs=1e-12)
+    assert late.sff[0] == pytest.approx(fp, abs=1e-12)
+    assert late.purity[0] == pytest.approx(fp, abs=1e-12)
+    assert late.cl1[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_extreme_finite_rates_raise_no_warning():
@@ -175,10 +188,10 @@ def test_extreme_finite_rates_raise_no_warning():
     gammas = [0.0, 5e-324, 1.0, 2.0]
     for t in (0.0, 5e-324, 1.1e-307, 1e-300, 1.0, 1e300):
         for forms in ed_closed_forms(h, beta, gammas, t):
-            assert all(map(math.isfinite, forms)), (t, forms)
+            assert np.isfinite(forms).all(), (t, forms)
     (late,) = ed_closed_forms(h, beta, gammas[-1:], 1e300)
-    assert late.sff == late.purity == plateau_value(h, beta)
-    assert late.cl1 == late.cl1_gamma_derivative == 0.0
+    assert late.sff[0] == late.purity[0] == plateau_value(h, beta)
+    assert late.cl1[0] == late.cl1_gamma_derivative[0] == 0.0
 
 
 @pytest.mark.parametrize("levels, gamma, t, hbar", [
@@ -279,7 +292,8 @@ def test_params_sequence_must_be_nonempty_with_one_hbar():
     with pytest.raises(ValueError, match="at least one"):
         ed_closed_forms(h, 0.0, [], 1.0)
     shared = ed_closed_forms(h, 0.0, (0.1, 0.4), 1.0)
-    assert isinstance(shared, list) and shared == [ed_closed_forms(h, 0.0, [g], 1.0)[0] for g in (0.1, 0.4)]
+    assert isinstance(shared, list)
+    assert np.array_equal(shared, [ed_closed_forms(h, 0.0, [g], 1.0)[0] for g in (0.1, 0.4)])
 
 
 def test_negative_time_rejected():

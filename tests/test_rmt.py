@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from openchaos import rmt
 from openchaos.rmt import (
     HamiltonianSpectrum,
     KrausSet,
     critical_tau,
     derive_seed,
     heisenberg_time,
-    kraus_from_truncation,
     mean_level_spacing,
     rng_from_seed,
     sample_cue,
@@ -137,23 +137,52 @@ def test_kraus_truncation_is_trace_preserving():
         assert ks.operators.shape == (3, 8, 8)
 
 
+@pytest.mark.parametrize("offset", [1, 5, 16])
+def test_kraus_set_is_the_offset_slab_of_one_cue_draw(offset):
+    # operator r is rows r*d .. (r+1)*d - 1 of CUE(K*d), columns offset .. offset+d-1
+    seed = derive_seed(6, 1, 5)
+    u = sample_cue(24, seed)
+    ks = sample_kraus_set(8, 3, seed, column_offset=offset)
+    for r in range(3):
+        assert np.array_equal(ks.operators[r], u[r * 8:(r + 1) * 8, offset:offset + 8])
+    assert ks.seed == seed and ks.operators.flags.c_contiguous
+
+
 def test_kraus_single_operator_is_the_whole_unitary():
-    u = sample_cue(8, derive_seed(6, 1, 1))
-    ks = kraus_from_truncation(u, 8, 1)
-    assert np.array_equal(ks.operators[0], u)
-    assert ks.trace_defect() < 1e-12
+    seed = derive_seed(6, 1, 1)
+    u = sample_cue(8, seed)
+    for offset in (1, 5):  # ignored for K = 1
+        ks = sample_kraus_set(8, 1, seed, column_offset=offset)
+        assert np.array_equal(ks.operators[0], u)
+        assert ks.trace_defect() < 1e-12
 
 
 def test_kraus_offset_bounds():
-    u = sample_cue(24, derive_seed(6, 1, 2))
+    seed = derive_seed(6, 1, 2)
     with pytest.raises(ValueError, match=r"^column_offset=0 outside allowed range \[1, 16\]$"):
-        kraus_from_truncation(u, 8, 3, column_offset=0)
+        sample_kraus_set(8, 3, seed, column_offset=0)
     with pytest.raises(ValueError, match=r"^column_offset=17 outside allowed range \[1, 16\]$"):
-        kraus_from_truncation(u, 8, 3, column_offset=17)
+        sample_kraus_set(8, 3, seed, column_offset=17)
     # largest legal offset still gives exact column orthonormality
-    u2 = sample_cue(16, derive_seed(6, 1, 4))
-    ks = kraus_from_truncation(u2, 8, 2, column_offset=8)
+    ks = sample_kraus_set(8, 2, derive_seed(6, 1, 4), column_offset=8)
     assert ks.trace_defect() < 1e-12
+
+
+def test_cue_side_is_checked_before_anything_is_allocated(monkeypatch):
+    # the Ginibre draw starts at `rng_from_seed`; a side past 4096 never reaches it
+    class Drawn(Exception):
+        pass
+
+    def draw(seed):
+        raise Drawn
+
+    monkeypatch.setattr(rmt, "rng_from_seed", draw)
+    for call, n in ((lambda: sample_cue(0, 1), 0), (lambda: sample_cue(4097, 1), 4097),
+                    (lambda: sample_kraus_set(64, 65, 1), 4160), (lambda: sample_kraus_set(32, 1022, 1), 32704)):
+        with pytest.raises(ValueError, match=rf"^the CUE side n=K\*d must lie in \[1, 4096\] .* got {n}$"):
+            call()
+    with pytest.raises(Drawn):
+        sample_cue(4096, 1)
 
 
 def test_kraus_set_count_bounds():
