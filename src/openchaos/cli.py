@@ -15,11 +15,12 @@ derive_seed(master_seed, 1, index), so realization i is the same physical
 sample in every mode and at every grid point; ensembles are therefore paired
 across parameters, and a run is reproducible from (config, master_seed)
 alone.  Each realization is one job: the Hamiltonian and the Kraus set are
-drawn, the Kraus set is rotated into the eigenbasis of H once, and every grid
-point reuses that pair.  With --workers N > 1 the jobs run in N forked worker
-processes (serially where the platform cannot fork); workers only change
-scheduling, because results are reduced in realization order, so the emitted
-CSV numbers are byte-identical for any --workers value.
+drawn, the channel at the first grid point rotates the Kraus set into the
+eigenbasis of H once, and every grid point is that channel `replace`d to its
+(tau, epsilon), which rotates nothing.  With --workers N > 1 the jobs run in
+N forked worker processes (serially where the platform cannot fork); workers
+only change scheduling, because results are reduced in realization order, so
+the emitted CSV numbers are byte-identical for any --workers value.
 
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
@@ -39,7 +40,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence
 
@@ -57,8 +58,8 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, build_superoperator, in_eigenbasis, interleaved
-from .rmt import (_check_cue_side, _check_scales, critical_tau, derive_seed, heisenberg_time, sample_goe,
+from .pqc import ParametricChannel, build_superoperator, interleaved
+from .rmt import (_check_scales, _check_side, critical_tau, derive_seed, heisenberg_time, sample_goe,
                   sample_kraus_set)
 from .spectral import (
     annular_boundaries,
@@ -220,7 +221,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
     """Collect every problem with the config; an empty list means runnable.
 
     The library judges each physical key, the column offset and the CUE side
-    kraus_count*dim once dim and kraus_count have passed and, in the modes
+    kraus_count*dim once dim and kraus_count have passed, the superoperator
+    side dim**2 in `spectrum` and `csr` once dim has passed and, in the modes
     that read them, each derived scale and each step count; the rules stated
     here are the CLI's own.
     """
@@ -234,6 +236,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
     dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
     base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
     issues += base + _ask("", _check_scales, beta=cfg.beta)
+    if cfg.mode in ("spectrum", "csr") and not dim_issues:
+        issues += _ask("dim: ", _check_side, cfg.dim**2, "the superoperator side d^2")
     if cfg.dim > 32 and not cfg.allow_large:
         say(f"dim={cfg.dim} above the desk-scale limit 32 requires allow_large=true")
     if cfg.realizations < 1:
@@ -269,7 +273,7 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         issues += k_issues
         if not (dim_issues or k_issues):
             issues += _ask("", _check_scales, d=cfg.dim, k=cfg.kraus_count, column_offset=cfg.column_offset)
-            issues += _ask("kraus_count*dim: ", _check_cue_side, cfg.kraus_count * cfg.dim)
+            issues += _ask("kraus_count*dim: ", _check_side, cfg.kraus_count * cfg.dim, "the CUE side n=K*d")
         if not cfg.tau:
             say(f"{cfg.mode} needs a non-empty tau list")
         if any(t <= 0 for t in cfg.tau):
@@ -317,26 +321,22 @@ def _hamiltonian(cfg: ExperimentConfig, idx: int):
     return sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, _GOE_STREAM, idx))
 
 
-def _realization(cfg: ExperimentConfig, idx: int):
-    """Hamiltonian and Kraus set of realization `idx`, both in the eigenbasis of H."""
-    h = _hamiltonian(cfg, idx)
-    kraus = sample_kraus_set(
-        cfg.dim,
-        cfg.kraus_count,
-        derive_seed(cfg.master_seed, _CUE_STREAM, idx),
-        column_offset=cfg.column_offset,
-    )
-    return in_eigenbasis(h, kraus)
+def _realization(cfg: ExperimentConfig, idx: int) -> ParametricChannel:
+    """Mixture channel of realization `idx` at the first grid point; it holds the pair in the eigenbasis of H."""
+    kraus = sample_kraus_set(cfg.dim, cfg.kraus_count, derive_seed(cfg.master_seed, _CUE_STREAM, idx),
+                             column_offset=cfg.column_offset)
+    return ParametricChannel(tau=cfg.tau[0], epsilon=cfg.epsilon[0], hamiltonian=_hamiltonian(cfg, idx),
+                             kraus=kraus, hbar=cfg.hbar)
 
 
-def _channel(cfg: ExperimentConfig, h, kraus, tau: float, eps: float) -> ParametricChannel:
-    """The configured channel form at (tau, eps).
+def _channel(cfg: ExperimentConfig, base: ParametricChannel, tau: float, eps: float) -> ParametricChannel:
+    """The configured channel form at (tau, eps): `base` moved there, which rotates nothing.
 
     The interleaved product W_eps U_tau is the mixture channel of the Kraus
     set {N_r U_tau} (`interleaved`), so every mode steps it with
     `apply_channel` and writes its matrix with `build_superoperator`.
     """
-    ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus, hbar=cfg.hbar)
+    ch = replace(base, tau=tau, epsilon=eps)
     return interleaved(ch) if cfg.channel_form == "interleaved" else ch
 
 
@@ -478,10 +478,10 @@ def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int)
     record = {t: _record_steps(cfg, max(1, _steps_to(t_max, t, "t_max"))) for t in cfg.tau}
 
     def worker(idx: int):
-        h, kraus = _realization(cfg, idx)
+        base = _realization(cfg, idx)
         out_series = []
         for tau, eps in grid:
-            ch = _channel(cfg, h, kraus, tau, eps)
+            ch = _channel(cfg, base, tau, eps)
             out_series.append(
                 channel_diagnostics(ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau])
             )
@@ -496,10 +496,10 @@ def _spectra(cfg: ExperimentConfig, workers: int):
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
 
     def worker(idx: int):
-        h, kraus = _realization(cfg, idx)
+        base = _realization(cfg, idx)
         return [
             eigenvalues(
-                build_superoperator(_channel(cfg, h, kraus, tau, eps)),
+                build_superoperator(_channel(cfg, base, tau, eps)),
                 context=f"tau={tau}, eps={eps}, realization={idx}",
             )
             for tau, eps in grid
@@ -615,18 +615,17 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
 
     def worker(idx: int):
         """Per tau: the isolated series, then one series per eps."""
-        h, kraus = _realization(cfg, idx)
+        base = _realization(cfg, idx)
         out_series = []
         for tau in taus:
             times = np.arange(j_max[tau] + 1) * tau
-            (iso,) = ed_diagnostics(h, cfg.beta, [0.0], times, cfg.hbar)
+            (iso,) = ed_diagnostics(base.hamiltonian, cfg.beta, [0.0], times, cfg.hbar)
             out_series.append(iso)
             for eps in cfg.epsilon:
                 if eps == 0.0:
                     out_series.append(iso)
                 else:
-                    ch = _channel(cfg, h, kraus, tau, eps)
-                    out_series.append(channel_diagnostics(ch, cfg.beta, j_max[tau]))
+                    out_series.append(channel_diagnostics(_channel(cfg, base, tau, eps), cfg.beta, j_max[tau]))
         return out_series
 
     width = 1 + len(cfg.epsilon)

@@ -15,10 +15,10 @@ vectorized channel
                   + eps * sum_r N_r (x) conj(N_r)
 
 is diagonal with phases exp(i*tau*(E_m - E_n)/hbar) at row index n*d + m.
-Kraus operators handed in along with a Hamiltonian matrix are rotated into
-that basis at channel construction.  `in_eigenbasis` does the rotation ahead
-of time, so that all channels of one (H, Kraus set) pair share it: the CLI
-rotates once per realization, not once per grid point.
+Kraus operators handed in along with the eigenvectors of H are rotated into
+that basis once, at channel construction, and the channel keeps the rotated
+pair, so `dataclasses.replace(channel, tau=..., epsilon=...)` moves it across
+a grid without rotating again: the CLI rotates once per realization.
 
 The interleaved product W_eps U_tau (the event after the kick) is the same
 kind of channel: W_eps[U rho U^dag] = (1-eps) U rho U^dag
@@ -46,17 +46,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
-from .rmt import HamiltonianSpectrum, KrausSet, _check_scales
+from .rmt import HamiltonianSpectrum, KrausSet, _check_derived, _check_scales, _check_side
 from .states import as_energies
 
 __all__ = [
     "Superoperator",
     "ParametricChannel",
-    "in_eigenbasis",
     "interleaved",
     "apply_channel",
     "build_superoperator",
@@ -100,29 +99,19 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> n
     return np.einsum("in,rij,jm->rnm", q.conj(), operators, q)
 
 
-def in_eigenbasis(
-    hamiltonian: HamiltonianSpectrum, kraus: KrausSet
-) -> Tuple[HamiltonianSpectrum, KrausSet]:
-    """The pair with the Kraus operators rotated into the eigenbasis of H.
-
-    The spectrum keeps sigma, energies and seed but drops the matrix and its
-    eigenvectors, and the Kraus set keeps its seed, so a `ParametricChannel`
-    built from the returned pair skips its own rotation; its constants are the
-    same bytes as those of a channel built from the original pair.
-    """
-    spectrum = replace(hamiltonian, matrix=None, eigenvectors=None)
-    return spectrum, KrausSet(_to_eigenbasis(hamiltonian, kraus.operators), seed=kraus.seed)
-
-
 @dataclass(frozen=True)
 class ParametricChannel:
     """One (tau, eps) channel tied to a sampled Hamiltonian and Kraus set.
 
-    The channel works in the H eigenbasis: if the Kraus set was sampled in the
-    same basis as the Hamiltonian matrix, its operators are conjugated by the
-    eigenvector matrix here (a pair from `in_eigenbasis` is already rotated).
+    The channel works in the H eigenbasis.  If the Hamiltonian carries its
+    eigenvectors, the Kraus set is taken to be in the basis of its matrix and
+    is rotated here, once: the channel then holds the rotated `KrausSet` (seed
+    kept) as `kraus` and the spectrum without matrix and eigenvectors as
+    `hamiltonian`, so `replace(channel, tau=..., epsilon=...)` rotates nothing.
     States handed to `apply_channel` are understood in the eigenbasis as
-    well, which is where the coherent Gibbs state lives anyway.
+    well, which is where the coherent Gibbs state lives anyway.  The largest
+    phase the mask or `interleaved` forms, tau*max(E_max - E_min, max|E|)/hbar,
+    must be finite: a ValueError naming tau and hbar says where it overflows.
 
     The constants of one step are built here as well: the (1-eps)-weighted
     phase twist `mask[n, m] = (1-eps) * exp(-i*tau*(E_n - E_m)/hbar)` of
@@ -143,12 +132,17 @@ class ParametricChannel:
 
     def __post_init__(self) -> None:
         _check_scales(tau=self.tau, epsilon=self.epsilon, hbar=self.hbar)
-        if self.kraus.dim != self.hamiltonian.dim:
-            raise ValueError(
-                f"Kraus dimension {self.kraus.dim} != Hamiltonian dimension {self.hamiltonian.dim}"
-            )
-        rotated = _to_eigenbasis(self.hamiltonian, self.kraus.operators).transpose(1, 0, 2)
-        ops = np.ascontiguousarray(rotated, dtype=complex).transpose(1, 0, 2)  # (d, K, d) memory
+        h, kraus = self.hamiltonian, self.kraus
+        if kraus.dim != h.dim:
+            raise ValueError(f"Kraus dimension {kraus.dim} != Hamiltonian dimension {h.dim}")
+        if h.eigenvectors is not None:
+            object.__setattr__(self, "kraus", KrausSet(_to_eigenbasis(h, kraus.operators), seed=kraus.seed))
+            object.__setattr__(self, "hamiltonian", replace(h, matrix=None, eigenvectors=None))
+        lo, hi = float(h.energies[0]), float(h.energies[-1])  # Python floats overflow to inf, with no warning
+        phase = float(self.tau) * max(hi - lo, -lo, hi) / float(self.hbar)
+        _check_derived("phase", "tau*max(E_max-E_min, max|E|)/hbar", phase, zero_ok=True,
+                       tau=self.tau, hbar=self.hbar)
+        ops = np.ascontiguousarray(self.kraus.operators.transpose(1, 0, 2)).transpose(1, 0, 2)  # (d, K, d) memory
         k, d = ops.shape[0], ops.shape[1]
         w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
         object.__setattr__(self, "kraus_ops", ops)
@@ -169,14 +163,11 @@ def interleaved(channel: ParametricChannel) -> ParametricChannel:
 
     It is the mixture channel of the Kraus set {N_r U_tau}.  In the
     eigenbasis U_tau is diagonal, so N_r U_tau scales column m of N_r by
-    exp(-i*tau*E_m/hbar); the returned channel holds no eigenvectors.
+    exp(-i*tau*E_m/hbar).  The channel's pair is already in the eigenbasis,
+    so `replace` swaps in that Kraus set and rotates nothing.
     """
     u = np.exp(-1j * channel.tau * channel.energies / channel.hbar)
-    kraus = KrausSet(channel.kraus_ops * u, seed=channel.kraus.seed)
-    return ParametricChannel(
-        tau=channel.tau, epsilon=channel.epsilon, kraus=kraus, hbar=channel.hbar,
-        hamiltonian=replace(channel.hamiltonian, matrix=None, eigenvectors=None),
-    )
+    return replace(channel, kraus=KrausSet(channel.kraus_ops * u, seed=channel.kraus.seed))
 
 
 def _kraus_sum(channel: ParametricChannel, m: np.ndarray) -> np.ndarray:
@@ -235,8 +226,10 @@ def build_superoperator(channel: ParametricChannel) -> Superoperator:
 
     The diagonal is the flattened `mask`, (1-eps) times the phases
     exp(i*tau*(E_m - E_n)/hbar) at n*d + m; the Kraus part adds
-    eps * sum_r N_r (x) conj(N_r), one operator at a time.
+    eps * sum_r N_r (x) conj(N_r), one operator at a time.  The side d^2 is
+    checked against the dense-matrix limit 4096 before anything is allocated.
     """
+    _check_side(channel.dim**2, "the superoperator side d^2")
     m = np.diag(channel.mask.reshape(-1))
     for n in channel.kraus_ops:
         m += channel.epsilon * np.kron(n, n.conj())

@@ -21,8 +21,9 @@ Environment (Kraus) operators come from Haar-random unitaries: `sample_kraus_set
 cuts K operators of shape (d, d) out of a CUE(K*d) matrix as the vertical
 blocks of a common d-column slab (K = 1: the whole unitary).  Orthonormality
 of the slab's columns makes the set exactly trace preserving,
-sum_r N_r^dag N_r = 1.  `_check_cue_side` caps K*d at 4096 (256 MiB per
-complex matrix).
+sum_r N_r^dag N_r = 1.  `_check_side` caps the side of a dense complex
+matrix at 4096 (256 MiB): the CUE side K*d here, and the superoperator side
+d^2 in `pqc.build_superoperator`.
 
 `_check_scales` is the one statement of what values a physical scale may
 take (d, K, column offset, sigma, hbar, beta, tau, epsilon, gamma); the
@@ -46,9 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-# The largest side `sample_cue` draws: a 4096 x 4096 complex matrix holds 256 MiB,
-# as much as the d^2 x d^2 superoperator at d = 64.
-_MAX_CUE_SIDE = 4096
+# The largest side of a dense complex matrix: a 4096 x 4096 one holds 256 MiB,
+# the CUE(K*d) draw at K*d = 4096 or the d^2 x d^2 superoperator at d = 64.
+_MAX_SIDE = 4096
 
 __all__ = [
     "HamiltonianSpectrum",
@@ -128,8 +129,9 @@ class HamiltonianSpectrum:
 
     energies are sorted ascending, at least two levels; `dim` is their
     count.  When `matrix` is kept, `eigenvectors` holds the orthogonal
-    matrix Q with H = Q diag(energies) Q^T; channel builders use it to rotate
-    environment operators into the eigenbasis.
+    matrix Q with H = Q diag(energies) Q^T.  A `ParametricChannel` uses it
+    to rotate its Kraus operators into the eigenbasis once, and keeps the
+    spectrum without matrix and eigenvectors.
     """
 
     sigma: float
@@ -216,11 +218,11 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 
 
-def _check_cue_side(n) -> None:
-    """Raise ValueError unless 1 <= n <= _MAX_CUE_SIDE; the one size rule of a CUE(n) draw."""
-    if not 1 <= n <= _MAX_CUE_SIDE:
-        raise ValueError(f"the CUE side n=K*d must lie in [1, {_MAX_CUE_SIDE}]"
-                         f" (a complex {_MAX_CUE_SIDE} x {_MAX_CUE_SIDE} matrix holds 256 MiB), got {n}")
+def _check_side(n, what: str) -> None:
+    """Raise ValueError naming the side `what` unless 1 <= n <= _MAX_SIDE; the size rule of any n x n matrix."""
+    if not 1 <= n <= _MAX_SIDE:
+        raise ValueError(f"{what} must lie in [1, {_MAX_SIDE}]"
+                         f" (a complex {_MAX_SIDE} x {_MAX_SIDE} matrix holds 256 MiB), got {n}")
 
 
 def sample_cue(n: int, seed: int) -> np.ndarray:
@@ -230,7 +232,7 @@ def sample_cue(n: int, seed: int) -> np.ndarray:
     rescaled to unit modulus so the factorization is unique and Q is
     Haar distributed.  The side is checked before anything is allocated.
     """
-    _check_cue_side(n)
+    _check_side(n, "the CUE side n=K*d")
     rng = rng_from_seed(seed)
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * np.sqrt(0.5)
     q, r = np.linalg.qr(z)

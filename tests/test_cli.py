@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openchaos import cli, rmt, spectral
+from openchaos import cli, pqc, rmt, spectral
 from openchaos.diagnostics import (
     SeriesAccumulator,
     columns_to_csv,
@@ -590,10 +590,18 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("mode, point", [
     ("pqc-sff", "tau=0.5, eps=0.0"),
 ])
-def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mode, point):
-    # hbar = 5e-324 passes validation, but tau*w/hbar overflows
+def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, monkeypatch, mode, point):
+    # a channel rejects an overflowing phase before any step, so the nan is planted in the eps = 0 series
+    def diagnostics(ch, *args, **kwargs):
+        series = cli_diagnostics(ch, *args, **kwargs)
+        if ch.epsilon == 0.0:
+            series.sff = np.full_like(series.sff, np.nan)
+        return series
+
+    cli_diagnostics = cli.channel_diagnostics
+    monkeypatch.setattr(cli, "channel_diagnostics", diagnostics)
     p = tmp_path / "c.json"
-    _write_config(p, mode=mode, hbar=5e-324, dim=4, realizations=2, points=5, t_max=3.0,
+    _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=3.0,
                   tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2)
     with np.errstate(all="ignore"):
         assert cli.main(["run", str(p)]) == 2
@@ -605,11 +613,13 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mod
 
 
 _LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
+_PHASE_OVERFLOW = "phase=tau*max(E_max-E_min, max|E|)/hbar overflows at tau=0.5, hbar=5e-324: phase=inf"
 
 
 @pytest.mark.parametrize("mode, overrides, message", [
     pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
-    pytest.param("depth-grid", dict(hbar=5e-324), "t*|E|/hbar", id="depth-grid-hbar=5e-324"),
+    # the realization's channel is built, and checks its phases, before the isolated reference
+    pytest.param("depth-grid", dict(hbar=5e-324), _PHASE_OVERFLOW, id="depth-grid-hbar=5e-324"),
     pytest.param("ed-sff", dict(t_max=1e308), "t*|E|/hbar", id="ed-sff-t_max=1e308"),
     # the Taylor lower bound's t*dC_l1/dgamma/(2*hbar^2), past the kernel's own checks
     pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200),
@@ -628,6 +638,21 @@ def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsy
     assert cli.main(["validate", str(p)]) == 0
     assert cli.main(["run", str(p)]) == 2
     assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("mode", ["pqc-sff", "csr", "depth-grid"])
+def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys, mode):
+    # hbar = 5e-324 passes validation, but tau*(E_max - E_min)/hbar is inf: the channel
+    # raises before any step or eigensolve forms a nan
+    p = tmp_path / "c.json"
+    _write_config(p, mode=mode, hbar=5e-324, dim=4, realizations=2, points=5, t_max=3.0,
+                  tau=[0.5], epsilon=[0.3], kraus_count=2)
+    assert cli.main(["validate", str(p)]) == 0
+    assert cli.main(["run", str(p)]) == 2
+    assert f"runtime error: {_PHASE_OVERFLOW} must be finite and >= 0\n" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["errors"] == [f"{_PHASE_OVERFLOW} must be finite and >= 0"]
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
@@ -700,7 +725,7 @@ def test_validate_rejects_oversized_grids(tmp_path, capsys, mode, name, value, m
 @pytest.mark.parametrize("mode, dim, kraus_count, at_limit", [
     ("pqc-sff", 32, 1022, (32, 128)),  # CUE(32704): 17 GB per complex matrix
     ("depth-grid", 64, 65, (64, 64)),
-    ("spectrum", 4097, 1, (4096, 1)),
+    ("spectrum", 4097, 1, (64, 64)),  # (4096, 1) is valid as a draw, but its superoperator is not
 ])
 def test_validate_rejects_a_cue_side_above_4096_before_any_draw(tmp_path, capsys, monkeypatch, mode, dim,
                                                                  kraus_count, at_limit):
@@ -720,6 +745,40 @@ def test_validate_rejects_a_cue_side_above_4096_before_any_draw(tmp_path, capsys
     # at the limit the config is valid
     _write_config(p, **base, dim=at_limit[0], kraus_count=at_limit[1])
     assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "csr"])
+def test_validate_rejects_a_superoperator_side_above_4096_before_any_draw(tmp_path, capsys, monkeypatch, mode):
+    # dim = 65: a 4225 x 4225 complex superoperator, 286 MB per realization
+    def draw(*args, **kwargs):
+        raise AssertionError("sample_goe was called")
+
+    monkeypatch.setattr(cli, "sample_goe", draw)
+    p = tmp_path / "c.json"
+    base = dict(mode=mode, allow_large=True, kraus_count=1, realizations=1, tau=[1.0], epsilon=[0.2])
+    _write_config(p, **base, dim=65)
+    message = ("config error: dim: the superoperator side d^2 must lie in [1, 4096]"
+               " (a complex 4096 x 4096 matrix holds 256 MiB), got 4225\n")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # full_scale's d = 64 is at the limit
+    _write_config(p, **base, dim=64)
+    assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("channel_form", ["mixture", "interleaved"])
+def test_a_run_rotates_each_realization_once(tmp_path, monkeypatch, channel_form):
+    # 3 realizations over a 2 x 2 grid: one rotation each, not one per grid point
+    calls = []
+    rotate = pqc._to_eigenbasis
+    monkeypatch.setattr(pqc, "_to_eigenbasis", lambda *a: calls.append(a) or rotate(*a))
+    p = tmp_path / "c.json"
+    _write_config(p, mode="pqc-sff", channel_form=channel_form, dim=4, kraus_count=2, realizations=3,
+                  points=5, t_max=3.0, tau=[0.2, 0.5], epsilon=[0.0, 0.3])
+    assert cli.main(["run", str(p), "--workers", "1"]) == 0
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,11 +1,14 @@
 """Discrete channel: Kraus form vs superoperator matrix, limits and fixed points."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from openchaos import pqc
 from openchaos.dephasing import ed_liouvillian
 from openchaos.pqc import (
     ParametricChannel,
@@ -13,7 +16,6 @@ from openchaos.pqc import (
     apply_channel,
     build_superoperator,
     evolve_discrete,
-    in_eigenbasis,
     interleaved,
     lindblad_generator,
 )
@@ -230,10 +232,54 @@ def test_step_reads_the_kraus_operators_without_copying():
     h = sample_goe(7, 1.0, derive_seed(31, 0, 9))
     ks = sample_kraus_set(7, 3, derive_seed(31, 1, 9))
     raw = ParametricChannel(tau=0.3, epsilon=0.4, hamiltonian=h, kraus=ks)
-    rh, rk = in_eigenbasis(h, ks)
-    pre = ParametricChannel(tau=0.3, epsilon=0.4, hamiltonian=rh, kraus=rk)
-    for ch in (pre, raw, interleaved(raw)):
+    for ch in (raw, replace(raw, tau=0.7, epsilon=0.1), interleaved(raw)):
         ops = ch.kraus_ops
         assert ops.shape == (3, 7, 7)
         assert np.shares_memory(ops.transpose(1, 0, 2).reshape(7 * 3, 7), ops)
         assert np.array_equal(ch.kraus_adjoints, ops.conj().transpose(0, 2, 1).reshape(3 * 7, 7))
+
+
+def test_an_overflowing_phase_raises_naming_tau_and_hbar_before_any_warning():
+    # at hbar = 5e-324 tau*(E_m - E_n)/hbar is inf; the channel raises before it forms a nan mask
+    h = sample_goe(4, 1.0, derive_seed(31, 0, 8))
+    ks = sample_kraus_set(4, 2, derive_seed(31, 1, 8))
+    message = r"^phase=tau\*max\(E_max-E_min, max\|E\|\)/hbar overflows at tau=0.5, hbar=5e-324: phase=inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            ParametricChannel(tau=0.5, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=5e-324)
+        ch = ParametricChannel(tau=0.5, epsilon=0.3, hamiltonian=h, kraus=ks)
+        with pytest.raises(ValueError, match=r"overflows at tau=1e\+308, hbar=1.0: phase=inf"):
+            replace(ch, tau=1e308)
+        # tau = 0 makes no phase at all, and neither does a tau*|E|/hbar that underflows
+        assert np.all(replace(ch, tau=0.0).mask == 1.0 - 0.3)
+        assert np.all(replace(ch, tau=5e-324, hbar=1e300).mask == 1.0 - 0.3)
+
+
+def test_a_channel_keeps_its_pair_in_the_eigenbasis_and_rotates_once(monkeypatch):
+    h = sample_goe(5, 1.0, derive_seed(31, 0, 4))
+    ks = sample_kraus_set(5, 2, derive_seed(31, 1, 4))
+    calls = []
+    rotate = pqc._to_eigenbasis
+    monkeypatch.setattr(pqc, "_to_eigenbasis", lambda *a: calls.append(a) or rotate(*a))
+    ch = ParametricChannel(tau=0.3, epsilon=0.4, hamiltonian=h, kraus=ks)
+    assert ch.hamiltonian.matrix is None and ch.hamiltonian.eigenvectors is None
+    assert np.array_equal(ch.kraus.operators, rotate(h, ks.operators)) and ch.kraus.seed == ks.seed
+    for moved in (replace(ch, tau=0.9, epsilon=0.8), interleaved(ch)):
+        assert moved.hamiltonian is ch.hamiltonian
+    assert len(calls) == 1
+
+
+def test_superoperator_side_is_checked_before_anything_is_allocated(monkeypatch):
+    # d = 65: a 4225 x 4225 complex matrix, 286 MB
+    ch = ParametricChannel(tau=0.1, epsilon=0.2, hamiltonian=sample_goe(65, 1.0, 3),
+                           kraus=sample_kraus_set(65, 1, 4))
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("np.diag was called")
+
+    monkeypatch.setattr(np, "diag", allocate)
+    message = (r"^the superoperator side d\^2 must lie in \[1, 4096\]"
+               r" \(a complex 4096 x 4096 matrix holds 256 MiB\), got 4225$")
+    with pytest.raises(ValueError, match=message):
+        build_superoperator(ch)

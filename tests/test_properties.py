@@ -1,6 +1,6 @@
 """Property tests: the fused Kraus step against its references, the dense
 channel builder against the kron loops and the kick-times-unitary
-factorization, channels from a pre-rotated pair against channels from the
+factorization, channels moved by `replace` against channels built from the
 raw pair, the buffered observables against the one-state functions, the
 two spacing-ratio paths against each other and the brute path
 against a per-row lexsort ranking, the shared dephasing kernel against
@@ -8,6 +8,7 @@ one-gamma calls, small blocks, the written-out pair sums and the unskipped
 exponentials, and the numpy log-sum-exp against scipy's."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,6 @@ from openchaos.pqc import (
     apply_channel,
     build_superoperator,
     evolve_discrete,
-    in_eigenbasis,
     interleaved,
 )
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
@@ -134,19 +134,21 @@ def test_channel_matrices_factor_into_kick_and_unitary(ch):
     assert np.max(np.abs(build_superoperator(ch).matrix - mixture)) <= 1e-13
 
 
-@given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, st.floats(0.0, 3.0), epsilons)
-def test_channel_from_rotated_pair_has_the_raw_pair_constants_bytewise(d, k, hseed, kseed, tau, eps):
+@given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, st.floats(0.0, 3.0), epsilons,
+       st.floats(0.0, 3.0), epsilons)
+def test_replaced_channel_has_the_raw_pair_constants_bytewise(d, k, hseed, kseed, tau, eps, tau2, eps2):
     h = sample_goe(d, 1.0, hseed)
     kraus = sample_kraus_set(d, min(k, d * d - 2), kseed)
-    rh, rk = in_eigenbasis(h, kraus)
-    assert rh.matrix is None and rh.eigenvectors is None
-    assert (rh.dim, rh.sigma, rh.seed, rk.seed) == (h.dim, h.sigma, h.seed, kraus.seed)
-    assert np.array_equal(rh.energies, h.energies)
-    raw = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus)
-    pre = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=rh, kraus=rk)
+    ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=kraus)
+    held, rk = ch.hamiltonian, ch.kraus
+    assert held.matrix is None and held.eigenvectors is None
+    assert (held.dim, held.sigma, held.seed, rk.seed) == (h.dim, h.sigma, h.seed, kraus.seed)
+    assert np.array_equal(held.energies, h.energies)
+    moved = replace(ch, tau=tau2, epsilon=eps2)
+    fresh = ParametricChannel(tau=tau2, epsilon=eps2, hamiltonian=h, kraus=kraus)
     for name in ("kraus_ops", "mask", "kraus_adjoints"):
-        assert np.array_equal(getattr(raw, name), getattr(pre, name)), name
-    assert np.array_equal(build_superoperator(raw).matrix, build_superoperator(pre).matrix)
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+    assert np.array_equal(build_superoperator(moved).matrix, build_superoperator(fresh).matrix)
 
 
 @given(
