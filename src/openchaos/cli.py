@@ -22,6 +22,9 @@ N forked worker processes (serially where the platform cannot fork); workers
 only change scheduling, because results are reduced in realization order, so
 the emitted CSV numbers are byte-identical for any --workers value.
 
+`validate` and `run` read one plan (`_plan`): the config's issues, and each
+time scale and step count of the run, derived once.  Past `validate`, a run
+fails only on what a draw holds: a GOE entry or a kernel product that overflows.
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
 Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
@@ -42,7 +45,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +61,9 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, build_superoperator, interleaved
-from .rmt import (_check_scales, _check_side, critical_tau, derive_seed, heisenberg_time, sample_goe,
-                  sample_kraus_set)
+from .pqc import ParametricChannel, _check_phases, build_superoperator, interleaved
+from .rmt import (_check_scales, _check_side, critical_tau, derive_seed, heisenberg_time, mean_level_spacing,
+                  sample_goe, sample_kraus_set)
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -120,12 +123,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     allow_large: bool = False
     full_scale: bool = False
-
-    def resolved_t_max(self) -> float:
-        if self.t_max is not None:
-            return self.t_max
-        factor = 4.0 if self.mode == "ed-sff" else 2.0
-        return factor * heisenberg_time(self.dim, self.sigma, self.hbar)
 
 
 _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
@@ -217,27 +214,46 @@ def _ask(prefix: str, check: Callable, *args, **kwargs) -> List[str]:
         return [f"{prefix}{exc}"]
 
 
+class _Plan(NamedTuple):
+    """A config's issues (none: runnable), the end t_end of its series (the resolved t_max, or t_H in `depth-grid`)
+    and each tau's step count (to t_max and at least 1 in `pqc-sff`, one past t_H in `depth-grid`)."""
+
+    issues: List[str]
+    t_end: Optional[float] = None
+    steps: Dict[float, int] = {}
+
+
 def validate_config(cfg: ExperimentConfig) -> List[str]:
-    """Collect every problem with the config; an empty list means runnable.
+    """Collect every problem with the config, the issues of the plan that `run` reads; none means runnable."""
+    return _plan(cfg).issues
+
+
+def _plan(cfg: ExperimentConfig) -> _Plan:
+    """Check the config, and derive each time scale and step count its run reads, once.
 
     The library judges each physical key, the column offset and the CUE side
     kraus_count*dim once dim and kraus_count have passed, the superoperator
-    side dim**2 in `spectrum` and `csr` once dim has passed and, in the modes
-    that read them, each derived scale and each step count; the rules stated
-    here are the CLI's own.
+    side dim**2 in `spectrum` and `csr` and the GOE side dim in the other
+    modes that draw H once dim has passed, and each derived scale a mode
+    reads: Delta wherever H is drawn, the channel's phases (`_check_phases`)
+    over the ensemble's spread sigma*sqrt(8*dim) where channels are built,
+    tau_c and phi_max in `spectrum` and `phase-grid`, t_H where a series ends
+    at it, and each step count.  The rules stated here are the CLI's own.
     """
     if cfg.mode not in MODES:
-        return [f"mode must be one of {MODES}, got {cfg.mode!r}"]
+        return _Plan([f"mode must be one of {MODES}, got {cfg.mode!r}"])
     issues = _type_issues(cfg)
     if issues:
-        return issues
+        return _Plan(issues)
     say = issues.append
+    draws_h = cfg.mode != "phase-grid"
     # the library names each scale as the config does, but calls dim d and kraus_count K
     dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
     base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
     issues += base + _ask("", _check_scales, beta=cfg.beta)
-    if cfg.mode in ("spectrum", "csr") and not dim_issues:
-        issues += _ask("dim: ", _check_side, cfg.dim**2, "the superoperator side d^2")
+    superop = cfg.mode in ("spectrum", "csr")  # the largest matrix a worker holds: d^2 x d^2 there, else H's d x d
+    side = (cfg.dim**2, "the superoperator side d^2") if superop else (cfg.dim, "the GOE side d")
+    issues += _ask("dim: ", _check_side, *side) if draws_h and not dim_issues else []
     if cfg.dim > 32 and not cfg.allow_large:
         say(f"dim={cfg.dim} above the desk-scale limit 32 requires allow_large=true")
     if cfg.realizations < 1:
@@ -254,7 +270,8 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         say(f"margin must be >= 0, got {cfg.margin}")
     if not 8 <= cfg.histogram_bins <= _MAX_HISTOGRAM_BINS:
         say(f"histogram_bins must lie in [8, {_MAX_HISTOGRAM_BINS}], got {cfg.histogram_bins}")
-    # only ed-sff reads t_min; pqc-sff reads t_max alone, the other modes neither
+    # only ed-sff reads t_min and gamma, and no tau; pqc-sff reads t_max alone, the other modes neither
+    taus = [] if cfg.mode == "ed-sff" else [t for t in cfg.tau if t > 0]
     if cfg.mode == "ed-sff":
         if cfg.t_min <= 0 and cfg.grid_kind == "log":
             say(f"t_min must be > 0 on a log grid, got {cfg.t_min}")
@@ -283,34 +300,41 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
         issues += [issue for eps in cfg.epsilon for issue in _ask("", _check_scales, epsilon=eps)]
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
-    if base or cfg.mode == "csr":  # csr reads no derived scale; the others read dim, sigma and hbar
-        return issues
+    delta = _ask("", mean_level_spacing, cfg.dim, cfg.sigma) if draws_h and not base else []
+    if base or delta:  # every derived scale reads dim, sigma and hbar, and t_H reads Delta
+        return _Plan(issues + delta)
+    spread = cfg.sigma * math.sqrt(8.0 * cfg.dim)  # the ensemble's; a channel's phases are largest at the largest tau
+    if draws_h and taus:
+        issues += _ask("", _check_phases, max(taus), spread, cfg.hbar, "sigma*sqrt(8*dim)")
     if cfg.mode in ("spectrum", "phase-grid"):  # `classify_phase` reads tau_c and phi_max
-        return issues + _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar) + [
-            issue for tau in cfg.tau if tau > 0
-            for issue in _ask(f"tau={tau} makes ", phi_max, tau, cfg.dim, cfg.sigma, cfg.hbar)]
-    t_h = []
-    if cfg.mode == "depth-grid" or cfg.t_max is None:
-        t_h = _ask("", heisenberg_time, cfg.dim, cfg.sigma, cfg.hbar)
-    return issues + (t_h or _time_scale_issues(cfg))
-
-
-def _time_scale_issues(cfg: ExperimentConfig) -> List[str]:
-    """A resolved t_max that is inf or (`ed-sff`) not above t_min, an inf gamma*t_max, or
-    a step count to t_max (`pqc-sff`) or t_H (`depth-grid`) that `_steps_to` rejects."""
-    if cfg.mode == "depth-grid":
-        t_end, name = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar), "t_H"
-    else:
-        t_end, name = cfg.resolved_t_max(), "t_max"
-        if cfg.t_max is None and not math.isfinite(t_end):
-            return [f"resolved t_max={t_end} (a multiple of t_H) from sigma={cfg.sigma} is not finite"]
-        if cfg.t_max is None and cfg.mode == "ed-sff" and t_end <= cfg.t_min:
-            return [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"]
+        issues += _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar)
+        for tau in taus:
+            issues += _ask(f"tau={tau} makes ", phi_max, tau, cfg.dim, cfg.sigma, cfg.hbar)
+    if cfg.mode in ("spectrum", "csr", "phase-grid"):
+        return _Plan(issues)
+    # the series end at t_max or, where it is null, a multiple of t_H; in depth-grid at t_H
+    name, t_end = ("t_H", None) if cfg.mode == "depth-grid" else ("t_max", cfg.t_max)
+    if t_end is None:
+        try:
+            t_end = {"ed-sff": 4.0, "pqc-sff": 2.0}.get(cfg.mode, 1.0) * heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
+        except ValueError as exc:
+            return _Plan(issues + [str(exc)])
+        if not math.isfinite(t_end):
+            return _Plan(issues + [f"resolved t_max={t_end} (a multiple of t_H) from sigma={cfg.sigma} is not finite"])
+        if cfg.mode == "ed-sff" and t_end <= cfg.t_min:
+            return _Plan(issues + [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"])
     if cfg.mode == "ed-sff":
-        return [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
-    if t_end < 0:  # the pqc-sff rule on t_max has said so
-        return []
-    return [issue for tau in cfg.tau if tau > 0 for issue in _ask("", _steps_to, t_end, tau, name)]
+        issues += [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
+    steps = {}
+    for tau in taus if t_end > 0 else ():  # a t_max <= 0 has its issue
+        try:
+            n = _steps_to(t_end, tau, name)
+        except ValueError as exc:
+            say(str(exc))
+            continue
+        steps[tau] = n + 1 if cfg.mode == "depth-grid" else max(1, n)
+    issues += [f"tau={tau} times its {n} steps is not finite" for tau, n in steps.items() if not math.isfinite(n * tau)]
+    return _Plan(issues, t_end, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +362,6 @@ def _channel(cfg: ExperimentConfig, base: ParametricChannel, tau: float, eps: fl
     """
     ch = replace(base, tau=tau, epsilon=eps)
     return interleaved(ch) if cfg.channel_form == "interleaved" else ch
-
-
-def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
-    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
-    return space(cfg.t_min, cfg.resolved_t_max(), cfg.points)
 
 
 def _record_steps(cfg: ExperimentConfig, steps: int) -> np.ndarray:
@@ -462,8 +481,10 @@ def _write_ensemble_means(
         manifest["grid"].append({**params, "status": "ok", "n": mean.n_realizations})
 
 
-def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
-    times = _time_grid(cfg)
+def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
+    with np.errstate(over="ignore"):  # geomspace's last power may overflow near the float maximum; it ends at t_end
+        times = space(cfg.t_min, plan.t_end, cfg.points)
 
     def worker(idx: int):
         return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, times, cfg.hbar)
@@ -472,10 +493,9 @@ def _run_ed_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) 
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
-def _run_pqc_sff(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
+def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
-    t_max = cfg.resolved_t_max()
-    record = {t: _record_steps(cfg, max(1, _steps_to(t_max, t, "t_max"))) for t in cfg.tau}
+    record = {t: _record_steps(cfg, plan.steps[t]) for t in cfg.tau}
 
     def worker(idx: int):
         base = _realization(cfg, idx)
@@ -508,7 +528,7 @@ def _spectra(cfg: ExperimentConfig, workers: int):
     return grid, list(zip(*_ensemble_map(cfg, worker, workers)))
 
 
-def _run_spectrum(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
+def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     grid, per_point = _spectra(cfg, workers)
     summary = []
     for (tau, eps), clouds in zip(grid, per_point):
@@ -557,7 +577,7 @@ def _run_spectrum(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int
     _write(out / "spectrum_summary.csv", text, manifest, "summary", "summary")
 
 
-def _run_csr(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
+def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     grid, per_point = _spectra(cfg, workers)
     summary = []
     for (tau, eps), clouds in zip(grid, per_point):
@@ -584,7 +604,7 @@ def _run_csr(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> 
     _write(out / "csr_summary.csv", text, manifest, "summary", "summary")
 
 
-def _run_phase_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
+def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     rows = []
     for tau in cfg.tau:
         for eps in cfg.epsilon:
@@ -601,7 +621,7 @@ def _run_phase_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     _write(out / "phase_grid.csv", text, manifest, "grid", "phase-grid")
 
 
-def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: int) -> None:
+def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     """Relative hole depth on the (tau, eps) grid, window fixed per tau from eps = 0.
 
     The isolated reference is the gamma = 0 closed form evaluated on the same
@@ -609,15 +629,13 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
     Hamiltonian ensemble; its smoothed minimum fixes the Thouless step and
     the depth window for every eps at that tau.
     """
-    t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
-    taus = list(cfg.tau)
-    j_max = {t: _steps_to(t_h, t, "t_H") + 1 for t in taus}
+    t_h, j_max = plan.t_end, plan.steps
 
     def worker(idx: int):
         """Per tau: the isolated series, then one series per eps."""
         base = _realization(cfg, idx)
         out_series = []
-        for tau in taus:
+        for tau in cfg.tau:
             times = np.arange(j_max[tau] + 1) * tau
             (iso,) = ed_diagnostics(base.hamiltonian, cfg.beta, [0.0], times, cfg.hbar)
             out_series.append(iso)
@@ -630,11 +648,11 @@ def _run_depth_grid(cfg: ExperimentConfig, out: Path, manifest: dict, workers: i
 
     width = 1 + len(cfg.epsilon)
     labels = []
-    for tau in taus:
+    for tau in cfg.tau:
         labels += [f"isolated reference at tau={tau}"] + [f"tau={tau}, eps={e}" for e in cfg.epsilon]
     means = _ensemble_means(_ensemble_map(cfg, worker, workers), labels)
     table = []
-    for i, tau in enumerate(taus):
+    for i, tau in enumerate(cfg.tau):
         iso_mean, *eps_means = means[i * width:(i + 1) * width]
         t_th = estimate_thouless(iso_mean, t_h)
         d_iso = effective_depth(iso_mean, t_th, t_h, tau)
@@ -661,10 +679,11 @@ MODES = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
-    """Execute a validated config; returns the manifest written next to the artifacts."""
-    issues = validate_config(cfg)
-    if issues:
-        raise ValueError("invalid config: " + "; ".join(issues))
+    """Plan the config (ValueError if it has issues), run its mode on the plan, and return the manifest written
+    next to the artifacts."""
+    plan = _plan(cfg)
+    if plan.issues:
+        raise ValueError("invalid config: " + "; ".join(plan.issues))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -683,7 +702,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.mode](cfg, out, manifest, workers)
+        _RUNNERS[cfg.mode](cfg, plan, out, manifest, workers)
     except Exception as exc:  # record, then re-raise after writing the manifest
         manifest["errors"].append(str(exc))
         raise

@@ -183,7 +183,8 @@ def ed_closed_forms(
             u[:, cut:] = 0.0
             block[0] = fp + 2.0 * np.vecdot(u, q)
             block[1] = 2.0 * np.vecdot(u, ones)
-            block[2] = -2.0 * ts[:, 0] * np.vecdot(u, w2)
+            # t*(u.w^2) first: it is below the checked t*w^2*d, where -2*t alone may overflow
+            block[2] = -2.0 * (ts[:, 0] * np.vecdot(u, w2))
             block[3] = fp + 2.0 * np.vecdot(u, u)
     return [EDClosedForms(*forms) for forms in out]
 

@@ -99,6 +99,16 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> n
     return np.einsum("in,rij,jm->rnm", q.conj(), operators, q)
 
 
+def _check_phases(tau: float, spread: float, hbar: float, formula: str = "max(E_max-E_min, max|E|)") -> None:
+    """The one rule on a channel's phases over energies `spread` apart: the largest, tau*spread/hbar, must be finite,
+    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar.  A channel asks it
+    of its drawn spread, the CLI of the ensemble's, sigma*sqrt(8*dim), before it draws; each raises ValueError."""
+    phase = float(tau) * spread / float(hbar)
+    _check_derived("phase", f"tau*{formula}/hbar", phase, zero_ok=True, tau=tau, hbar=hbar)
+    if not 1.0 / float(hbar) < math.inf:
+        raise ValueError(f"1/hbar overflows at hbar={hbar}: numpy divides the phases by hbar as a product with 1/hbar")
+
+
 @dataclass(frozen=True)
 class ParametricChannel:
     """One (tau, eps) channel tied to a sampled Hamiltonian and Kraus set.
@@ -111,7 +121,7 @@ class ParametricChannel:
     States handed to `apply_channel` are understood in the eigenbasis as
     well, which is where the coherent Gibbs state lives anyway.  The largest
     phase the mask or `interleaved` forms, tau*max(E_max - E_min, max|E|)/hbar,
-    must be finite: a ValueError naming tau and hbar says where it overflows.
+    and 1/hbar must be finite (`_check_phases`), or a ValueError names hbar.
 
     The constants of one step are built here as well: the (1-eps)-weighted
     phase twist `mask[n, m] = (1-eps) * exp(-i*tau*(E_n - E_m)/hbar)` of
@@ -139,9 +149,7 @@ class ParametricChannel:
             object.__setattr__(self, "kraus", KrausSet(_to_eigenbasis(h, kraus.operators), seed=kraus.seed))
             object.__setattr__(self, "hamiltonian", replace(h, matrix=None, eigenvectors=None))
         lo, hi = float(h.energies[0]), float(h.energies[-1])  # Python floats overflow to inf, with no warning
-        phase = float(self.tau) * max(hi - lo, -lo, hi) / float(self.hbar)
-        _check_derived("phase", "tau*max(E_max-E_min, max|E|)/hbar", phase, zero_ok=True,
-                       tau=self.tau, hbar=self.hbar)
+        _check_phases(self.tau, max(hi - lo, -lo, hi), self.hbar)
         ops = np.ascontiguousarray(self.kraus.operators.transpose(1, 0, 2)).transpose(1, 0, 2)  # (d, K, d) memory
         k, d = ops.shape[0], ops.shape[1]
         w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n

@@ -208,12 +208,15 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     Returns
     -------
     HamiltonianSpectrum with sorted energies, the symmetric matrix and its
-    eigenvector matrix attached.
+    eigenvector matrix attached; a draw that overflows raises ValueError.
     """
     _check_scales(d=d, sigma=sigma)
     rng = rng_from_seed(seed)
     a = rng.normal(0.0, sigma, size=(d, d))
-    h = (a + a.T) / 2.0
+    with np.errstate(over="ignore"):  # an entry that overflows is reported below, naming sigma
+        h = (a + a.T) / 2.0
+    if not np.all(np.isfinite(h)):
+        raise ValueError(f"the GOE draw at d={d}, sigma={sigma} is not finite: sigma is too large for a float")
     energies, vecs = np.linalg.eigh(h)
     return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 

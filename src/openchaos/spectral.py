@@ -16,9 +16,9 @@ phi_max = tau*sigma*sqrt(8d)/hbar and the annulus collapses to a crescent;
 clamped at 1 once phi_max passes pi/2.
 
 `audit_bulk` is the one audit of a bulk at a grid point: phase label, its
-analytic `Boundary`, and the fraction of the bulk inside it.  `spectral_report`
-runs it on one channel's bulk, the `spectrum` CLI mode on the bulks pooled
-over realizations.
+analytic `Boundary`, and the fraction of the bulk inside it.  One channel's
+audit is `eigenvalues` -> `split_bulk` -> `audit_bulk`; the `spectrum` CLI
+mode runs it on the bulks pooled over realizations.
 
 Spacing statistics use the complex ratio z = (nn - lambda)/(nnn - lambda)
 built from the two nearest neighbours of each eigenvalue, which always lands
@@ -29,7 +29,7 @@ tie-break rule and must agree to the bit.
 `eigenvalues` remembers what it solved.  A matrix whose shape, dtype and
 bytes equal those of one solved before gets that solve's eigenvalues back
 without a second LAPACK call: `csr` after `spectrum` on the same grid point,
-or `spectral_report` twice on one channel.  The memo is a plain dict keyed on
+or one channel solved twice.  The memo is a plain dict keyed on
 the shape, dtype and sha256 of the matrix bytes; once it holds 1024 spectra
 (16 MiB at d = 32, 64 MiB at d = 64) it empties itself before the next one
 goes in.  Each update is a single dict operation, so a thread or a forked
@@ -49,7 +49,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .pqc import Superoperator, build_superoperator
+from .pqc import Superoperator
 from .rmt import _check_derived, _check_scales, critical_tau
 
 __all__ = [
@@ -68,8 +68,6 @@ __all__ = [
     "SpacingRatioSet",
     "complex_spacing_ratios",
     "density_grid",
-    "SpectralReport",
-    "spectral_report",
 ]
 
 PHASES = ("annular", "disk", "crescent", "shifted-disk")
@@ -180,7 +178,8 @@ def classify_phase(
     s = np.sin(min(phi_max(tau, d, sigma, hbar), np.pi / 2.0))
     if s == 0.0:
         return "shifted-disk"
-    threshold = 1.0 / (1.0 + 1.0 / (np.sqrt(k) * s))
+    with np.errstate(over="ignore"):  # a sine below 1/max overflows 1/s to inf, and the threshold is its limit 0
+        threshold = 1.0 / (1.0 + 1.0 / (np.sqrt(k) * s))
     return "shifted-disk" if eps >= threshold else "crescent"
 
 
@@ -374,6 +373,11 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
 
     num = ev[nn] - ev
     den = ev[nnn] - ev
+    # numpy divides complex numbers by Smith's method, whose 1/den overflows where |den| is subnormal;
+    # scaling num and den there by 2^600 is exact, and every other ratio keeps its bytes
+    tiny = (np.abs(den) < 2.0**-1000) & (den != 0)
+    num[tiny] *= 2.0**600
+    den[tiny] *= 2.0**600
     ratios = np.where(den == 0, 1.0 + 0.0j, num / np.where(den == 0, 1.0, den))
     return SpacingRatioSet(ratios=ratios, nn_indices=nn, nnn_indices=nnn)
 
@@ -390,43 +394,3 @@ def density_grid(points: np.ndarray, bins: int = 256) -> dict:
         "im_edges": ye.tolist(),
         "counts": counts.astype(int).tolist(),
     }
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """One channel's spectrum with its phase label and analytic boundary."""
-
-    dim: int
-    tau: float
-    epsilon: float
-    kraus_count: int
-    phase: str
-    bulk: np.ndarray
-    fixed_point: complex
-    boundary: Boundary
-    containment: float
-    margin: float
-
-
-def spectral_report(channel, margin: float = 0.02) -> SpectralReport:
-    """Eigensolve one channel and audit its bulk (`audit_bulk`)."""
-    h, k = channel.hamiltonian, channel.kraus.count
-    ev = eigenvalues(
-        build_superoperator(channel), context=f"tau={channel.tau}, eps={channel.epsilon}, K={k}"
-    )
-    bulk, fixed = split_bulk(ev)
-    phase, boundary, frac = audit_bulk(
-        bulk, channel.tau, channel.epsilon, k, h.dim, h.sigma, channel.hbar, margin
-    )
-    return SpectralReport(
-        dim=h.dim,
-        tau=channel.tau,
-        epsilon=channel.epsilon,
-        kraus_count=k,
-        phase=phase,
-        bulk=bulk,
-        fixed_point=fixed,
-        boundary=boundary,
-        containment=frac,
-        margin=margin,
-    )

@@ -86,7 +86,8 @@ def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     """
     _check_scales(beta=beta)
     e = as_energies(energies)
-    half = np.exp(-0.5 * beta * (e - e.min()))
+    with np.errstate(over="ignore"):  # where beta*(E_n - E_min) overflows, exp(-inf) = 0 is its limit
+        half = np.exp(-0.5 * beta * (e - e.min()))
     amp = half / np.linalg.norm(half)
     return CoherentGibbsState(beta=float(beta), amplitudes=amp)
 

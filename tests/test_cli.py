@@ -1,6 +1,8 @@
 """Experiment driver: config validation, artifacts, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -8,11 +10,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from openchaos import cli, pqc, rmt, spectral
 from openchaos.diagnostics import (
@@ -115,23 +120,24 @@ _T_H_INF = "t_H=2*pi*hbar/Delta overflows at dim=4, sigma=1e-320, hbar=1.0: t_H=
 _T_H_ZERO = "t_H=2*pi*hbar/Delta underflows at dim=4, sigma=1e+300, hbar=1e-300: t_H=0.0 must be finite and > 0"
 
 
-@pytest.mark.parametrize("mode, scales, name", [
-    pytest.param("ed-sff", dict(sigma=1e-320), _T_H_INF, id="ed-sff-1e-320-t_H=inf"),
+@pytest.mark.parametrize("mode, scales, name, with_t_max", [
+    pytest.param("ed-sff", dict(sigma=1e-320), _T_H_INF, 0, id="ed-sff-1e-320-t_H=inf"),
     # t_H is finite, 4 t_H is not
-    pytest.param("ed-sff", dict(sigma=3e-308), "resolved t_max=inf", id="ed-sff-3e-308-resolved t_max=inf"),
-    pytest.param("pqc-sff", dict(sigma=1e-320), _T_H_INF, id="pqc-sff-1e-320-t_H=inf"),
-    pytest.param("depth-grid", dict(sigma=1e-320), "t_H=inf", id="depth-grid-1e-320-t_H=inf"),
-    pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, id="pqc-sff-t_H=0"),
-    pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, id="depth-grid-t_H=0"),
+    pytest.param("ed-sff", dict(sigma=3e-308), "resolved t_max=inf", 0, id="ed-sff-3e-308-resolved t_max=inf"),
+    pytest.param("pqc-sff", dict(sigma=1e-320), _T_H_INF, 0, id="pqc-sff-1e-320-t_H=inf"),
+    pytest.param("depth-grid", dict(sigma=1e-320), "t_H=inf", 1, id="depth-grid-1e-320-t_H=inf"),
+    # with t_max set, the channel's largest phase tau*sigma*sqrt(8*dim)/hbar still overflows
+    pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="pqc-sff-t_H=0"),
+    pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="depth-grid-t_H=0"),
     # classify_phase reads tau_c
     pytest.param("spectrum", dict(sigma=1e-320), "tau_c=pi*hbar/(sigma*sqrt(2*dim)) overflows at dim=4, "
-                 "sigma=1e-320, hbar=1.0: tau_c=inf must be finite and > 0", id="spectrum-tau_c=inf"),
+                 "sigma=1e-320, hbar=1.0: tau_c=inf must be finite and > 0", 1, id="spectrum-tau_c=inf"),
 ])
-def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, scales, name):
+def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, scales, name, with_t_max):
     # the runs would compute every realization and exit 2 on a non-finite
     # ensemble mean or an infinite step count, or write phase labels from an
     # overflowed tau_c; with t_max set, only depth-grid and spectrum still
-    # read a derived scale
+    # read a derived scale, and the channel modes the largest phase
     p = tmp_path / "c.json"
     _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=None, tau=[0.5], epsilon=[0.3],
                   **scales)
@@ -141,7 +147,7 @@ def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, scal
     assert not (tmp_path / "out").exists()
     _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=3.0, tau=[0.5], epsilon=[0.3],
                   **scales)
-    assert cli.main(["validate", str(p)]) == (0 if mode in ("ed-sff", "pqc-sff") else 1)
+    assert cli.main(["validate", str(p)]) == with_t_max
 
 
 @pytest.mark.parametrize("config", [
@@ -506,18 +512,19 @@ def test_spectrum_run_matches_spectral_report(tmp_path, monkeypatch, tau, eps, p
     cfg = _write_config(p, mode="spectrum", dim=6, kraus_count=2, realizations=1,
                         tau=[tau], epsilon=[eps])
     assert cli.main(["run", str(p)]) == 0
-    monkeypatch.setattr(spectral, "_memo", {})  # the report solves its own matrix
+    monkeypatch.setattr(spectral, "_memo", {})  # the one-channel audit solves its own matrix
     seed = cfg["master_seed"]
     ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=sample_goe(6, 1.0, derive_seed(seed, 0, 0)),
                            kraus=sample_kraus_set(6, 2, derive_seed(seed, 1, 0)))
-    report = spectral.spectral_report(ch)
+    report_bulk, _ = spectral.split_bulk(spectral.eigenvalues(pqc.build_superoperator(ch)))
+    report_phase, _, report_containment = spectral.audit_bulk(report_bulk, tau, eps, 2, 6, 1.0, 1.0, 0.02)
     out = tmp_path / "out"
     row = (out / "spectrum_summary.csv").read_text().split("\n")[1].split(",")
-    assert row[2] == report.phase == phase
-    assert float(row[3]) == report.containment
+    assert row[2] == report_phase == phase
+    assert float(row[3]) == report_containment
     cloud = np.loadtxt(out / f"spectrum_{cli._tag(tau=tau, eps=eps)}.csv", delimiter=",", skiprows=1)
     bulk = cloud[cloud[:, 2] == 0]
-    assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report.bulk)
+    assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report_bulk)
 
 
 def test_run_csr_has_depletion_column(tmp_path):
@@ -577,7 +584,7 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     p = tmp_path / "c.json"
     _write_config(p, mode="phase-grid", realizations=1)
 
-    def boom(cfg, out, manifest, workers):
+    def boom(cfg, plan, out, manifest, workers):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(cli._RUNNERS, "phase-grid", boom)
@@ -613,13 +620,13 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mon
 
 
 _LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
-_PHASE_OVERFLOW = "phase=tau*max(E_max-E_min, max|E|)/hbar overflows at tau=0.5, hbar=5e-324: phase=inf"
+_PLAN_PHASE_OVERFLOW = ("phase=tau*sigma*sqrt(8*dim)/hbar overflows at tau=0.5, hbar=5e-324:"
+                        " phase=inf must be finite and >= 0")
+_RECIPROCAL_OVERFLOW = "1/hbar overflows at hbar=5e-324: numpy divides the phases by hbar as a product with 1/hbar"
 
 
 @pytest.mark.parametrize("mode, overrides, message", [
     pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
-    # the realization's channel is built, and checks its phases, before the isolated reference
-    pytest.param("depth-grid", dict(hbar=5e-324), _PHASE_OVERFLOW, id="depth-grid-hbar=5e-324"),
     pytest.param("ed-sff", dict(t_max=1e308), "t*|E|/hbar", id="ed-sff-t_max=1e308"),
     # the Taylor lower bound's t*dC_l1/dgamma/(2*hbar^2), past the kernel's own checks
     pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200),
@@ -642,18 +649,22 @@ def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsy
 
 
 @pytest.mark.parametrize("mode", ["pqc-sff", "csr", "depth-grid"])
-def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys, mode):
-    # hbar = 5e-324 passes validation, but tau*(E_max - E_min)/hbar is inf: the channel
-    # raises before any step or eigensolve forms a nan
+def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, monkeypatch):
+    # validate asks the channel's phase rule of the ensemble's spread sigma*sqrt(8*dim), so the config
+    # fails before any draw, not after every realization is drawn (the channel asks it again when built)
+    monkeypatch.setattr(cli, "sample_goe", lambda *args: pytest.fail("sample_goe was called"))
     p = tmp_path / "c.json"
-    _write_config(p, mode=mode, hbar=5e-324, dim=4, realizations=2, points=5, t_max=3.0,
-                  tau=[0.5], epsilon=[0.3], kraus_count=2)
-    assert cli.main(["validate", str(p)]) == 0
-    assert cli.main(["run", str(p)]) == 2
-    assert f"runtime error: {_PHASE_OVERFLOW} must be finite and >= 0\n" in capsys.readouterr().err
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["errors"] == [f"{_PHASE_OVERFLOW} must be finite and >= 0"]
-    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+    base = dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0, tau=[0.5], epsilon=[0.3], kraus_count=2)
+    _write_config(p, **base, hbar=5e-324)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert f"config error: {_PLAN_PHASE_OVERFLOW}\n" in capsys.readouterr().err
+    # every phase is finite, but numpy's complex phases / hbar is a product with 1/hbar, which is inf
+    _write_config(p, **dict(base, tau=[1.0]), hbar=5e-324, sigma=5e-324)
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert f"config error: {_RECIPROCAL_OVERFLOW}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -667,6 +678,11 @@ def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys,
                  "tau=1.0 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-hbar"),
     pytest.param(dict(mode="phase-grid", tau=[1e308], epsilon=[0.1]),
                  "tau=1e+308 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-tau"),
+    # one step past t_H, or the step past t_max, is at 2e308
+    pytest.param(dict(mode="depth-grid", sigma=1e-300, tau=[1e308]),
+                 "tau=1e+308 times its 2 steps is not finite", id="depth-grid-last-time"),
+    pytest.param(dict(mode="pqc-sff", tau=[1e308], t_max=1.7e308),
+                 "tau=1e+308 times its 2 steps is not finite", id="pqc-sff-last-time"),
 ])
 def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, overrides, message):
     # past validation, each would warn, fail at run time or step on a wrong grid
@@ -768,6 +784,33 @@ def test_validate_rejects_a_superoperator_side_above_4096_before_any_draw(tmp_pa
     assert cli.main(["validate", str(p)]) == 0
 
 
+def test_validate_rejects_a_goe_side_above_4096_before_any_draw(tmp_path, capsys, monkeypatch):
+    # each worker would draw, and eigensolve, a 100000 x 100000 GOE matrix (80 GB)
+    monkeypatch.setattr(cli, "sample_goe", lambda *args: pytest.fail("sample_goe was called"))
+    p = tmp_path / "c.json"
+    _write_config(p, dim=100000, allow_large=True, t_max=None)
+    message = ("config error: dim: the GOE side d must lie in [1, 4096]"
+               " (a complex 4096 x 4096 matrix holds 256 MiB), got 100000\n")
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    _write_config(p, dim=4096, allow_large=True, t_max=None)
+    assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["pqc-sff", "depth-grid"])
+def test_a_run_derives_each_step_count_once(tmp_path, monkeypatch, mode):
+    # run's plan asks t_H and each tau's step count once, and the runner reads them from it
+    calls = []
+    for name in ("_steps_to", "heisenberg_time"):
+        monkeypatch.setattr(cli, name, lambda *a, _f=getattr(cli, name), _n=name: calls.append(_n) or _f(*a))
+    p = tmp_path / "c.json"
+    _write_config(p, mode=mode, dim=4, kraus_count=2, realizations=2, t_max=None, tau=[0.2, 0.5], epsilon=[0.0, 0.3])
+    cli.run(cli.load_config(p))
+    assert sorted(calls) == ["_steps_to", "_steps_to", "heisenberg_time"]
+
+
 @pytest.mark.parametrize("channel_form", ["mixture", "interleaved"])
 def test_a_run_rotates_each_realization_once(tmp_path, monkeypatch, channel_form):
     # 3 realizations over a 2 x 2 grid: one rotation each, not one per grid point
@@ -823,6 +866,77 @@ def test_manifest_is_strict_json(tmp_path, name):
         assert [g["relative_depth"] for g in manifest["grid"]] == [None] * 4
         rows = (tmp_path / "out" / "depth_grid.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["nan"] * 4
+
+
+# Every scale of the verdict property comes from this list: zero, the smallest subnormal, tiny, one, huge,
+# the largest float, an integer no float holds and a negative number; epsilon from its own.  A key the draw
+# leaves out keeps a runnable value, so that a good share of the configs pass `validate` and run.
+_HOSTILE = st.sampled_from([0, 5e-324, 1e-300, 1, 1e300, sys.float_info.max, 10**400, -1])
+_HOSTILE_EPSILON = st.sampled_from([0, 5e-324, 0.5, 1, 1.5, -1])
+_HOSTILE_CONFIGS = st.fixed_dictionaries(
+    dict(mode=st.sampled_from(cli.MODES), dim=st.integers(2, 5), kraus_count=st.integers(1, 3),
+         realizations=st.integers(1, 2), points=st.integers(2, 8),
+         channel_form=st.sampled_from(["mixture", "interleaved"]), grid_kind=st.sampled_from(["log", "linear"])),
+    optional=dict(sigma=_HOSTILE, hbar=_HOSTILE, beta=_HOSTILE, t_min=_HOSTILE, t_max=st.none() | _HOSTILE,
+                  tau=st.lists(_HOSTILE, max_size=2), gamma=st.lists(_HOSTILE, max_size=2),
+                  epsilon=st.lists(_HOSTILE_EPSILON, max_size=2)),
+).map(lambda drawn: dict(dict(t_min=1, t_max=None, tau=[1], gamma=[1], epsilon=[0.5]), **drawn))
+# the closed-form kernel's checks on the drawn levels, which no config value predicts
+_KERNEL_OVERFLOWS = ("overflows gamma*t*w^2, t*w^2*d or t*|E|/hbar", "overflows the lower bound's")
+_MAX = sys.float_info.max
+
+
+def _small(**overrides):
+    return dict(dict(dim=4, kraus_count=2, realizations=2, points=5, tau=[0.5], epsilon=[0.3], t_max=3.0),
+                **overrides)
+
+
+@settings(max_examples=1000)
+# the channel's phase, or 1/hbar, overflows in pqc-sff, csr, depth-grid and spectrum
+@example(_small(mode="pqc-sff", hbar=5e-324))
+@example(_small(mode="csr", hbar=5e-324))
+@example(_small(mode="depth-grid", hbar=5e-324))
+@example(_small(mode="pqc-sff", sigma=1e300, hbar=1e-300))
+@example(_small(mode="pqc-sff", sigma=5e-324, hbar=5e-324, tau=[1]))
+@example(_small(mode="csr", sigma=5e-324, hbar=5e-324, tau=[5e-324]))
+@example(_small(mode="spectrum", sigma=5e-324, hbar=5e-324, tau=[1]))
+# a GOE draw that overflows
+@example(_small(mode="csr", sigma=_MAX))
+@example(_small(mode="ed-sff", sigma=_MAX, gamma=[1]))
+@example(_small(mode="pqc-sff", sigma=_MAX))
+# numpy warnings at valid extremes: make_cgs, classify_phase, the depth-grid times (the phase or the
+# last step's time overflows), the ed-sff log grid to the largest float, the kernel's -2t, and the
+# spacing ratios of levels a subnormal apart
+@example(_small(mode="pqc-sff", beta=_MAX))
+@example(_small(mode="phase-grid", tau=[5e-324]))
+@example(_small(mode="spectrum", tau=[5e-324]))
+@example(_small(mode="depth-grid", tau=[_MAX]))
+@example(_small(mode="depth-grid", sigma=1e-300, tau=[1e308]))
+@example(_small(mode="ed-sff", sigma=1e-300, gamma=[1], t_max=_MAX))
+@example(_small(mode="ed-sff", sigma=5e-324, gamma=[0], t_min=1, t_max=_MAX, grid_kind="linear"))
+@example(_small(mode="csr", dim=5, kraus_count=1, tau=[5e-324], epsilon=[0], channel_form="interleaved"))
+@given(_HOSTILE_CONFIGS)
+def test_validate_and_run_give_one_verdict(config):
+    # validate exits 1 exactly when run does, leaving no output; after `config ok` a run exits 0, or 2 with
+    # a kernel overflow and only its manifest.  Plans of more than 10^4 steps are left out, to bound run time.
+    assume(max(cli._plan(cli.ExperimentConfig(**config)).steps.values(), default=0) <= 10**4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        path.write_text(json.dumps(dict(config, output_dir=str(out))))
+        codes, errs = [], []
+        for command in ("validate", "run"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main([command, str(path)]))
+            errs.append(err.getvalue())
+        assert codes[0] in (0, 1) and (codes[0] == 1) == (codes[1] == 1), (codes, errs)
+        if codes[0] == 1:
+            assert not out.exists()
+            return
+        assert codes[1] == 0 or codes[1] == 2 and any(m in errs[1] for m in _KERNEL_OVERFLOWS), errs[1]
+        if codes[1] == 2:
+            assert sorted(os.listdir(out)) == ["manifest.json"]
+        json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_plot_script_references_artifacts(tmp_path, capsys):

@@ -208,6 +208,15 @@ def test_overflowing_products_raise_before_the_kernel_runs(levels, gamma, t, hba
         ed_closed_forms(np.array(levels), 0.0, [gamma], t, hbar)
 
 
+def test_the_derivative_at_the_largest_time_is_finite():
+    # -2*t overflowed to -inf at t = max before it met a sum u.w^2 of order 1e-300, so the derivative was
+    # -inf (and nan where the sum is 0); t*(u.w^2) first is below the checked t*w^2*d
+    t = np.finfo(float).max
+    (forms,) = ed_closed_forms(np.array([0.0, 1e-150, 3e-150]), 0.0, [0.0], t)
+    # beta = 0, gamma = 0: -2t sum_{n<m} w^2/d over the pair gaps 1, 3 and 2 (times 1e-150)
+    assert forms.cl1_gamma_derivative[0] == pytest.approx(-2.0 * (t * (14e-300 / 3)), rel=1e-12)
+
+
 def test_lower_bound_at_time_zero_is_one():
     h = sample_goe(8, 1.0, derive_seed(21, 0, 8))
     assert ed_diagnostics(h, 0.0, [0.7], np.array([0.0]))[0].lower_bound == pytest.approx([1.0], abs=1e-12)

@@ -256,6 +256,18 @@ def test_an_overflowing_phase_raises_naming_tau_and_hbar_before_any_warning():
         assert np.all(replace(ch, tau=5e-324, hbar=1e300).mask == 1.0 - 0.3)
 
 
+def test_a_reciprocal_hbar_that_overflows_raises_before_any_warning():
+    # every phase tau*(E_m - E_n)/hbar is finite at sigma = hbar = 5e-324, but numpy divides the complex
+    # phases by hbar as a product with 1/hbar = inf: the mask was nan, with a warning
+    h = sample_goe(4, 5e-324, derive_seed(31, 0, 9))
+    ks = sample_kraus_set(4, 2, derive_seed(31, 1, 9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^1/hbar overflows at hbar=5e-324"):
+            ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=5e-324)
+        assert np.isfinite(ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=1e-300).mask).all()
+
+
 def test_a_channel_keeps_its_pair_in_the_eigenbasis_and_rotates_once(monkeypatch):
     h = sample_goe(5, 1.0, derive_seed(31, 0, 4))
     ks = sample_kraus_set(5, 2, derive_seed(31, 1, 4))

@@ -64,6 +64,12 @@ def test_goe_matrix_is_symmetric_and_validates():
             HamiltonianSpectrum(sigma=1.0, energies=energies, seed=h.seed)
 
 
+def test_a_goe_draw_that_overflows_raises_naming_sigma():
+    # (A + A^T)/2 overflowed with a warning, and the eigensolver failed on the inf
+    with pytest.raises(ValueError, match=r"^the GOE draw at d=4, sigma=1.7976931348623157e\+308 is not finite"):
+        sample_goe(4, np.finfo(float).max, 3)
+
+
 def test_goe_eigendecomposition_consistent():
     h = sample_goe(12, 0.7, derive_seed(2, 0, 0))
     recon = h.eigenvectors @ np.diag(h.energies) @ h.eigenvectors.T

@@ -22,7 +22,6 @@ from openchaos.spectral import (
     phase_boundary,
     phi_max,
     shifted_disk_boundary,
-    spectral_report,
     split_bulk,
 )
 
@@ -106,6 +105,12 @@ def test_phi_max_scales_must_be_finite(arg, value):
 
 # ---------------------------------------------------------------------------
 # classifier
+
+
+def test_classify_phase_at_a_subnormal_tau_is_the_shifted_disk():
+    # sin(phi_max) ~ 3e-323, whose reciprocal overflowed in the threshold 1/(1 + 1/(sqrt(K)*s)) with a warning;
+    # the threshold's limit is 0, so every eps is in the shifted disk
+    assert classify_phase(0.0, 5e-324, 3, 4, 1.0) == classify_phase(0.5, 5e-324, 3, 4, 1.0) == "shifted-disk"
 
 
 def test_classify_phase_examples():
@@ -272,15 +277,31 @@ def test_split_bulk_picks_nearest_to_one():
 
 
 def test_spectral_report_end_to_end():
+    # one channel's audit: eigenvalues -> split_bulk -> audit_bulk
     h = sample_goe(8, 1.0, derive_seed(61, 0, 1))
     ks = sample_kraus_set(8, 3, derive_seed(61, 1, 1))
     ch = ParametricChannel(tau=1.0, epsilon=0.7, hamiltonian=h, kraus=ks)
-    rep = spectral_report(ch)
-    assert rep.phase == "disk"
-    assert rep.bulk.size == 63
-    assert abs(rep.fixed_point - 1.0) < 1e-8
-    assert 0.0 <= rep.containment <= 1.0
-    assert np.max(np.abs(rep.bulk)) <= 1.0 + 1e-8
+    bulk, fixed_point = split_bulk(eigenvalues(build_superoperator(ch)))
+    phase, _, containment = audit_bulk(bulk, ch.tau, ch.epsilon, 3, 8, 1.0, ch.hbar, 0.02)
+    assert phase == "disk"
+    assert bulk.size == 63
+    assert abs(fixed_point - 1.0) < 1e-8
+    assert 0.0 <= containment <= 1.0
+    assert np.max(np.abs(bulk)) <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("method", ["brute", "kdtree"])
+def test_spacing_ratios_of_levels_a_subnormal_apart_are_finite(method):
+    # numpy's complex division overflowed 1/den where |den| is subnormal, with a warning, and gave nan;
+    # num and den are scaled by 2^600 there, which is exact, and the other ratios keep their bytes
+    ev = np.array([0.0, 1e-322, 3e-322 + 1e-322j, 1.0, 1.5, 2j])
+    rs = complex_spacing_ratios(ev, method=method)
+    num, den = ev[rs.nn_indices] - ev, ev[rs.nnn_indices] - ev
+    tiny = np.abs(den) < 2.0**-1000
+    assert tiny[:3].all() and not tiny[3:].any()
+    assert np.array_equal(rs.ratios[:3], (num[:3] * 2.0**600) / (den[:3] * 2.0**600))
+    assert np.array_equal(rs.ratios[3:], num[3:] / den[3:])
+    assert np.isfinite(rs.ratios).all()
 
 
 def test_density_grid_layout():

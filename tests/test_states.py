@@ -56,6 +56,12 @@ def test_cgs_amplitudes_are_boltzmann():
     assert np.sum(cgs.amplitudes**2) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_cgs_at_the_largest_beta_is_the_ground_state():
+    # beta*(E_n - E_min) overflowed to inf with a warning; its limit exp(-inf) = 0 leaves the ground state
+    h = sample_goe(5, 1.0, derive_seed(10, 0, 3))
+    assert np.array_equal(make_cgs(h, np.finfo(float).max).amplitudes, [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_cgs_uniform_at_beta_zero():
     h = sample_goe(9, 1.0, derive_seed(10, 0, 2))
     cgs = make_cgs(h, 0.0)
