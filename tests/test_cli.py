@@ -627,6 +627,9 @@ _RECIPROCAL_OVERFLOW = "1/hbar overflows at hbar=5e-324: numpy divides the phase
 
 @pytest.mark.parametrize("mode, overrides, message", [
     pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
+    # the plan asks the channel's phase rule, so validate rejects what the kernel once failed at run time
+    pytest.param("depth-grid", dict(hbar=5e-324), f"config error: {_PLAN_PHASE_OVERFLOW}\n",
+                 id="depth-grid-hbar=5e-324"),
     pytest.param("ed-sff", dict(t_max=1e308), "t*|E|/hbar", id="ed-sff-t_max=1e308"),
     # the Taylor lower bound's t*dC_l1/dgamma/(2*hbar^2), past the kernel's own checks
     pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200),
@@ -638,14 +641,17 @@ _RECIPROCAL_OVERFLOW = "1/hbar overflows at hbar=5e-324: numpy divides the phase
 ])
 def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, overrides, message):
     # valid configs whose t*E/hbar or lower bound overflows for the sampled
-    # levels: the closed forms raise before they compute a nan or warn
+    # levels: the closed forms raise before they compute a nan or warn; a
+    # config error is both commands' verdict, before the output directory
     p = tmp_path / "c.json"
     _write_config(p, **dict(dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0,
                                  tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2), **overrides))
-    assert cli.main(["validate", str(p)]) == 0
-    assert cli.main(["run", str(p)]) == 2
+    config_error = message.startswith("config error: ")
+    assert cli.main(["validate", str(p)]) == (1 if config_error else 0)
+    assert cli.main(["run", str(p)]) == (1 if config_error else 2)
     assert message in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+    out = tmp_path / "out"
+    assert (sorted(os.listdir(out)) if out.exists() else []) == ([] if config_error else ["manifest.json"])
 
 
 @pytest.mark.parametrize("mode", ["pqc-sff", "csr", "depth-grid"])
