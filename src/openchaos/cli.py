@@ -14,7 +14,8 @@ derive_seed(master_seed, 0, index) and its environment unitary from
 derive_seed(master_seed, 1, index), so realization i is the same physical
 sample in every mode and at every grid point; ensembles are therefore paired
 across parameters, and a run is reproducible from (config, master_seed)
-alone.  Each realization is one job: the Hamiltonian and the Kraus set are
+alone.  Each realization is one job of one walk over the tau-major
+(tau, epsilon) grid (`_grid_map`): the Hamiltonian and the Kraus set are
 drawn, the channel at the first grid point rotates the Kraus set into the
 eigenbasis of H once, and every grid point is that channel `replace`d to its
 (tau, epsilon), which rotates nothing.  With --workers N > 1 the jobs run in
@@ -345,14 +346,6 @@ def _hamiltonian(cfg: ExperimentConfig, idx: int):
     return sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, _GOE_STREAM, idx))
 
 
-def _realization(cfg: ExperimentConfig, idx: int) -> ParametricChannel:
-    """Mixture channel of realization `idx` at the first grid point; it holds the pair in the eigenbasis of H."""
-    kraus = sample_kraus_set(cfg.dim, cfg.kraus_count, derive_seed(cfg.master_seed, _CUE_STREAM, idx),
-                             column_offset=cfg.column_offset)
-    return ParametricChannel(tau=cfg.tau[0], epsilon=cfg.epsilon[0], hamiltonian=_hamiltonian(cfg, idx),
-                             kraus=kraus, hbar=cfg.hbar)
-
-
 def _channel(cfg: ExperimentConfig, base: ParametricChannel, tau: float, eps: float) -> ParametricChannel:
     """The configured channel form at (tau, eps): `base` moved there, which rotates nothing.
 
@@ -432,14 +425,8 @@ def _write(path: Path, text: str, manifest: dict, kind: str, label: str) -> None
 
 
 def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Optional[float] = None) -> str:
-    parts = []
-    if gamma is not None:
-        parts.append(f"gamma{gamma:g}")
-    if tau is not None:
-        parts.append(f"tau{tau:g}")
-    if eps is not None:
-        parts.append(f"eps{eps:g}")
-    return "_".join(parts)
+    parts = (("gamma", gamma), ("tau", tau), ("eps", eps))
+    return "_".join(f"{name}{value:g}" for name, value in parts if value is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +454,7 @@ def _ensemble_means(results: Iterator[list], labels: Sequence[str]) -> List[Diag
     return means
 
 
-def _write_ensemble_means(
-    results: Iterator[list], points: List[tuple], out: Path, manifest: dict
-) -> None:
+def _write_ensemble_means(results: Iterator[list], points: List[tuple], out: Path, manifest: dict) -> None:
     """Average each grid point's series over the realizations; write one CSV per point.
 
     `results` yields one list of series per realization, in grid order;
@@ -493,39 +478,48 @@ def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, w
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
+def _grid(cfg: ExperimentConfig) -> List[tuple]:
+    """The (tau, eps) grid points, tau-major."""
+    return [(t, e) for t in cfg.tau for e in cfg.epsilon]
+
+
+def _grid_map(cfg: ExperimentConfig, workers: int, at: Callable[[ParametricChannel, int], object],
+              grid: Sequence[tuple]) -> Iterator[list]:
+    """Per realization, in realization order: `at(channel, idx)` at each (tau, eps) of `grid`, in grid order.
+
+    The one realization worker: it draws realization `idx` as the mixture
+    channel at the config's first (tau, eps), which holds the pair in the
+    eigenbasis of H, and moves it to each point with `_channel`.
+    """
+    def worker(idx: int) -> list:
+        kraus = sample_kraus_set(cfg.dim, cfg.kraus_count, derive_seed(cfg.master_seed, _CUE_STREAM, idx),
+                                 column_offset=cfg.column_offset)
+        base = ParametricChannel(tau=cfg.tau[0], epsilon=cfg.epsilon[0], hamiltonian=_hamiltonian(cfg, idx),
+                                 kraus=kraus, hbar=cfg.hbar)
+        return [at(_channel(cfg, base, tau, eps), idx) for tau, eps in grid]
+
+    return _ensemble_map(cfg, worker, workers)
+
+
 def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
-    grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
+    grid = _grid(cfg)
     record = {t: _record_steps(cfg, plan.steps[t]) for t in cfg.tau}
 
-    def worker(idx: int):
-        base = _realization(cfg, idx)
-        out_series = []
-        for tau, eps in grid:
-            ch = _channel(cfg, base, tau, eps)
-            out_series.append(
-                channel_diagnostics(ch, cfg.beta, int(record[tau][-1]), record_steps=record[tau])
-            )
-        return out_series
+    def at(ch: ParametricChannel, idx: int) -> DiagnosticSeries:
+        return channel_diagnostics(ch, cfg.beta, int(record[ch.tau][-1]), record_steps=record[ch.tau])
 
     points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}", {"tau": t, "epsilon": e}) for t, e in grid]
-    _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
+    _write_ensemble_means(_grid_map(cfg, workers, at, grid), points, out, manifest)
 
 
 def _spectra(cfg: ExperimentConfig, workers: int):
     """Grid points and, per point, the eigenvalue cloud of every realization."""
-    grid = [(t, e) for t in cfg.tau for e in cfg.epsilon]
+    grid = _grid(cfg)
 
-    def worker(idx: int):
-        base = _realization(cfg, idx)
-        return [
-            eigenvalues(
-                build_superoperator(_channel(cfg, base, tau, eps)),
-                context=f"tau={tau}, eps={eps}, realization={idx}",
-            )
-            for tau, eps in grid
-        ]
+    def at(ch: ParametricChannel, idx: int) -> np.ndarray:
+        return eigenvalues(build_superoperator(ch), context=f"tau={ch.tau}, eps={ch.epsilon}, realization={idx}")
 
-    return grid, list(zip(*_ensemble_map(cfg, worker, workers)))
+    return grid, list(zip(*_grid_map(cfg, workers, at, grid)))
 
 
 def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
@@ -606,16 +600,15 @@ def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, work
 
 def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     rows = []
-    for tau in cfg.tau:
-        for eps in cfg.epsilon:
-            phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
-            outer, inner = annular_boundaries(eps, cfg.kraus_count)
-            center, radius = shifted_disk_boundary(eps, cfg.kraus_count)
-            rows.append((
-                tau, eps, phase, outer, inner if inner is not None else np.nan, center, radius,
-                phi_max(tau, cfg.dim, cfg.sigma, cfg.hbar),
-            ))
-            manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "phase": phase})
+    for tau, eps in _grid(cfg):
+        phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
+        outer, inner = annular_boundaries(eps, cfg.kraus_count)
+        center, radius = shifted_disk_boundary(eps, cfg.kraus_count)
+        rows.append((
+            tau, eps, phase, outer, inner if inner is not None else np.nan, center, radius,
+            phi_max(tau, cfg.dim, cfg.sigma, cfg.hbar),
+        ))
+        manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "phase": phase})
     header = ("tau", "epsilon", "phase", "outer", "inner", "center", "radius", "phi_max")
     text = columns_to_csv(header, zip(*rows), labels=("phase",))
     _write(out / "phase_grid.csv", text, manifest, "grid", "phase-grid")
@@ -624,40 +617,29 @@ def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
 def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     """Relative hole depth on the (tau, eps) grid, window fixed per tau from eps = 0.
 
-    The isolated reference is the gamma = 0 closed form evaluated on the same
-    step grid (identical to the eps = 0 channel), averaged over the same
-    Hamiltonian ensemble; its smoothed minimum fixes the Thouless step and
-    the depth window for every eps at that tau.
+    Each tau's eps = 0 point is walked first and once, listed or not: the
+    isolated reference, the gamma = 0 closed form on the same step grid
+    (identical to the eps = 0 channel), averaged over the same Hamiltonian
+    ensemble.  Its smoothed minimum fixes the Thouless step and the depth
+    window for every eps at that tau, and an eps = 0 row reads it.
     """
     t_h, j_max = plan.t_end, plan.steps
+    grid = [(t, e) for t in cfg.tau for e in [0.0] + [x for x in cfg.epsilon if x != 0.0]]
 
-    def worker(idx: int):
-        """Per tau: the isolated series, then one series per eps."""
-        base = _realization(cfg, idx)
-        out_series = []
-        for tau in cfg.tau:
-            times = np.arange(j_max[tau] + 1) * tau
-            (iso,) = ed_diagnostics(base.hamiltonian, cfg.beta, [0.0], times, cfg.hbar)
-            out_series.append(iso)
-            for eps in cfg.epsilon:
-                if eps == 0.0:
-                    out_series.append(iso)
-                else:
-                    out_series.append(channel_diagnostics(_channel(cfg, base, tau, eps), cfg.beta, j_max[tau]))
-        return out_series
+    def at(ch: ParametricChannel, idx: int) -> DiagnosticSeries:
+        if ch.epsilon == 0.0:
+            times = np.arange(j_max[ch.tau] + 1) * ch.tau
+            return ed_diagnostics(ch.hamiltonian, cfg.beta, [0.0], times, cfg.hbar)[0]
+        return channel_diagnostics(ch, cfg.beta, j_max[ch.tau])
 
-    width = 1 + len(cfg.epsilon)
-    labels = []
-    for tau in cfg.tau:
-        labels += [f"isolated reference at tau={tau}"] + [f"tau={tau}, eps={e}" for e in cfg.epsilon]
-    means = _ensemble_means(_ensemble_map(cfg, worker, workers), labels)
+    labels = [f"isolated reference at tau={t}" if e == 0.0 else f"tau={t}, eps={e}" for t, e in grid]
+    means = dict(zip(grid, _ensemble_means(_grid_map(cfg, workers, at, grid), labels)))
     table = []
-    for i, tau in enumerate(cfg.tau):
-        iso_mean, *eps_means = means[i * width:(i + 1) * width]
-        t_th = estimate_thouless(iso_mean, t_h)
-        d_iso = effective_depth(iso_mean, t_th, t_h, tau)
-        for eps, mean in zip(cfg.epsilon, eps_means):
-            depth = effective_depth(mean, t_th, t_h, tau)
+    for tau in cfg.tau:
+        t_th = estimate_thouless(means[tau, 0.0], t_h)
+        d_iso = effective_depth(means[tau, 0.0], t_th, t_h, tau)
+        for eps in cfg.epsilon:
+            depth = effective_depth(means[tau, eps], t_th, t_h, tau)
             rel = depth / d_iso if d_iso > 0 else np.nan
             table.append((tau, eps, depth, d_iso, rel, t_th, t_h))
             # JSON has no NaN, so the manifest records a non-finite ratio as null
@@ -769,21 +751,16 @@ def emit_gnuplot_script(manifest: dict) -> str:
         if b is not None:
             plot += f", \\\n     '{b['path']}' every ::1 using 1:2 with lines lc 'black' title 'boundary'"
         lines.append(plot)
-    if mode == "depth-grid":
+    grid_plot = {"depth-grid": ("relative depth", 5, 7, "D/D_0"), "phase-grid": ("epsilon", 2, 5, "grid")}
+    if mode in grid_plot:
+        ylabel, column, pt, title = grid_plot[mode]
+        name = mode.replace("-", "_")
         lines += [
-            "set output 'depth_grid.png'",
+            f"set output '{name}.png'",
             "set logscale x",
             "set xlabel 'tau'",
-            "set ylabel 'relative depth'",
-            "plot 'depth_grid.csv' every ::1 using 1:5 with points pt 7 title 'D/D_0'",
-        ]
-    if mode == "phase-grid":
-        lines += [
-            "set output 'phase_grid.png'",
-            "set logscale x",
-            "set xlabel 'tau'",
-            "set ylabel 'epsilon'",
-            "plot 'phase_grid.csv' every ::1 using 1:2 with points pt 5 title 'grid'",
+            f"set ylabel '{ylabel}'",
+            f"plot '{name}.csv' every ::1 using 1:{column} with points pt {pt} title '{title}'",
         ]
     return "\n".join(lines) + "\n"
 
@@ -856,25 +833,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     # plot-script
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
+        script = emit_gnuplot_script(json.loads(Path(args.manifest).read_text()))
+        if args.output:
+            Path(args.output).write_text(script)
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         print(f"config error: manifest is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    try:
-        script = emit_gnuplot_script(manifest)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        try:
-            Path(args.output).write_text(script)
-        except OSError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if not args.output:
         print(script, end="")
     return 0
 

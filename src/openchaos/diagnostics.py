@@ -197,8 +197,9 @@ def sff_cl1_sandwich(series: DiagnosticSeries, tol: float = 1e-10) -> SandwichRe
 
 
 def _steps_to(t: float, tau: float, name: str) -> int:
-    """ceil(t/tau), the first whole step of period tau that reaches time `name`=t; the one statement of this rule.
+    """The first whole step n of period tau whose time n*tau reaches `name`=t; the one statement of this rule.
 
+    n is ceil(t/tau), moved by one where the rounded quotient misses: ceil(3*0.1/0.1) is 4, but 3*0.1 is step 3.
     t must be finite and >= 0, tau finite and > 0, and the count at most
     2**53, so that every step up to it is an exact double and fits an int64.
     """
@@ -208,7 +209,10 @@ def _steps_to(t: float, tau: float, name: str) -> int:
         raise ValueError("a step series needs a period tau > 0")
     if not t / tau <= 2**53:
         raise ValueError(f"tau={tau} takes more than 2**53 steps to reach {name}={t}")
-    return math.ceil(t / tau)
+    n = math.ceil(t / tau)
+    if (n - 1) * tau >= t:  # never at n = 0, since t >= 0 > -tau
+        return n - 1
+    return n + 1 if n * tau < t else n
 
 
 def _integer_steps(series: DiagnosticSeries, tau: float) -> np.ndarray:
@@ -228,16 +232,16 @@ def effective_depth(
 ) -> float:
     """Correlation-hole depth of an (ensemble-averaged) step series.
 
-    Sums ln(F_p / SFF(j*tau)) over whole steps j = ceil(t_Th/tau) ..
-    ceil(t_H/tau); both edges follow the step rule of `_steps_to`, and every
-    step in the window must be in the series.  The sum is clamped at zero
-    before the square root; a non-finite sum raises.
+    Sums ln(F_p / SFF(j*tau)) over whole steps j from the first that reaches
+    t_Th to the first that reaches t_H (`_steps_to`: a grid time k*tau is step
+    k), and every step in the window must be in the series.  The sum is
+    clamped at zero before the square root; a non-finite sum raises.
     """
     j = _integer_steps(series, tau)
     j_th = _steps_to(t_thouless, tau, "t_thouless")
     j_h = _steps_to(t_heisenberg, tau, "t_heisenberg")
     if j_th > j_h:
-        raise ValueError(f"empty depth window: ceil(t_Th/tau)={j_th} > ceil(t_H/tau)={j_h}")
+        raise ValueError(f"empty depth window: step {j_th} of t_Th > step {j_h} of t_H")
     pos = np.searchsorted(j, np.arange(j_th, j_h + 1))
     if np.any(pos >= j.size) or np.any(j[pos] != np.arange(j_th, j_h + 1)):
         raise ValueError(f"series is missing steps in the window [{j_th}, {j_h}]")

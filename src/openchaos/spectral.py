@@ -308,18 +308,17 @@ class SpacingRatioSet:
     nnn_indices: np.ndarray
 
 
-def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRatioSet:
+def complex_spacing_ratios(evals: np.ndarray, method: str = "brute") -> SpacingRatioSet:
     """z_i = (lambda_nn - lambda_i)/(lambda_nnn - lambda_i) for every eigenvalue.
 
     Neighbours are ranked by squared Euclidean distance with the eigenvalue
     index as tie break, identically in both implementations:
 
-    - "brute": O(n^2) distance table, the reference;
+    - "brute": O(n^2) distance table, the reference and the default;
     - "kdtree": scipy cKDTree candidate search, distances recomputed with the
       brute-force formula and the window widened until its farthest candidate
       lies beyond the second neighbour, so the selection is bit-identical
-      even under ties;
-    - "auto": kdtree above 1024 eigenvalues, where it starts to beat brute.
+      even under ties; faster than brute above about a thousand eigenvalues.
 
     Fewer than 3 eigenvalues leave no second neighbour and raise.  In the
     degenerate corner where both neighbours coincide with lambda_i the ratio
@@ -329,8 +328,6 @@ def complex_spacing_ratios(evals: np.ndarray, method: str = "auto") -> SpacingRa
     n = ev.size
     if n < 3:
         raise ValueError(f"need at least 3 eigenvalues for spacing ratios, got {n}")
-    if method == "auto":
-        method = "kdtree" if n > 1024 else "brute"
     if method not in ("brute", "kdtree"):
         raise ValueError(f"unknown method {method!r}")
 

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from openchaos import cli, pqc, rmt, spectral
+from openchaos import cli, diagnostics, pqc, rmt, spectral
 from openchaos.diagnostics import (
     SeriesAccumulator,
+    channel_diagnostics,
     columns_to_csv,
     ed_diagnostics,
     effective_depth,
@@ -569,6 +570,76 @@ def test_depth_grid_honours_channel_form(tmp_path):
     assert float(mixture[2].split(",")[2]) != float(inter[2].split(",")[2])
 
 
+def _library_depth_grid(cfg):
+    """depth_grid.csv composed from the library: realizations summed in order, the gamma = 0 closed form as each
+    tau's isolated reference, `channel_diagnostics` at each eps > 0, then `estimate_thouless` and `effective_depth`."""
+    t_h = heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
+    iso = {tau: SeriesAccumulator() for tau in cfg.tau}
+    acc = {(tau, eps): SeriesAccumulator() for tau in cfg.tau for eps in cfg.epsilon if eps != 0.0}
+    for idx in range(cfg.realizations):
+        h = sample_goe(cfg.dim, cfg.sigma, derive_seed(cfg.master_seed, 0, idx))
+        ks = sample_kraus_set(cfg.dim, cfg.kraus_count, derive_seed(cfg.master_seed, 1, idx))
+        for tau in cfg.tau:
+            j_max = diagnostics._steps_to(t_h, tau, "t_H") + 1
+            iso[tau].add(ed_diagnostics(h, cfg.beta, [0.0], np.arange(j_max + 1) * tau, cfg.hbar)[0])
+            for eps in cfg.epsilon:
+                if eps != 0.0:
+                    ch = ParametricChannel(tau=tau, epsilon=eps, hamiltonian=h, kraus=ks, hbar=cfg.hbar)
+                    ch = pqc.interleaved(ch) if cfg.channel_form == "interleaved" else ch
+                    acc[tau, eps].add(channel_diagnostics(ch, cfg.beta, j_max))
+    table = []
+    for tau in cfg.tau:
+        iso_mean = iso[tau].finalize()
+        t_th = estimate_thouless(iso_mean, t_h)
+        d_iso = effective_depth(iso_mean, t_th, t_h, tau)
+        for eps in cfg.epsilon:
+            depth = effective_depth(iso_mean if eps == 0.0 else acc[tau, eps].finalize(), t_th, t_h, tau)
+            table.append((tau, eps, depth, d_iso, depth / d_iso if d_iso > 0 else np.nan, t_th, t_h))
+    header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
+    return columns_to_csv(header, zip(*table))
+
+
+@pytest.mark.parametrize("epsilon, channel_form", [
+    pytest.param([0.1, 0.5], "mixture", id="no-eps0"),
+    pytest.param([0.3, 0.0, 0.6], "mixture", id="eps0-not-first"),
+    pytest.param([0.3, 0.0, 0.6], "interleaved", id="eps0-not-first-interleaved"),
+])
+def test_depth_grid_walk_matches_the_library(tmp_path, monkeypatch, epsilon, channel_form):
+    # each tau's isolated reference is computed once per realization, whether eps lists 0 or not, and an eps = 0
+    # row reads it wherever it stands in the list
+    calls = []
+    closed_form = cli.ed_diagnostics
+    monkeypatch.setattr(cli, "ed_diagnostics", lambda *a: calls.append(a) or closed_form(*a))
+    p = tmp_path / "c.json"
+    raw = _write_config(p, mode="depth-grid", dim=6, kraus_count=2, realizations=3, tau=[0.3, 0.5],
+                        epsilon=epsilon, channel_form=channel_form)
+    assert cli.main(["run", str(p), "--workers", "1"]) == 0
+    assert len(calls) == 3 * 2
+    cfg = cli.ExperimentConfig(**raw)
+    assert (tmp_path / "out" / "depth_grid.csv").read_text() == _library_depth_grid(cfg)
+
+
+@pytest.mark.parametrize("planted, point", [
+    pytest.param("ed_diagnostics", "isolated reference at tau=0.3", id="isolated"),
+    pytest.param("channel_diagnostics", "tau=0.3, eps=0.4", id="channel"),
+])
+def test_depth_grid_names_a_non_finite_point(tmp_path, capsys, monkeypatch, planted, point):
+    # the isolated reference of the first tau is the first slot of the walk, whether or not eps lists 0
+    def nan_sff(*args, **kwargs):
+        result = library(*args, **kwargs)
+        for series in result if isinstance(result, list) else [result]:
+            series.sff = np.full_like(series.sff, np.nan)
+        return result
+
+    library = getattr(cli, planted)
+    monkeypatch.setattr(cli, planted, nan_sff)
+    p = tmp_path / "c.json"
+    _write_config(p, mode="depth-grid", dim=4, kraus_count=2, realizations=2, tau=[0.3, 0.5], epsilon=[0.4, 0.0])
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {point}: ensemble sff is not finite\n"
+
+
 def test_run_phase_grid(tmp_path):
     p = tmp_path / "c.json"
     _write_config(p, mode="phase-grid", tau=[1e-4, 1.0], epsilon=[0.2, 0.7],
@@ -1000,6 +1071,15 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(manifest)
+    assert cli.main(["plot-script", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: ") and out.out == ""
+
+
+def test_plot_script_rejects_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    # the UnicodeDecodeError of reading it escaped every handler as a traceback
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"\xff\xfe{")
     assert cli.main(["plot-script", str(path)]) == 1
     out = capsys.readouterr()
     assert out.err.startswith("config error: ") and out.out == ""

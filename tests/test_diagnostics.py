@@ -10,6 +10,7 @@ import pytest
 from openchaos.diagnostics import (
     DiagnosticSeries,
     SeriesAccumulator,
+    _steps_to,
     channel_diagnostics,
     cl1_norm,
     ed_diagnostics,
@@ -96,13 +97,31 @@ def _flat_series(values, tau, plateau):
 
 
 def test_effective_depth_hand_computed():
-    # window is ceil(t_Th/tau) .. ceil(t_H/tau) inclusive
+    # window is the first step reaching t_Th .. the first reaching t_H, inclusive
     tau, plateau = 0.1, 0.125
     sff = [plateau * f for f in (1.0, 1.0, 1.0, 1.0, 0.5, 0.4, 0.5, 0.8, 0.9, 1.0, 1.0)]
     s = _flat_series(sff, tau, plateau)
     d = effective_depth(s, 0.35, 0.75, tau)
     expect = math.sqrt(-sum(math.log(f) for f in (0.5, 0.4, 0.5, 0.8, 0.9)))
     assert d == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.01, 0.02, 0.2, 0.3, 0.05, 0.07])
+def test_steps_to_a_grid_time_is_its_step(tau):
+    # ceil(k*tau/tau) is k + 1 for about 1 product in 12, 3*0.1 and 29*0.1 among them
+    assert [_steps_to(k * tau, tau, "t") for k in range(2000)] == list(range(2000))
+    assert [_steps_to(k * tau + 1e-9 * tau, tau, "t") for k in range(2000)] == list(range(1, 2001))
+
+
+def test_effective_depth_window_opens_at_a_grid_thouless_time():
+    # estimate_thouless returns a grid time, 29*0.1 = 2.9000000000000004, whose quotient by 0.1 rounds up to 30;
+    # the window is steps 29..33 (32*0.1 < t_H = 3.25 <= 33*0.1), not 30..33
+    tau, plateau = 0.1, 0.125
+    factors = (0.3, 0.5, 0.6, 0.8, 0.9)
+    s = _flat_series([plateau] * 29 + [plateau * f for f in factors] + [plateau], tau, plateau)
+    assert math.ceil(s.times[29] / tau) == 30
+    expect = math.sqrt(-sum(math.log(f) for f in factors))
+    assert effective_depth(s, s.times[29], 3.25, tau) == pytest.approx(expect, rel=1e-12)
 
 
 def test_effective_depth_clamps_at_zero():

@@ -341,13 +341,25 @@ def test_csr_modulus_bounded_by_one():
 
 def test_csr_dual_paths_agree_exactly():
     rng = rng_from_seed(64)
-    for n in (50, 1100):  # below and above the auto kdtree threshold
+    for n in (50, 1100):  # either side of the size where the kdtree starts to beat brute
         pts = rng.normal(size=n) + 1j * rng.normal(size=n)
         brute = complex_spacing_ratios(pts, method="brute")
         fast = complex_spacing_ratios(pts, method="kdtree")
         assert np.array_equal(brute.ratios, fast.ratios)
         assert np.array_equal(brute.nn_indices, fast.nn_indices)
         assert np.array_equal(brute.nnn_indices, fast.nnn_indices)
+
+
+def test_spacing_ratios_default_to_brute_at_any_size(monkeypatch):
+    # no size switches the default path to the k-d tree; "auto" (kdtree above 1024 eigenvalues) is gone
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *a, **k: pytest.fail("the default built a k-d tree"))
+    rng = rng_from_seed(65)
+    pts = rng.normal(size=1100) + 1j * rng.normal(size=1100)
+    assert complex_spacing_ratios(pts).ratios.size == 1100
+    with pytest.raises(ValueError, match="unknown method 'auto'"):
+        complex_spacing_ratios(pts, method="auto")
 
 
 def test_csr_handles_degenerate_points():
