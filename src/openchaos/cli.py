@@ -63,8 +63,8 @@ from .diagnostics import (
     series_to_csv,
 )
 from .pqc import ParametricChannel, _check_phases, build_superoperator, interleaved
-from .rmt import (_check_scales, _check_side, critical_tau, derive_seed, heisenberg_time, mean_level_spacing,
-                  sample_goe, sample_kraus_set)
+from .rmt import (_check_scales, _check_side, _goe_bound, critical_tau, derive_seed, heisenberg_time,
+                  mean_level_spacing, sample_goe, sample_kraus_set)
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -236,8 +236,9 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     kraus_count*dim once dim and kraus_count have passed, the superoperator
     side dim**2 in `spectrum` and `csr` and the GOE side dim in the other
     modes that draw H once dim has passed, and each derived scale a mode
-    reads: Delta wherever H is drawn, the channel's phases (`_check_phases`)
-    over the ensemble's spread sigma*sqrt(8*dim) where channels are built,
+    reads: Delta and the bound `_goe_bound` on a draw's entries (28*sigma) and
+    spread (28*dim*sigma) wherever H is drawn, the channel's phases
+    (`_check_phases`) over that spread where channels are built,
     tau_c and phi_max in `spectrum` and `phase-grid`, t_H where a series ends
     at it, and each step count.  The rules stated here are the CLI's own.
     """
@@ -302,11 +303,11 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
     delta = _ask("", mean_level_spacing, cfg.dim, cfg.sigma) if draws_h and not base else []
-    if base or delta:  # every derived scale reads dim, sigma and hbar, and t_H reads Delta
-        return _Plan(issues + delta)
-    spread = cfg.sigma * math.sqrt(8.0 * cfg.dim)  # the ensemble's; a channel's phases are largest at the largest tau
-    if draws_h and taus:
-        issues += _ask("", _check_phases, max(taus), spread, cfg.hbar, "sigma*sqrt(8*dim)")
+    entries = _ask("", _goe_bound, cfg.dim, cfg.sigma) if draws_h and not base else []
+    if base or delta or entries:  # every derived scale reads dim, sigma and hbar, t_H reads Delta
+        return _Plan(issues + delta + entries)
+    if draws_h and taus:  # a bound on any draw's spread; a channel's phases are largest at the largest tau
+        issues += _ask("", _check_phases, max(taus), _goe_bound(cfg.dim, cfg.sigma), cfg.hbar, "28*dim*sigma")
     if cfg.mode in ("spectrum", "phase-grid"):  # `classify_phase` reads tau_c and phi_max
         issues += _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar)
         for tau in taus:
@@ -702,10 +703,11 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
 def emit_gnuplot_script(manifest: dict) -> str:
     """Gnuplot commands that render a run's artifacts next to the manifest.
 
-    Raises ValueError unless the manifest is an object with an 'artifacts'
-    list of entries that each carry a string path, kind and label, each path a
-    bare name of the characters `run` writes, [A-Za-z0-9._+-]: a quote or a
-    separator would end the quoted gnuplot string and open a command.
+    Raises ValueError unless the manifest is an object with a string 'mode',
+    if any, and an 'artifacts' list of entries that each carry a string path,
+    kind and label, each path a bare name of the characters `run` writes,
+    [A-Za-z0-9._+-]: a quote or a separator would end the quoted gnuplot
+    string and open a command.
     """
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
@@ -716,6 +718,8 @@ def emit_gnuplot_script(manifest: dict) -> str:
         if not re.fullmatch(r"[A-Za-z0-9._+-]+", art["path"]):
             raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a bare artifact name")
     mode = manifest.get("mode", "")
+    if not isinstance(mode, str):
+        raise ValueError("manifest 'mode' must be a string")
     lines = [
         "# generated by openchaos plot-script",
         "set datafile separator ','",

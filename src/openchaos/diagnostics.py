@@ -137,11 +137,9 @@ class DiagnosticSeries:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        self.sff = np.asarray(self.sff, dtype=float)
-        self.cl1 = np.asarray(self.cl1, dtype=float)
-        self.purity = np.asarray(self.purity, dtype=float)
         n = self.times.size
         for name in ("sff", "cl1", "purity"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} length does not match times length {n}")
 
@@ -280,54 +278,48 @@ def estimate_thouless(series: DiagnosticSeries, t_heisenberg: float) -> float:
 class SeriesAccumulator:
     """Streaming mean/stderr reducer over equally gridded DiagnosticSeries.
 
-    The means of sff, cl1, purity and, when the series carry one, the lower
-    bound are Kahan-compensated elementwise sums.  Only the SFF carries a
-    spread: plain sums of d = sff - sff_first and d^2 about the first series
-    added, which avoid the cancellation of sum(x^2) - n mean^2 where the
-    spread is far below the mean (Chan, Golub & LeVeque, Am. Stat. 37, 242
-    (1983)).  Adding the same series in the same order gives the same bytes.
+    The sff, cl1, purity and (when the series carry one) lower-bound rows are
+    one stacked (F, T) Kahan sum with one (F, T) compensation array: one
+    elementwise step per `add`, one division in `finalize`.  Only the SFF has
+    a spread, from the plain (2, T) sums of d = sff - sff_first and d^2 about
+    the first series added, which avoid the cancellation of sum(x^2) - n mean^2
+    where the spread is far below the mean (Chan, Golub & LeVeque, Am. Stat.
+    37, 242 (1983)).  Adding the same series in the same order gives the same bytes.
     """
+
+    _ROWS = ("sff", "cl1", "purity", "lower_bound")  # the stack's rows; series without a lower bound have three
 
     def __init__(self) -> None:
         self.count = 0
         self._template: Optional[DiagnosticSeries] = None
-        self._sum: dict = {}
-        self._comp: dict = {}
+        self._sum: Optional[np.ndarray] = None
+        self._comp: Optional[np.ndarray] = None
         self._shift: Optional[np.ndarray] = None
         self._dev: Optional[np.ndarray] = None
-        self._dev_sq: Optional[np.ndarray] = None
         self._plateau_sum = 0.0
 
-    @staticmethod
-    def _kahan_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray) -> None:
-        y = x - comp
-        t = total + y
-        comp[...] = (t - total) - y
-        total[...] = t
-
     def add(self, series: DiagnosticSeries) -> None:
+        rows = np.stack([getattr(series, f) for f in self._ROWS if getattr(series, f) is not None])
         if self._template is None:
             self._template = series
-            fields = ("sff", "cl1", "purity") + (("lower_bound",) if series.lower_bound is not None else ())
-            n = series.times.size
-            self._sum = {f: np.zeros(n) for f in fields}
-            self._comp = {f: np.zeros(n) for f in fields}
-            self._shift = series.sff.copy()
-            self._dev = np.zeros(n)
-            self._dev_sq = np.zeros(n)
+            self._sum = np.zeros_like(rows)
+            self._comp = np.zeros_like(rows)
+            self._shift = rows[0]  # a copy of the first sff, since np.stack copies
+            self._dev = np.zeros((2, series.times.size))
         else:
             ref = self._template
             if not np.array_equal(series.times, ref.times):
                 raise ValueError("all series in one ensemble must share the time grid")
             if series.beta != ref.beta or series.dim != ref.dim:
                 raise ValueError("all series in one ensemble must share beta and dim")
-            if (series.lower_bound is None) == ("lower_bound" in self._sum):
+            if rows.shape != self._sum.shape:
                 raise ValueError("mixing series with and without lower bounds")
-        for f, total in self._sum.items():
-            self._kahan_add(total, self._comp[f], getattr(series, f))
+        y = rows - self._comp
+        t = self._sum + y
+        self._comp = (t - self._sum) - y
+        self._sum = t
         d = series.sff - self._shift
-        self._dev += d
-        self._dev_sq += d * d
+        self._dev += (d, d * d)
         self._plateau_sum += series.plateau
         self.count += 1
 
@@ -336,19 +328,16 @@ class SeriesAccumulator:
             raise ValueError("cannot average an empty ensemble")
         n = self.count
         ref = self._template
-        means = {f: total / n for f, total in self._sum.items()}
-        var = np.maximum(self._dev_sq - self._dev**2 / n, 0.0) / max(n - 1, 1)
+        dev, dev_sq = self._dev
+        var = np.maximum(dev_sq - dev**2 / n, 0.0) / max(n - 1, 1)
         return DiagnosticSeries(
             dim=ref.dim,
             beta=ref.beta,
             times=ref.times.copy(),
-            sff=means["sff"],
-            cl1=means["cl1"],
-            purity=means["purity"],
             plateau=self._plateau_sum / n,
             n_realizations=n,
             sff_stderr=np.sqrt(var / n),
-            lower_bound=means.get("lower_bound"),
+            **dict(zip(self._ROWS, self._sum / n)),
         )
 
 
@@ -398,9 +387,10 @@ def channel_diagnostics(
     The evolution streams through all j = 0..steps; observables are stored at
     `record_steps` only (default: every step).  Recorded states are copied
     into a buffer of about `_OBSERVE_BYTES` (1 MB, at least one state), and
-    each full buffer is reduced by one batched call per observable, with the
-    same reductions `sff_fidelity`, `cl1_norm` and `purity` apply to one
-    state.  Memory stays about 1 MB plus O(d^2) however long the run is.
+    each full buffer is reduced into the columns of one (3, n) array by one
+    batched call per observable, with the reductions `sff_fidelity`, `cl1_norm`
+    and `purity` apply to one state.  Memory stays about 1 MB plus O(d^2)
+    however long the run is.
     Every step is `apply_channel`; for the interleaved form W_eps U_tau pass
     `interleaved(channel)`, itself a mixture channel.
     """
@@ -416,29 +406,23 @@ def channel_diagnostics(
             raise ValueError("record_steps outside [0, steps]")
     d = channel.dim
     buf = np.empty((min(record.size, max(1, _OBSERVE_BYTES // (16 * d * d))), d, d), dtype=complex)
-    sff = np.empty(record.size)
-    cl1 = np.empty(record.size)
-    pur = np.empty(record.size)
-    pos = held = 0
+    obs = np.empty((3, record.size))  # sff, cl1 and purity rows
+    k = 0  # states recorded so far; the buffer holds those past the last multiple of its size
     for j, rho in enumerate(evolve_discrete(channel, rho0, int(record[-1]))):
-        if j != record[pos + held]:
+        if j != record[k]:
             continue
-        buf[held] = rho
-        held += 1
-        if held == buf.shape[0] or pos + held == record.size:
-            b = buf[:held]
-            sff[pos : pos + held] = _sff_rows(cgs.amplitudes, b)
-            cl1[pos : pos + held] = _cl1_rows(b)
-            pur[pos : pos + held] = _purity_rows(b)
-            pos += held
-            held = 0
+        buf[k % buf.shape[0]] = rho
+        k += 1
+        if k % buf.shape[0] == 0 or k == record.size:
+            b = buf[: (k - 1) % buf.shape[0] + 1]
+            obs[:, k - b.shape[0] : k] = _sff_rows(cgs.amplitudes, b), _cl1_rows(b), _purity_rows(b)
     return DiagnosticSeries(
-        dim=channel.dim,
+        dim=d,
         beta=beta,
         times=record * channel.tau,
-        sff=sff,
-        cl1=cl1,
-        purity=pur,
+        sff=obs[0],
+        cl1=obs[1],
+        purity=obs[2],
         plateau=plateau_value(channel.energies, beta),
     )
 

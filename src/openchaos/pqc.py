@@ -101,8 +101,8 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> n
 
 def _check_phases(tau: float, spread: float, hbar: float, formula: str = "max(E_max-E_min, max|E|)") -> None:
     """The one rule on a channel's phases over energies `spread` apart: the largest, tau*spread/hbar, must be finite,
-    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar.  A channel asks it
-    of its drawn spread, the CLI of the ensemble's, sigma*sqrt(8*dim), before it draws; each raises ValueError."""
+    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar.  A channel asks it of
+    its drawn spread, the CLI of any draw's bound 28*dim*sigma (`_goe_bound`) before drawing; each raises ValueError."""
     phase = float(tau) * spread / float(hbar)
     _check_derived("phase", f"tau*{formula}/hbar", phase, zero_ok=True, tau=tau, hbar=hbar)
     if not 1.0 / float(hbar) < math.inf:

@@ -127,7 +127,7 @@ _T_H_ZERO = "t_H=2*pi*hbar/Delta underflows at dim=4, sigma=1e+300, hbar=1e-300:
     pytest.param("ed-sff", dict(sigma=3e-308), "resolved t_max=inf", 0, id="ed-sff-3e-308-resolved t_max=inf"),
     pytest.param("pqc-sff", dict(sigma=1e-320), _T_H_INF, 0, id="pqc-sff-1e-320-t_H=inf"),
     pytest.param("depth-grid", dict(sigma=1e-320), "t_H=inf", 1, id="depth-grid-1e-320-t_H=inf"),
-    # with t_max set, the channel's largest phase tau*sigma*sqrt(8*dim)/hbar still overflows
+    # with t_max set, the channel's largest phase bound tau*28*dim*sigma/hbar still overflows
     pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="pqc-sff-t_H=0"),
     pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="depth-grid-t_H=0"),
     # classify_phase reads tau_c
@@ -691,7 +691,7 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mon
 
 
 _LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
-_PLAN_PHASE_OVERFLOW = ("phase=tau*sigma*sqrt(8*dim)/hbar overflows at tau=0.5, hbar=5e-324:"
+_PLAN_PHASE_OVERFLOW = ("phase=tau*28*dim*sigma/hbar overflows at tau=0.5, hbar=5e-324:"
                         " phase=inf must be finite and >= 0")
 _RECIPROCAL_OVERFLOW = "1/hbar overflows at hbar=5e-324: numpy divides the phases by hbar as a product with 1/hbar"
 
@@ -727,7 +727,7 @@ def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsy
 
 @pytest.mark.parametrize("mode", ["pqc-sff", "csr", "depth-grid"])
 def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, monkeypatch):
-    # validate asks the channel's phase rule of the ensemble's spread sigma*sqrt(8*dim), so the config
+    # validate asks the channel's phase rule of any draw's spread bound 28*dim*sigma, so the config
     # fails before any draw, not after every realization is drawn (the channel asks it again when built)
     monkeypatch.setattr(cli, "sample_goe", lambda *args: pytest.fail("sample_goe was called"))
     p = tmp_path / "c.json"
@@ -981,6 +981,10 @@ def _small(**overrides):
 @example(_small(mode="csr", sigma=_MAX))
 @example(_small(mode="ed-sff", sigma=_MAX, gamma=[1]))
 @example(_small(mode="pqc-sff", sigma=_MAX))
+# a draw beyond the ensemble's spread sigma*sqrt(8*dim) (4 sigma at d=2): an entry of A + A^T, or the
+# channel's phase over the drawn levels, overflows; the plan bounds both by `_goe_bound`
+@example(_small(mode="pqc-sff", dim=2, kraus_count=1, sigma=4.4e307, realizations=20))
+@example(_small(mode="pqc-sff", dim=2, kraus_count=1, hbar=2.2273011596668684e-308, tau=[1.0], realizations=100))
 # numpy warnings at valid extremes: make_cgs, classify_phase, the depth-grid times (the phase or the
 # last step's time overflows), the ed-sff log grid to the largest float, the kernel's -2t, and the
 # spacing ratios of levels a subnormal apart
@@ -1067,6 +1071,8 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     pytest.param('{"artifacts": ' + "[" * 200_000 + "]" * 200_000 + "}", id="nested-200000-deep"),
     # a run config is no manifest: it has no artifacts list
     '{"mode": "pqc-sff", "dim": 4}',
+    # a mode that is no string crashed the plot lookup with a TypeError traceback
+    '{"mode": [], "artifacts": []}',
 ])
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"

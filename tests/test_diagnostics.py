@@ -235,9 +235,11 @@ def test_stderr_on_a_plateau_matches_an_exact_oracle():
 
 def test_accumulator_means_keep_their_kahan_compensation():
     # fifty 1e-17 terms vanish against 1.0 in a plain sum; Kahan keeps them in
-    # the compensation term, so every mean equals the correctly rounded sum / n
+    # the compensation term, so every mean, the lower bound's row of the stack
+    # too, equals the correctly rounded sum / n
     def point(x):
-        return DiagnosticSeries(dim=2, beta=0.0, times=np.zeros(1), sff=[x], cl1=[x], purity=[x], plateau=0.5)
+        return DiagnosticSeries(dim=2, beta=0.0, times=np.zeros(1), sff=[x], cl1=[x], purity=[x], plateau=0.5,
+                                lower_bound=np.array([x]))
 
     values = [1.0] + [1e-17] * 50
     acc = SeriesAccumulator()
@@ -246,7 +248,7 @@ def test_accumulator_means_keep_their_kahan_compensation():
     mean = acc.finalize()
     exact = math.fsum(values) / 51
     assert sum(values) / 51 != exact
-    assert mean.sff[0] == mean.cl1[0] == mean.purity[0] == exact
+    assert mean.sff[0] == mean.cl1[0] == mean.purity[0] == mean.lower_bound[0] == exact
 
 
 def test_accumulator_is_deterministic_in_fixed_order():
