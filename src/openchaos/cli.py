@@ -46,7 +46,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -221,7 +222,7 @@ class _Plan(NamedTuple):
 
     issues: List[str]
     t_end: Optional[float] = None
-    steps: Dict[float, int] = {}
+    steps: Mapping[float, int] = MappingProxyType({})
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:
@@ -425,6 +426,11 @@ def _write(path: Path, text: str, manifest: dict, kind: str, label: str) -> None
     )
 
 
+def _write_histogram(path: Path, points: np.ndarray, cfg: ExperimentConfig, manifest: dict, tag: str) -> None:
+    """The `density_grid` of a point cloud at the config's bin count, as one JSON artifact."""
+    _write(path, json.dumps(density_grid(points, bins=cfg.histogram_bins)), manifest, "histogram", tag)
+
+
 def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Optional[float] = None) -> str:
     parts = (("gamma", gamma), ("tau", tau), ("eps", eps))
     return "_".join(f"{name}{value:g}" for name, value in parts if value is not None)
@@ -550,18 +556,10 @@ def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict,
             columns_to_csv(("re", "im", "curve"), (curve.real, curve.imag, curve_index), labels=("curve",)),
             manifest, "boundary", tag,
         )
-        _write(
-            out / f"spectrum_{tag}.hist.json",
-            json.dumps(density_grid(pooled, bins=cfg.histogram_bins)),
-            manifest, "histogram", tag,
-        )
-        shifted = boundary.kind == "shifted-disk"
+        _write_histogram(out / f"spectrum_{tag}.hist.json", pooled, cfg, manifest, tag)
         summary.append((
-            tau, eps, phase, frac, cfg.margin, boundary.outer or np.nan,
-            boundary.inner if boundary.inner is not None else np.nan,
-            boundary.center.real if shifted else 0.0,
-            (boundary.outer or np.nan) if shifted else np.nan,
-            pooled.size,
+            tau, eps, phase, frac, cfg.margin, boundary.outer, np.nan if boundary.inner is None else boundary.inner,
+            boundary.center.real, boundary.outer if phase == "shifted-disk" else np.nan, pooled.size,
         ))
         manifest["grid"].append(
             {"tau": tau, "epsilon": eps, "status": "ok", "phase": phase, "containment": frac}
@@ -580,11 +578,7 @@ def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, work
         ratios = np.concatenate([complex_spacing_ratios(ev).ratios for ev in clouds])
         text = columns_to_csv(("re", "im"), (ratios.real, ratios.imag))
         _write(out / f"csr_{tag}.csv", text, manifest, "ratios", tag)
-        _write(
-            out / f"csr_{tag}.hist.json",
-            json.dumps(density_grid(ratios, bins=cfg.histogram_bins)),
-            manifest, "histogram", tag,
-        )
+        _write_histogram(out / f"csr_{tag}.hist.json", ratios, cfg, manifest, tag)
         n = ratios.size
         p_flat = 0.05**2  # uniform-on-the-disk mass of |z| <= 0.05
         count = int(np.sum(np.abs(ratios) <= 0.05))

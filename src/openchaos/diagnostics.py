@@ -121,7 +121,7 @@ class DiagnosticSeries:
     (ensemble mean thereof after reduction).  Only the SFF carries a standard
     error, attached by `ensemble_average`; it stays None for a single
     realization.  `lower_bound` holds the dephasing Taylor bound where one
-    applies.
+    applies.  Every row present is a float array as long as `times`.
     """
 
     dim: int
@@ -138,8 +138,11 @@ class DiagnosticSeries:
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
         n = self.times.size
-        for name in ("sff", "cl1", "purity"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("sff", "cl1", "purity", "sff_stderr", "lower_bound"):
+            value = getattr(self, name)
+            if value is None and name in ("sff_stderr", "lower_bound"):  # the two rows a series may lack
+                continue
+            setattr(self, name, np.asarray(value, dtype=float))
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} length does not match times length {n}")
 
@@ -433,14 +436,15 @@ def columns_to_csv(header: Sequence[str], columns: Sequence, labels: Sequence[st
     Columns named in `labels` (integers and text) are written with str; every
     other column is read as float64 and written with the shortest
     value-preserving scientific notation, so equal inputs give byte-identical
-    files.  One header line, one line per row, each ending in a newline.
+    files.  One header line, one line per row, each ending in a newline; a
+    table with no rows is its header alone, and columns of unequal length raise.
     """
     cells = [
         [str(v) for v in col] if name in labels
         else [np.format_float_scientific(v, unique=True) for v in np.asarray(col, dtype=float)]
         for name, col in zip(header, columns)
     ]
-    return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
+    return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]) + "\n"
 
 
 def series_to_csv(series: DiagnosticSeries) -> str:

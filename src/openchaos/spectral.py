@@ -192,10 +192,11 @@ def _circle(center: complex, radius: float) -> np.ndarray:
 class Boundary:
     """Region the bulk should occupy in one phase: analytic parameters plus sampled outlines.
 
-    `kind` is the phase label.  Containment is evaluated from the parameters
-    alone: radii for the annulus and the two disks, Euclidean distance to the
-    sector for the crescent.  `curves` are the closed outlines written to the
-    boundary CSVs; nothing measures against them.
+    `kind` is the phase label.  The annulus and the two disks are one radial
+    rule, outer >= |z - center| >= inner (no inner bound where `inner` is
+    None); the crescent is the sector of radius `outer` and half-angle
+    `half_angle`, by Euclidean distance.  `curves` are the closed outlines
+    written to the boundary CSVs; nothing measures against them.
     """
 
     kind: str
@@ -206,23 +207,19 @@ class Boundary:
     half_angle: Optional[float] = None
 
     def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Boolean mask: inside the region dilated by `margin`."""
+        """Boolean mask: inside the region dilated by `margin` (a negative margin shrinks it)."""
         z = np.atleast_1d(np.asarray(points, dtype=complex))
-        if self.kind in ("disk", "shifted-disk"):
-            return np.abs(z - self.center) <= self.outer + margin
-        if self.kind == "annular":
-            r = np.abs(z)
-            inner = self.inner or 0.0
-            return (r <= self.outer + margin) & (r >= inner - margin)
         if self.kind == "crescent":
             return _sector_distance(z, self.outer, self.half_angle) <= margin
-        raise ValueError(f"unknown boundary kind {self.kind!r}; expected one of {PHASES}")
+        if self.kind not in PHASES:
+            raise ValueError(f"unknown boundary kind {self.kind!r}; expected one of {PHASES}")
+        r = np.abs(z - self.center)
+        inside = r <= self.outer + margin
+        return inside if self.inner is None else inside & (r >= self.inner - margin)
 
 
 def _sector_distance(z: np.ndarray, radius: float, half_angle: float) -> np.ndarray:
     """Euclidean distance from each point to the sector {r e^{i a}: r<=R, |a|<=phi}."""
-    if half_angle >= np.pi:
-        return np.maximum(np.abs(z) - radius, 0.0)
     r = np.abs(z)
     inside_angle = np.abs(np.angle(z)) <= half_angle
     dist = np.where(inside_angle, np.maximum(r - radius, 0.0), np.inf)
@@ -248,33 +245,32 @@ def phase_boundary(
 ) -> Boundary:
     """Analytic bulk boundary for one phase label.
 
-    The crescent needs (tau, d, sigma) to fix its sector half-angle; the
-    circular phases only need (eps, K).
+    Each phase states a center, an outer radius and, for the open annulus,
+    an inner radius; the outer circle and a nonzero inner one are one outline each.  The
+    crescent is the unit disk's sector of half-angle min(phi_max, pi), which
+    needs (tau, d, sigma); the circular phases only need (eps, K).
     """
-    if phase == "annular":
+    center, inner, angle = 0.0, None, None
+    if phase in ("annular", "disk"):
         outer, inner = annular_boundaries(eps, k)
-        curves = [_circle(0.0, outer)]
-        if inner:
-            curves.append(_circle(0.0, inner))
-        return Boundary("annular", tuple(curves), outer=outer, inner=inner)
-    if phase == "disk":
-        outer = annular_boundaries(eps, k)[0]
-        return Boundary("disk", (_circle(0.0, outer),), outer=outer)
-    if phase == "shifted-disk":
-        center, radius = shifted_disk_boundary(eps, k)
-        return Boundary("shifted-disk", (_circle(center, radius),), center=center, outer=radius)
-    if phase == "crescent":
+        inner = inner if phase == "annular" else None
+    elif phase == "shifted-disk":
+        center, outer = shifted_disk_boundary(eps, k)
+    elif phase == "crescent":
         if tau is None or d is None or sigma is None:
             raise ValueError("crescent boundary needs tau, d and sigma")
         # Transitive area: the only analytic statement is angular confinement
         # to half-angle phi_max; radially the channel is a contraction, so the
         # sector is cut out of the unit disk rather than the annular radius.
-        angle = min(phi_max(tau, d, sigma, hbar), np.pi)
-        radius = 1.0
-        arc = radius * np.exp(1j * np.linspace(-angle, angle, _BOUNDARY_SAMPLES))
-        curve = np.concatenate([[0.0 + 0.0j], arc, [0.0 + 0.0j]])
-        return Boundary("crescent", (curve,), outer=radius, half_angle=angle)
-    raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+        outer, angle = 1.0, min(phi_max(tau, d, sigma, hbar), np.pi)
+    else:
+        raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+    if angle is None:  # a closed inner circle (None or 0) draws no outline
+        curves = tuple(_circle(center, r) for r in ((outer, inner) if inner else (outer,)))
+    else:
+        arc = outer * np.exp(1j * np.linspace(-angle, angle, _BOUNDARY_SAMPLES))
+        curves = (np.concatenate([[0.0 + 0.0j], arc, [0.0 + 0.0j]]),)
+    return Boundary(phase, curves, center=center, outer=outer, inner=inner, half_angle=angle)
 
 
 def containment_fraction(evals: np.ndarray, boundary: Boundary, margin: float = 0.0) -> float:

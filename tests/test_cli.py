@@ -367,7 +367,7 @@ def test_runs_pass_hbar_to_the_dephasing_kernel(tmp_path):
     assert (tmp_path / "depth" / "depth_grid.csv").read_text() == expect
 
 
-def test_run_shuts_its_worker_threads_down(tmp_path):
+def test_run_shuts_its_worker_processes_down(tmp_path):
     before = threading.active_count()
     cfg = cli.ExperimentConfig(**dict(_SMALL_RUNS["pqc-sff"], output_dir=str(tmp_path / "out"), dim=6,
                                       realizations=3, master_seed=5))
@@ -508,7 +508,7 @@ def test_run_spectrum_grid(tmp_path):
 @pytest.mark.parametrize("tau, eps, phase", [
     (0.1, 0.2, "crescent"), (1.0, 0.2, "annular"), (1.0, 0.9, "disk"), (0.01, 0.9, "shifted-disk"),
 ])
-def test_spectrum_run_matches_spectral_report(tmp_path, monkeypatch, tau, eps, phase):
+def test_spectrum_run_matches_the_bulk_audit(tmp_path, monkeypatch, tau, eps, phase):
     p = tmp_path / "c.json"
     cfg = _write_config(p, mode="spectrum", dim=6, kraus_count=2, realizations=1,
                         tau=[tau], epsilon=[eps])
@@ -526,6 +526,20 @@ def test_spectrum_run_matches_spectral_report(tmp_path, monkeypatch, tau, eps, p
     cloud = np.loadtxt(out / f"spectrum_{cli._tag(tau=tau, eps=eps)}.csv", delimiter=",", skiprows=1)
     bulk = cloud[cloud[:, 2] == 0]
     assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report_bulk)
+
+
+def test_spectrum_summary_writes_a_radius_0_shifted_disk_as_0(tmp_path):
+    # at tau=5e-324, eps=0 the shifted disk has radius 0, which the summary wrote as nan
+    grid = dict(dim=4, kraus_count=2, realizations=1, tau=[5e-324], epsilon=[0.0])
+    for mode in ("spectrum", "phase-grid"):
+        _write_config(tmp_path / "c.json", mode=mode, **grid)
+        assert cli.main(["run", str(tmp_path / "c.json")]) == 0
+    summary = (tmp_path / "out" / "spectrum_summary.csv").read_text().split("\n")
+    row = dict(zip(summary[0].split(","), summary[1].split(",")))
+    phase_grid = (tmp_path / "out" / "phase_grid.csv").read_text().split("\n")
+    radius = dict(zip(phase_grid[0].split(","), phase_grid[1].split(",")))["radius"]
+    assert (row["phase"], row["outer"], row["radius"], row["inner"]) == ("shifted-disk", "0.e+00", "0.e+00", "nan")
+    assert radius == "0.e+00"
 
 
 def test_run_csr_has_depletion_column(tmp_path):
@@ -886,6 +900,11 @@ def test_a_run_derives_each_step_count_once(tmp_path, monkeypatch, mode):
     _write_config(p, mode=mode, dim=4, kraus_count=2, realizations=2, t_max=None, tau=[0.2, 0.5], epsilon=[0.0, 0.3])
     cli.run(cli.load_config(p))
     assert sorted(calls) == ["_steps_to", "_steps_to", "heisenberg_time"]
+
+
+def test_a_plan_without_steps_has_an_immutable_empty_mapping():
+    with pytest.raises(TypeError):  # the default was one dict, shared by every plan built without steps
+        cli._Plan([]).steps[1.0] = 2
 
 
 @pytest.mark.parametrize("channel_form", ["mixture", "interleaved"])

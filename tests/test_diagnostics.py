@@ -13,6 +13,7 @@ from openchaos.diagnostics import (
     _steps_to,
     channel_diagnostics,
     cl1_norm,
+    columns_to_csv,
     ed_diagnostics,
     effective_depth,
     ensemble_average,
@@ -417,6 +418,27 @@ def test_series_to_csv_finite_temperature_blanks_sandwich():
     for row in rows:
         cols = row.split(",")
         assert cols[5] == "nan" and cols[6] == "nan"
+
+
+@pytest.mark.parametrize("name, value", [("lower_bound", np.zeros(2)), ("sff_stderr", [0.1])])
+def test_series_rows_shorter_than_times_raise(name, value):
+    # a 2-long lower bound gave a CSV of 2 of the 4 rows, with no error
+    with pytest.raises(ValueError, match=f"{name} length does not match times length 4"):
+        DiagnosticSeries(2, 0.0, np.arange(4.0), [.5] * 4, [.1] * 4, [.9] * 4, 0.5, **{name: value})
+
+
+def test_series_optional_rows_become_float_arrays():
+    s = DiagnosticSeries(2, 0.0, np.arange(2.0), [.5] * 2, [.1] * 2, [.9] * 2, 0.5,
+                         sff_stderr=[0, 1], lower_bound=(0.25, 0.5))
+    assert s.sff_stderr.dtype == s.lower_bound.dtype == np.float64
+    assert series_to_csv(s).count("\n") == 3
+
+
+def test_columns_to_csv_rejects_unequal_columns_and_keeps_an_empty_header():
+    with pytest.raises(ValueError):  # zipped, the 3-row and 1-row columns gave one row
+        columns_to_csv(("a", "b"), ([1.0, 2.0, 3.0], [1.0]))
+    assert columns_to_csv(("a", "b"), ([], [])) == "a,b\n"
+    assert columns_to_csv(("a", "b"), zip(*[])) == "a,b\n"  # a summary of no grid points
 
 
 def test_golden_ensemble_checksum():

@@ -176,6 +176,39 @@ def test_crescent_containment():
     assert b.contains(np.array([edge]), margin=0.02)[0]
 
 
+def test_closed_annulus_under_a_negative_margin_has_no_hole():
+    closed = phase_boundary("annular", 0.9, 3)  # past eps_c: no inner radius
+    assert closed.inner is None
+    # one radial rule: a negative margin shrinks the outer circle only, and cuts no hole of radius |m| at 0
+    assert list(closed.contains(np.array([0.0, 0.01, closed.outer - 0.01]), margin=-0.02)) == [True, True, False]
+    opened = phase_boundary("annular", 0.2, 3)  # outer 0.8083, inner 0.7916: the band narrows from both sides
+    assert list(opened.contains(np.array([0.7917, 0.8, 0.8082]), margin=-0.001)) == [False, True, False]
+
+
+def test_crescent_at_half_angle_pi_is_the_unit_disk():
+    b = phase_boundary("crescent", 0.2, 3, tau=1.05, d=4, sigma=1.0)  # phi_max = 5.94, clamped to pi
+    assert b.half_angle == np.pi
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1.3, 1.3, 4000) + 1j * rng.uniform(-1.3, 1.3, 4000)
+    z = np.concatenate([z, [0.0, -1.0 + 0.0j, -1.0 - 0.0j, complex(-1.01, -0.0), np.nan, np.inf]])
+    for m in (0.0, 0.02, 0.3):
+        assert np.array_equal(b.contains(z, m), np.maximum(np.abs(z) - 1.0, 0.0) <= m)
+
+
+@pytest.mark.parametrize("phase, eps, radii", [
+    ("annular", 0.2, (0.8082903768654761, 0.7916228058025279)),
+    ("annular", critical_epsilon(3), (annular_boundaries(critical_epsilon(3), 3)[0],)),  # inner 0: no circle
+    ("disk", 0.9, (annular_boundaries(0.9, 3)[0],)),
+    ("shifted-disk", 0.0, (0.0,)),  # radius 0: one outline, every sample at the center
+])
+def test_boundary_draws_one_circle_per_radius(phase, eps, radii):
+    b = phase_boundary(phase, eps, 3)
+    assert len(b.curves) == len(radii)
+    for curve, radius in zip(b.curves, radii):
+        assert curve.shape == (2048,)
+        assert np.allclose(np.abs(curve - b.center), radius, rtol=1e-12, atol=0.0)
+
+
 def test_containment_fraction_and_empty_error():
     b = phase_boundary("disk", 1.0, 4)
     pts = np.array([0.1, 0.2, 0.9])
@@ -276,7 +309,7 @@ def test_split_bulk_picks_nearest_to_one():
     assert ev[1] not in bulk
 
 
-def test_spectral_report_end_to_end():
+def test_one_channel_bulk_audit_end_to_end():
     # one channel's audit: eigenvalues -> split_bulk -> audit_bulk
     h = sample_goe(8, 1.0, derive_seed(61, 0, 1))
     ks = sample_kraus_set(8, 3, derive_seed(61, 1, 1))
