@@ -14,7 +14,7 @@ derive_seed(master_seed, 0, index) and its environment unitary from
 derive_seed(master_seed, 1, index), so realization i is the same physical
 sample in every mode and at every grid point; ensembles are therefore paired
 across parameters, and a run is reproducible from (config, master_seed)
-alone.  Each realization is one job of one walk over the tau-major
+alone.  Each realization is one job of one walk over the plan's tau-major
 (tau, epsilon) grid (`_grid_map`): the Hamiltonian and the Kraus set are
 drawn, the channel at the first grid point rotates the Kraus set into the
 eigenbasis of H once, and every grid point is that channel `replace`d to its
@@ -24,8 +24,9 @@ only change scheduling, because results are reduced in realization order, so
 the emitted CSV numbers are byte-identical for any --workers value.
 
 `validate` and `run` read one plan (`_plan`): the config's issues, and each
-time scale and step count of the run, derived once.  Past `validate`, a run
-fails only on what a draw holds: a GOE entry or a kernel product that overflows.
+time scale, walk and series grid of the run, derived once.  Past `validate`, a
+run fails only on what a draw holds: a GOE entry or a kernel product that
+overflows.
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
 Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
@@ -84,7 +85,8 @@ _GOE_STREAM = 0
 _CUE_STREAM = 1
 
 # Size limits: `density_grid` holds bins^2 counts and writes them as one JSON
-# list, and `ed-sff` holds 4 * |gamma| * points doubles.
+# list, and every series grid (the ed-sff times, the pqc-sff record steps past
+# step 0, depth-grid's every step to t_H) at most 10^6 points.
 _MAX_HISTOGRAM_BINS = 4096
 _MAX_POINTS = 10**6
 
@@ -217,12 +219,18 @@ def _ask(prefix: str, check: Callable, *args, **kwargs) -> List[str]:
 
 
 class _Plan(NamedTuple):
-    """A config's issues (none: runnable), the end t_end of its series (the resolved t_max, or t_H in `depth-grid`)
-    and each tau's step count (to t_max and at least 1 in `pqc-sff`, one past t_H in `depth-grid`)."""
+    """What a run reads of its config, derived once: the issues (none: runnable), the end t_end of its series
+    (the resolved t_max, or t_H in `depth-grid`), per tau the integer steps a channel series records (step 0 and
+    the log or linear subset of `points` steps to t_max in `pqc-sff`, every step to one past t_H in `depth-grid`),
+    the (tau, eps) walk, tau-major (`depth-grid` walks each tau's eps = 0 first and once), and the `ed-sff` times.
+    Every series grid holds at most `_MAX_POINTS` points besides step 0: `points` bounds the times and the
+    subsets, and depth-grid's steps are counted against it before they are built."""
 
     issues: List[str]
     t_end: Optional[float] = None
-    steps: Mapping[float, int] = MappingProxyType({})
+    steps: Mapping[float, np.ndarray] = MappingProxyType({})
+    walk: Sequence[tuple] = ()
+    times: Optional[np.ndarray] = None
 
 
 def validate_config(cfg: ExperimentConfig) -> List[str]:
@@ -231,7 +239,7 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 
 
 def _plan(cfg: ExperimentConfig) -> _Plan:
-    """Check the config, and derive each time scale and step count its run reads, once.
+    """Check the config, and derive each time scale, walk and series grid its run reads, once.
 
     The library judges each physical key, the column offset and the CUE side
     kraus_count*dim once dim and kraus_count have passed, the superoperator
@@ -313,8 +321,10 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         issues += _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar)
         for tau in taus:
             issues += _ask(f"tau={tau} makes ", phi_max, tau, cfg.dim, cfg.sigma, cfg.hbar)
+    eps = [0.0] + [e for e in cfg.epsilon if e != 0.0] if cfg.mode == "depth-grid" else cfg.epsilon
+    walk = [(t, e) for t in cfg.tau for e in eps]
     if cfg.mode in ("spectrum", "csr", "phase-grid"):
-        return _Plan(issues)
+        return _Plan(issues, walk=walk)
     # the series end at t_max or, where it is null, a multiple of t_H; in depth-grid at t_H
     name, t_end = ("t_H", None) if cfg.mode == "depth-grid" else ("t_max", cfg.t_max)
     if t_end is None:
@@ -328,16 +338,27 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             return _Plan(issues + [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"])
     if cfg.mode == "ed-sff":
         issues += [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
-    steps = {}
+    last = {}
     for tau in taus if t_end > 0 else ():  # a t_max <= 0 has its issue
         try:
             n = _steps_to(t_end, tau, name)
         except ValueError as exc:
             say(str(exc))
             continue
-        steps[tau] = n + 1 if cfg.mode == "depth-grid" else max(1, n)
-    issues += [f"tau={tau} times its {n} steps is not finite" for tau, n in steps.items() if not math.isfinite(n * tau)]
-    return _Plan(issues, t_end, steps)
+        last[tau] = n + 1 if cfg.mode == "depth-grid" else max(1, n)
+    issues += [f"tau={tau} times its {n} steps is not finite" for tau, n in last.items() if not math.isfinite(n * tau)]
+    issues += [f"tau={tau} records {n + 1} steps to t_H, above the bound of {_MAX_POINTS} points per series"
+               for tau, n in last.items() if cfg.mode == "depth-grid" and n >= _MAX_POINTS]
+    if issues:  # every grid reads `points`, t_end or a step count
+        return _Plan(issues, t_end)
+    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
+    if cfg.mode == "ed-sff":
+        with np.errstate(over="ignore"):  # geomspace's last power may overflow near the float maximum; it ends at t_end
+            return _Plan(issues, t_end, times=space(cfg.t_min, t_end, cfg.points))
+    steps = {tau: np.arange(n + 1) if cfg.mode == "depth-grid"
+             else np.unique(np.concatenate([[0], np.rint(space(1, n, min(cfg.points, n))).astype(int)]))
+             for tau, n in last.items()}
+    return _Plan(issues, t_end, steps, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +378,6 @@ def _channel(cfg: ExperimentConfig, base: ParametricChannel, tau: float, eps: fl
     """
     ch = replace(base, tau=tau, epsilon=eps)
     return interleaved(ch) if cfg.channel_form == "interleaved" else ch
-
-
-def _record_steps(cfg: ExperimentConfig, steps: int) -> np.ndarray:
-    """Log-spaced (or linear) subset of integer steps, always including 0."""
-    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
-    j = np.rint(space(1, steps, min(cfg.points, steps))).astype(int)
-    return np.unique(np.concatenate([[0], j]))
 
 
 # The realization worker of this process, set in each pool process by the
@@ -474,25 +488,16 @@ def _write_ensemble_means(results: Iterator[list], points: List[tuple], out: Pat
 
 
 def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
-    space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
-    with np.errstate(over="ignore"):  # geomspace's last power may overflow near the float maximum; it ends at t_end
-        times = space(cfg.t_min, plan.t_end, cfg.points)
-
     def worker(idx: int):
-        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, times, cfg.hbar)
+        return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, plan.times, cfg.hbar)
 
     points = [(_tag(gamma=g), f"gamma={g}", {"gamma": g}) for g in cfg.gamma]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
-def _grid(cfg: ExperimentConfig) -> List[tuple]:
-    """The (tau, eps) grid points, tau-major."""
-    return [(t, e) for t in cfg.tau for e in cfg.epsilon]
-
-
-def _grid_map(cfg: ExperimentConfig, workers: int, at: Callable[[ParametricChannel, int], object],
-              grid: Sequence[tuple]) -> Iterator[list]:
-    """Per realization, in realization order: `at(channel, idx)` at each (tau, eps) of `grid`, in grid order.
+def _grid_map(cfg: ExperimentConfig, plan: _Plan, workers: int,
+              at: Callable[[ParametricChannel, int], object]) -> Iterator[list]:
+    """Per realization, in realization order: `at(channel, idx)` at each (tau, eps) of the plan's walk, in order.
 
     The one realization worker: it draws realization `idx` as the mixture
     channel at the config's first (tau, eps), which holds the pair in the
@@ -503,36 +508,31 @@ def _grid_map(cfg: ExperimentConfig, workers: int, at: Callable[[ParametricChann
                                  column_offset=cfg.column_offset)
         base = ParametricChannel(tau=cfg.tau[0], epsilon=cfg.epsilon[0], hamiltonian=_hamiltonian(cfg, idx),
                                  kraus=kraus, hbar=cfg.hbar)
-        return [at(_channel(cfg, base, tau, eps), idx) for tau, eps in grid]
+        return [at(_channel(cfg, base, tau, eps), idx) for tau, eps in plan.walk]
 
     return _ensemble_map(cfg, worker, workers)
 
 
 def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
-    grid = _grid(cfg)
-    record = {t: _record_steps(cfg, plan.steps[t]) for t in cfg.tau}
-
     def at(ch: ParametricChannel, idx: int) -> DiagnosticSeries:
-        return channel_diagnostics(ch, cfg.beta, int(record[ch.tau][-1]), record_steps=record[ch.tau])
+        steps = plan.steps[ch.tau]
+        return channel_diagnostics(ch, cfg.beta, int(steps[-1]), record_steps=steps)
 
-    points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}", {"tau": t, "epsilon": e}) for t, e in grid]
-    _write_ensemble_means(_grid_map(cfg, workers, at, grid), points, out, manifest)
+    points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}", {"tau": t, "epsilon": e}) for t, e in plan.walk]
+    _write_ensemble_means(_grid_map(cfg, plan, workers, at), points, out, manifest)
 
 
-def _spectra(cfg: ExperimentConfig, workers: int):
-    """Grid points and, per point, the eigenvalue cloud of every realization."""
-    grid = _grid(cfg)
-
+def _spectra(cfg: ExperimentConfig, plan: _Plan, workers: int) -> List[tuple]:
+    """Per point of the plan's walk, the eigenvalue cloud of every realization."""
     def at(ch: ParametricChannel, idx: int) -> np.ndarray:
         return eigenvalues(build_superoperator(ch), context=f"tau={ch.tau}, eps={ch.epsilon}, realization={idx}")
 
-    return grid, list(zip(*_grid_map(cfg, workers, at, grid)))
+    return list(zip(*_grid_map(cfg, plan, workers, at)))
 
 
 def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
-    grid, per_point = _spectra(cfg, workers)
     summary = []
-    for (tau, eps), clouds in zip(grid, per_point):
+    for (tau, eps), clouds in zip(plan.walk, _spectra(cfg, plan, workers)):
         tag = _tag(tau=tau, eps=eps)
         bulks, fixed = zip(*map(split_bulk, clouds))
         pooled = np.concatenate(bulks)
@@ -571,9 +571,8 @@ def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict,
 
 
 def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
-    grid, per_point = _spectra(cfg, workers)
     summary = []
-    for (tau, eps), clouds in zip(grid, per_point):
+    for (tau, eps), clouds in zip(plan.walk, _spectra(cfg, plan, workers)):
         tag = _tag(tau=tau, eps=eps)
         ratios = np.concatenate([complex_spacing_ratios(ev).ratios for ev in clouds])
         text = columns_to_csv(("re", "im"), (ratios.real, ratios.imag))
@@ -595,7 +594,7 @@ def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, work
 
 def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     rows = []
-    for tau, eps in _grid(cfg):
+    for tau, eps in plan.walk:
         phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
         outer, inner = annular_boundaries(eps, cfg.kraus_count)
         center, radius = shifted_disk_boundary(eps, cfg.kraus_count)
@@ -618,25 +617,22 @@ def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
     ensemble.  Its smoothed minimum fixes the Thouless step and the depth
     window for every eps at that tau, and an eps = 0 row reads it.
     """
-    t_h, j_max = plan.t_end, plan.steps
-    grid = [(t, e) for t in cfg.tau for e in [0.0] + [x for x in cfg.epsilon if x != 0.0]]
-
     def at(ch: ParametricChannel, idx: int) -> DiagnosticSeries:
+        steps = plan.steps[ch.tau]
         if ch.epsilon == 0.0:
-            times = np.arange(j_max[ch.tau] + 1) * ch.tau
-            return ed_diagnostics(ch.hamiltonian, cfg.beta, [0.0], times, cfg.hbar)[0]
-        return channel_diagnostics(ch, cfg.beta, j_max[ch.tau])
+            return ed_diagnostics(ch.hamiltonian, cfg.beta, [0.0], steps * ch.tau, cfg.hbar)[0]
+        return channel_diagnostics(ch, cfg.beta, int(steps[-1]), record_steps=steps)
 
-    labels = [f"isolated reference at tau={t}" if e == 0.0 else f"tau={t}, eps={e}" for t, e in grid]
-    means = dict(zip(grid, _ensemble_means(_grid_map(cfg, workers, at, grid), labels)))
+    labels = [f"isolated reference at tau={t}" if e == 0.0 else f"tau={t}, eps={e}" for t, e in plan.walk]
+    means = dict(zip(plan.walk, _ensemble_means(_grid_map(cfg, plan, workers, at), labels)))
     table = []
     for tau in cfg.tau:
-        t_th = estimate_thouless(means[tau, 0.0], t_h)
-        d_iso = effective_depth(means[tau, 0.0], t_th, t_h, tau)
+        t_th = estimate_thouless(means[tau, 0.0], plan.t_end)
+        d_iso = effective_depth(means[tau, 0.0], t_th, plan.t_end, tau)
         for eps in cfg.epsilon:
-            depth = effective_depth(means[tau, eps], t_th, t_h, tau)
+            depth = effective_depth(means[tau, eps], t_th, plan.t_end, tau)
             rel = depth / d_iso if d_iso > 0 else np.nan
-            table.append((tau, eps, depth, d_iso, rel, t_th, t_h))
+            table.append((tau, eps, depth, d_iso, rel, t_th, plan.t_end))
             # JSON has no NaN, so the manifest records a non-finite ratio as null
             manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok",
                                      "relative_depth": rel if np.isfinite(rel) else None})

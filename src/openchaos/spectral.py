@@ -219,7 +219,9 @@ class Boundary:
 
 
 def _sector_distance(z: np.ndarray, radius: float, half_angle: float) -> np.ndarray:
-    """Euclidean distance from each point to the sector {r e^{i a}: r<=R, |a|<=phi}."""
+    """Euclidean distance from each point to the sector {r e^{i a}: r<=R, |a|<=phi}; inf at a non-finite point."""
+    finite = np.isfinite(z)
+    z = np.where(finite, z, 0.0)  # inf + inf j times e^{-i phi} would hold inf - inf
     r = np.abs(z)
     inside_angle = np.abs(np.angle(z)) <= half_angle
     dist = np.where(inside_angle, np.maximum(r - radius, 0.0), np.inf)
@@ -231,7 +233,7 @@ def _sector_distance(z: np.ndarray, radius: float, half_angle: float) -> np.ndar
             x <= 0.0, np.hypot(x, y), np.where(x >= radius, np.hypot(x - radius, y), np.abs(y))
         )
         dist = np.minimum(dist, np.where(inside_angle, dist, seg))
-    return dist
+    return np.where(finite, dist, np.inf)
 
 
 def phase_boundary(

@@ -902,6 +902,49 @@ def test_a_run_derives_each_step_count_once(tmp_path, monkeypatch, mode):
     assert sorted(calls) == ["_steps_to", "_steps_to", "heisenberg_time"]
 
 
+@pytest.mark.parametrize("mode", ["pqc-sff", "depth-grid", "ed-sff"])
+def test_a_run_records_on_the_plans_grids(tmp_path, monkeypatch, mode):
+    # every series grid comes from the plan: the closed form and the channel read the same arrays
+    calls = []
+    for name in ("channel_diagnostics", "ed_diagnostics"):
+        monkeypatch.setattr(cli, name, lambda *a, _f=getattr(cli, name), _n=name, **k: calls.append((_n, a, k))
+                            or _f(*a, **k))
+    p = tmp_path / "c.json"
+    _write_config(p, mode=mode, dim=4, kraus_count=2, realizations=2, t_max=None, tau=[0.2, 0.5],
+                  epsilon=[0.0, 0.3])
+    cfg = cli.load_config(p)
+    plan = cli._plan(cfg)
+    cli.run(cfg)
+    expect = {"ed-sff": {"ed_diagnostics"}, "pqc-sff": {"channel_diagnostics"}}
+    assert {name for name, _, _ in calls} == expect.get(mode, {"channel_diagnostics", "ed_diagnostics"})
+    for name, args, kwargs in calls:
+        if mode == "ed-sff":
+            assert np.array_equal(args[3], plan.times)
+        elif name == "ed_diagnostics":  # depth-grid's isolated reference, on its tau's steps
+            assert args[2] == [0.0] and any(np.array_equal(args[3], plan.steps[t] * t) for t in cfg.tau)
+        else:
+            steps = plan.steps[args[0].tau]
+            assert args[2] == steps[-1] and np.array_equal(kwargs["record_steps"], steps)
+
+
+def test_validate_and_run_bound_every_series_grid(tmp_path, monkeypatch, capsys):
+    # depth-grid records every step to one past t_H: 33321625 per series at dim 4, tau 1e-7; nothing is drawn
+    for name in ("sample_goe", "channel_diagnostics", "ed_diagnostics"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} was called"))
+    p = tmp_path / "c.json"
+    base = dict(mode="depth-grid", dim=4, kraus_count=2, realizations=1, epsilon=[0.1], t_max=None)
+    _write_config(p, **base, tau=[1e-7])
+    for command in ("validate", "run"):
+        assert cli.main([command, str(p)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: tau=1e-07 "), err
+        assert "33321625" in err[0] and "1000000" in err[0]
+    assert not (tmp_path / "out").exists()
+    for tau, code in ((3.4e-6, 0), (3.3e-6, 1)):  # 980050 and 1009749 recorded steps
+        _write_config(p, **base, tau=[tau])
+        assert cli.main(["validate", str(p)]) == code
+
+
 def test_a_plan_without_steps_has_an_immutable_empty_mapping():
     with pytest.raises(TypeError):  # the default was one dict, shared by every plan built without steps
         cli._Plan([]).steps[1.0] = 2
@@ -1018,8 +1061,9 @@ def _small(**overrides):
 @given(_HOSTILE_CONFIGS)
 def test_validate_and_run_give_one_verdict(config):
     # validate exits 1 exactly when run does, leaving no output; after `config ok` a run exits 0, or 2 with
-    # a kernel overflow and only its manifest.  Plans of more than 10^4 steps are left out, to bound run time.
-    assume(max(cli._plan(cli.ExperimentConfig(**config)).steps.values(), default=0) <= 10**4)
+    # a kernel overflow and only its manifest.  Plans that step past step 10^4 are left out, to bound run time.
+    plan = cli._plan(cli.ExperimentConfig(**config))
+    assume(max((int(s[-1]) for s in plan.steps.values()), default=0) <= 10**4)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "c.json", Path(tmp) / "out"
         path.write_text(json.dumps(dict(config, output_dir=str(out))))

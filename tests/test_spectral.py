@@ -176,6 +176,14 @@ def test_crescent_containment():
     assert b.contains(np.array([edge]), margin=0.02)[0]
 
 
+def test_crescent_leaves_out_non_finite_points_without_a_warning():
+    # rotating inf + inf j by e^{-i phi} gives inf - inf; under the suite's warnings-as-errors setting it raised
+    b = phase_boundary("crescent", 0.2, 3, tau=0.05, d=32, sigma=1.0)
+    pts = np.array([complex(np.inf, np.inf), complex(-np.inf, np.inf), complex(np.nan, 0.0), 0.9 * np.exp(0.75j)])
+    for m in (0.0, 0.3, 2.0):
+        assert list(b.contains(pts, m)) == [False, False, False, True]
+
+
 def test_closed_annulus_under_a_negative_margin_has_no_hole():
     closed = phase_boundary("annular", 0.9, 3)  # past eps_c: no inner radius
     assert closed.inner is None
