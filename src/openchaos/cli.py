@@ -24,9 +24,11 @@ only change scheduling, because results are reduced in realization order, so
 the emitted CSV numbers are byte-identical for any --workers value.
 
 `validate` and `run` read one plan (`_plan`): the config's issues, and each
-time scale, walk and series grid of the run, derived once.  Past `validate`, a
-run fails only on what a draw holds: a GOE entry or a kernel product that
-overflows.
+time scale, walk and series grid of the run, derived once.  Every nonzero
+scale lies in [1e-30, 1e30], where no kernel product can overflow, so past
+`validate` a run fails only where the system does (a file it cannot write)
+or LAPACK does not converge.  A run holds OpenBLAS at one thread, so its
+bytes do not depend on the BLAS thread count either.
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
 Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
@@ -35,16 +37,16 @@ Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -64,9 +66,8 @@ from .diagnostics import (
     estimate_thouless,
     series_to_csv,
 )
-from .pqc import ParametricChannel, _check_phases, build_superoperator, interleaved
-from .rmt import (_check_scales, _check_side, _goe_bound, critical_tau, derive_seed, heisenberg_time,
-                  mean_level_spacing, sample_goe, sample_kraus_set)
+from .pqc import ParametricChannel, build_superoperator, interleaved
+from .rmt import _check_scales, _check_side, derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -89,6 +90,9 @@ _CUE_STREAM = 1
 # step 0, depth-grid's every step to t_H) at most 10^6 points.
 _MAX_HISTOGRAM_BINS = 4096
 _MAX_POINTS = 10**6
+# The range of every nonzero sigma, hbar, beta, tau, gamma, t_min and t_max: the observables read the scales only
+# through products such as tau*sigma/hbar, so no physics lies outside it, and `_plan` shows no kernel overflows in it.
+_SCALE_RANGE = (1e-30, 1e30)
 
 # Full-scale realization counts, enabled by the "full_scale" config key.
 _FULL_SCALE_REALIZATIONS = {
@@ -243,13 +247,33 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 
     The library judges each physical key, the column offset and the CUE side
     kraus_count*dim once dim and kraus_count have passed, the superoperator
-    side dim**2 in `spectrum` and `csr` and the GOE side dim in the other
-    modes that draw H once dim has passed, and each derived scale a mode
-    reads: Delta and the bound `_goe_bound` on a draw's entries (28*sigma) and
-    spread (28*dim*sigma) wherever H is drawn, the channel's phases
-    (`_check_phases`) over that spread where channels are built,
-    tau_c and phi_max in `spectrum` and `phase-grid`, t_H where a series ends
-    at it, and each step count.  The rules stated here are the CLI's own.
+    side dim**2 in `spectrum` and `csr`, the GOE side dim in the other modes
+    that draw H once dim has passed, and each step count.  Every nonzero
+    sigma, hbar, beta, tau, gamma, t_min and t_max must lie in `_SCALE_RANGE`,
+    [1e-30, 1e30]; the other rules stated here are the CLI's own.
+
+    In the range no derived scale or kernel product overflows, so the plan
+    asks none of them.  Every mode that draws H has dim <= 4096.  A draw's
+    entries lie below 28*sigma <= 2.8e31, and its spread max(E_max-E_min,
+    max|E|) below W = 28*dim*sigma <= 1.2e35: a normal draw is sigma*z, and
+    numpy's ziggurat tail returns |z| <= r + 53*ln2/r < 13.71
+    (r = 3.6541528853610088), so by Gershgorin a spread is below
+    27.42*dim*sigma.  Every time is at most T = 5.7e62, the ed-sff end 4 t_H,
+    since t_H = pi*hbar*(dim-1)/(sigma*sqrt(2*dim)) <= 1.5e62; a user t_max
+    is at most 1e30.  The largest product each kernel forms, against the
+    float maximum 1.8e308:
+
+        channel phase   tau*W/hbar, with 1/hbar <= 1e30            1.2e95
+        gamma*t*w^2     gamma*T*W^2                                7.5e162
+        t*w^2*d         T*W^2*4096                                 3.1e136
+        t*|E|/hbar      T*W/hbar                                   6.6e127
+        lower bound     (T/hbar)*(T*W^2*dim/hbar)/2                8.8e258
+
+    (the lower bound's t*dC_l1/dgamma/(2*hbar^2), since |dC_l1/dgamma| <=
+    T*W^2*(dim-1)).  `classify_phase` reads tau_c = pi*hbar/(sigma*sqrt(2*dim))
+    in (7e-70, 1.6e60) and phi_max = tau*sigma*sqrt(8*dim)/hbar in
+    (4e-90, 9e99) for any dim below 2**63, and Delta and t_H lie above 4e-32
+    and 1.5e-60: no derived scale underflows either.
     """
     if cfg.mode not in MODES:
         return _Plan([f"mode must be one of {MODES}, got {cfg.mode!r}"])
@@ -258,10 +282,15 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         return _Plan(issues)
     say = issues.append
     draws_h = cfg.mode != "phase-grid"
+    lo, hi = _SCALE_RANGE
+    scales = [("sigma", cfg.sigma), ("hbar", cfg.hbar), ("beta", cfg.beta), ("t_min", cfg.t_min),
+              ("t_max", cfg.t_max), *(("tau", t) for t in cfg.tau), *(("gamma", g) for g in cfg.gamma)]
+    outside = [f"{name}={value!r} lies outside [{lo:g}, {hi:g}], the range of every nonzero scale"
+               for name, value in scales if value and not lo <= abs(value) <= hi]
     # the library names each scale as the config does, but calls dim d and kraus_count K
     dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
     base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
-    issues += base + _ask("", _check_scales, beta=cfg.beta)
+    issues += base + outside + _ask("", _check_scales, beta=cfg.beta)
     superop = cfg.mode in ("spectrum", "csr")  # the largest matrix a worker holds: d^2 x d^2 there, else H's d x d
     side = (cfg.dim**2, "the superoperator side d^2") if superop else (cfg.dim, "the GOE side d")
     issues += _ask("dim: ", _check_side, *side) if draws_h and not dim_issues else []
@@ -311,16 +340,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         issues += [issue for eps in cfg.epsilon for issue in _ask("", _check_scales, epsilon=eps)]
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
-    delta = _ask("", mean_level_spacing, cfg.dim, cfg.sigma) if draws_h and not base else []
-    entries = _ask("", _goe_bound, cfg.dim, cfg.sigma) if draws_h and not base else []
-    if base or delta or entries:  # every derived scale reads dim, sigma and hbar, t_H reads Delta
-        return _Plan(issues + delta + entries)
-    if draws_h and taus:  # a bound on any draw's spread; a channel's phases are largest at the largest tau
-        issues += _ask("", _check_phases, max(taus), _goe_bound(cfg.dim, cfg.sigma), cfg.hbar, "28*dim*sigma")
-    if cfg.mode in ("spectrum", "phase-grid"):  # `classify_phase` reads tau_c and phi_max
-        issues += _ask("", critical_tau, cfg.dim, cfg.sigma, cfg.hbar)
-        for tau in taus:
-            issues += _ask(f"tau={tau} makes ", phi_max, tau, cfg.dim, cfg.sigma, cfg.hbar)
+    if base or outside:  # t_H reads dim, sigma and hbar, and every bound above reads the range
+        return _Plan(issues)
     eps = [0.0] + [e for e in cfg.epsilon if e != 0.0] if cfg.mode == "depth-grid" else cfg.epsilon
     walk = [(t, e) for t in cfg.tau for e in eps]
     if cfg.mode in ("spectrum", "csr", "phase-grid"):
@@ -328,16 +349,9 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     # the series end at t_max or, where it is null, a multiple of t_H; in depth-grid at t_H
     name, t_end = ("t_H", None) if cfg.mode == "depth-grid" else ("t_max", cfg.t_max)
     if t_end is None:
-        try:
-            t_end = {"ed-sff": 4.0, "pqc-sff": 2.0}.get(cfg.mode, 1.0) * heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
-        except ValueError as exc:
-            return _Plan(issues + [str(exc)])
-        if not math.isfinite(t_end):
-            return _Plan(issues + [f"resolved t_max={t_end} (a multiple of t_H) from sigma={cfg.sigma} is not finite"])
+        t_end = {"ed-sff": 4.0, "pqc-sff": 2.0}.get(cfg.mode, 1.0) * heisenberg_time(cfg.dim, cfg.sigma, cfg.hbar)
         if cfg.mode == "ed-sff" and t_end <= cfg.t_min:
             return _Plan(issues + [f"resolved t_max={t_end} (4 t_H) must exceed t_min={cfg.t_min}"])
-    if cfg.mode == "ed-sff":
-        issues += [f"gamma={g} times t_max={t_end} is not finite" for g in cfg.gamma if not math.isfinite(g * t_end)]
     last = {}
     for tau in taus if t_end > 0 else ():  # a t_max <= 0 has its issue
         try:
@@ -346,15 +360,13 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             say(str(exc))
             continue
         last[tau] = n + 1 if cfg.mode == "depth-grid" else max(1, n)
-    issues += [f"tau={tau} times its {n} steps is not finite" for tau, n in last.items() if not math.isfinite(n * tau)]
     issues += [f"tau={tau} records {n + 1} steps to t_H, above the bound of {_MAX_POINTS} points per series"
                for tau, n in last.items() if cfg.mode == "depth-grid" and n >= _MAX_POINTS]
     if issues:  # every grid reads `points`, t_end or a step count
         return _Plan(issues, t_end)
     space = np.linspace if cfg.grid_kind == "linear" else np.geomspace
     if cfg.mode == "ed-sff":
-        with np.errstate(over="ignore"):  # geomspace's last power may overflow near the float maximum; it ends at t_end
-            return _Plan(issues, t_end, times=space(cfg.t_min, t_end, cfg.points))
+        return _Plan(issues, t_end, times=space(cfg.t_min, t_end, cfg.points))
     steps = {tau: np.arange(n + 1) if cfg.mode == "depth-grid"
              else np.unique(np.concatenate([[0], np.rint(space(1, n, min(cfg.points, n))).astype(int)]))
              for tau, n in last.items()}
@@ -409,7 +421,12 @@ def _ensemble_map(
     """
     indices = range(cfg.realizations)
     workers = min(workers, cfg.realizations)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers > 1:
+        import multiprocessing  # slow to import, and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    if workers <= 1:
         yield from map(worker, indices)
         return
     with ProcessPoolExecutor(
@@ -651,9 +668,59 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
+# The (set, get) thread-count functions of OpenBLAS: scipy-openblas64 (numpy's wheels), scipy-openblas32, plain.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> Optional[tuple]:
+    """The (set, get) thread-count functions of the OpenBLAS numpy loaded, or None where none is found.
+
+    Looked up on first use, not at import: the copy in numpy's wheel (`numpy.libs`) first, then, where there is
+    none, the system library `ctypes.util.find_library` names.
+    """
+    import ctypes.util
+    import glob
+
+    wheel = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))
+    for path in wheel or filter(None, [ctypes.util.find_library("openblas")]):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in _OPENBLAS_THREADS:
+            if all(hasattr(lib, name) for name in names):
+                return tuple(getattr(lib, name) for name in names)
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold OpenBLAS at one thread inside the block and restore its count after; a forked worker inherits it.
+
+    One thread per process: forked workers do not oversubscribe the cores, and no result depends on how OpenBLAS
+    splits a product across threads.  Without OpenBLAS this does nothing.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
 def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
-    """Plan the config (ValueError if it has issues), run its mode on the plan, and return the manifest written
-    next to the artifacts."""
+    """Plan the config (ValueError if it has issues), run its mode on the plan with OpenBLAS at one thread, and
+    return the manifest written next to the artifacts."""
     plan = _plan(cfg)
     if plan.issues:
         raise ValueError("invalid config: " + "; ".join(plan.issues))
@@ -675,7 +742,8 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.mode](cfg, plan, out, manifest, workers)
+        with _one_blas_thread():
+            _RUNNERS[cfg.mode](cfg, plan, out, manifest, workers)
     except Exception as exc:  # record, then re-raise after writing the manifest
         manifest["errors"].append(str(exc))
         raise

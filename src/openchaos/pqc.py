@@ -52,6 +52,12 @@ import numpy as np
 from .rmt import HamiltonianSpectrum, KrausSet, _check_derived, _check_scales, _check_side
 from .states import as_energies
 
+# The largest pair phase tau*(E_max-E_min)/hbar the mask takes from each pair's own gap.  Rounding moves such a
+# phase by about |phase|*1e-16 radians, so at 2**26 the pairs still share the level phases of U rho U^dag to 1e-8
+# radians; far past it they do not, and the mask stops being positive (smallest eigenvalue -0.045 at tau=1e14,
+# d=4, sigma=hbar=1).  Above it the mask is the outer product of the level phases.
+_PAIR_PHASE_MAX = 2.0**26
+
 __all__ = [
     "Superoperator",
     "ParametricChannel",
@@ -98,12 +104,11 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> n
     return np.einsum("in,rij,jm->rnm", q.conj(), operators, q)
 
 
-def _check_phases(tau: float, spread: float, hbar: float, formula: str = "max(E_max-E_min, max|E|)") -> None:
+def _check_phases(tau: float, spread: float, hbar: float) -> None:
     """The one rule on a channel's phases over energies `spread` apart: the largest, tau*spread/hbar, must be finite,
-    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar.  A channel asks it of
-    its drawn spread, the CLI of any draw's bound 28*dim*sigma (`_goe_bound`) before drawing; each raises ValueError."""
+    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar; else ValueError."""
     phase = float(tau) * spread / float(hbar)
-    _check_derived("phase", f"tau*{formula}/hbar", phase, zero_ok=True, tau=tau, hbar=hbar)
+    _check_derived("phase", "tau*max(E_max-E_min, max|E|)/hbar", phase, zero_ok=True, tau=tau, hbar=hbar)
     if not 1.0 / float(hbar) < math.inf:
         raise ValueError(f"1/hbar overflows at hbar={hbar}: numpy divides the phases by hbar as a product with 1/hbar")
 
@@ -124,10 +129,11 @@ class ParametricChannel:
 
     The constants of one step are built here as well: the (1-eps)-weighted
     phase twist `mask[n, m] = (1-eps) * exp(-i*tau*(E_n - E_m)/hbar)` of
-    U rho U^dag, the operators laid out side by side as one contiguous
-    (d, K*d) block [N_1 | ... | N_K], of which `kraus_ops` is the (K, d, d)
-    view, and the adjoints stacked as [N_1^dag; ...; N_K^dag], a (K*d, d)
-    matrix.
+    U rho U^dag (past `_PAIR_PHASE_MAX`, (1-eps) * u_n * conj(u_m) with
+    u = exp(-i*tau*E/hbar), which stays positive), the operators laid out
+    side by side as one contiguous (d, K*d) block [N_1 | ... | N_K], of
+    which `kraus_ops` is the (K, d, d) view, and the adjoints stacked as
+    [N_1^dag; ...; N_K^dag], a (K*d, d) matrix.
     """
 
     tau: float
@@ -151,9 +157,15 @@ class ParametricChannel:
         _check_phases(self.tau, max(hi - lo, -lo, hi), self.hbar)
         ops = np.ascontiguousarray(self.kraus.operators.transpose(1, 0, 2)).transpose(1, 0, 2)  # (d, K, d) memory
         k, d = ops.shape[0], ops.shape[1]
-        w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
+        if self.tau * (hi - lo) / self.hbar <= _PAIR_PHASE_MAX:
+            w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
+            phases = np.exp(1j * self.tau * w / self.hbar)
+        else:
+            u = np.exp(-1j * self.tau * self.energies / self.hbar)
+            phases = np.outer(u, u.conj())
+            np.fill_diagonal(phases, 1.0)  # |u_n|^2 may round off 1; the populations stay exact
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "mask", (1.0 - self.epsilon) * np.exp(1j * self.tau * w / self.hbar))
+        object.__setattr__(self, "mask", (1.0 - self.epsilon) * phases)
         object.__setattr__(self, "kraus_adjoints", ops.conj().transpose(0, 2, 1).reshape(k * d, d))
 
     @property

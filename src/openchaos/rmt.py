@@ -221,14 +221,6 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 
 
-def _goe_bound(d, sigma: float) -> float:
-    """28*d*sigma, above the spread max(E_max-E_min, max|E|) of any `sample_goe(d, sigma, seed)`; ValueError unless
-    28*sigma, above every entry of its A + A^T, is finite.  numpy's `normal` is loc + scale*z, and its ziggurat tail
-    returns |z| <= r + 53*ln2/r < 13.71 (r = 3.6541528853610088); by Gershgorin a spread is below 27.42*d*sigma."""
-    _check_derived("GOE entry bound", "28*sigma", 28.0 * sigma, sigma=sigma)
-    return 28.0 * d * sigma
-
-
 def _check_side(n, what: str) -> None:
     """Raise ValueError naming the side `what` unless 1 <= n <= _MAX_SIDE; the size rule of any n x n matrix."""
     if not 1 <= n <= _MAX_SIDE:

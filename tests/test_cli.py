@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +57,34 @@ def _write_config(path, **overrides):
     return cfg
 
 
+def _no_draws(monkeypatch):
+    """Fail the test if the CLI draws a Hamiltonian or a Kraus set."""
+    for name in ("sample_goe", "sample_kraus_set"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} was called"))
+
+
+def _outside(name, value):
+    """The config error of a nonzero scale outside [1e-30, 1e30]."""
+    return f"config error: {name}={value!r} lies outside [1e-30, 1e+30], the range of every nonzero scale\n"
+
+
+def _both_reject(path, capsys, *messages):
+    """validate and run each exit 1 with every message on stderr, and nothing is written."""
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert all(m in err for m in messages), (messages, err)
+    assert not (path.parent / "out").exists()
+
+
 def test_validate_ok(tmp_path):
     p = tmp_path / "c.json"
     _write_config(p)
     assert cli.main(["validate", str(p)]) == 0
 
 
-def test_validate_rejects_bad_values(tmp_path, capsys):
+def test_validate_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
     cases = [
         (dict(dim=1, gamma=[-0.5], points=1), ("dim", "gamma", "points")),
@@ -72,22 +96,21 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
         (dict(sigma=float("inf"), t_max="10"), ("sigma", "t_max")),
         (dict(mode="pqc-sff", tau=[float("nan")], epsilon=[None]), ("tau", "epsilon")),
         (dict(full_scale="yes"), ("full_scale",)),
-        # a float of dim overflows in t_H or phi_max
+        # an integer dim beyond int64
         (dict(mode="pqc-sff", dim=10**400, allow_large=True), ("dim",)),
         (dict(mode="phase-grid", dim=10**400, allow_large=True), ("dim",)),
-        # a derived scale is listed with the other problems
-        (dict(mode="spectrum", sigma=1e-320, points=1, tau=[1.0], epsilon=[1.5]), ("tau_c=inf", "points", "epsilon")),
+        # a scale outside the range is listed with the other problems
+        (dict(mode="spectrum", sigma=1e-320, points=1, tau=[1.0], epsilon=[1.5]),
+         (_outside("sigma", 1e-320), "points", "epsilon")),
         (dict(mode="phase-grid", hbar=1e-310, realizations=0, tau=[1.0, 1e308], epsilon=[0.2]),
-         ("realizations", "tau=1.0 makes phi_max=", "tau=1e+308 makes phi_max=")),
+         ("realizations", _outside("hbar", 1e-310), _outside("tau", 1e308))),
         # pqc-sff reads t_max but not t_min
         (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=0.0), ("t_max must be > 0, got 0.0",)),
         (dict(mode="pqc-sff", tau=[0.01], epsilon=[0.2], t_max=-1.0), ("t_max must be > 0, got -1.0",)),
     ]
     for overrides, names in cases:
         _write_config(p, **overrides)
-        assert cli.main(["validate", str(p)]) == 1, overrides
-        err = capsys.readouterr().err
-        assert all(name in err for name in names), (overrides, err)
+        _both_reject(p, capsys, *names)
 
 
 def test_validate_rejects_a_negative_t_min_on_a_linear_grid(tmp_path, capsys):
@@ -102,72 +125,61 @@ def test_validate_rejects_a_negative_t_min_on_a_linear_grid(tmp_path, capsys):
     assert cli.main(["validate", str(p)]) == 0
 
 
-def test_validate_rejects_an_ed_sff_grid_ending_before_t_min(tmp_path, capsys):
-    # t_max = null resolves to 4 t_H; at hbar = 1e-3 that is 0.0133 < t_min = 0.1,
-    # and at hbar = 5e-324 about 6e-323, where the phases would overflow
+def test_validate_rejects_an_ed_sff_grid_ending_before_t_min(tmp_path, capsys, monkeypatch):
+    # t_max = null resolves to 4 t_H; at hbar = 1e-3 that is 0.0133 < t_min = 0.1, and at hbar = 1e-30 about
+    # 1.3e-29; hbar = 5e-324 lies outside the range of a scale
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
-    for hbar in (1e-3, 5e-324):
+    for hbar in (1e-3, 1e-30):
         _write_config(p, dim=4, hbar=hbar, realizations=2, points=5, t_max=None)
-        for command in ("validate", "run"):
-            assert cli.main([command, str(p)]) == 1
-            err = capsys.readouterr().err
-            assert "t_max=" in err and "t_min=0.1" in err, err
-        assert not (tmp_path / "out").exists()
+        _both_reject(p, capsys, "config error: resolved t_max=", "(4 t_H) must exceed t_min=0.1\n")
+    _write_config(p, dim=4, hbar=5e-324, realizations=2, points=5, t_max=None)
+    _both_reject(p, capsys, _outside("hbar", 5e-324))
     _write_config(p, dim=4, hbar=1e-3, realizations=2, points=5, t_max=None, t_min=1e-3)
     assert cli.main(["validate", str(p)]) == 0
 
 
-_T_H_INF = "t_H=2*pi*hbar/Delta overflows at dim=4, sigma=1e-320, hbar=1.0: t_H=inf must be finite and > 0"
-_T_H_ZERO = "t_H=2*pi*hbar/Delta underflows at dim=4, sigma=1e+300, hbar=1e-300: t_H=0.0 must be finite and > 0"
-
-
-@pytest.mark.parametrize("mode, scales, name, with_t_max", [
-    pytest.param("ed-sff", dict(sigma=1e-320), _T_H_INF, 0, id="ed-sff-1e-320-t_H=inf"),
-    # t_H is finite, 4 t_H is not
-    pytest.param("ed-sff", dict(sigma=3e-308), "resolved t_max=inf", 0, id="ed-sff-3e-308-resolved t_max=inf"),
-    pytest.param("pqc-sff", dict(sigma=1e-320), _T_H_INF, 0, id="pqc-sff-1e-320-t_H=inf"),
-    pytest.param("depth-grid", dict(sigma=1e-320), "t_H=inf", 1, id="depth-grid-1e-320-t_H=inf"),
-    # with t_max set, the channel's largest phase bound tau*28*dim*sigma/hbar still overflows
-    pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="pqc-sff-t_H=0"),
-    pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), _T_H_ZERO, 1, id="depth-grid-t_H=0"),
-    # classify_phase reads tau_c
-    pytest.param("spectrum", dict(sigma=1e-320), "tau_c=pi*hbar/(sigma*sqrt(2*dim)) overflows at dim=4, "
-                 "sigma=1e-320, hbar=1.0: tau_c=inf must be finite and > 0", 1, id="spectrum-tau_c=inf"),
+@pytest.mark.parametrize("mode, scales", [
+    pytest.param("ed-sff", dict(sigma=1e-320), id="ed-sff-1e-320-t_H=inf"),
+    pytest.param("ed-sff", dict(sigma=3e-308), id="ed-sff-3e-308-resolved t_max=inf"),
+    pytest.param("pqc-sff", dict(sigma=1e-320), id="pqc-sff-1e-320-t_H=inf"),
+    pytest.param("depth-grid", dict(sigma=1e-320), id="depth-grid-1e-320-t_H=inf"),
+    pytest.param("pqc-sff", dict(sigma=1e300, hbar=1e-300), id="pqc-sff-t_H=0"),
+    pytest.param("depth-grid", dict(sigma=1e300, hbar=1e-300), id="depth-grid-t_H=0"),
+    pytest.param("spectrum", dict(sigma=1e-320), id="spectrum-tau_c=inf"),
 ])
-def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, mode, scales, name, with_t_max):
-    # the runs would compute every realization and exit 2 on a non-finite
-    # ensemble mean or an infinite step count, or write phase labels from an
-    # overflowed tau_c; with t_max set, only depth-grid and spectrum still
-    # read a derived scale, and the channel modes the largest phase
+def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, monkeypatch, mode, scales):
+    # t_H, 4 t_H or tau_c of these scales overflows or underflows; each scale lies outside the range, which
+    # rejects it whether or not t_max is set, and before anything is drawn
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
-    _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=None, tau=[0.5], epsilon=[0.3],
-                  **scales)
-    for command in ("validate", "run"):
-        assert cli.main([command, str(p)]) == 1
-        assert name in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-    _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=3.0, tau=[0.5], epsilon=[0.3],
-                  **scales)
-    assert cli.main(["validate", str(p)]) == with_t_max
+    for t_max in (None, 3.0):
+        _write_config(p, mode=mode, dim=4, realizations=2, points=5, t_max=t_max, tau=[0.5], epsilon=[0.3],
+                      **scales)
+        _both_reject(p, capsys, *(_outside(name, value) for name, value in scales.items()))
 
 
-@pytest.mark.parametrize("config", [
+@pytest.mark.parametrize("config, outside", [
     # t_min defaults to 0.1, which pqc-sff never reads
-    pytest.param(dict(mode="pqc-sff", dim=4, kraus_count=2, tau=[0.01], epsilon=[0.2], t_max=0.05),
+    pytest.param(dict(mode="pqc-sff", dim=4, kraus_count=2, tau=[0.01], epsilon=[0.2], t_max=0.05), None,
                  id="pqc-sff-t_max-below-t_min"),
     pytest.param(dict(mode="depth-grid", dim=4, kraus_count=2, realizations=2, tau=[0.5],
-                      epsilon=[0.0, 0.2], t_max=0.05), id="depth-grid-t_max"),
+                      epsilon=[0.0, 0.2], t_max=0.05), None, id="depth-grid-t_max"),
     pytest.param(dict(mode="spectrum", dim=4, kraus_count=2, realizations=2, tau=[0.5],
-                      epsilon=[0.2], t_min=0), id="spectrum-t_min=0"),
-    # t_H and tau_c overflow here, but csr reads neither
+                      epsilon=[0.2], t_min=0), None, id="spectrum-t_min=0"),
+    # csr reads neither t_H nor tau_c, but the range of a scale binds every mode
     pytest.param(dict(mode="csr", dim=4, kraus_count=2, realizations=2, tau=[0.5],
-                      epsilon=[0.2], sigma=1e-320), id="csr-sigma=1e-320"),
+                      epsilon=[0.2], sigma=1e-320), ("sigma", 1e-320), id="csr-sigma=1e-320"),
 ])
-def test_time_grid_rules_bind_only_the_modes_that_read_them(tmp_path, config):
+def test_time_grid_rules_bind_only_the_modes_that_read_them(tmp_path, capsys, monkeypatch, config, outside):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
-    assert cli.main(["validate", str(p)]) == 0
-    assert cli.main(["run", str(p)]) == 0
+    if outside:
+        _no_draws(monkeypatch)
+        _both_reject(p, capsys, _outside(*outside))
+    else:
+        assert cli.main(["validate", str(p)]) == 0
+        assert cli.main(["run", str(p)]) == 0
 
 
 def test_validate_rejects_a_negative_master_seed(tmp_path, capsys):
@@ -434,9 +446,13 @@ _THREAD_RUNS = {
                     kraus_count=2, points=20, t_max=20.0),
     "depth-grid": dict(mode="depth-grid", dim=16, realizations=2, tau=[0.5], epsilon=[0.0, 0.3],
                        kraus_count=2),
-    # 7140 level pairs, below the 10^4 where OpenBLAS splits a dot product
     "ed-sff": dict(mode="ed-sff", dim=120, allow_large=True, realizations=2, gamma=[0.01, 1.0],
                    points=50, t_max=100.0),
+    # 12720 level pairs: OpenBLAS splits a dot product of more than 10^4 across its threads
+    "ed-sff-160": dict(mode="ed-sff", dim=160, allow_large=True, realizations=2, gamma=[0.01, 1.0],
+                       points=100, t_max=100.0),
+    # LAPACK's eigensolve of the 576 x 576 superoperator
+    "spectrum": dict(mode="spectrum", dim=24, realizations=2, tau=[1.0], epsilon=[0.2], kraus_count=2),
 }
 
 
@@ -457,10 +473,37 @@ def test_series_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, name):
     assert digests[0] and digests[0] == digests[1]
 
 
-def test_importing_the_cli_loads_neither_scipy_special_nor_spatial():
+@pytest.mark.skipif(cli._openblas_threads() is None, reason="the thread count is held for OpenBLAS")
+def test_a_run_holds_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    set_threads, get_threads = cli._openblas_threads()
+    seen = []
+
+    def runner(cfg, plan, out, manifest, workers):
+        seen.append(get_threads())
+        seen.extend(cli._ensemble_map(cfg, lambda idx: get_threads(), workers))  # forked workers inherit it
+        if cfg.mode == "ed-sff":
+            raise RuntimeError("synthetic failure")
+
+    before = get_threads()
+    try:
+        set_threads(2)
+        count = get_threads()
+        for mode in ("phase-grid", "ed-sff"):
+            monkeypatch.setitem(cli._RUNNERS, mode, runner)
+            cfg = cli.ExperimentConfig(mode=mode, dim=4, realizations=2, output_dir=str(tmp_path / mode))
+            with pytest.raises(RuntimeError) if mode == "ed-sff" else contextlib.nullcontext():
+                cli.run(cfg, workers=2)
+            assert get_threads() == count
+    finally:
+        set_threads(before)
+    assert seen == [1] * 6
+
+
+def test_importing_the_cli_loads_no_scipy_special_spatial_or_process_pool():
     code = (
         "import sys, openchaos.cli; "
-        "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])"
+        "print([m for m in ('scipy.special', 'scipy.spatial', 'multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=120,
                           check=True, capture_output=True, text=True)
@@ -526,20 +569,6 @@ def test_spectrum_run_matches_the_bulk_audit(tmp_path, monkeypatch, tau, eps, ph
     cloud = np.loadtxt(out / f"spectrum_{cli._tag(tau=tau, eps=eps)}.csv", delimiter=",", skiprows=1)
     bulk = cloud[cloud[:, 2] == 0]
     assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report_bulk)
-
-
-def test_spectrum_summary_writes_a_radius_0_shifted_disk_as_0(tmp_path):
-    # at tau=5e-324, eps=0 the shifted disk has radius 0, which the summary wrote as nan
-    grid = dict(dim=4, kraus_count=2, realizations=1, tau=[5e-324], epsilon=[0.0])
-    for mode in ("spectrum", "phase-grid"):
-        _write_config(tmp_path / "c.json", mode=mode, **grid)
-        assert cli.main(["run", str(tmp_path / "c.json")]) == 0
-    summary = (tmp_path / "out" / "spectrum_summary.csv").read_text().split("\n")
-    row = dict(zip(summary[0].split(","), summary[1].split(",")))
-    phase_grid = (tmp_path / "out" / "phase_grid.csv").read_text().split("\n")
-    radius = dict(zip(phase_grid[0].split(","), phase_grid[1].split(",")))["radius"]
-    assert (row["phase"], row["outer"], row["radius"], row["inner"]) == ("shifted-disk", "0.e+00", "0.e+00", "nan")
-    assert radius == "0.e+00"
 
 
 def test_run_csr_has_depletion_column(tmp_path):
@@ -704,86 +733,62 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mon
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
-_LOWER_BOUND_OVERFLOW = "overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)"
-_PLAN_PHASE_OVERFLOW = ("phase=tau*28*dim*sigma/hbar overflows at tau=0.5, hbar=5e-324:"
-                        " phase=inf must be finite and >= 0")
-_RECIPROCAL_OVERFLOW = "1/hbar overflows at hbar=5e-324: numpy divides the phases by hbar as a product with 1/hbar"
-
-
-@pytest.mark.parametrize("mode, overrides, message", [
-    pytest.param("ed-sff", dict(hbar=5e-324), "t*|E|/hbar", id="ed-sff-hbar=5e-324"),
-    # the plan asks the channel's phase rule, so validate rejects what the kernel once failed at run time
-    pytest.param("depth-grid", dict(hbar=5e-324), f"config error: {_PLAN_PHASE_OVERFLOW}\n",
-                 id="depth-grid-hbar=5e-324"),
-    pytest.param("ed-sff", dict(t_max=1e308), "t*|E|/hbar", id="ed-sff-t_max=1e308"),
-    # the Taylor lower bound's t*dC_l1/dgamma/(2*hbar^2), past the kernel's own checks
-    pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200),
-                 f"t=1e+200 with hbar=1.0 {_LOWER_BOUND_OVERFLOW}", id="ed-sff-bound-t_max=1e200"),
-    pytest.param("ed-sff", dict(hbar=1e-200),
-                 f"t=3.0 with hbar=1e-200 {_LOWER_BOUND_OVERFLOW}", id="ed-sff-bound-hbar=1e-200"),
-    pytest.param("depth-grid", dict(tau=[1e300]),
-                 f"t=2e+300 with hbar=1.0 {_LOWER_BOUND_OVERFLOW}", id="depth-grid-bound-tau=1e300"),
+@pytest.mark.parametrize("mode, overrides, outside", [
+    pytest.param("ed-sff", dict(hbar=5e-324), "hbar", id="ed-sff-hbar=5e-324"),
+    pytest.param("depth-grid", dict(hbar=5e-324), "hbar", id="depth-grid-hbar=5e-324"),
+    pytest.param("ed-sff", dict(t_max=1e308), "t_max", id="ed-sff-t_max=1e308"),
+    pytest.param("ed-sff", dict(gamma=[0.0], t_max=1e200), "t_max", id="ed-sff-bound-t_max=1e200"),
+    pytest.param("ed-sff", dict(hbar=1e-200), "hbar", id="ed-sff-bound-hbar=1e-200"),
+    pytest.param("depth-grid", dict(tau=[1e300]), "tau", id="depth-grid-bound-tau=1e300"),
 ])
-def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, overrides, message):
-    # valid configs whose t*E/hbar or lower bound overflows for the sampled
-    # levels: the closed forms raise before they compute a nan or warn; a
-    # config error is both commands' verdict, before the output directory
+def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, monkeypatch, mode, overrides,
+                                                                 outside):
+    # the dephasing kernel's t*E/hbar, or the Taylor lower bound, overflowed for these scales, and the run
+    # exited 2 with only its manifest; the scale named now lies outside the range, a config error before any draw
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
     _write_config(p, **dict(dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0,
                                  tau=[0.5], epsilon=[0.0, 0.3], kraus_count=2), **overrides))
-    config_error = message.startswith("config error: ")
-    assert cli.main(["validate", str(p)]) == (1 if config_error else 0)
-    assert cli.main(["run", str(p)]) == (1 if config_error else 2)
-    assert message in capsys.readouterr().err
-    out = tmp_path / "out"
-    assert (sorted(os.listdir(out)) if out.exists() else []) == ([] if config_error else ["manifest.json"])
+    value = overrides[outside]
+    _both_reject(p, capsys, _outside(outside, value[0] if isinstance(value, list) else value))
 
 
 @pytest.mark.parametrize("mode", ["pqc-sff", "csr", "depth-grid"])
 def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys, mode, monkeypatch):
-    # validate asks the channel's phase rule of any draw's spread bound 28*dim*sigma, so the config
-    # fails before any draw, not after every realization is drawn (the channel asks it again when built)
-    monkeypatch.setattr(cli, "sample_goe", lambda *args: pytest.fail("sample_goe was called"))
+    # the channel's phase tau*spread/hbar, or 1/hbar, overflows at these scales; each lies outside the range,
+    # a config error before any draw
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
     base = dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0, tau=[0.5], epsilon=[0.3], kraus_count=2)
     _write_config(p, **base, hbar=5e-324)
-    for command in ("validate", "run"):
-        assert cli.main([command, str(p)]) == 1
-        assert f"config error: {_PLAN_PHASE_OVERFLOW}\n" in capsys.readouterr().err
-    # every phase is finite, but numpy's complex phases / hbar is a product with 1/hbar, which is inf
+    _both_reject(p, capsys, _outside("hbar", 5e-324))
     _write_config(p, **dict(base, tau=[1.0]), hbar=5e-324, sigma=5e-324)
-    for command in ("validate", "run"):
-        assert cli.main([command, str(p)]) == 1
-        assert f"config error: {_RECIPROCAL_OVERFLOW}\n" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    _both_reject(p, capsys, _outside("hbar", 5e-324), _outside("sigma", 5e-324))
 
 
 @pytest.mark.parametrize("overrides, message", [
-    pytest.param(dict(gamma=[0.1, 1e300], t_max=1e10),
-                 "gamma=1e+300 times t_max=10000000000.0 is not finite", id="ed-sff-gamma"),
+    pytest.param(dict(gamma=[0.1, 1e300], t_max=1e10), _outside("gamma", 1e300), id="ed-sff-gamma"),
     pytest.param(dict(mode="pqc-sff", tau=[0.5, 1e-17], t_max=1000.0),
                  "tau=1e-17 takes more than 2**53 steps to reach t_max=1000.0", id="pqc-sff-steps"),
-    pytest.param(dict(mode="depth-grid", tau=[0.5, 1e-300]),
-                 "tau=1e-300 takes more than 2**53 steps to reach t_H=", id="depth-grid-steps"),
-    pytest.param(dict(mode="phase-grid", tau=[1.0], epsilon=[0.1], hbar=1e-310),
-                 "tau=1.0 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-hbar"),
-    pytest.param(dict(mode="phase-grid", tau=[1e308], epsilon=[0.1]),
-                 "tau=1e+308 makes phi_max=tau*sigma*sqrt(8*dim)/hbar overflow", id="phase-grid-tau"),
-    # one step past t_H, or the step past t_max, is at 2e308
-    pytest.param(dict(mode="depth-grid", sigma=1e-300, tau=[1e308]),
-                 "tau=1e+308 times its 2 steps is not finite", id="depth-grid-last-time"),
-    pytest.param(dict(mode="pqc-sff", tau=[1e308], t_max=1.7e308),
-                 "tau=1e+308 times its 2 steps is not finite", id="pqc-sff-last-time"),
+    # t_H is 3.3 at dim 4: 3.3e30 steps of tau = 1e-30, the range's smallest
+    pytest.param(dict(mode="depth-grid", tau=[0.5, 1e-30]),
+                 "tau=1e-30 takes more than 2**53 steps to reach t_H=", id="depth-grid-steps"),
+    pytest.param(dict(mode="phase-grid", tau=[1.0], epsilon=[0.1], hbar=1e-310), _outside("hbar", 1e-310),
+                 id="phase-grid-hbar"),
+    pytest.param(dict(mode="phase-grid", tau=[1e308], epsilon=[0.1]), _outside("tau", 1e308), id="phase-grid-tau"),
+    # one step past t_H, or the step past t_max, was at 2e308
+    pytest.param(dict(mode="depth-grid", sigma=1e-300, tau=[1e308]), _outside("tau", 1e308),
+                 id="depth-grid-last-time"),
+    pytest.param(dict(mode="pqc-sff", tau=[1e308], t_max=1.7e308), _outside("t_max", 1.7e308),
+                 id="pqc-sff-last-time"),
 ])
-def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, overrides, message):
+def test_validate_rejects_overflowing_rates_and_step_counts(tmp_path, capsys, monkeypatch, overrides, message):
     # past validation, each would warn, fail at run time or step on a wrong grid
+    _no_draws(monkeypatch)
     p = tmp_path / "c.json"
     _write_config(p, **dict(dict(dim=4, realizations=2, points=5, epsilon=[0.3], kraus_count=2),
                             **overrides))
-    for command in ("validate", "run"):
-        assert cli.main([command, str(p)]) == 1
-        assert message in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    _both_reject(p, capsys, message)
 
 
 @pytest.mark.parametrize("offset", [0, 5])
@@ -1007,10 +1012,11 @@ def test_manifest_is_strict_json(tmp_path, name):
         assert [row.split(",")[4] for row in rows] == ["nan"] * 4
 
 
-# Every scale of the verdict property comes from this list: zero, the smallest subnormal, tiny, one, huge,
-# the largest float, an integer no float holds and a negative number; epsilon from its own.  A key the draw
-# leaves out keeps a runnable value, so that a good share of the configs pass `validate` and run.
-_HOSTILE = st.sampled_from([0, 5e-324, 1e-300, 1, 1e300, sys.float_info.max, 10**400, -1])
+# Every scale of the verdict property comes from this list: zero, the smallest subnormal, tiny, the ends of the
+# range of a scale, one, huge, the largest float, an integer no float holds and a negative number; epsilon from
+# its own.  A key the draw leaves out keeps a runnable value, so that a good share of the configs pass
+# `validate` and run.
+_HOSTILE = st.sampled_from([0, 5e-324, 1e-300, 1e-30, 1, 1e30, 1e300, sys.float_info.max, 10**400, -1])
 _HOSTILE_EPSILON = st.sampled_from([0, 5e-324, 0.5, 1, 1.5, -1])
 _HOSTILE_CONFIGS = st.fixed_dictionaries(
     dict(mode=st.sampled_from(cli.MODES), dim=st.integers(2, 5), kraus_count=st.integers(1, 3),
@@ -1020,8 +1026,6 @@ _HOSTILE_CONFIGS = st.fixed_dictionaries(
                   tau=st.lists(_HOSTILE, max_size=2), gamma=st.lists(_HOSTILE, max_size=2),
                   epsilon=st.lists(_HOSTILE_EPSILON, max_size=2)),
 ).map(lambda drawn: dict(dict(t_min=1, t_max=None, tau=[1], gamma=[1], epsilon=[0.5]), **drawn))
-# the closed-form kernel's checks on the drawn levels, which no config value predicts
-_KERNEL_OVERFLOWS = ("overflows gamma*t*w^2, t*w^2*d or t*|E|/hbar", "overflows the lower bound's")
 _MAX = sys.float_info.max
 
 
@@ -1030,8 +1034,23 @@ def _small(**overrides):
                 **overrides)
 
 
+def _verdicts(config, out):
+    """The exit codes and stderr of `validate` and `run` on `config`, writing to `out`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(dict(config, output_dir=str(out))))
+        codes, errs = [], []
+        for command in ("validate", "run"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main([command, str(path)]))
+            errs.append(err.getvalue())
+    return codes, errs
+
+
 @settings(max_examples=1000)
-# the channel's phase, or 1/hbar, overflows in pqc-sff, csr, depth-grid and spectrum
+# scales outside the range at which the channel's phase, or 1/hbar, overflowed in pqc-sff, csr, depth-grid and
+# spectrum
 @example(_small(mode="pqc-sff", hbar=5e-324))
 @example(_small(mode="csr", hbar=5e-324))
 @example(_small(mode="depth-grid", hbar=5e-324))
@@ -1039,17 +1058,17 @@ def _small(**overrides):
 @example(_small(mode="pqc-sff", sigma=5e-324, hbar=5e-324, tau=[1]))
 @example(_small(mode="csr", sigma=5e-324, hbar=5e-324, tau=[5e-324]))
 @example(_small(mode="spectrum", sigma=5e-324, hbar=5e-324, tau=[1]))
-# a GOE draw that overflows
+# a GOE draw that overflowed
 @example(_small(mode="csr", sigma=_MAX))
 @example(_small(mode="ed-sff", sigma=_MAX, gamma=[1]))
 @example(_small(mode="pqc-sff", sigma=_MAX))
-# a draw beyond the ensemble's spread sigma*sqrt(8*dim) (4 sigma at d=2): an entry of A + A^T, or the
-# channel's phase over the drawn levels, overflows; the plan bounds both by `_goe_bound`
+# a draw beyond the ensemble's spread sigma*sqrt(8*dim) (4 sigma at d=2), whose entry of A + A^T, or the
+# channel's phase over the drawn levels, overflowed
 @example(_small(mode="pqc-sff", dim=2, kraus_count=1, sigma=4.4e307, realizations=20))
 @example(_small(mode="pqc-sff", dim=2, kraus_count=1, hbar=2.2273011596668684e-308, tau=[1.0], realizations=100))
-# numpy warnings at valid extremes: make_cgs, classify_phase, the depth-grid times (the phase or the
-# last step's time overflows), the ed-sff log grid to the largest float, the kernel's -2t, and the
-# spacing ratios of levels a subnormal apart
+# numpy warned at these extremes: make_cgs, classify_phase, the depth-grid times (the phase or the last step's
+# time overflowed), the ed-sff log grid to the largest float, the kernel's -2t, and the spacing ratios of levels
+# a subnormal apart
 @example(_small(mode="pqc-sff", beta=_MAX))
 @example(_small(mode="phase-grid", tau=[5e-324]))
 @example(_small(mode="spectrum", tau=[5e-324]))
@@ -1060,27 +1079,37 @@ def _small(**overrides):
 @example(_small(mode="csr", dim=5, kraus_count=1, tau=[5e-324], epsilon=[0], channel_form="interleaved"))
 @given(_HOSTILE_CONFIGS)
 def test_validate_and_run_give_one_verdict(config):
-    # validate exits 1 exactly when run does, leaving no output; after `config ok` a run exits 0, or 2 with
-    # a kernel overflow and only its manifest.  Plans that step past step 10^4 are left out, to bound run time.
+    # validate exits 1 exactly when run does, leaving no output; after `config ok` a run exits 0.  Plans that
+    # step past step 10^4 are left out, to bound run time.
     plan = cli._plan(cli.ExperimentConfig(**config))
     assume(max((int(s[-1]) for s in plan.steps.values()), default=0) <= 10**4)
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
-        path.write_text(json.dumps(dict(config, output_dir=str(out))))
-        codes, errs = [], []
-        for command in ("validate", "run"):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                codes.append(cli.main([command, str(path)]))
-            errs.append(err.getvalue())
-        assert codes[0] in (0, 1) and (codes[0] == 1) == (codes[1] == 1), (codes, errs)
+        out = Path(tmp) / "out"
+        codes, errs = _verdicts(config, out)
+        assert codes in ([1, 1], [0, 0]), (codes, errs)
         if codes[0] == 1:
             assert not out.exists()
             return
-        assert codes[1] == 0 or codes[1] == 2 and any(m in errs[1] for m in _KERNEL_OVERFLOWS), errs[1]
-        if codes[1] == 2:
-            assert sorted(os.listdir(out)) == ["manifest.json"]
         json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+
+# Every mode at dim 4 with sigma, hbar, tau and gamma at either end of the range, beta 0 or at either end, and
+# t_max null or at either end: 864 configs, of which 684 validate.
+_CORNERS = [dict(mode=mode, dim=4, realizations=1, sigma=sigma, hbar=hbar, tau=[tau], gamma=[gamma], beta=beta,
+                 t_max=t_max)
+            for mode in cli.MODES for sigma, hbar, tau, gamma in itertools.product((1e-30, 1e30), repeat=4)
+            for beta in (0, 1e-30, 1e30) for t_max in (None, 1e-30, 1e30)]
+
+
+def test_every_corner_of_the_range_validated_runs_without_a_warning(tmp_path):
+    verdicts = Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, config in enumerate(_CORNERS):
+            codes, errs = _verdicts(config, tmp_path / str(i))
+            assert codes in ([1, 1], [0, 0]), (config, codes, errs)
+            verdicts[codes[0]] += 1
+    assert verdicts == {0: 684, 1: 180}
 
 
 def test_plot_script_references_artifacts(tmp_path, capsys):

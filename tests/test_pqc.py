@@ -268,6 +268,29 @@ def test_a_reciprocal_hbar_that_overflows_raises_before_any_warning():
         assert np.isfinite(ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=1e-300).mask).all()
 
 
+@pytest.mark.parametrize("tau", [1e10, 1e14, 1e30])
+def test_a_mask_of_large_phases_stays_positive(tau):
+    # each pair's phase tau*(E_m - E_n)/hbar carried its own rounding, about |phase|*1e-16 radians, so past
+    # about 1e14 the mask's smallest eigenvalue reached -1.8 and a coherent Gibbs state stepped to SFF -0.05
+    ch = _channel(d=4, tau=tau, eps=0.1, idx=2)
+    assert np.linalg.eigvalsh(ch.mask).min() >= -1e-14
+    assert np.all(np.diagonal(ch.mask) == 1.0 - 0.1)
+    u = np.exp(-1j * tau * ch.energies)
+    assert np.allclose(ch.mask, 0.9 * np.outer(u, u.conj()), rtol=0, atol=1e-15)
+    psi = make_cgs(ch.hamiltonian, 0.0).amplitudes
+    rho = cgs_density(make_cgs(ch.hamiltonian, 0.0))
+    for _ in range(5):
+        rho = apply_channel(ch, rho)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-14
+        assert np.real(psi @ rho @ psi) >= 0.0
+
+
+def test_a_mask_of_small_phases_takes_each_pair_from_its_gap():
+    ch = _channel(d=6, tau=0.7, eps=0.2)
+    w = ch.energies[np.newaxis, :] - ch.energies[:, np.newaxis]
+    assert np.array_equal(ch.mask, 0.8 * np.exp(1j * 0.7 * w / 1.0))
+
+
 def test_a_channel_keeps_its_pair_in_the_eigenbasis_and_rotates_once(monkeypatch):
     h = sample_goe(5, 1.0, derive_seed(31, 0, 4))
     ks = sample_kraus_set(5, 2, derive_seed(31, 1, 4))
