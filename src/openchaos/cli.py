@@ -24,10 +24,11 @@ only change scheduling, because results are reduced in realization order, so
 the emitted CSV numbers are byte-identical for any --workers value.
 
 `validate` and `run` read one plan (`_plan`): the config's issues, and each
-time scale, walk and series grid of the run, derived once.  Every nonzero
-scale lies in [1e-30, 1e30], where no kernel product can overflow, so past
-`validate` a run fails only where the system does (a file it cannot write)
-or LAPACK does not converge.  A run holds OpenBLAS at one thread, so its
+time scale, walk and series grid of the run, derived once.  The plan asks
+`rmt` whether each input lies in its domain, where no kernel product can
+overflow (every nonzero scale in [1e-30, 1e30], every time in [0, 1e65]), so
+past `validate` a run fails only where the system does (a file it cannot
+write) or LAPACK does not converge.  A run holds OpenBLAS at one thread, so its
 bytes do not depend on the BLAS thread count either.
 Each run writes its artifacts plus a manifest.json recording the config, the
 package version, wall times, per-grid-point status and a sha256 per artifact.
@@ -67,7 +68,7 @@ from .diagnostics import (
     series_to_csv,
 )
 from .pqc import ParametricChannel, build_superoperator, interleaved
-from .rmt import _check_scales, _check_side, derive_seed, heisenberg_time, sample_goe, sample_kraus_set
+from .rmt import _check_scales, _check_side, _check_times, derive_seed, heisenberg_time, sample_goe, sample_kraus_set
 from .spectral import (
     annular_boundaries,
     audit_bulk,
@@ -90,9 +91,6 @@ _CUE_STREAM = 1
 # step 0, depth-grid's every step to t_H) at most 10^6 points.
 _MAX_HISTOGRAM_BINS = 4096
 _MAX_POINTS = 10**6
-# The range of every nonzero sigma, hbar, beta, tau, gamma, t_min and t_max: the observables read the scales only
-# through products such as tau*sigma/hbar, so no physics lies outside it, and `_plan` shows no kernel overflows in it.
-_SCALE_RANGE = (1e-30, 1e30)
 
 # Full-scale realization counts, enabled by the "full_scale" config key.
 _FULL_SCALE_REALIZATIONS = {
@@ -245,35 +243,14 @@ def validate_config(cfg: ExperimentConfig) -> List[str]:
 def _plan(cfg: ExperimentConfig) -> _Plan:
     """Check the config, and derive each time scale, walk and series grid its run reads, once.
 
-    The library judges each physical key, the column offset and the CUE side
-    kraus_count*dim once dim and kraus_count have passed, the superoperator
-    side dim**2 in `spectrum` and `csr`, the GOE side dim in the other modes
-    that draw H once dim has passed, and each step count.  Every nonzero
-    sigma, hbar, beta, tau, gamma, t_min and t_max must lie in `_SCALE_RANGE`,
-    [1e-30, 1e30]; the other rules stated here are the CLI's own.
-
-    In the range no derived scale or kernel product overflows, so the plan
-    asks none of them.  Every mode that draws H has dim <= 4096.  A draw's
-    entries lie below 28*sigma <= 2.8e31, and its spread max(E_max-E_min,
-    max|E|) below W = 28*dim*sigma <= 1.2e35: a normal draw is sigma*z, and
-    numpy's ziggurat tail returns |z| <= r + 53*ln2/r < 13.71
-    (r = 3.6541528853610088), so by Gershgorin a spread is below
-    27.42*dim*sigma.  Every time is at most T = 5.7e62, the ed-sff end 4 t_H,
-    since t_H = pi*hbar*(dim-1)/(sigma*sqrt(2*dim)) <= 1.5e62; a user t_max
-    is at most 1e30.  The largest product each kernel forms, against the
-    float maximum 1.8e308:
-
-        channel phase   tau*W/hbar, with 1/hbar <= 1e30            1.2e95
-        gamma*t*w^2     gamma*T*W^2                                7.5e162
-        t*w^2*d         T*W^2*4096                                 3.1e136
-        t*|E|/hbar      T*W/hbar                                   6.6e127
-        lower bound     (T/hbar)*(T*W^2*dim/hbar)/2                8.8e258
-
-    (the lower bound's t*dC_l1/dgamma/(2*hbar^2), since |dC_l1/dgamma| <=
-    T*W^2*(dim-1)).  `classify_phase` reads tau_c = pi*hbar/(sigma*sqrt(2*dim))
-    in (7e-70, 1.6e60) and phi_max = tau*sigma*sqrt(8*dim)/hbar in
-    (4e-90, 9e99) for any dim below 2**63, and Delta and t_H lie above 4e-32
-    and 1.5e-60: no derived scale underflows either.
+    The library judges each physical key against its domain (`rmt`: every
+    nonzero scale in [1e-30, 1e30], every time in [0, 1e65]), the column
+    offset and the CUE side kraus_count*dim once dim and kraus_count have
+    passed, the superoperator side dim**2 in `spectrum` and `csr`, the GOE
+    side dim in the other modes that draw H once dim has passed, and each
+    step count; the other rules stated here are the CLI's own.  In those
+    domains no derived scale or kernel product overflows (the bound table in
+    the `rmt` docstring), so the plan asks none of them.
     """
     if cfg.mode not in MODES:
         return _Plan([f"mode must be one of {MODES}, got {cfg.mode!r}"])
@@ -282,15 +259,17 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         return _Plan(issues)
     say = issues.append
     draws_h = cfg.mode != "phase-grid"
-    lo, hi = _SCALE_RANGE
-    scales = [("sigma", cfg.sigma), ("hbar", cfg.hbar), ("beta", cfg.beta), ("t_min", cfg.t_min),
-              ("t_max", cfg.t_max), *(("tau", t) for t in cfg.tau), *(("gamma", g) for g in cfg.gamma)]
-    outside = [f"{name}={value!r} lies outside [{lo:g}, {hi:g}], the range of every nonzero scale"
-               for name, value in scales if value and not lo <= abs(value) <= hi]
     # the library names each scale as the config does, but calls dim d and kraus_count K
     dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
     base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
-    issues += base + outside + _ask("", _check_scales, beta=cfg.beta)
+    # only ed-sff reads t_min and gamma, and no tau; pqc-sff reads t_max alone, the other modes neither
+    taus = [] if cfg.mode == "ed-sff" else [t for t in cfg.tau if t > 0]
+    t_max = cfg.t_max if cfg.mode in ("ed-sff", "pqc-sff") and cfg.t_max is not None and cfg.t_max > 0 else None
+    # the domains of what the walk and the series grids read: each positive tau, and a positive t_max (one that
+    # is not has its own issue below)
+    grid_issues = [issue for tau in taus for issue in _ask("", _check_scales, tau=tau)]
+    grid_issues += [] if t_max is None else _ask("", _check_times, t_max, "t_max")
+    issues += base + grid_issues + _ask("", _check_scales, beta=cfg.beta)
     superop = cfg.mode in ("spectrum", "csr")  # the largest matrix a worker holds: d^2 x d^2 there, else H's d x d
     side = (cfg.dim**2, "the superoperator side d^2") if superop else (cfg.dim, "the GOE side d")
     issues += _ask("dim: ", _check_side, *side) if draws_h and not dim_issues else []
@@ -310,18 +289,16 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         say(f"margin must be >= 0, got {cfg.margin}")
     if not 8 <= cfg.histogram_bins <= _MAX_HISTOGRAM_BINS:
         say(f"histogram_bins must lie in [8, {_MAX_HISTOGRAM_BINS}], got {cfg.histogram_bins}")
-    # only ed-sff reads t_min and gamma, and no tau; pqc-sff reads t_max alone, the other modes neither
-    taus = [] if cfg.mode == "ed-sff" else [t for t in cfg.tau if t > 0]
     if cfg.mode == "ed-sff":
         if cfg.t_min <= 0 and cfg.grid_kind == "log":
             say(f"t_min must be > 0 on a log grid, got {cfg.t_min}")
-        elif cfg.t_min < 0:
-            say(f"t_min must be >= 0, got {cfg.t_min}")
+        else:
+            issues += _ask("", _check_times, cfg.t_min, "t_min")
         if cfg.t_max is not None and cfg.t_max <= cfg.t_min:
             say(f"t_max={cfg.t_max} must exceed t_min={cfg.t_min}")
         if not cfg.gamma:
             say("ed-sff needs a non-empty gamma list")
-        issues += _ask("", _check_scales, gammas=cfg.gamma)
+        issues += [issue for g in cfg.gamma for issue in _ask("", _check_scales, gammas=[g])]
         issues += _tag_collisions("gamma", "gamma", cfg.gamma)
     else:
         if cfg.mode == "pqc-sff" and cfg.t_max is not None and cfg.t_max <= 0:
@@ -340,7 +317,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
         issues += [issue for eps in cfg.epsilon for issue in _ask("", _check_scales, epsilon=eps)]
         issues += _tag_collisions("tau", "tau", cfg.tau)
         issues += _tag_collisions("epsilon", "eps", cfg.epsilon)
-    if base or outside:  # t_H reads dim, sigma and hbar, and every bound above reads the range
+    if base or grid_issues:  # t_H reads dim, sigma and hbar, and the grids read each tau and t_max
         return _Plan(issues)
     eps = [0.0] + [e for e in cfg.epsilon if e != 0.0] if cfg.mode == "depth-grid" else cfg.epsilon
     walk = [(t, e) for t in cfg.tau for e in eps]

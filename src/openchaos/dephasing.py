@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .pqc import Superoperator
-from .rmt import _check_scales
+from .rmt import _check_scales, _check_times
 from .states import EnergiesLike, as_energies, make_cgs, plateau_value
 
 __all__ = [
@@ -51,13 +51,6 @@ _PAIR_BLOCK = 1 << 16
 # terms with gamma*t*w^2 > _UNDERFLOW, and the margin covers the rounding of
 # that product.
 _UNDERFLOW = 746.0
-
-
-def _check_times(t, name: str = "times") -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return t
 
 
 def ed_evolve(rho0: np.ndarray, energies: EnergiesLike, gamma: float, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -136,8 +129,8 @@ def ed_closed_forms(
     value depends neither on the block size nor on the rest of the grid or
     the gamma list.  It does depend on the BLAS thread count once a row is
     long enough for the BLAS to split its dot product (OpenBLAS: above
-    10^4 pairs, d >= 142).  Times must be finite and >= 0; a largest t at
-    which gamma*t*w^2, t*w^2*d or t*|E|/hbar overflows raises ValueError.
+    10^4 pairs, d >= 142).  Every time lies in [0, 1e65] (`rmt._check_times`),
+    where no product the kernel forms overflows (the bound table of `rmt`).
     """
     gammas = list(gammas)
     if not gammas:
@@ -145,13 +138,6 @@ def ed_closed_forms(
     _check_scales(gammas=gammas, hbar=hbar)
     t = _check_times(t).reshape(-1)
     e = as_energies(energies)
-    # Every product the kernel forms must be finite; as Python floats they overflow to inf
-    # quietly, and an infinite gamma*t times a zero w^2 is nan.
-    t_top, g_top = float(np.max(t, initial=0.0)), float(max(gammas))
-    span, e_top = float(e.max()) - float(e.min()), float(np.abs(e).max())
-    scales = (g_top * t_top * (span * span), t_top * (span * span) * e.size, t_top * e_top / float(hbar))
-    if not all(map(math.isfinite, scales)):
-        raise ValueError(f"t={t_top} with gamma={g_top} overflows gamma*t*w^2, t*w^2*d or t*|E|/hbar")
     w, sqpp, flat_pairs = _pair_data(e, beta)
     w2 = w**2
     ones = np.ones_like(w)
@@ -183,7 +169,7 @@ def ed_closed_forms(
             u[:, cut:] = 0.0
             block[0] = fp + 2.0 * np.vecdot(u, q)
             block[1] = 2.0 * np.vecdot(u, ones)
-            # t*(u.w^2) first: it is below the checked t*w^2*d, where -2*t alone may overflow
+            # t*(u.w^2) first: the order fixes the bytes of every written derivative and lower bound
             block[2] = -2.0 * (ts[:, 0] * np.vecdot(u, w2))
             block[3] = fp + 2.0 * np.vecdot(u, u)
     return [EDClosedForms(*forms) for forms in out]
@@ -192,18 +178,14 @@ def ed_closed_forms(
 def taylor_lower_bound(forms: EDClosedForms, dim: int, t, hbar: float = 1.0) -> np.ndarray:
     """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms.
 
-    The last term is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, so a small hbar
-    cannot underflow hbar^2 to zero first.  Where it overflows at the largest
-    |t| and |dC_l1/dgamma|, ValueError is raised.
+    The last term is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, in that order,
+    which fixes the bytes of every written bound.  Every time lies in
+    [0, 1e65]; for forms from `ed_closed_forms` the term stays below 2e270*d
+    (the bound table of `rmt`).
     """
     _check_scales(hbar=hbar)
-    t = np.asarray(t, dtype=float)
+    t = _check_times(t)
     hbar = float(hbar)
-    # Python floats overflow to inf quietly
-    t_top = float(np.max(np.abs(t), initial=0.0))
-    slope_top = float(np.max(np.abs(forms.cl1_gamma_derivative), initial=0.0))
-    if not math.isfinite((t_top / hbar) * (slope_top / hbar) / 2.0):
-        raise ValueError(f"t={t_top} with hbar={hbar} overflows the lower bound's t*dC_l1/dgamma/(2*hbar^2)")
     return (1.0 + forms.cl1 + (t / hbar) * (forms.cl1_gamma_derivative / hbar) / 2.0) / dim
 
 

@@ -39,9 +39,9 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .dephasing import _check_times, ed_closed_forms, taylor_lower_bound
+from .dephasing import ed_closed_forms, taylor_lower_bound
 from .pqc import ParametricChannel, evolve_discrete
-from .rmt import _check_scales
+from .rmt import _check_scales, _check_times
 from .states import (
     CoherentGibbsState,
     EnergiesLike,
@@ -201,7 +201,7 @@ def _steps_to(t: float, tau: float, name: str) -> int:
     """The first whole step n of period tau whose time n*tau reaches `name`=t; the one statement of this rule.
 
     n is ceil(t/tau), moved by one where the rounded quotient misses: ceil(3*0.1/0.1) is 4, but 3*0.1 is step 3.
-    t must be finite and >= 0, tau finite and > 0, and the count at most
+    t must lie in [0, 1e65], tau in its scale range and > 0, and the count at most
     2**53, so that every step up to it is an exact double and fits an int64.
     """
     _check_times(t, name)
@@ -271,6 +271,7 @@ def estimate_thouless(series: DiagnosticSeries, t_heisenberg: float) -> float:
     The ensemble mean is smoothed with a centered 5-point moving average and
     the minimum is searched strictly below the Heisenberg time.
     """
+    _check_times(t_heisenberg, "t_heisenberg")
     mask = series.times < t_heisenberg
     if not np.any(mask):
         raise ValueError("no grid points below the Heisenberg time")
@@ -388,7 +389,8 @@ def channel_diagnostics(
     """Evolve the coherent Gibbs state through the channel and record diagnostics.
 
     The evolution streams through all j = 0..steps; observables are stored at
-    `record_steps` only (default: every step).  Recorded states are copied
+    `record_steps` only (default: every step), whole step numbers: a
+    fraction or a boolean raises ValueError.  Recorded states are copied
     into a buffer of about `_OBSERVE_BYTES` (1 MB, at least one state), and
     each full buffer is reduced into the columns of one (3, n) array by one
     batched call per observable, with the reductions `sff_fidelity`, `cl1_norm`
@@ -402,6 +404,10 @@ def channel_diagnostics(
     if record_steps is None:
         record = np.arange(steps + 1)
     else:
+        if not (isinstance(record_steps, np.ndarray) and record_steps.dtype.kind in "iu"):
+            for j in np.ravel(np.asarray(record_steps, dtype=object)):  # as given: a bool stays a bool
+                if isinstance(j, (bool, np.bool_)) or not float(j).is_integer():
+                    raise ValueError(f"record_steps must be whole step numbers, got {j!r}")
         record = np.unique(np.asarray(record_steps, dtype=int))
         if record.size == 0:
             raise ValueError("record_steps must not be empty")

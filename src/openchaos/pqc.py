@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .rmt import HamiltonianSpectrum, KrausSet, _check_derived, _check_scales, _check_side
+from .rmt import HamiltonianSpectrum, KrausSet, _check_scales, _check_side
 from .states import as_energies
 
 # The largest pair phase tau*(E_max-E_min)/hbar the mask takes from each pair's own gap.  Rounding moves such a
@@ -104,15 +104,6 @@ def _to_eigenbasis(hamiltonian: HamiltonianSpectrum, operators: np.ndarray) -> n
     return np.einsum("in,rij,jm->rnm", q.conj(), operators, q)
 
 
-def _check_phases(tau: float, spread: float, hbar: float) -> None:
-    """The one rule on a channel's phases over energies `spread` apart: the largest, tau*spread/hbar, must be finite,
-    and so must 1/hbar, since numpy divides the complex phases by hbar as a product with 1/hbar; else ValueError."""
-    phase = float(tau) * spread / float(hbar)
-    _check_derived("phase", "tau*max(E_max-E_min, max|E|)/hbar", phase, zero_ok=True, tau=tau, hbar=hbar)
-    if not 1.0 / float(hbar) < math.inf:
-        raise ValueError(f"1/hbar overflows at hbar={hbar}: numpy divides the phases by hbar as a product with 1/hbar")
-
-
 @dataclass(frozen=True)
 class ParametricChannel:
     """One (tau, eps) channel tied to a sampled Hamiltonian and Kraus set.
@@ -123,9 +114,10 @@ class ParametricChannel:
     kept) as `kraus` and the spectrum without matrix and eigenvectors as
     `hamiltonian`, so `replace(channel, tau=..., epsilon=...)` rotates nothing.
     States handed to `apply_channel` are understood in the eigenbasis as
-    well, which is where the coherent Gibbs state lives anyway.  The largest
-    phase the mask or `interleaved` forms, tau*max(E_max - E_min, max|E|)/hbar,
-    and 1/hbar must be finite (`_check_phases`), or a ValueError names hbar.
+    well, which is where the coherent Gibbs state lives anyway.  In the
+    domains of `rmt` the largest phase the mask or `interleaved` forms,
+    tau*max(E_max - E_min, max|E|)/hbar, stays below 2e100, and 1/hbar below
+    1e30.
 
     The constants of one step are built here as well: the (1-eps)-weighted
     phase twist `mask[n, m] = (1-eps) * exp(-i*tau*(E_n - E_m)/hbar)` of
@@ -153,11 +145,9 @@ class ParametricChannel:
         if h.eigenvectors is not None:
             object.__setattr__(self, "kraus", KrausSet(_to_eigenbasis(h, kraus.operators), seed=kraus.seed))
             object.__setattr__(self, "hamiltonian", replace(h, matrix=None, eigenvectors=None))
-        lo, hi = float(h.energies[0]), float(h.energies[-1])  # Python floats overflow to inf, with no warning
-        _check_phases(self.tau, max(hi - lo, -lo, hi), self.hbar)
         ops = np.ascontiguousarray(self.kraus.operators.transpose(1, 0, 2)).transpose(1, 0, 2)  # (d, K, d) memory
         k, d = ops.shape[0], ops.shape[1]
-        if self.tau * (hi - lo) / self.hbar <= _PAIR_PHASE_MAX:
+        if self.tau * (float(h.energies[-1]) - float(h.energies[0])) / self.hbar <= _PAIR_PHASE_MAX:
             w = self.energies[np.newaxis, :] - self.energies[:, np.newaxis]  # w[n, m] = E_m - E_n
             phases = np.exp(1j * self.tau * w / self.hbar)
         else:

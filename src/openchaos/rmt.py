@@ -25,12 +25,43 @@ sum_r N_r^dag N_r = 1.  `_check_side` caps the side of a dense complex
 matrix at 4096 (256 MiB): the CUE side K*d here, and the superoperator side
 d^2 in `pqc.build_superoperator`.
 
-`_check_scales` is the one statement of what values a physical scale may
-take (d, K, column offset, sigma, hbar, beta, tau, epsilon, gamma); the
-library checks its scale arguments through it, and NaN or +-inf fails every
-rule.
-`_check_derived` checks each derived scale (Delta, t_H, tau_c, phi_max), computed
-in Python floats: one that overflows or underflows raises, naming its inputs.
+Input domains, stated once here: every entry point of the package checks
+its inputs through `_check_scales` (d, K, column offset, sigma, hbar, beta,
+tau, epsilon, gamma), `_check_energies` and `_check_times`.
+
+    every nonzero sigma, hbar, beta, tau, gamma   in _SCALE_RANGE = [1e-30, 1e30]
+    sigma, hbar                                   nonzero
+    d                                             2 <= d < 2**63
+    every energy E                                |E| <= 1e40
+    every time t                                  0 <= t <= 1e65
+
+Each rule reads `not lo <= x <= hi`, so NaN and +-inf fail it.  The
+observables read the scales only through dimensionless products (the kick
+phase tau*sigma/hbar, the damping gamma*sigma^2*t, the Gibbs weight
+beta*sigma, t/t_H), so no physics lies outside these domains, and inside
+them nothing the package derives overflows or underflows to zero.  With
+gaps and spreads W <= 2e40 and d < 2**63 (9.2e18):
+
+    Delta   = sigma*sqrt(8d)/(d-1)       in [9.3e-40, 4e30]
+    t_H     = 2*pi*hbar/Delta            in [1.6e-60, 6.8e69]
+    tau_c   = pi*hbar/(sigma*sqrt(2d))   in [7.3e-70, 1.6e60]
+    phi_max = tau*sigma*sqrt(8d)/hbar    in [4e-90, 8.6e99], or 0 at tau = 0
+
+and the largest product each kernel forms, against the float maximum 1.8e308:
+
+    channel phase    tau*W/hbar, with 1/hbar <= 1e30             2e100
+    Gibbs exponent   beta*W                                      2e70
+    gamma*t*w^2                                                  4e175
+    t*w^2*d          bounds |dC_l1/dgamma| <= t*w^2*(d-1)         3.7e164
+    t*|E|/hbar                                                   1e135
+    lower bound      (t/hbar)*(|dC_l1/dgamma|/hbar)/2            2e270*d < 1.9e289
+    crescent split   1/(sqrt(K)*sin(phi_max)) at phi_max > 0     2.5e89
+
+A GOE draw at sigma <= 1e30 keeps its energies below 27.42*d*sigma: a
+normal draw is sigma*z, and numpy's ziggurat tail returns |z| <= r +
+53*ln2/r < 13.71 (r = 3.6541528853610088), so by Gershgorin the spread is
+below 27.42*d*sigma, 1.1e35 at the largest dense side d = 4096.  The CLI's
+largest time is its ed-sff end 4 t_H <= 5.7e62 at d <= 4096.
 
 Reproducibility: every sampler is driven by the counter-based Philox bit
 generator seeded through numpy's SeedSequence, so a (master seed, realization
@@ -41,7 +72,6 @@ per-realization seeds.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +80,10 @@ import numpy as np
 # The largest side of a dense complex matrix: a 4096 x 4096 one holds 256 MiB,
 # the CUE(K*d) draw at K*d = 4096 or the d^2 x d^2 superoperator at d = 64.
 _MAX_SIDE = 4096
+# The input domains of the module docstring.
+_SCALE_RANGE = (1e-30, 1e30)
+_MAX_ENERGY = 1e40
+_MAX_TIME = 1e65
 
 __all__ = [
     "HamiltonianSpectrum",
@@ -69,14 +103,13 @@ def _check_scales(*, d=None, k=None, column_offset=None, sigma=None, hbar=None, 
                   gammas=()) -> None:
     """Raise ValueError unless every scale given lies in its domain; the one statement of these rules.
 
-    d >= 2 and no larger than the largest float; 1 <= K <= d^2 - 2 (K >= 1
-    when d is not given); 1 <= column_offset <= d*(K-1), read with d and K
-    and only for K > 1; sigma and hbar finite and > 0; beta, tau and every
-    gamma finite and >= 0; epsilon in [0, 1].  Each rule reads
-    `not lo <= x <= hi`, so NaN fails it.
+    2 <= d < 2**63; 1 <= K <= d^2 - 2 (K >= 1 when d is not given);
+    1 <= column_offset <= d*(K-1), read with d and K and only for K > 1;
+    sigma and hbar finite and > 0; beta, tau and every gamma finite and >= 0;
+    each of those five, where nonzero, in `_SCALE_RANGE`; epsilon in [0, 1].
     """
-    if d is not None and not 2 <= d <= sys.float_info.max:
-        raise ValueError(f"d must be >= 2 and convert to a float, got {d}")
+    if d is not None and not 2 <= d < 2**63:
+        raise ValueError(f"d must be >= 2 and below 2**63, got {d}")
     if k is not None and not 1 <= k <= (math.inf if d is None else d * d - 2):
         raise ValueError(f"K must lie in [1, d^2-2], got {k}")
     if column_offset is not None and k > 1 and not 1 <= column_offset <= d * (k - 1):
@@ -84,20 +117,35 @@ def _check_scales(*, d=None, k=None, column_offset=None, sigma=None, hbar=None, 
     for name, value in (("sigma", sigma), ("hbar", hbar)):
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    for name, value in (("beta", beta), ("tau", tau), *(("gamma", g) for g in gammas)):
+    scales = (("beta", beta), ("tau", tau), *(("gamma", g) for g in gammas))
+    for name, value in scales:
         if value is not None and not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    lo, hi = _SCALE_RANGE
+    for name, value in (("sigma", sigma), ("hbar", hbar), *scales):
+        if value and not lo <= value <= hi:
+            raise ValueError(f"{name}={value} lies outside [{lo:g}, {hi:g}], the range of every nonzero scale")
     if epsilon is not None and not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
-def _check_derived(name: str, formula: str, value: float, zero_ok: bool = False, **inputs) -> float:
-    """`value` of `name` = `formula` as a float; raises where it overflowed to inf or underflowed to 0."""
-    if not 0.0 <= value < math.inf or value == 0.0 and not zero_ok:
-        given = ", ".join(f"{k}={v}" for k, v in inputs.items())
-        raise ValueError(f"{name}={formula} {'underflows' if value == 0.0 else 'overflows'} at {given}:"
-                         f" {name}={value} must be finite and {'>=' if zero_ok else '>'} 0")
-    return float(value)
+def _check_range(values, name: str, lo: float, hi: float, what: str) -> np.ndarray:
+    """`values` as a float array; raises ValueError naming `name` and its first entry outside [lo, hi]."""
+    a = np.asarray(values, dtype=float)
+    outside = a[~((a >= lo) & (a <= hi))]
+    if outside.size:
+        raise ValueError(f"{name}={outside[0]} lies outside [{lo:g}, {hi:g}], the range of every {what}")
+    return a
+
+
+def _check_energies(energies) -> np.ndarray:
+    """`energies` as a float array, each within +-`_MAX_ENERGY`."""
+    return _check_range(energies, "energies", -_MAX_ENERGY, _MAX_ENERGY, "energy")
+
+
+def _check_times(t, name: str = "times") -> np.ndarray:
+    """`t` as a float array, each entry in [0, `_MAX_TIME`]; the error names the argument `name`."""
+    return _check_range(t, name, 0.0, _MAX_TIME, "time")
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -146,8 +194,7 @@ class HamiltonianSpectrum:
         _check_scales(sigma=self.sigma)
         if energies.ndim != 1 or energies.size < 2:
             raise ValueError(f"energies must be 1-D with at least 2 levels, got shape {energies.shape}")
-        if not np.all(np.isfinite(energies)):
-            raise ValueError("energies must be finite")
+        _check_energies(energies)
         if np.any(np.diff(energies) < 0):
             raise ValueError("energies must be sorted ascending")
 
@@ -208,15 +255,12 @@ def sample_goe(d: int, sigma: float, seed: int) -> HamiltonianSpectrum:
     Returns
     -------
     HamiltonianSpectrum with sorted energies, the symmetric matrix and its
-    eigenvector matrix attached; a draw that overflows raises ValueError.
+    eigenvector matrix attached.
     """
     _check_scales(d=d, sigma=sigma)
     rng = rng_from_seed(seed)
     a = rng.normal(0.0, sigma, size=(d, d))
-    with np.errstate(over="ignore"):  # an entry that overflows is reported below, naming sigma
-        h = (a + a.T) / 2.0
-    if not np.all(np.isfinite(h)):
-        raise ValueError(f"the GOE draw at d={d}, sigma={sigma} is not finite: sigma is too large for a float")
+    h = (a + a.T) / 2.0
     energies, vecs = np.linalg.eigh(h)
     return HamiltonianSpectrum(sigma=sigma, energies=energies, seed=int(seed), matrix=h, eigenvectors=vecs)
 
@@ -266,15 +310,13 @@ def sample_kraus_set(d: int, k: int, seed: int, column_offset: int = 1) -> Kraus
 def mean_level_spacing(d: int, sigma: float) -> float:
     """Mean spacing Delta = sigma*sqrt(8d)/(d-1): full support width over d-1 gaps."""
     _check_scales(d=d, sigma=sigma)
-    delta = float(sigma) * math.sqrt(8.0 * d) / (d - 1)
-    return _check_derived("Delta", "sigma*sqrt(8*dim)/(dim-1)", delta, dim=d, sigma=sigma)
+    return float(sigma) * math.sqrt(8.0 * d) / (d - 1)
 
 
 def heisenberg_time(d: int, sigma: float, hbar: float = 1.0) -> float:
     """Heisenberg time t_H = 2*pi*hbar/Delta = pi*hbar*(d-1)/(sigma*sqrt(2d))."""
     _check_scales(hbar=hbar)
-    t_h = 2.0 * math.pi * float(hbar) / mean_level_spacing(d, sigma)
-    return _check_derived("t_H", "2*pi*hbar/Delta", t_h, dim=d, sigma=sigma, hbar=hbar)
+    return 2.0 * math.pi * float(hbar) / mean_level_spacing(d, sigma)
 
 
 def critical_tau(d: int, sigma: float, hbar: float = 1.0) -> float:
@@ -284,5 +326,4 @@ def critical_tau(d: int, sigma: float, hbar: float = 1.0) -> float:
     circle; below it they stay in a sector.  Equivalently t_H = (d-1)*tau_c.
     """
     _check_scales(d=d, sigma=sigma, hbar=hbar)
-    tau_c = math.pi * float(hbar) / (float(sigma) * math.sqrt(2.0 * d))
-    return _check_derived("tau_c", "pi*hbar/(sigma*sqrt(2*dim))", tau_c, dim=d, sigma=sigma, hbar=hbar)
+    return math.pi * float(hbar) / (float(sigma) * math.sqrt(2.0 * d))

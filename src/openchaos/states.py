@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .rmt import HamiltonianSpectrum, _check_scales
+from .rmt import HamiltonianSpectrum, _check_energies, _check_scales
 
 __all__ = [
     "EnergiesLike",
@@ -43,15 +43,13 @@ EnergiesLike = Union[HamiltonianSpectrum, np.ndarray]
 
 
 def as_energies(energies: EnergiesLike) -> np.ndarray:
-    """Coerce a HamiltonianSpectrum or array-like into a finite 1-D float array."""
+    """Coerce a HamiltonianSpectrum or array-like into a 1-D float array, each energy within +-1e40."""
     if isinstance(energies, HamiltonianSpectrum):
         return energies.energies
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1 or e.size < 1:
         raise ValueError(f"energies must be a non-empty 1-D array, got shape {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energies must be finite")
-    return e
+    return _check_energies(e)
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,13 @@ class CoherentGibbsState:
 def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     """Build the coherent Gibbs state sum_n sqrt(p_n)|n> for the given spectrum.
 
-    Amplitudes are computed as exp(-beta*(E_n - E_min)/2) and normalized, so
-    the result is finite for any beta >= 0.
+    Amplitudes are computed as exp(-beta*(E_n - E_min)/2) and normalized; the
+    exponent stays below 2e70 in the domains of `rmt`, and the largest
+    amplitude is exp(0) = 1 before normalization.
     """
     _check_scales(beta=beta)
     e = as_energies(energies)
-    with np.errstate(over="ignore"):  # where beta*(E_n - E_min) overflows, exp(-inf) = 0 is its limit
-        half = np.exp(-0.5 * beta * (e - e.min()))
+    half = np.exp(-0.5 * beta * (e - e.min()))
     amp = half / np.linalg.norm(half)
     return CoherentGibbsState(beta=float(beta), amplitudes=amp)
 

@@ -64,7 +64,9 @@ def _no_draws(monkeypatch):
 
 
 def _outside(name, value):
-    """The config error of a nonzero scale outside [1e-30, 1e30]."""
+    """The config error of t_min or t_max outside [0, 1e65], or of any other nonzero scale outside [1e-30, 1e30]."""
+    if name in ("t_min", "t_max"):
+        return f"config error: {name}={value!r} lies outside [0, 1e+65], the range of every time\n"
     return f"config error: {name}={value!r} lies outside [1e-30, 1e+30], the range of every nonzero scale\n"
 
 
@@ -744,7 +746,8 @@ def test_non_finite_ensemble_means_exit_2_naming_the_point(tmp_path, capsys, mon
 def test_overflowing_dephasing_phases_exit_2_before_any_artifact(tmp_path, capsys, monkeypatch, mode, overrides,
                                                                  outside):
     # the dephasing kernel's t*E/hbar, or the Taylor lower bound, overflowed for these scales, and the run
-    # exited 2 with only its manifest; the scale named now lies outside the range, a config error before any draw
+    # exited 2 with only its manifest; the scale or time named now lies outside its domain, a config error
+    # before any draw
     _no_draws(monkeypatch)
     p = tmp_path / "c.json"
     _write_config(p, **dict(dict(mode=mode, dim=4, realizations=2, points=5, t_max=3.0,

@@ -1,6 +1,8 @@
 """Closed-form dephasing dynamics against independent integrators."""
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -180,41 +182,47 @@ def test_ed_long_time_plateau():
 
 
 def test_extreme_finite_rates_raise_no_warning():
-    # gamma*t from subnormal, where 746/(gamma*t) overflows, to 2e300, where
-    # every pair term underflows and the forms sit exactly on the plateau;
-    # one time per call makes each the smallest time of its block
+    # gamma*t from 0 (a subnormal time at gamma = 1e-30) through subnormal (1e-30 * 1e-280), where
+    # 746/(gamma*t) overflows, to 1e95 at the ends of the gamma and time domains, where every pair term
+    # underflows and the forms sit exactly on the plateau; one time per call makes each the smallest time of
+    # its block
     d, beta = 8, 0.3
     h = sample_goe(d, 1.0, derive_seed(21, 0, 17))
-    gammas = [0.0, 5e-324, 1.0, 2.0]
-    for t in (0.0, 5e-324, 1.1e-307, 1e-300, 1.0, 1e300):
-        for forms in ed_closed_forms(h, beta, gammas, t):
-            assert np.isfinite(forms).all(), (t, forms)
-    (late,) = ed_closed_forms(h, beta, gammas[-1:], 1e300)
+    gammas = [0.0, 1e-30, 1.0, 1e30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, 5e-324, 1e-280, 1.1e-307, 1e-300, 1.0, 1e65):
+            for forms in ed_closed_forms(h, beta, gammas, t):
+                assert np.isfinite(forms).all(), (t, forms)
+    (late,) = ed_closed_forms(h, beta, gammas[-1:], 1e65)
     assert late.sff[0] == late.purity[0] == plateau_value(h, beta)
     assert late.cl1[0] == late.cl1_gamma_derivative[0] == 0.0
 
 
-@pytest.mark.parametrize("levels, gamma, t, hbar", [
-    pytest.param([-1.0, 0.5, 2.0], 1e300, [0.1, 1e10], 1.0, id="gamma*t"),
+@pytest.mark.parametrize("levels, gamma, t, hbar, outside", [
+    pytest.param([-1.0, 0.5, 2.0], 1e300, [0.1, 1e10], 1.0, "gamma=1e+300", id="gamma*t"),
     # the degenerate pair's -inf*0 made all four forms nan
-    pytest.param([-1.0, 0.5, 0.5], 1e300, 1e10, 1.0, id="gamma*t-degenerate"),
-    pytest.param([-1.0, 0.5, 2.0], 100.0, [1e-300, 1e306], 1.0, id="gamma*t*w^2"),
-    pytest.param([-1.0, 0.5, 2.0], 0.0, 1e307, 1.0, id="t*w^2*d"),  # the derivative's scale
-    pytest.param([1e10, 1e10 + 0.5, 1e10 + 2.0], 0.1, 1e300, 1.0, id="t*E"),  # the phases
-    pytest.param([-1.0, 0.5, 2.0], 0.1, 3.0, 5e-324, id="t*E/hbar"),
+    pytest.param([-1.0, 0.5, 0.5], 1e300, 1e10, 1.0, "gamma=1e+300", id="gamma*t-degenerate"),
+    pytest.param([-1.0, 0.5, 2.0], 100.0, [1e-300, 1e306], 1.0, "times=1e+306", id="gamma*t*w^2"),
+    pytest.param([-1.0, 0.5, 2.0], 0.0, 1e307, 1.0, "times=1e+307", id="t*w^2*d"),  # the derivative's scale
+    pytest.param([1e10, 1e10 + 0.5, 1e10 + 2.0], 0.1, 1e300, 1.0, "times=1e+300", id="t*E"),  # the phases
+    pytest.param([-1.0, 0.5, 2.0], 0.1, 3.0, 5e-324, "hbar=5e-324", id="t*E/hbar"),
 ])
-def test_overflowing_products_raise_before_the_kernel_runs(levels, gamma, t, hbar):
-    with pytest.raises(ValueError, match="overflows"):
+def test_overflowing_products_raise_before_the_kernel_runs(levels, gamma, t, hbar, outside):
+    # each product overflowed at an input that now lies outside its domain, and the error names that input
+    with pytest.raises(ValueError, match=f"^{re.escape(outside)} lies outside"):
         ed_closed_forms(np.array(levels), 0.0, [gamma], t, hbar)
 
 
 def test_the_derivative_at_the_largest_time_is_finite():
     # -2*t overflowed to -inf at t = max before it met a sum u.w^2 of order 1e-300, so the derivative was
-    # -inf (and nan where the sum is 0); t*(u.w^2) first is below the checked t*w^2*d
-    t = np.finfo(float).max
+    # -inf (and nan where the sum is 0); the largest time is now 1e65, and the energies span the whole domain
+    t = 1e65
     (forms,) = ed_closed_forms(np.array([0.0, 1e-150, 3e-150]), 0.0, [0.0], t)
     # beta = 0, gamma = 0: -2t sum_{n<m} w^2/d over the pair gaps 1, 3 and 2 (times 1e-150)
     assert forms.cl1_gamma_derivative[0] == pytest.approx(-2.0 * (t * (14e-300 / 3)), rel=1e-12)
+    (forms,) = ed_closed_forms(np.array([-1e40, 1e40]), 0.0, [0.0], t)
+    assert forms.cl1_gamma_derivative[0] == pytest.approx(-t * 4e80, rel=1e-12)
 
 
 def test_lower_bound_at_time_zero_is_one():
@@ -223,11 +231,17 @@ def test_lower_bound_at_time_zero_is_one():
 
 
 def test_lower_bound_divides_by_hbar_once_per_factor():
-    # hbar^2 = 1e-340 underflows to 0, where t*dC_l1/dgamma/(2*hbar^2) was -inf
+    # hbar^2 = 1e-340 underflowed to 0, where t*dC_l1/dgamma/(2*hbar^2) was -inf; such an hbar lies outside the
+    # range of a scale.  The bound is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, which fixes its bytes.
     h = sample_goe(8, 1.0, derive_seed(21, 0, 9))
-    assert np.isfinite(ed_diagnostics(h, 0.0, [0.7], np.array([1e-20]), 1e-170)[0].lower_bound).all()
-    with pytest.raises(ValueError, match="t=3.0 with hbar=1e-200 overflows the lower bound"):
-        ed_diagnostics(h, 0.0, [0.7], np.array([3.0]), 1e-200)
+    t = np.array([1e-20, 3.0])
+    (forms,) = ed_closed_forms(h, 0.0, [0.7], t, 1e-30)
+    bound = ed_diagnostics(h, 0.0, [0.7], t, 1e-30)[0].lower_bound
+    assert np.isfinite(bound).all()
+    assert np.array_equal(bound, (1.0 + forms.cl1 + (t / 1e-30) * (forms.cl1_gamma_derivative / 1e-30) / 2.0) / 8)
+    for hbar in (1e-170, 1e-200):
+        with pytest.raises(ValueError, match=f"^hbar={hbar} lies outside"):
+            ed_diagnostics(h, 0.0, [0.7], np.array([3.0]), hbar)
 
 
 def test_lower_bound_holds_pointwise():
@@ -291,7 +305,7 @@ def test_energies_must_be_finite(energies):
     for call in (lambda: ed_closed_forms(energies, 0.0, [0.1], [1.0]),
                  lambda: ed_evolve(rho0, energies, 0.1, 1.0),
                  lambda: ed_liouvillian(energies, 0.1)):
-        with pytest.raises(ValueError, match="^energies must be finite"):
+        with pytest.raises(ValueError, match=r"^energies=(nan|inf|-inf) lies outside \[-1e\+40, 1e\+40\]"):
             call()
 
 
@@ -310,9 +324,10 @@ def test_negative_time_rejected():
     h = sample_goe(4, 1.0, derive_seed(21, 0, 12))
     rho0 = cgs_density(make_cgs(h, 0.0))
     for t in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        message = rf"^times={t} lies outside \[0, 1e\+65\], the range of every time$"
+        with pytest.raises(ValueError, match=message):
             ed_closed_forms(h, 0.0, [0.1], t)
-        with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        with pytest.raises(ValueError, match=message):
             ed_closed_forms(h, 0.0, [0.1], np.array([0.5, t]))
-        with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        with pytest.raises(ValueError, match=message):
             ed_evolve(rho0, h, 0.1, t)

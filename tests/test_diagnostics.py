@@ -137,14 +137,18 @@ def test_effective_depth_missing_steps_raises():
     with pytest.raises(ValueError):
         effective_depth(s, 0.4, 0.2, 0.1)  # empty window
     # ceil(nan) and ceil(inf) raised errors that named no argument
-    with pytest.raises(ValueError, match="^t_thouless must be finite and >= 0"):
+    with pytest.raises(ValueError, match=r"^t_thouless=nan lies outside \[0, 1e\+65\], the range of every time$"):
         effective_depth(s, math.nan, 0.3, 0.1)
-    with pytest.raises(ValueError, match="^t_heisenberg must be finite and >= 0"):
+    with pytest.raises(ValueError, match=r"^t_heisenberg=inf lies outside \[0, 1e\+65\], the range of every time$"):
         effective_depth(s, 0.1, math.inf, 0.1)
-    # a finite edge whose quotient by tau overflows to inf, where ceil(inf) raised OverflowError
+    # a finite edge whose quotient by tau overflowed to inf, where ceil(inf) raised OverflowError; such an edge
+    # lies outside the time domain, and at its ends the quotient is 1e95, past the 2**53 steps
     s = _flat_series([0.125] * 5, 1e-10, 0.125)
-    with pytest.raises(ValueError, match=r"^tau=1e-10 takes more than 2\*\*53 steps to reach t_heisenberg=1e\+300$"):
+    with pytest.raises(ValueError, match=r"^t_heisenberg=1e\+300 lies outside \[0, 1e\+65\]"):
         effective_depth(s, 1e-10, 1e300, 1e-10)
+    s = _flat_series([0.125] * 5, 1e-30, 0.125)
+    with pytest.raises(ValueError, match=r"^tau=1e-30 takes more than 2\*\*53 steps to reach t_heisenberg=1e\+65$"):
+        effective_depth(s, 1e-30, 1e65, 1e-30)
 
 
 def test_effective_depth_nan_sff_raises():
@@ -365,6 +369,30 @@ def test_channel_diagnostics_records_requested_steps():
     s = channel_diagnostics(ch, 0.0, 7, record_steps=rec)
     assert np.array_equal(s.times, rec * 0.2)
     assert s.sff[0] == pytest.approx(1.0, abs=1e-12)
+    # whole steps given as a list or as floats record the same steps
+    for same in ([0, 3, 7], [0.0, 3.0, 7.0], np.array([7.0, 0.0, 3.0])):
+        assert np.array_equal(channel_diagnostics(ch, 0.0, 7, record_steps=same).sff, s.sff)
+
+
+@pytest.mark.parametrize("record, entry", [
+    ([0.5, 1.7, 2.2], "0.5"),
+    (np.array([0.0, 1.5]), "1.5"),
+    ([True, False, True], "True"),
+    (np.array([False, True]), "False"),
+    ([0, True, 2], "True"),
+    ([0, math.nan], "nan"),
+    ([0, math.inf], "inf"),
+])
+def test_channel_diagnostics_rejects_record_steps_that_are_not_whole(record, entry):
+    # they were truncated to integers: [0.5, 1.7, 2.2] recorded steps 0, 1 and 2 (times 0, 0.5 and 1.0), and
+    # [True, False, True] steps 0 and 1
+    ch = ParametricChannel(
+        tau=0.5, epsilon=0.1,
+        hamiltonian=sample_goe(4, 1.0, derive_seed(51, 0, 4)),
+        kraus=sample_kraus_set(4, 2, derive_seed(51, 1, 4)),
+    )
+    with pytest.raises(ValueError, match=f"^record_steps must be whole step numbers, got {entry}$"):
+        channel_diagnostics(ch, 0.0, 3, record_steps=record)
 
 
 def test_channel_diagnostics_interleaved_step_matches_matrix_powers():

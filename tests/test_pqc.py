@@ -240,32 +240,35 @@ def test_step_reads_the_kraus_operators_without_copying():
 
 
 def test_an_overflowing_phase_raises_naming_tau_and_hbar_before_any_warning():
-    # at hbar = 5e-324 tau*(E_m - E_n)/hbar is inf; the channel raises before it forms a nan mask
+    # at hbar = 5e-324 tau*(E_m - E_n)/hbar was inf, and at tau = 1e308 as well; both scales lie outside the
+    # range of a scale, and the channel names each before it forms a mask
     h = sample_goe(4, 1.0, derive_seed(31, 0, 8))
     ks = sample_kraus_set(4, 2, derive_seed(31, 1, 8))
-    message = r"^phase=tau\*max\(E_max-E_min, max\|E\|\)/hbar overflows at tau=0.5, hbar=5e-324: phase=inf"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"^hbar=5e-324 lies outside \[1e-30, 1e\+30\]"):
             ParametricChannel(tau=0.5, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=5e-324)
         ch = ParametricChannel(tau=0.5, epsilon=0.3, hamiltonian=h, kraus=ks)
-        with pytest.raises(ValueError, match=r"overflows at tau=1e\+308, hbar=1.0: phase=inf"):
+        with pytest.raises(ValueError, match=r"^tau=1e\+308 lies outside \[1e-30, 1e\+30\]"):
             replace(ch, tau=1e308)
-        # tau = 0 makes no phase at all, and neither does a tau*|E|/hbar that underflows
+        # tau = 0 makes no phase at all, and the smallest phase of the range leaves the mask real to the bit
         assert np.all(replace(ch, tau=0.0).mask == 1.0 - 0.3)
-        assert np.all(replace(ch, tau=5e-324, hbar=1e300).mask == 1.0 - 0.3)
+        assert np.all(replace(ch, tau=1e-30, hbar=1e30).mask.real == 1.0 - 0.3)
+        # the largest, tau*spread/hbar ~ 1e61, is finite
+        assert np.isfinite(replace(ch, tau=1e30, hbar=1e-30).mask).all()
 
 
 def test_a_reciprocal_hbar_that_overflows_raises_before_any_warning():
     # every phase tau*(E_m - E_n)/hbar is finite at sigma = hbar = 5e-324, but numpy divides the complex
-    # phases by hbar as a product with 1/hbar = inf: the mask was nan, with a warning
-    h = sample_goe(4, 5e-324, derive_seed(31, 0, 9))
+    # phases by hbar as a product with 1/hbar = inf: the mask was nan, with a warning.  Such an hbar lies
+    # outside the range of a scale; at the range's end, sigma = hbar = 1e-30, 1/hbar is 1e30
+    h = sample_goe(4, 1e-30, derive_seed(31, 0, 9))
     ks = sample_kraus_set(4, 2, derive_seed(31, 1, 9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^1/hbar overflows at hbar=5e-324"):
+        with pytest.raises(ValueError, match=r"^hbar=5e-324 lies outside \[1e-30, 1e\+30\]"):
             ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=5e-324)
-        assert np.isfinite(ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=1e-300).mask).all()
+        assert np.isfinite(ParametricChannel(tau=1.0, epsilon=0.3, hamiltonian=h, kraus=ks, hbar=1e-30).mask).all()
 
 
 @pytest.mark.parametrize("tau", [1e10, 1e14, 1e30])

@@ -32,6 +32,8 @@ from openchaos.states import cgs_density, make_cgs, plateau_value
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
+# a kick period: 0, or one in the range of a nonzero scale, which starts at 1e-30
+taus = st.one_of(st.just(0.0), st.floats(1e-30, 3.0))
 
 
 @st.composite
@@ -40,7 +42,7 @@ def channels(draw):
     k = draw(st.integers(1, min(4, d * d - 2)))
     offset = draw(st.integers(1, d * (k - 1))) if k > 1 else 1
     return ParametricChannel(
-        tau=draw(st.floats(0.0, 3.0)),
+        tau=draw(taus),
         epsilon=draw(epsilons),
         hamiltonian=sample_goe(d, 1.0, draw(seeds)),
         kraus=sample_kraus_set(d, k, draw(seeds), column_offset=offset),
@@ -134,8 +136,7 @@ def test_channel_matrices_factor_into_kick_and_unitary(ch):
     assert np.max(np.abs(build_superoperator(ch).matrix - mixture)) <= 1e-13
 
 
-@given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, st.floats(0.0, 3.0), epsilons,
-       st.floats(0.0, 3.0), epsilons)
+@given(st.integers(2, 16), st.integers(1, 4), seeds, seeds, taus, epsilons, taus, epsilons)
 def test_replaced_channel_has_the_raw_pair_constants_bytewise(d, k, hseed, kseed, tau, eps, tau2, eps2):
     h = sample_goe(d, 1.0, hseed)
     kraus = sample_kraus_set(d, min(k, d * d - 2), kseed)
@@ -251,7 +252,7 @@ def test_brute_neighbours_match_a_per_row_lexsort_on_tied_clouds(seed, lattice, 
     assert np.array_equal(brute.nnn_indices, nnn)
 
 
-gammas = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
+gammas = st.lists(st.one_of(st.just(0.0), st.floats(1e-30, 2.0)), min_size=1, max_size=4)
 betas = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
 hbars = st.sampled_from([1.0, 0.7, 2.5])
 times = st.one_of(

@@ -1,6 +1,7 @@
 """Spectral phases: boundary formulas, classification, containment, spacing ratios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,9 +67,13 @@ def test_shifted_disk_values():
 def test_phi_max_values():
     assert phi_max(1.0, 64, 1.0) == pytest.approx(math.sqrt(512), rel=1e-12)
     assert phi_max(0.0, 64, 1.0) == 0.0
-    for tau, hbar in ((1.0, 1e-310), (1e308, 1.0)):
-        with pytest.raises(ValueError, match="overflows"):
+    # phi_max overflowed at these scales, which lie outside the range of a scale
+    for tau, hbar, outside in ((1.0, 1e-310, "hbar=1e-310"), (1e308, 1.0, r"tau=1e\+308")):
+        with pytest.raises(ValueError, match=f"^{outside} lies outside"):
             phi_max(tau, 4, 1.0, hbar)
+    # the smallest nonzero phase of the range, 4e-90 at d = 2, and the largest, 8.6e99 at d = 2**63 - 1
+    assert phi_max(1e-30, 2, 1e-30, 1e30) == pytest.approx(4e-90, rel=1e-12)
+    assert phi_max(1e30, 2**63 - 1, 1e30, 1e-30) == pytest.approx(1e90 * math.sqrt(8.0 * (2**63 - 1)), rel=1e-12)
     # at the critical period the sector closes exactly
     for d in (8, 32, 64):
         assert phi_max(critical_tau(d, 1.0, 1.0), d, 1.0) == pytest.approx(2 * math.pi, rel=1e-12)
@@ -89,8 +94,9 @@ def test_parameter_validation():
 
 
 def test_classify_phase_raises_where_tau_c_overflows():
-    # tau_c = pi*hbar/(sigma*sqrt(2d)) overflowed to inf with a numpy warning, and the label followed from it
-    with pytest.raises(ValueError, match=r"^tau_c=.* overflows at dim=8, sigma=1e-320, hbar=1.0: tau_c=inf"):
+    # tau_c = pi*hbar/(sigma*sqrt(2d)) overflowed to inf with a numpy warning, and the label followed from it;
+    # such a sigma lies outside the range of a scale
+    with pytest.raises(ValueError, match=r"^sigma=1e-320 lies outside \[1e-30, 1e\+30\]"):
         classify_phase(0.2, 1.0, 3, 8, 1e-320)
 
 
@@ -108,9 +114,15 @@ def test_phi_max_scales_must_be_finite(arg, value):
 
 
 def test_classify_phase_at_a_subnormal_tau_is_the_shifted_disk():
-    # sin(phi_max) ~ 3e-323, whose reciprocal overflowed in the threshold 1/(1 + 1/(sqrt(K)*s)) with a warning;
-    # the threshold's limit is 0, so every eps is in the shifted disk
-    assert classify_phase(0.0, 5e-324, 3, 4, 1.0) == classify_phase(0.5, 5e-324, 3, 4, 1.0) == "shifted-disk"
+    # sin(phi_max) ~ 3e-323, whose reciprocal overflowed in the threshold 1/(1 + 1/(sqrt(K)*s)) with a warning.
+    # A subnormal tau lies outside the range of a scale; at the smallest phase of the range, 4e-90, the
+    # threshold is about 4e-90, so every eps but 0 is in the shifted disk
+    with pytest.raises(ValueError, match="^tau=5e-324 lies outside"):
+        classify_phase(0.5, 5e-324, 3, 4, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_phase(1e-89, 1e-30, 1, 2, 1e-30, 1e30) == "shifted-disk"
+        assert classify_phase(0.0, 1e-30, 1, 2, 1e-30, 1e30) == "crescent"
 
 
 def test_classify_phase_examples():
