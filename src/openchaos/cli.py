@@ -31,7 +31,8 @@ past `validate` a run fails only where the system does (a file it cannot
 write) or LAPACK does not converge.  A run holds OpenBLAS at one thread, so its
 bytes do not depend on the BLAS thread count either.
 Each run writes its artifacts plus a manifest.json recording the config, the
-package version, wall times, per-grid-point status and a sha256 per artifact.
+package version, wall times, the config's grid points with their status and a
+sha256 per artifact; the values of each point are in its artifacts.
 Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
 """
 
@@ -473,19 +474,18 @@ def _write_ensemble_means(results: Iterator[list], points: List[tuple], out: Pat
     """Average each grid point's series over the realizations; write one CSV per point.
 
     `results` yields one list of series per realization, in grid order;
-    `points` holds each grid point's (artifact tag, label, manifest parameters).
+    `points` holds each grid point's (artifact tag, label).
     """
-    means = _ensemble_means(results, [label for _, label, _ in points])
-    for (tag, _, params), mean in zip(points, means):
+    means = _ensemble_means(results, [label for _, label in points])
+    for (tag, _), mean in zip(points, means):
         _write(out / f"{manifest['mode']}_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
-        manifest["grid"].append({**params, "status": "ok", "n": mean.n_realizations})
 
 
 def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
     def worker(idx: int):
         return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, plan.times, cfg.hbar)
 
-    points = [(_tag(gamma=g), f"gamma={g}", {"gamma": g}) for g in cfg.gamma]
+    points = [(_tag(gamma=g), f"gamma={g}") for g in cfg.gamma]
     _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
 
 
@@ -512,7 +512,7 @@ def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, 
         steps = plan.steps[ch.tau]
         return channel_diagnostics(ch, cfg.beta, int(steps[-1]), record_steps=steps)
 
-    points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}", {"tau": t, "epsilon": e}) for t, e in plan.walk]
+    points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}") for t, e in plan.walk]
     _write_ensemble_means(_grid_map(cfg, plan, workers, at), points, out, manifest)
 
 
@@ -555,9 +555,6 @@ def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict,
             tau, eps, phase, frac, cfg.margin, boundary.outer, np.nan if boundary.inner is None else boundary.inner,
             boundary.center.real, boundary.outer if phase == "shifted-disk" else np.nan, pooled.size,
         ))
-        manifest["grid"].append(
-            {"tau": tau, "epsilon": eps, "status": "ok", "phase": phase, "containment": frac}
-        )
     header = ("tau", "epsilon", "phase", "containment", "margin", "outer", "inner", "center",
               "radius", "n_eigenvalues")
     text = columns_to_csv(header, zip(*summary), labels=("phase", "n_eigenvalues"))
@@ -578,9 +575,6 @@ def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, work
         mu, sd = n * p_flat, math.sqrt(n * p_flat * (1 - p_flat))
         z_score = (mu - count) / sd
         summary.append((tau, eps, n, count / n, p_flat, z_score))
-        manifest["grid"].append(
-            {"tau": tau, "epsilon": eps, "status": "ok", "n_ratios": n, "depletion_zscore": z_score}
-        )
     header = ("tau", "epsilon", "n_ratios", "frac_below_0.05", "flat_expectation", "depletion_zscore")
     text = columns_to_csv(header, zip(*summary), labels=("n_ratios",))
     _write(out / "csr_summary.csv", text, manifest, "summary", "summary")
@@ -596,7 +590,6 @@ def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
             tau, eps, phase, outer, inner if inner is not None else np.nan, center, radius,
             phi_max(tau, cfg.dim, cfg.sigma, cfg.hbar),
         ))
-        manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok", "phase": phase})
     header = ("tau", "epsilon", "phase", "outer", "inner", "center", "radius", "phi_max")
     text = columns_to_csv(header, zip(*rows), labels=("phase",))
     _write(out / "phase_grid.csv", text, manifest, "grid", "phase-grid")
@@ -625,11 +618,7 @@ def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
         d_iso = effective_depth(means[tau, 0.0], t_th, plan.t_end, tau)
         for eps in cfg.epsilon:
             depth = effective_depth(means[tau, eps], t_th, plan.t_end, tau)
-            rel = depth / d_iso if d_iso > 0 else np.nan
-            table.append((tau, eps, depth, d_iso, rel, t_th, plan.t_end))
-            # JSON has no NaN, so the manifest records a non-finite ratio as null
-            manifest["grid"].append({"tau": tau, "epsilon": eps, "status": "ok",
-                                     "relative_depth": rel if np.isfinite(rel) else None})
+            table.append((tau, eps, depth, d_iso, depth / d_iso if d_iso > 0 else np.nan, t_th, plan.t_end))
     header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
     _write(out / "depth_grid.csv", columns_to_csv(header, zip(*table)), manifest, "grid", "depth-grid")
 
@@ -701,6 +690,12 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     plan = _plan(cfg)
     if plan.issues:
         raise ValueError("invalid config: " + "; ".join(plan.issues))
+    return _run(cfg, plan, workers)
+
+
+def _run(cfg: ExperimentConfig, plan: _Plan, workers: int) -> dict:
+    """Run a config on its plan, which has no issues.  Once the mode has written every artifact, the manifest
+    lists the config's grid points, each with status "ok"; a failed run lists none."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -721,6 +716,8 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
     try:
         with _one_blas_thread():
             _RUNNERS[cfg.mode](cfg, plan, out, manifest, workers)
+        manifest["grid"] = ([{"gamma": g, "status": "ok"} for g in cfg.gamma] if cfg.mode == "ed-sff" else
+                            [{"tau": t, "epsilon": e, "status": "ok"} for t in cfg.tau for e in cfg.epsilon])
     except Exception as exc:  # record, then re-raise after writing the manifest
         manifest["errors"].append(str(exc))
         raise
@@ -854,16 +851,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         if args.command == "run" and args.output_dir:
             cfg.output_dir = args.output_dir
-        issues = validate_config(cfg)
-        if issues:
-            for issue in issues:
-                print(f"config error: {issue}", file=sys.stderr)
+        plan = _plan(cfg)
+        for issue in plan.issues:
+            print(f"config error: {issue}", file=sys.stderr)
+        if plan.issues:
             return 1
         if args.command == "validate":
             print("config ok")
             return 0
         try:
-            manifest = run(cfg, workers=args.workers)
+            manifest = _run(cfg, plan, args.workers)
         except Exception as exc:
             print(f"runtime error: {exc}", file=sys.stderr)
             return 2

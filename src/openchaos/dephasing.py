@@ -19,9 +19,10 @@ At beta = 0 the fidelity obeys the two-sided coherence bound implemented in
 
     SFF(t) >= (1/d) * (1 + C_l1(t) + t * dC_l1/dgamma / (2*hbar^2)),
 
-the first two terms of an expansion whose gamma derivative is available in
-closed form.  (The hbar^2 keeps the bound dimensionally consistent; the
-common convention hbar = 1 makes it invisible.)
+the first two terms of an expansion whose gamma derivative `ed_closed_forms`
+gives in closed form; `diagnostics.ed_diagnostics` forms the bound.  (The
+hbar^2 keeps it dimensionally consistent; the common convention hbar = 1 makes
+it invisible.)
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "ed_evolve",
     "EDClosedForms",
     "ed_closed_forms",
-    "taylor_lower_bound",
     "ed_liouvillian",
 ]
 
@@ -173,20 +173,6 @@ def ed_closed_forms(
             block[2] = -2.0 * (ts[:, 0] * np.vecdot(u, w2))
             block[3] = fp + 2.0 * np.vecdot(u, u)
     return [EDClosedForms(*forms) for forms in out]
-
-
-def taylor_lower_bound(forms: EDClosedForms, dim: int, t, hbar: float = 1.0) -> np.ndarray:
-    """(1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)) from beta = 0 closed forms.
-
-    The last term is formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, in that order,
-    which fixes the bytes of every written bound.  Every time lies in
-    [0, 1e65]; for forms from `ed_closed_forms` the term stays below 2e270*d
-    (the bound table of `rmt`).
-    """
-    _check_scales(hbar=hbar)
-    t = _check_times(t)
-    hbar = float(hbar)
-    return (1.0 + forms.cl1 + (t / hbar) * (forms.cl1_gamma_derivative / hbar) / 2.0) / dim
 
 
 def ed_liouvillian(energies: EnergiesLike, gamma: float, hbar: float = 1.0) -> Superoperator:

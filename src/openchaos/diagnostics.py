@@ -39,7 +39,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .dephasing import ed_closed_forms, taylor_lower_bound
+from .dephasing import ed_closed_forms
 from .pqc import ParametricChannel, evolve_discrete
 from .rmt import _check_scales, _check_times
 from .states import (
@@ -136,6 +136,7 @@ class DiagnosticSeries:
     lower_bound: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        _check_scales(d=self.dim)
         self.times = np.asarray(self.times, dtype=float)
         n = self.times.size
         for name in ("sff", "cl1", "purity", "sff_stderr", "lower_bound"):
@@ -158,7 +159,8 @@ class DiagnosticSeries:
 
 
 def sandwich_bounds(cl1, dim: int):
-    """Lower and upper coherence bounds ((1 -+ C_l1)/d) for the beta = 0 fidelity."""
+    """Lower and upper coherence bounds ((1 -+ C_l1)/d) for the beta = 0 fidelity; 2 <= d < 2**63."""
+    _check_scales(d=dim)
     c = np.asarray(cl1, dtype=float)
     return (1.0 - c) / dim, (1.0 + c) / dim
 
@@ -359,12 +361,17 @@ def ed_diagnostics(
     """Closed-form dephasing series on an arbitrary time grid, one per gamma.
 
     The series come in the order of `gammas`, from one pass of
-    `ed_closed_forms` over the level pairs; at beta = 0 each carries the
-    Taylor lower bound.
+    `ed_closed_forms` over the level pairs.  At beta = 0 each carries the
+    Taylor lower bound (1/d)(1 + C_l1 + t*dC_l1/dgamma/(2*hbar^2)), its last
+    term formed as (t/hbar)*(dC_l1/dgamma/hbar)/2, in that order, which fixes
+    the bytes of every written bound; it stays below 2e270*d in magnitude (the
+    bound table of `rmt`).
     """
     e = as_energies(energies)
     t = np.asarray(times, dtype=float)
     fp = plateau_value(e, beta)
+    closed = ed_closed_forms(e, beta, gammas, t, hbar)
+    h = float(hbar)  # checked by ed_closed_forms
     return [
         DiagnosticSeries(
             dim=e.size,
@@ -374,9 +381,10 @@ def ed_diagnostics(
             cl1=forms.cl1,
             purity=forms.purity,
             plateau=fp,
-            lower_bound=taylor_lower_bound(forms, e.size, t, hbar) if beta == 0.0 else None,
+            lower_bound=(1.0 + forms.cl1 + (t / h) * (forms.cl1_gamma_derivative / h) / 2.0) / e.size
+            if beta == 0.0 else None,
         )
-        for forms in ed_closed_forms(e, beta, gammas, t, hbar)
+        for forms in closed
     ]
 
 

@@ -172,6 +172,8 @@ def test_validate_rejects_time_scales_that_overflow(tmp_path, capsys, monkeypatc
     # csr reads neither t_H nor tau_c, but the range of a scale binds every mode
     pytest.param(dict(mode="csr", dim=4, kraus_count=2, realizations=2, tau=[0.5],
                       epsilon=[0.2], sigma=1e-320), ("sigma", 1e-320), id="csr-sigma=1e-320"),
+    pytest.param(dict(mode="csr", dim=4, kraus_count=2, realizations=2, tau=[0.5],
+                      epsilon=[0.2], sigma=sys.float_info.max), ("sigma", sys.float_info.max), id="csr-sigma=max"),
 ])
 def test_time_grid_rules_bind_only_the_modes_that_read_them(tmp_path, capsys, monkeypatch, config, outside):
     p = tmp_path / "c.json"
@@ -277,6 +279,11 @@ _SMALL_RUNS = {
                                    tau=[0.5], epsilon=[0.0, 0.2], kraus_count=2),
     "spectrum-interleaved": dict(mode="spectrum", channel_form="interleaved", realizations=2,
                                  tau=[0.05, 1.0], epsilon=[0.2], kraus_count=2),
+    # eps = 0 listed, but not first: the walk takes it first, the tables and the manifest keep the config's order
+    "depth-grid-eps0-later": dict(mode="depth-grid", dim=4, realizations=2, tau=[0.5, 1.0], epsilon=[0.3, 0.0],
+                                  kraus_count=2),
+    # the range's smallest tau, where every eigenvalue at eps = 0 lies within 1e-29 of 1
+    "csr-tau=1e-30": dict(mode="csr", dim=4, realizations=1, tau=[1e-30, 1.0], epsilon=[0.0, 0.2], kraus_count=2),
 }
 
 
@@ -293,6 +300,29 @@ def test_run_is_deterministic_across_workers(tmp_path, name):
         fa = (tmp_path / "a" / art["path"]).read_bytes()
         fb = (tmp_path / "b" / art["path"]).read_bytes()
         assert fa == fb, art["path"]
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_the_manifest_grid_is_the_config_grid(tmp_path, name):
+    # each point's values live in its summary CSV; the manifest lists only the point and its status
+    p = tmp_path / "c.json"
+    cfg = _write_config(p, **_SMALL_RUNS[name])
+    assert cli.main(["run", str(p)]) == 0
+    grid = json.loads((tmp_path / "out" / "manifest.json").read_text())["grid"]
+    if cfg["mode"] == "ed-sff":
+        assert grid == [{"gamma": g, "status": "ok"} for g in cfg["gamma"]]
+    else:
+        assert grid == [{"tau": t, "epsilon": e, "status": "ok"} for t in cfg["tau"] for e in cfg["epsilon"]]
+
+
+def test_a_run_plans_once(tmp_path, monkeypatch):
+    plans = []
+    plan = cli._plan
+    monkeypatch.setattr(cli, "_plan", lambda cfg: plans.append(cfg) or plan(cfg))
+    p = tmp_path / "c.json"
+    _write_config(p, **_SMALL_RUNS["phase-grid"])
+    assert cli.main(["run", str(p)]) == 0
+    assert len(plans) == 1
 
 
 def _count_eigensolves(monkeypatch, log):
@@ -552,6 +582,7 @@ def test_run_spectrum_grid(tmp_path):
 
 @pytest.mark.parametrize("tau, eps, phase", [
     (0.1, 0.2, "crescent"), (1.0, 0.2, "annular"), (1.0, 0.9, "disk"), (0.01, 0.9, "shifted-disk"),
+    (1e-30, 0.0, "crescent"),
 ])
 def test_spectrum_run_matches_the_bulk_audit(tmp_path, monkeypatch, tau, eps, phase):
     p = tmp_path / "c.json"
@@ -568,6 +599,8 @@ def test_spectrum_run_matches_the_bulk_audit(tmp_path, monkeypatch, tau, eps, ph
     row = (out / "spectrum_summary.csv").read_text().split("\n")[1].split(",")
     assert row[2] == report_phase == phase
     assert float(row[3]) == report_containment
+    if eps == 0.0:  # the unit circle: outer radius 1, no inner edge, centre 0, no shifted-disk radius
+        assert row[5:9] == ["1.e+00", "nan", "0.e+00", "nan"]
     cloud = np.loadtxt(out / f"spectrum_{cli._tag(tau=tau, eps=eps)}.csv", delimiter=",", skiprows=1)
     bulk = cloud[cloud[:, 2] == 0]
     assert np.array_equal(bulk[:, 0] + 1j * bulk[:, 1], report_bulk)
@@ -708,6 +741,7 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["errors"] == ["synthetic failure"]
+    assert manifest["grid"] == []  # a failed run lists no grid point
 
 
 @pytest.mark.parametrize("mode, point", [
@@ -779,6 +813,7 @@ def test_overflowing_channel_phases_exit_2_before_any_artifact(tmp_path, capsys,
     pytest.param(dict(mode="phase-grid", tau=[1.0], epsilon=[0.1], hbar=1e-310), _outside("hbar", 1e-310),
                  id="phase-grid-hbar"),
     pytest.param(dict(mode="phase-grid", tau=[1e308], epsilon=[0.1]), _outside("tau", 1e308), id="phase-grid-tau"),
+    pytest.param(dict(mode="spectrum", tau=[5e-324], epsilon=[0.0]), _outside("tau", 5e-324), id="spectrum-tau"),
     # one step past t_H, or the step past t_max, was at 2e308
     pytest.param(dict(mode="depth-grid", sigma=1e-300, tau=[1e308]), _outside("tau", 1e308),
                  id="depth-grid-last-time"),
@@ -1009,8 +1044,9 @@ def test_manifest_is_strict_json(tmp_path, name):
     manifest_path = tmp_path / "out" / "manifest.json"
     manifest = json.loads(manifest_path.read_text(), parse_constant=_reject_constant)
     assert cli.main(["plot-script", str(manifest_path), "-o", str(tmp_path / "plot.gp")]) == 0
+    if manifest["mode"] in ("phase-grid", "depth-grid"):  # the grid table is plotted by name
+        assert f"plot '{manifest['mode'].replace('-', '_')}.csv'" in (tmp_path / "plot.gp").read_text()
     if name == "depth-grid-no-hole":
-        assert [g["relative_depth"] for g in manifest["grid"]] == [None] * 4
         rows = (tmp_path / "out" / "depth_grid.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["nan"] * 4
 

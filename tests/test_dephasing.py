@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from openchaos.dephasing import ed_closed_forms, ed_evolve, ed_liouvillian, taylor_lower_bound
+from openchaos.dephasing import ed_closed_forms, ed_evolve, ed_liouvillian
 from openchaos.diagnostics import ed_diagnostics
 from openchaos.rmt import derive_seed, sample_goe
 from openchaos.states import cgs_density, make_cgs, plateau_value, vectorize, devectorize
@@ -289,11 +289,8 @@ def test_params_must_be_finite(field, value):
     h = sample_goe(4, 1.0, derive_seed(21, 0, 12))
     kwargs = dict(gamma=0.1, hbar=1.0)
     kwargs[field] = value
-    calls = _entry_points(h)
-    if field == "hbar":
-        (forms,) = ed_closed_forms(h, 0.0, [0.1], 1.0)
-        calls.append(lambda gamma, hbar: taylor_lower_bound(forms, h.dim, 1.0, hbar))
-    for call in calls:
+    # ed_diagnostics forms the Taylor lower bound with the hbar ed_closed_forms, the first entry point, checks
+    for call in _entry_points(h):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             call(**kwargs)
 

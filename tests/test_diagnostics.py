@@ -455,6 +455,22 @@ def test_series_rows_shorter_than_times_raise(name, value):
         DiagnosticSeries(2, 0.0, np.arange(4.0), [.5] * 4, [.1] * 4, [.9] * 4, 0.5, **{name: value})
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: DiagnosticSeries(d, 0.0, np.arange(2.0), [.5] * 2, [.1] * 2, [.9] * 2, 0.5),
+    lambda d: sandwich_bounds([0.5], d),
+], ids=["DiagnosticSeries", "sandwich_bounds"])
+@pytest.mark.parametrize("d", [0, -3, 2**63])
+def test_a_series_dimension_outside_its_domain_raises(call, d):
+    # d = 0 gave inf bounds with a divide-by-zero warning, d = -3 negative ones
+    with pytest.raises(ValueError, match=rf"^d must be >= 2 and below 2\*\*63, got {d}$"):
+        call(d)
+
+
+def test_a_one_level_spectrum_has_no_series():
+    with pytest.raises(ValueError, match=r"^d must be >= 2 and below 2\*\*63, got 1$"):
+        ed_diagnostics([0.0], 0.0, [0.1], np.array([0.0, 1.0]))
+
+
 def test_series_optional_rows_become_float_arrays():
     s = DiagnosticSeries(2, 0.0, np.arange(2.0), [.5] * 2, [.1] * 2, [.9] * 2, 0.5,
                          sff_stderr=[0, 1], lower_bound=(0.25, 0.5))

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from openchaos.dephasing import ed_closed_forms, ed_evolve, ed_liouvillian, taylor_lower_bound
+from openchaos.dephasing import ed_closed_forms, ed_evolve, ed_liouvillian
 from openchaos.diagnostics import (
     channel_diagnostics,
     ed_diagnostics,
@@ -95,22 +95,20 @@ def test_every_entry_point_at_the_corners_of_the_domains_is_finite_without_a_war
 
         for t in times:
             _finite(ed_evolve(rho0, e, gamma, t, hbar))
-        (forms,) = ed_closed_forms(e, beta, [gamma], times, hbar)
-        _finite(forms, taylor_lower_bound(forms, d, times, hbar), ed_diagnostics(e, beta, [gamma], times, hbar))
+        # ed_diagnostics's series carry the Taylor lower bound at beta = 0
+        _finite(ed_closed_forms(e, beta, [gamma], times, hbar), ed_diagnostics(e, beta, [gamma], times, hbar))
 
 
 def test_the_largest_lower_bound_term_is_finite():
     # gamma = 0 keeps every pair term at t = 1e65, hbar = 1e-30 and |E| = 1e40: the term
     # t*dC_l1/dgamma/(2*hbar^2) is -2e270*(d-1) at d = 2, and the bound divides it by d
-    (forms,) = ed_closed_forms(np.array([-E_MAX, E_MAX]), 0.0, [0.0], T_MAX, LO)
-    bound = taylor_lower_bound(forms, 2, T_MAX, LO)
+    bound = ed_diagnostics(np.array([-E_MAX, E_MAX]), 0.0, [0.0], [T_MAX], LO)[0].lower_bound
     assert bound[0] * 2 == pytest.approx(-2e270, rel=1e-12)
 
 
 _H = HamiltonianSpectrum(1.0, np.array([-1.0, 0.5, 2.0]), seed=0)
 _KRAUS = sample_kraus_set(3, 2, 5)
 _RHO = np.eye(3, dtype=complex) / 3
-(_FORMS,) = ed_closed_forms(_H, 0.0, [0.1], [1.0])
 
 # per argument, the calls that take it, each with the argument as its one parameter
 _TAKERS = {
@@ -119,7 +117,7 @@ _TAKERS = {
               lambda v: classify_phase(0.2, 1.0, 2, 4, v)],
     "hbar": [lambda v: ParametricChannel(tau=0.1, epsilon=0.2, hamiltonian=_H, kraus=_KRAUS, hbar=v),
              lambda v: critical_tau(4, 1.0, v), lambda v: ed_closed_forms(_H, 0.0, [0.1], 1.0, v),
-             lambda v: taylor_lower_bound(_FORMS, 3, [1.0], v),
+             lambda v: ed_diagnostics(_H, 0.0, [0.1], [1.0], v),  # the hbar of its Taylor lower bound
              lambda v: lindblad_generator(_H, _KRAUS.operators, 0.1, v)],
     "beta": [lambda v: make_cgs(_H, v), lambda v: plateau_value(_H, v), lambda v: ed_closed_forms(_H, v, [0.1], 1.0)],
     "tau": [lambda v: ParametricChannel(tau=v, epsilon=0.2, hamiltonian=_H, kraus=_KRAUS),
@@ -156,9 +154,9 @@ def test_an_energy_just_outside_the_domain_raises_naming_energies(call, energy):
 @pytest.mark.parametrize("call", [
     lambda t: ed_closed_forms(_H, 0.0, [0.1], [0.0, t]),
     lambda t: ed_evolve(_RHO, _H, 0.1, t),
-    lambda t: taylor_lower_bound(_FORMS, 3, [t]),
+    # the lower bound's times are its series' times: the ed_diagnostics case
     lambda t: ed_diagnostics(_H, 0.0, [0.1], np.array([1.0, t])),
-], ids=["ed_closed_forms", "ed_evolve", "taylor_lower_bound", "ed_diagnostics"])
+], ids=["ed_closed_forms", "ed_evolve", "ed_diagnostics"])
 def test_a_time_just_outside_the_domain_raises_naming_it(call):
     with pytest.raises(ValueError, match=r"^times=1.01e\+65 lies outside \[0, 1e\+65\], the range of every time$"):
         call(1.01e65)
