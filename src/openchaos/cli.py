@@ -735,11 +735,14 @@ def _run(cfg: ExperimentConfig, plan: _Plan, workers: int) -> dict:
 def emit_gnuplot_script(manifest: dict) -> str:
     """Gnuplot commands that render a run's artifacts next to the manifest.
 
-    Raises ValueError unless the manifest is an object with a string 'mode',
-    if any, and an 'artifacts' list of entries that each carry a string path,
-    kind and label, each path a bare name of the characters `run` writes,
-    [A-Za-z0-9._+-]: a quote or a separator would end the quoted gnuplot
-    string and open a command.
+    Only the artifacts the manifest lists are plotted, each into the PNG named
+    by its path with the '.csv' suffix swapped for '.png'.  Raises ValueError
+    unless the manifest is an object with a string 'mode', if any, and an
+    'artifacts' list of entries that each carry a string path, kind and
+    label, each path a bare name of the characters `run` writes,
+    [A-Za-z0-9._+-] (a quote or a separator would end the quoted gnuplot
+    string and open a command), and each plotted path a '.csv' table (any
+    other name would be written over by its own plot).
     """
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
@@ -749,6 +752,8 @@ def emit_gnuplot_script(manifest: dict) -> str:
             raise ValueError(f"manifest artifact {i} needs string 'path', 'kind' and 'label'")
         if not re.fullmatch(r"[A-Za-z0-9._+-]+", art["path"]):
             raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a bare artifact name")
+        if art["kind"] in ("series", "cloud", "ratios", "boundary", "grid") and not art["path"].endswith(".csv"):
+            raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a .csv table")
     mode = manifest.get("mode", "")
     if not isinstance(mode, str):
         raise ValueError("manifest 'mode' must be a string")
@@ -760,9 +765,10 @@ def emit_gnuplot_script(manifest: dict) -> str:
     series = [a for a in artifacts if a["kind"] == "series"]
     clouds = [a for a in artifacts if a["kind"] == "cloud"]
     ratios = [a for a in artifacts if a["kind"] == "ratios"]
+    grids = [a for a in artifacts if a["kind"] == "grid"]
     boundaries = {a["label"]: a for a in artifacts if a["kind"] == "boundary"}
     for art in series:
-        png = art["path"].replace(".csv", ".png")
+        png = art["path"].removesuffix(".csv") + ".png"
         lines += [
             f"set output '{png}'",
             "set logscale xy",
@@ -773,7 +779,7 @@ def emit_gnuplot_script(manifest: dict) -> str:
             f"     '{art['path']}' every ::1 using 1:7 with lines dashtype 3 title 'upper bound'",
         ]
     for art in clouds + ratios:
-        png = art["path"].replace(".csv", ".png")
+        png = art["path"].removesuffix(".csv") + ".png"
         lines += [
             f"set output '{png}'",
             "unset logscale",
@@ -790,14 +796,14 @@ def emit_gnuplot_script(manifest: dict) -> str:
     grid_plot = {"depth-grid": ("relative depth", 5, 7, "D/D_0"), "phase-grid": ("epsilon", 2, 5, "grid")}
     if mode in grid_plot:
         ylabel, column, pt, title = grid_plot[mode]
-        name = mode.replace("-", "_")
-        lines += [
-            f"set output '{name}.png'",
-            "set logscale x",
-            "set xlabel 'tau'",
-            f"set ylabel '{ylabel}'",
-            f"plot '{name}.csv' every ::1 using 1:{column} with points pt {pt} title '{title}'",
-        ]
+        for art in grids:
+            lines += [
+                f"set output '{art['path'].removesuffix('.csv')}.png'",
+                "set logscale x",
+                "set xlabel 'tau'",
+                f"set ylabel '{ylabel}'",
+                f"plot '{art['path']}' every ::1 using 1:{column} with points pt {pt} title '{title}'",
+            ]
     return "\n".join(lines) + "\n"
 
 

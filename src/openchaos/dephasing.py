@@ -112,9 +112,10 @@ def ed_closed_forms(
     block of times the pair cosines come from per-level phases
     theta_n = t*E_n/hbar: cos(w*t/hbar) = cos theta_n cos theta_m +
     sin theta_n sin theta_m, so a time costs d cosines and d sines, and one
-    batched matmul of the stacked [cos theta, sin theta] with its transpose
-    gives every product, from which the pair entries are taken.  Weighted
-    once, q = sqrt(p_n p_m) cos(w*t/hbar), they are shared by every gamma.
+    batched matmul of the (d, 2) stack [cos theta, sin theta] with the (2, d)
+    one, both built C-contiguous, gives every product, from which the pair
+    entries are taken.  Weighted once, q = sqrt(p_n p_m) cos(w*t/hbar), they
+    are shared by every gamma.
     Each gamma then takes u = sqrt(p_n p_m) exp(-gamma*t*w^2) and four
     row-wise `np.vecdot` sums: SFF = F_p + 2 u.q, C_l1 = 2 u.1,
     dC_l1/dgamma = -2t u.w^2 and purity = F_p + 2 u.u.  Past the first
@@ -152,8 +153,8 @@ def ed_closed_forms(
         # the same for every gamma: q = sqrt(p_n p_m) cos(w*t/hbar), the
         # cosines from the per-level phases
         theta = ts * e / hbar
-        phases = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        products = np.matmul(phases.transpose(0, 2, 1), phases)
+        cs = (np.cos(theta), np.sin(theta))
+        products = np.matmul(np.stack(cs, axis=2), np.stack(cs, axis=1))
         np.take(products.reshape(ts.shape[0], -1), flat_pairs, axis=1, out=q)
         np.multiply(q, sqpp, out=q)
         for gamma, forms in zip(gammas, out):

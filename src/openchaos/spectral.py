@@ -22,9 +22,11 @@ mode runs it on the bulks pooled over realizations.
 
 Spacing statistics use the complex ratio z = (nn - lambda)/(nnn - lambda)
 built from the two nearest neighbours of each eigenvalue, which always lands
-in the unit disk and is depleted near zero for repelling spectra.  Two
-implementations (quadratic brute force and a KD-tree) share the same
-tie-break rule and must agree to the bit.
+in the unit disk and is depleted near zero for repelling spectra.  The
+neighbours come from one O(n^2) distance table, ties broken by the lower
+index; at the largest cloud a run builds (4096 eigenvalues, d = 64) that
+table costs far less than the d^2 x d^2 eigensolve behind it.  The tests hold
+it to the bit against a second route, a k-d tree with the same tie-break rule.
 
 `eigenvalues` remembers what it solved.  A matrix whose shape, dtype and
 bytes equal those of one solved before gets that solve's eigenvalues back
@@ -303,65 +305,31 @@ class SpacingRatioSet:
     nnn_indices: np.ndarray
 
 
-def complex_spacing_ratios(evals: np.ndarray, method: str = "brute") -> SpacingRatioSet:
+def complex_spacing_ratios(evals: np.ndarray) -> SpacingRatioSet:
     """z_i = (lambda_nn - lambda_i)/(lambda_nnn - lambda_i) for every eigenvalue.
 
     Neighbours are ranked by squared Euclidean distance with the eigenvalue
-    index as tie break, identically in both implementations:
-
-    - "brute": O(n^2) distance table, the reference and the default;
-    - "kdtree": scipy cKDTree candidate search, distances recomputed with the
-      brute-force formula and the window widened until its farthest candidate
-      lies beyond the second neighbour, so the selection is bit-identical
-      even under ties; faster than brute above about a thousand eigenvalues.
-
-    Fewer than 3 eigenvalues leave no second neighbour and raise.  In the
-    degenerate corner where both neighbours coincide with lambda_i the ratio
-    is defined as 1.
+    index as tie break, from an O(n^2) distance table.  Fewer than 3
+    eigenvalues leave no second neighbour and raise.  In the degenerate corner
+    where both neighbours coincide with lambda_i the ratio is defined as 1.
     """
     ev = np.asarray(evals, dtype=complex).ravel()
     n = ev.size
     if n < 3:
         raise ValueError(f"need at least 3 eigenvalues for spacing ratios, got {n}")
-    if method not in ("brute", "kdtree"):
-        raise ValueError(f"unknown method {method!r}")
 
     nn = np.empty(n, dtype=int)
     nnn = np.empty(n, dtype=int)
     re, im = ev.real, ev.imag
-    if method == "brute":
-        # argmin returns the lowest index among equal minima: the index tie break.
-        for lo in range(0, n, 256):
-            hi = min(lo + 256, n)
-            rows = np.arange(hi - lo)
-            d2 = (re[lo:hi, None] - re[None, :]) ** 2 + (im[lo:hi, None] - im[None, :]) ** 2
-            d2[rows, lo + rows] = np.inf
-            nn[lo:hi] = np.argmin(d2, axis=1)
-            d2[rows, nn[lo:hi]] = np.inf
-            nnn[lo:hi] = np.argmin(d2, axis=1)
-    else:
-        from scipy.spatial import cKDTree  # slow to import, and only this branch needs it
-
-        points = np.column_stack([re, im])
-        tree = cKDTree(points)
-        k0 = min(n, 8)
-        _, cand = tree.query(points, k=k0)
-        for r in range(n):
-            k, row = k0, cand[r]
-            while True:
-                idx = row[row != r]
-                d2 = (re[r] - re[idx]) ** 2 + (im[r] - im[idx]) ** 2
-                order = np.lexsort((idx, d2))
-                # Points left out of the window are at least as far as its
-                # farthest member.  Unless that one lies strictly beyond the
-                # second neighbour (the margin covers the tree's own rounding),
-                # a tie such as a degenerate eigenvalue could leave out a point
-                # that ranks first or second, so the window is widened.
-                if k == n or d2.max() > d2[order[1]] * (1.0 + 1e-12):
-                    break
-                k = min(n, 2 * k)
-                _, row = tree.query(points[r], k=k)
-            nn[r], nnn[r] = idx[order[0]], idx[order[1]]
+    # argmin returns the lowest index among equal minima: the index tie break.
+    for lo in range(0, n, 256):
+        hi = min(lo + 256, n)
+        rows = np.arange(hi - lo)
+        d2 = (re[lo:hi, None] - re[None, :]) ** 2 + (im[lo:hi, None] - im[None, :]) ** 2
+        d2[rows, lo + rows] = np.inf
+        nn[lo:hi] = np.argmin(d2, axis=1)
+        d2[rows, nn[lo:hi]] = np.inf
+        nnn[lo:hi] = np.argmin(d2, axis=1)
 
     num = ev[nn] - ev
     den = ev[nnn] - ev

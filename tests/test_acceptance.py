@@ -47,6 +47,8 @@ from openchaos.spectral import (
 )
 from openchaos.states import cgs_density, make_cgs, plateau_value
 
+from kdtree_ratios import kdtree_spacing_ratios
+
 MASTER = 20260815
 DIM = 32
 SIGMA = 1.0
@@ -382,8 +384,8 @@ def test_spacing_ratio_statistics(regime_clouds, verdict):
         details.append(f"{name}={count} (flat {mu:.0f}+-{sd:.1f})")
     ok = ok and max_mod <= 1.0 + 1e-12
     pooled = np.concatenate(regime_clouds["annular"])
-    brute = complex_spacing_ratios(pooled, method="brute").ratios
-    fast = complex_spacing_ratios(pooled, method="kdtree").ratios
+    brute = complex_spacing_ratios(pooled).ratios
+    fast = kdtree_spacing_ratios(pooled).ratios
     dual = bool(np.array_equal(brute, fast))
     ok = ok and dual
     verdict(

@@ -531,15 +531,21 @@ def test_a_run_holds_one_blas_thread_and_restores_the_count(tmp_path, monkeypatc
     assert seen == [1] * 6
 
 
-def test_importing_the_cli_loads_no_scipy_special_spatial_or_process_pool():
+def test_importing_the_cli_loads_no_scipy_special_spatial_or_process_pool(tmp_path):
+    # numpy is the one runtime dependency: with every scipy import raising ImportError, the CLI imports
+    # without a process pool and runs each of the six modes
+    modes = ["ed-sff", "pqc-sff", "spectrum", "csr", "phase-grid", "depth-grid"]
+    for mode in modes:
+        _write_config(tmp_path / f"{mode}.json", **dict(_SMALL_RUNS[mode], output_dir=str(tmp_path / mode)))
     code = (
-        "import sys, openchaos.cli; "
-        "print([m for m in ('scipy.special', 'scipy.spatial', 'multiprocessing', 'concurrent.futures.process')"
-        " if m in sys.modules])"
+        "import sys; sys.modules['scipy'] = None; import openchaos.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]); "
+        "print([openchaos.cli.main(['run', a]) for a in sys.argv[1:]])"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), timeout=120,
-                          check=True, capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, *(str(tmp_path / f"{m}.json") for m in modes)],
+                          env=_subprocess_env(), timeout=300, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stdout.splitlines()[-1] == str([0] * len(modes)), done.stderr
 
 
 def test_run_leaves_only_manifest_and_artifacts(tmp_path):
@@ -1204,6 +1210,12 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     '{"mode": "pqc-sff", "dim": 4}',
     # a mode that is no string crashed the plot lookup with a TypeError traceback
     '{"mode": [], "artifacts": []}',
+    # a plotted path that is no .csv table named its own PNG: set output 's.dat', then plot 's.dat'
+    '{"artifacts": [{"path": "s.dat", "kind": "series", "label": "x"}]}',
+    '{"artifacts": [{"path": "cloud", "kind": "cloud", "label": "x"}]}',
+    '{"artifacts": [{"path": "r.csv.bak", "kind": "ratios", "label": "x"}]}',
+    '{"artifacts": [{"path": "c.csv", "kind": "cloud", "label": "x"}, {"path": "b.txt", "kind": "boundary", "label": "x"}]}',
+    '{"mode": "depth-grid", "artifacts": [{"path": "depth_grid.json", "kind": "grid", "label": "depth-grid"}]}',
 ])
 def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -1211,6 +1223,22 @@ def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     assert cli.main(["plot-script", str(path)]) == 1
     out = capsys.readouterr()
     assert out.err.startswith("config error: ") and out.out == ""
+
+
+@pytest.mark.parametrize("mode", ["phase-grid", "depth-grid"])
+def test_plot_script_of_a_failed_run_plots_nothing(tmp_path, monkeypatch, capsys, mode):
+    # a failed run lists no artifacts; the grid table was plotted by a name made from the mode all the same
+    def boom(cfg, plan, out, manifest, workers):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setitem(cli._RUNNERS, mode, boom)
+    p = tmp_path / "c.json"
+    _write_config(p, **_SMALL_RUNS[mode])
+    assert cli.main(["run", str(p)]) == 2
+    capsys.readouterr()
+    assert cli.main(["plot-script", str(tmp_path / "out" / "manifest.json")]) == 0
+    script = capsys.readouterr().out
+    assert "plot " not in script and "set output" not in script, script
 
 
 def test_plot_script_rejects_a_manifest_that_is_not_utf8(tmp_path, capsys):

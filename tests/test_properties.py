@@ -2,7 +2,7 @@
 channel builder against the kron loops and the kick-times-unitary
 factorization, channels moved by `replace` against channels built from the
 raw pair, the buffered observables against the one-state functions, the
-two spacing-ratio paths against each other and the brute path
+library's spacing ratios against the k-d tree route of `kdtree_ratios` and
 against a per-row lexsort ranking, the shared dephasing kernel against
 one-gamma calls, small blocks, the written-out pair sums and the unskipped
 exponentials, and the numpy log-sum-exp against scipy's."""
@@ -29,6 +29,8 @@ from openchaos.pqc import (
 from openchaos.rmt import rng_from_seed, sample_goe, sample_kraus_set
 from openchaos.spectral import complex_spacing_ratios
 from openchaos.states import cgs_density, make_cgs, plateau_value
+
+from kdtree_ratios import kdtree_spacing_ratios
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0))
@@ -189,8 +191,8 @@ def test_batched_observables_match_the_one_state_functions_bytewise(
 
 
 def _assert_paths_agree(points):
-    brute = complex_spacing_ratios(points, method="brute")
-    fast = complex_spacing_ratios(points, method="kdtree")
+    brute = complex_spacing_ratios(points)
+    fast = kdtree_spacing_ratios(points)
     assert np.array_equal(brute.nn_indices, fast.nn_indices)
     assert np.array_equal(brute.nnn_indices, fast.nnn_indices)
     assert np.array_equal(brute.ratios, fast.ratios, equal_nan=True)
@@ -247,7 +249,7 @@ def test_brute_neighbours_match_a_per_row_lexsort_on_tied_clouds(seed, lattice, 
     if shuffle:
         z = rng.permutation(z)
     nn, nnn = _lexsort_neighbours(z)
-    brute = complex_spacing_ratios(z, method="brute")
+    brute = complex_spacing_ratios(z)
     assert np.array_equal(brute.nn_indices, nn)
     assert np.array_equal(brute.nnn_indices, nnn)
 

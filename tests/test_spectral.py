@@ -26,6 +26,8 @@ from openchaos.spectral import (
     split_bulk,
 )
 
+from kdtree_ratios import kdtree_spacing_ratios
+
 
 # ---------------------------------------------------------------------------
 # analytic boundary formulas
@@ -343,12 +345,11 @@ def test_one_channel_bulk_audit_end_to_end():
     assert np.max(np.abs(bulk)) <= 1.0 + 1e-8
 
 
-@pytest.mark.parametrize("method", ["brute", "kdtree"])
-def test_spacing_ratios_of_levels_a_subnormal_apart_are_finite(method):
+def test_spacing_ratios_of_levels_a_subnormal_apart_are_finite():
     # numpy's complex division overflowed 1/den where |den| is subnormal, with a warning, and gave nan;
     # num and den are scaled by 2^600 there, which is exact, and the other ratios keep their bytes
     ev = np.array([0.0, 1e-322, 3e-322 + 1e-322j, 1.0, 1.5, 2j])
-    rs = complex_spacing_ratios(ev, method=method)
+    rs = complex_spacing_ratios(ev)
     num, den = ev[rs.nn_indices] - ev, ev[rs.nnn_indices] - ev
     tiny = np.abs(den) < 2.0**-1000
     assert tiny[:3].all() and not tiny[3:].any()
@@ -396,23 +397,11 @@ def test_csr_dual_paths_agree_exactly():
     rng = rng_from_seed(64)
     for n in (50, 1100):  # either side of the size where the kdtree starts to beat brute
         pts = rng.normal(size=n) + 1j * rng.normal(size=n)
-        brute = complex_spacing_ratios(pts, method="brute")
-        fast = complex_spacing_ratios(pts, method="kdtree")
+        brute = complex_spacing_ratios(pts)
+        fast = kdtree_spacing_ratios(pts)
         assert np.array_equal(brute.ratios, fast.ratios)
         assert np.array_equal(brute.nn_indices, fast.nn_indices)
         assert np.array_equal(brute.nnn_indices, fast.nnn_indices)
-
-
-def test_spacing_ratios_default_to_brute_at_any_size(monkeypatch):
-    # no size switches the default path to the k-d tree; "auto" (kdtree above 1024 eigenvalues) is gone
-    import scipy.spatial
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", lambda *a, **k: pytest.fail("the default built a k-d tree"))
-    rng = rng_from_seed(65)
-    pts = rng.normal(size=1100) + 1j * rng.normal(size=1100)
-    assert complex_spacing_ratios(pts).ratios.size == 1100
-    with pytest.raises(ValueError, match="unknown method 'auto'"):
-        complex_spacing_ratios(pts, method="auto")
 
 
 def test_csr_handles_degenerate_points():
@@ -435,8 +424,8 @@ def test_csr_dual_paths_agree_on_degenerate_channel_spectrum():
     )
     ev = eigenvalues(build_superoperator(ch))
     assert np.sum(ev == 1.0) >= 8
-    brute = complex_spacing_ratios(ev, method="brute")
-    fast = complex_spacing_ratios(ev, method="kdtree")
+    brute = complex_spacing_ratios(ev)
+    fast = kdtree_spacing_ratios(ev)
     assert np.array_equal(brute.nn_indices, fast.nn_indices)
     assert np.array_equal(brute.nnn_indices, fast.nnn_indices)
     assert np.array_equal(brute.ratios, fast.ratios)
