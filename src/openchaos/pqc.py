@@ -25,7 +25,9 @@ kind of channel: W_eps[U rho U^dag] = (1-eps) U rho U^dag
 + eps * sum_r (N_r U) rho (N_r U)^dag, so `interleaved` returns the mixture
 channel of the Kraus set {N_r U_tau}, which is trace preserving because U_tau
 is unitary.  The two forms agree to first order in eps*tau/hbar.  Every form
-steps through `apply_channel` and is written out by `build_superoperator`.
+steps through `apply_channel` and is written out by `build_superoperator`,
+which adds the Kraus part into the diagonal matrix in place, one d x d x d
+row block at a time, so a build holds one such block beyond its result.
 
 A channel keeps its Kraus operators side by side in one contiguous d x K*d
 block [N_1 | ... | N_K], and their adjoints stacked in a K*d x d block, so a
@@ -234,14 +236,28 @@ def build_superoperator(channel: ParametricChannel) -> Superoperator:
     """Dense matrix of Lambda_{tau,eps} in the H eigenbasis.
 
     The diagonal is the flattened `mask`, (1-eps) times the phases
-    exp(i*tau*(E_m - E_n)/hbar) at n*d + m; the Kraus part adds
-    eps * sum_r N_r (x) conj(N_r), one operator at a time.  The side d^2 is
-    checked against the dense-matrix limit 4096 before anything is allocated.
+    exp(i*tau*(E_m - E_n)/hbar) at n*d + m.  The Kraus part
+    eps * sum_r N_r (x) conj(N_r) is added into it in place: read as
+    (d, d, d, d), entry (i*d + k, j*d + l) is [i, k, j, l], so row block i
+    of N (x) conj(N) is the d x d x d block N[i, j] * conj(N[k, l]).  Each
+    block is formed, scaled by eps and added in operator order, the same
+    products, scalings and sums as `m += eps * np.kron(N, N.conj())`, so the
+    bytes are those of the kron sum, while the build holds one 16*d^3-byte
+    block beyond its 16*d^4-byte result instead of three matrices.  The side
+    d^2 is checked against the dense-matrix limit 4096 before anything is
+    allocated.
     """
     _check_side(channel.dim**2, "the superoperator side d^2")
+    d, eps = channel.dim, channel.epsilon
     m = np.diag(channel.mask.reshape(-1))
+    rows = m.reshape(d, d, d, d)
+    block = np.empty((d, d, d), dtype=complex)
     for n in channel.kraus_ops:
-        m += channel.epsilon * np.kron(n, n.conj())
+        nc = n.conj()[:, np.newaxis, :]
+        for i in range(d):
+            np.multiply(n[i, :, np.newaxis], nc, out=block)
+            np.multiply(eps, block, out=block)
+            rows[i] += block
     return Superoperator(m)
 
 

@@ -79,6 +79,8 @@ import numpy as np
 
 # The largest side of a dense complex matrix: a 4096 x 4096 one holds 256 MiB,
 # the CUE(K*d) draw at K*d = 4096 or the d^2 x d^2 superoperator at d = 64.
+# A `spectrum`/`csr` solve holds two such matrices per worker, the superoperator
+# and the copy `np.linalg.eigvals` hands LAPACK: 512 MiB at side 4096.
 _MAX_SIDE = 4096
 # The input domains of the module docstring.
 _SCALE_RANGE = (1e-30, 1e30)
