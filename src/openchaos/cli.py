@@ -30,9 +30,11 @@ overflow (every nonzero scale in [1e-30, 1e30], every time in [0, 1e65]), so
 past `validate` a run fails only where the system does (a file it cannot
 write) or LAPACK does not converge.  A run holds OpenBLAS at one thread, so its
 bytes do not depend on the BLAS thread count either.
-Each run writes its artifacts plus a manifest.json recording the config, the
-package version, wall times, the config's grid points with their status and a
-sha256 per artifact; the values of each point are in its artifacts.
+Each mode's runner yields its artifacts, in order, as (name, text, kind, label)
+records, and `_run` alone writes them: each through a temporary file, with its
+manifest entry.  The manifest.json records the config, the package version,
+wall times, the config's grid points with their status and a sha256 per
+artifact; the values of each point are in its artifacts.
 Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
 """
 
@@ -169,8 +171,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if "mode" not in raw:
         raise ValueError("config is missing required key 'mode'")
-    for key in ("gamma", "tau", "epsilon"):
-        if key in raw and not isinstance(raw[key], list):
+    for key in ("gamma", "tau", "epsilon"):  # a lone number is a one-point grid; anything else is left as written
+        if _is_finite_number(raw.get(key)):
             raw[key] = [raw[key]]
     cfg = ExperimentConfig(**raw)
     if cfg.full_scale is True and not _type_issues(cfg):
@@ -426,23 +428,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write(path: Path, text: str, manifest: dict, kind: str, label: str) -> None:
-    data = text.encode()
-    _atomic_write(path, data)
-    manifest["artifacts"].append(
-        {"path": path.name, "kind": kind, "label": label,
-         "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-    )
-
-
-def _write_histogram(path: Path, points: np.ndarray, cfg: ExperimentConfig, manifest: dict, tag: str) -> None:
-    """The `density_grid` of a point cloud at the config's bin count, as one JSON artifact."""
-    _write(path, json.dumps(density_grid(points, bins=cfg.histogram_bins)), manifest, "histogram", tag)
-
-
 def _tag(tau: Optional[float] = None, eps: Optional[float] = None, gamma: Optional[float] = None) -> str:
     parts = (("gamma", gamma), ("tau", tau), ("eps", eps))
-    return "_".join(f"{name}{value:g}" for name, value in parts if value is not None)
+    return "_".join(f"{name}{value + 0.0:g}" for name, value in parts if value is not None)  # -0.0 + 0.0 is 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +458,23 @@ def _ensemble_means(results: Iterator[list], labels: Sequence[str]) -> List[Diag
     return means
 
 
-def _write_ensemble_means(results: Iterator[list], points: List[tuple], out: Path, manifest: dict) -> None:
-    """Average each grid point's series over the realizations; write one CSV per point.
+def _mean_series(cfg: ExperimentConfig, results: Iterator[list], points: List[tuple]) -> Iterator[tuple]:
+    """Average each grid point's series over the realizations; one CSV record per point.
 
     `results` yields one list of series per realization, in grid order;
     `points` holds each grid point's (artifact tag, label).
     """
     means = _ensemble_means(results, [label for _, label in points])
     for (tag, _), mean in zip(points, means):
-        _write(out / f"{manifest['mode']}_{tag}.csv", series_to_csv(mean), manifest, "series", tag)
+        yield f"{cfg.mode}_{tag}.csv", series_to_csv(mean), "series", tag
 
 
-def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_ed_sff(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     def worker(idx: int):
         return ed_diagnostics(_hamiltonian(cfg, idx), cfg.beta, cfg.gamma, plan.times, cfg.hbar)
 
     points = [(_tag(gamma=g), f"gamma={g}") for g in cfg.gamma]
-    _write_ensemble_means(_ensemble_map(cfg, worker, workers), points, out, manifest)
+    yield from _mean_series(cfg, _ensemble_map(cfg, worker, workers), points)
 
 
 def _grid_map(cfg: ExperimentConfig, plan: _Plan, workers: int,
@@ -507,13 +495,13 @@ def _grid_map(cfg: ExperimentConfig, plan: _Plan, workers: int,
     return _ensemble_map(cfg, worker, workers)
 
 
-def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_pqc_sff(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     def at(ch: ParametricChannel, idx: int) -> DiagnosticSeries:
         steps = plan.steps[ch.tau]
         return channel_diagnostics(ch, cfg.beta, int(steps[-1]), record_steps=steps)
 
     points = [(_tag(tau=t, eps=e), f"tau={t}, eps={e}") for t, e in plan.walk]
-    _write_ensemble_means(_grid_map(cfg, plan, workers, at), points, out, manifest)
+    yield from _mean_series(cfg, _grid_map(cfg, plan, workers, at), points)
 
 
 def _spectra(cfg: ExperimentConfig, plan: _Plan, workers: int) -> List[tuple]:
@@ -524,7 +512,7 @@ def _spectra(cfg: ExperimentConfig, plan: _Plan, workers: int) -> List[tuple]:
     return list(zip(*_grid_map(cfg, plan, workers, at)))
 
 
-def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     summary = []
     for (tau, eps), clouds in zip(plan.walk, _spectra(cfg, plan, workers)):
         tag = _tag(tau=tau, eps=eps)
@@ -536,21 +524,17 @@ def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict,
         cloud = np.concatenate([np.append(b, f) for b, f in zip(bulks, fixed)])
         is_fixed = np.concatenate([np.append(np.zeros(b.size, int), 1) for b in bulks])
         realization = np.concatenate([np.full(b.size + 1, r) for r, b in enumerate(bulks)])
-        _write(
-            out / f"spectrum_{tag}.csv",
-            columns_to_csv(("re", "im", "is_fixed_point", "realization"),
-                           (cloud.real, cloud.imag, is_fixed, realization),
-                           labels=("is_fixed_point", "realization")),
-            manifest, "cloud", tag,
-        )
+        yield (f"spectrum_{tag}.csv",
+               columns_to_csv(("re", "im", "is_fixed_point", "realization"),
+                              (cloud.real, cloud.imag, is_fixed, realization),
+                              labels=("is_fixed_point", "realization")),
+               "cloud", tag)
         curve = np.concatenate(boundary.curves)
         curve_index = np.concatenate([np.full(len(c), k) for k, c in enumerate(boundary.curves)])
-        _write(
-            out / f"boundary_{tag}.csv",
-            columns_to_csv(("re", "im", "curve"), (curve.real, curve.imag, curve_index), labels=("curve",)),
-            manifest, "boundary", tag,
-        )
-        _write_histogram(out / f"spectrum_{tag}.hist.json", pooled, cfg, manifest, tag)
+        yield (f"boundary_{tag}.csv",
+               columns_to_csv(("re", "im", "curve"), (curve.real, curve.imag, curve_index), labels=("curve",)),
+               "boundary", tag)
+        yield f"spectrum_{tag}.hist.json", json.dumps(density_grid(pooled, bins=cfg.histogram_bins)), "histogram", tag
         summary.append((
             tau, eps, phase, frac, cfg.margin, boundary.outer, np.nan if boundary.inner is None else boundary.inner,
             boundary.center.real, boundary.outer if phase == "shifted-disk" else np.nan, pooled.size,
@@ -558,17 +542,17 @@ def _run_spectrum(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict,
     header = ("tau", "epsilon", "phase", "containment", "margin", "outer", "inner", "center",
               "radius", "n_eigenvalues")
     text = columns_to_csv(header, zip(*summary), labels=("phase", "n_eigenvalues"))
-    _write(out / "spectrum_summary.csv", text, manifest, "summary", "summary")
+    yield "spectrum_summary.csv", text, "summary", "summary"
 
 
-def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_csr(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     summary = []
     for (tau, eps), clouds in zip(plan.walk, _spectra(cfg, plan, workers)):
         tag = _tag(tau=tau, eps=eps)
         ratios = np.concatenate([complex_spacing_ratios(ev).ratios for ev in clouds])
         text = columns_to_csv(("re", "im"), (ratios.real, ratios.imag))
-        _write(out / f"csr_{tag}.csv", text, manifest, "ratios", tag)
-        _write_histogram(out / f"csr_{tag}.hist.json", ratios, cfg, manifest, tag)
+        yield f"csr_{tag}.csv", text, "ratios", tag
+        yield f"csr_{tag}.hist.json", json.dumps(density_grid(ratios, bins=cfg.histogram_bins)), "histogram", tag
         n = ratios.size
         p_flat = 0.05**2  # uniform-on-the-disk mass of |z| <= 0.05
         count = int(np.sum(np.abs(ratios) <= 0.05))
@@ -577,10 +561,10 @@ def _run_csr(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, work
         summary.append((tau, eps, n, count / n, p_flat, z_score))
     header = ("tau", "epsilon", "n_ratios", "frac_below_0.05", "flat_expectation", "depletion_zscore")
     text = columns_to_csv(header, zip(*summary), labels=("n_ratios",))
-    _write(out / "csr_summary.csv", text, manifest, "summary", "summary")
+    yield "csr_summary.csv", text, "summary", "summary"
 
 
-def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     rows = []
     for tau, eps in plan.walk:
         phase = classify_phase(eps, tau, cfg.kraus_count, cfg.dim, cfg.sigma, cfg.hbar)
@@ -592,10 +576,10 @@ def _run_phase_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
         ))
     header = ("tau", "epsilon", "phase", "outer", "inner", "center", "radius", "phi_max")
     text = columns_to_csv(header, zip(*rows), labels=("phase",))
-    _write(out / "phase_grid.csv", text, manifest, "grid", "phase-grid")
+    yield "phase_grid.csv", text, "grid", "phase-grid"
 
 
-def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dict, workers: int) -> None:
+def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, workers: int) -> Iterator[tuple]:
     """Relative hole depth on the (tau, eps) grid, window fixed per tau from eps = 0.
 
     Each tau's eps = 0 point is walked first and once, listed or not: the
@@ -620,7 +604,7 @@ def _run_depth_grid(cfg: ExperimentConfig, plan: _Plan, out: Path, manifest: dic
             depth = effective_depth(means[tau, eps], t_th, plan.t_end, tau)
             table.append((tau, eps, depth, d_iso, depth / d_iso if d_iso > 0 else np.nan, t_th, plan.t_end))
     header = ("tau", "epsilon", "depth", "isolated_depth", "relative_depth", "t_thouless", "t_heisenberg")
-    _write(out / "depth_grid.csv", columns_to_csv(header, zip(*table)), manifest, "grid", "depth-grid")
+    yield "depth_grid.csv", columns_to_csv(header, zip(*table)), "grid", "depth-grid"
 
 
 _RUNNERS = {
@@ -694,8 +678,9 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> dict:
 
 
 def _run(cfg: ExperimentConfig, plan: _Plan, workers: int) -> dict:
-    """Run a config on its plan, which has no issues.  Once the mode has written every artifact, the manifest
-    lists the config's grid points, each with status "ok"; a failed run lists none."""
+    """Run a config on its plan, which has no issues, and write each artifact its mode yields, in order, with its
+    manifest entry.  Once the mode has yielded every artifact, the manifest lists the config's grid points, each
+    with status "ok"; a failed run lists no grid point, its error and the artifacts written before it failed."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -714,8 +699,12 @@ def _run(cfg: ExperimentConfig, plan: _Plan, workers: int) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        with _one_blas_thread():
-            _RUNNERS[cfg.mode](cfg, plan, out, manifest, workers)
+        with _one_blas_thread():  # the runners are lazy: their computation runs inside this loop
+            for name, text, kind, label in _RUNNERS[cfg.mode](cfg, plan, workers):
+                data = text.encode()
+                _atomic_write(out / name, data)
+                manifest["artifacts"].append({"path": name, "kind": kind, "label": label,
+                                              "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
         manifest["grid"] = ([{"gamma": g, "status": "ok"} for g in cfg.gamma] if cfg.mode == "ed-sff" else
                             [{"tau": t, "epsilon": e, "status": "ok"} for t in cfg.tau for e in cfg.epsilon])
     except Exception as exc:  # record, then re-raise after writing the manifest

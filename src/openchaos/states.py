@@ -71,10 +71,6 @@ class CoherentGibbsState:
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"amplitudes not normalized: sum p_n = {norm!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 def make_cgs(energies: EnergiesLike, beta: float) -> CoherentGibbsState:
     """Build the coherent Gibbs state sum_n sqrt(p_n)|n> for the given spectrum.

@@ -115,6 +115,23 @@ def test_validate_rejects_bad_values(tmp_path, capsys, monkeypatch):
         _both_reject(p, capsys, *names)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: dict(cfg, mode="sff"), f"config error: mode must be one of {cli.MODES}, got 'sff'\n"),
+    (lambda cfg: [cfg], "config error: config must be a JSON object\n"),
+    (lambda cfg: {k: v for k, v in cfg.items() if k != "mode"},
+     "config error: config is missing required key 'mode'\n"),
+    (lambda cfg: dict(cfg, grid_kind="cubic"), "config error: grid_kind must be 'log' or 'linear', got 'cubic'\n"),
+    (lambda cfg: dict(cfg, channel_form="product"),
+     "config error: channel_form must be 'mixture' or 'interleaved', got 'product'\n"),
+    (lambda cfg: dict(cfg, margin=-0.1), "config error: margin must be >= 0, got -0.1\n"),
+    (lambda cfg: dict(cfg, t_min=0.0), "config error: t_min must be > 0 on a log grid, got 0.0\n"),
+], ids=["unknown-mode", "json-array", "no-mode", "grid-kind", "channel-form", "negative-margin", "log-t-min-zero"])
+def test_each_config_rule_exits_1_with_its_message(tmp_path, capsys, edit, message):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(edit(_write_config(p))))
+    _both_reject(p, capsys, message)
+
+
 def test_validate_rejects_a_negative_t_min_on_a_linear_grid(tmp_path, capsys):
     # the run would fail only at the kernel's time check, with exit 2
     p = tmp_path / "c.json"
@@ -206,6 +223,9 @@ def test_validate_rejects_colliding_artifact_tags(tmp_path, capsys):
         (dict(gamma=[0.2, 0.5, 0.2]), "gamma0.2"),
         (dict(mode="pqc-sff", tau=[0.5, 0.50000001], epsilon=[0.1]), "tau0.5"),
         (dict(mode="spectrum", tau=[1.0], epsilon=[0.3, 0.3]), "eps0.3"),
+        # -0.0 and 0.0 are one grid point
+        (dict(gamma=[0.0, -0.0]), "'gamma0'"),
+        (dict(mode="pqc-sff", tau=[0.5], epsilon=[-0.0, 0.0]), "'eps0'"),
     ]
     for overrides, tag in cases:
         cfg = _write_config(p, **overrides)
@@ -214,6 +234,16 @@ def test_validate_rejects_colliding_artifact_tags(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
         issues = cli.validate_config(cli.ExperimentConfig(**cfg))
         assert len(issues) == 1 and tag in issues[0], (overrides, issues)
+    assert cli._tag(eps=-0.0) == "eps0"
+
+
+@pytest.mark.parametrize("key", ["gamma", "tau", "epsilon"])
+@pytest.mark.parametrize("value", [None, "0.1", True])
+def test_a_grid_value_that_is_not_a_number_is_echoed_as_written(tmp_path, capsys, key, value):
+    # a lone number is a one-point grid; anything else is named as the config holds it, not wrapped in a list
+    p = tmp_path / "c.json"
+    _write_config(p, **{key: value})
+    _both_reject(p, capsys, f"config error: {key} must be a list of finite numbers, got {value!r}\n")
 
 
 def test_validate_rejects_unknown_keys(tmp_path, capsys):
@@ -510,11 +540,13 @@ def test_a_run_holds_one_blas_thread_and_restores_the_count(tmp_path, monkeypatc
     set_threads, get_threads = cli._openblas_threads()
     seen = []
 
-    def runner(cfg, plan, out, manifest, workers):
+    def runner(cfg, plan, workers):
+        # a generator: it reads the thread count only while `_run` iterates it
         seen.append(get_threads())
         seen.extend(cli._ensemble_map(cfg, lambda idx: get_threads(), workers))  # forked workers inherit it
         if cfg.mode == "ed-sff":
             raise RuntimeError("synthetic failure")
+        yield "threads.csv", "threads\n", "grid", cfg.mode
 
     before = get_threads()
     try:
@@ -739,7 +771,8 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     p = tmp_path / "c.json"
     _write_config(p, mode="phase-grid", realizations=1)
 
-    def boom(cfg, plan, out, manifest, workers):
+    def boom(cfg, plan, workers):
+        yield "phase_grid.csv", "tau\n", "grid", "phase-grid"
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(cli._RUNNERS, "phase-grid", boom)
@@ -747,7 +780,9 @@ def test_runtime_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["errors"] == ["synthetic failure"]
-    assert manifest["grid"] == []  # a failed run lists no grid point
+    assert manifest["grid"] == []  # a failed run lists no grid point, but the artifact written before it failed
+    assert [a["path"] for a in manifest["artifacts"]] == ["phase_grid.csv"]
+    assert (tmp_path / "out" / "phase_grid.csv").read_text() == "tau\n"
 
 
 @pytest.mark.parametrize("mode, point", [
@@ -1228,7 +1263,7 @@ def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
 @pytest.mark.parametrize("mode", ["phase-grid", "depth-grid"])
 def test_plot_script_of_a_failed_run_plots_nothing(tmp_path, monkeypatch, capsys, mode):
     # a failed run lists no artifacts; the grid table was plotted by a name made from the mode all the same
-    def boom(cfg, plan, out, manifest, workers):
+    def boom(cfg, plan, workers):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(cli._RUNNERS, mode, boom)

@@ -65,6 +65,12 @@ def test_ed_evolve_matches_liouvillian_exponential():
     assert np.max(np.abs(propagated - closed)) < 1e-10
 
 
+def test_ed_evolve_rejects_a_state_of_another_dimension():
+    h = sample_goe(4, 1.0, derive_seed(21, 0, 1))
+    with pytest.raises(ValueError, match="^state dimension 3 != spectrum size 4$"):
+        ed_evolve(np.eye(3) / 3, h, 0.1, 1.0)
+
+
 def test_ed_sff_matches_fidelity_of_evolved_state():
     d, gamma, beta = 8, 0.25, 0.3
     h = sample_goe(d, 1.0, derive_seed(21, 0, 2))

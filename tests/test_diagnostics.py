@@ -395,6 +395,32 @@ def test_channel_diagnostics_rejects_record_steps_that_are_not_whole(record, ent
         channel_diagnostics(ch, 0.0, 3, record_steps=record)
 
 
+@pytest.mark.parametrize("record, message", [
+    ([], "record_steps must not be empty"),
+    ([0, 4], r"record_steps outside \[0, steps\]"),
+    ([-1, 2], r"record_steps outside \[0, steps\]"),
+])
+def test_channel_diagnostics_rejects_record_steps_it_cannot_record(record, message):
+    ch = ParametricChannel(
+        tau=0.5, epsilon=0.1,
+        hamiltonian=sample_goe(4, 1.0, derive_seed(51, 0, 4)),
+        kraus=sample_kraus_set(4, 2, derive_seed(51, 1, 4)),
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        channel_diagnostics(ch, 0.0, 3, record_steps=record)
+
+
+def test_sff_fidelity_rejects_a_state_of_another_dimension():
+    cgs = make_cgs(sample_goe(4, 1.0, derive_seed(51, 0, 4)), 0.0)
+    with pytest.raises(ValueError, match=r"^state shape \(3, 3\) does not fit CGS dimension 4$"):
+        sff_fidelity(cgs, np.eye(3) / 3)
+
+
+def test_an_empty_accumulator_has_no_mean():
+    with pytest.raises(ValueError, match="^cannot average an empty ensemble$"):
+        SeriesAccumulator().finalize()
+
+
 def test_channel_diagnostics_interleaved_step_matches_matrix_powers():
     # the interleaved form steps as the mixture channel of {N_r U_tau}; its series
     # must be the observables of (W_eps U_tau)^j vec(rho_0) at the recorded steps,

@@ -257,6 +257,24 @@ def test_evolve_discrete_yields_states_inclusive():
         assert np.trace(s).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_evolve_discrete_rejects_a_negative_step_count():
+    ch = _channel(d=4, k=2)
+    with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+        next(evolve_discrete(ch, np.eye(4) / 4, -1))
+
+
+def test_a_state_of_another_dimension_is_rejected():
+    with pytest.raises(ValueError, match=r"^state shape \(3, 3\) does not fit channel dimension 4$"):
+        apply_channel(_channel(d=4, k=2), np.eye(3) / 3)
+
+
+def test_a_channel_needs_kraus_operators_of_its_hamiltonian_dimension():
+    h = sample_goe(4, 1.0, derive_seed(31, 0, 8))
+    ks = sample_kraus_set(5, 2, derive_seed(31, 1, 8))
+    with pytest.raises(ValueError, match="^Kraus dimension 5 != Hamiltonian dimension 4$"):
+        ParametricChannel(tau=0.1, epsilon=0.1, hamiltonian=h, kraus=ks)
+
+
 def test_step_reads_the_kraus_operators_without_copying():
     # the first GEMM reads [N_1 | ... | N_K] as a (d*K, d) view of kraus_ops
     h = sample_goe(7, 1.0, derive_seed(31, 0, 9))

@@ -210,6 +210,17 @@ def test_kraus_set_rejects_a_stack_that_is_not_trace_preserving():
     assert (ks.dim, ks.count) == (4, 1)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 4, 3), (1, 1, 4, 4)])
+def test_kraus_set_rejects_a_stack_that_is_not_k_by_d_by_d(shape):
+    with pytest.raises(ValueError, match=rf"^operators must have shape \(K, d, d\), got \({shape[0]}, "):
+        KrausSet(np.zeros(shape))
+
+
+def test_spectrum_energies_must_be_sorted():
+    with pytest.raises(ValueError, match="^energies must be sorted ascending$"):
+        HamiltonianSpectrum(1.0, [0.0, 2.0, 1.0], 0)
+
+
 # ---------------------------------------------------------------------------
 # time scales
 

@@ -247,6 +247,15 @@ def test_unknown_boundary_kind_raises():
         Boundary("curve", ()).contains(np.array([0.0]))
 
 
+def test_phase_boundary_needs_a_known_phase_and_the_crescent_its_scales():
+    for missing in ("tau", "d", "sigma"):
+        scales = {name: value for name, value in dict(tau=0.5, d=8, sigma=1.0).items() if name != missing}
+        with pytest.raises(ValueError, match="^crescent boundary needs tau, d and sigma$"):
+            phase_boundary("crescent", 0.2, 2, **scales)
+    with pytest.raises(ValueError, match="^unknown phase 'ring'; expected one of "):
+        phase_boundary("ring", 0.2, 2)
+
+
 # ---------------------------------------------------------------------------
 # eigensolve plumbing
 
@@ -329,6 +338,8 @@ def test_split_bulk_picks_nearest_to_one():
     assert fp == ev[1]
     assert bulk.size == 3
     assert ev[1] not in bulk
+    with pytest.raises(ValueError, match="^empty spectrum$"):
+        split_bulk([])
 
 
 def test_one_channel_bulk_audit_end_to_end():
