@@ -95,16 +95,6 @@ _CUE_STREAM = 1
 _MAX_HISTOGRAM_BINS = 4096
 _MAX_POINTS = 10**6
 
-# Full-scale realization counts, enabled by the "full_scale" config key.
-_FULL_SCALE_REALIZATIONS = {
-    "ed-sff": 500,
-    "pqc-sff": 500,
-    "spectrum": 4,
-    "csr": 4,
-    "depth-grid": 100,
-    "phase-grid": 1,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -131,7 +121,7 @@ class ExperimentConfig:
     histogram_bins: int = 256
     output_dir: str = "out"
     allow_large: bool = False
-    full_scale: bool = False
+    full_scale: bool = False  # must be false; kept while perfbench's recorded configs list every field
 
 
 _CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
@@ -160,8 +150,8 @@ _TYPE_CHECKS = {
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON config file; unknown keys and a missing mode raise ValueError.
 
-    `"full_scale": true` raises dim and the ensemble sizes; a config with
-    mistyped fields is left as it is for validate_config to reject.
+    Every value is kept as written, besides a lone finite grid number, which
+    becomes a one-point list; validate_config judges the values.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
@@ -174,12 +164,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key in ("gamma", "tau", "epsilon"):  # a lone number is a one-point grid; anything else is left as written
         if _is_finite_number(raw.get(key)):
             raw[key] = [raw[key]]
-    cfg = ExperimentConfig(**raw)
-    if cfg.full_scale is True and not _type_issues(cfg):
-        cfg.dim = max(cfg.dim, 64)
-        cfg.realizations = _FULL_SCALE_REALIZATIONS.get(cfg.mode, cfg.realizations)
-        cfg.allow_large = True
-    return cfg
+    return ExperimentConfig(**raw)
 
 
 def _type_issues(cfg: ExperimentConfig) -> List[str]:
@@ -248,12 +233,13 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
 
     The library judges each physical key against its domain (`rmt`: every
     nonzero scale in [1e-30, 1e30], every time in [0, 1e65]), the column
-    offset and the CUE side kraus_count*dim once dim and kraus_count have
-    passed, the superoperator side dim**2 in `spectrum` and `csr`, the GOE
-    side dim in the other modes that draw H once dim has passed, and each
-    step count; the other rules stated here are the CLI's own.  In those
-    domains no derived scale or kernel product overflows (the bound table in
-    the `rmt` docstring), so the plan asks none of them.
+    offset and the CUE side kraus_count*dim in the modes that draw Kraus sets
+    once dim and kraus_count have passed, the superoperator side dim**2 in
+    `spectrum` and `csr`, the GOE side dim in the other modes that draw H
+    once dim has passed, and each step count; the other rules stated here are
+    the CLI's own.  In those domains no derived scale or kernel product
+    overflows (the bound table in the `rmt` docstring), so the plan asks none
+    of them.
     """
     if cfg.mode not in MODES:
         return _Plan([f"mode must be one of {MODES}, got {cfg.mode!r}"])
@@ -261,7 +247,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     if issues:
         return _Plan(issues)
     say = issues.append
-    draws_h = cfg.mode != "phase-grid"
+    draws_h = cfg.mode != "phase-grid"  # past ed-sff, the modes that draw H draw a Kraus set too
     # the library names each scale as the config does, but calls dim d and kraus_count K
     dim_issues = _ask("dim: ", _check_scales, d=cfg.dim)
     base = dim_issues + _ask("", _check_scales, sigma=cfg.sigma) + _ask("", _check_scales, hbar=cfg.hbar)
@@ -278,6 +264,8 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
     issues += _ask("dim: ", _check_side, *side) if draws_h and not dim_issues else []
     if cfg.dim > 32 and not cfg.allow_large:
         say(f"dim={cfg.dim} above the desk-scale limit 32 requires allow_large=true")
+    if cfg.full_scale:
+        say("full_scale must be false: set dim, realizations and allow_large")
     if cfg.realizations < 1:
         say(f"realizations must be >= 1, got {cfg.realizations}")
     if cfg.master_seed < 0:
@@ -308,7 +296,7 @@ def _plan(cfg: ExperimentConfig) -> _Plan:
             say(f"t_max must be > 0, got {cfg.t_max}")
         k_issues = _ask("kraus_count: ", _check_scales, k=cfg.kraus_count, d=None if dim_issues else cfg.dim)
         issues += k_issues
-        if not (dim_issues or k_issues):
+        if draws_h and not (dim_issues or k_issues):
             issues += _ask("", _check_scales, d=cfg.dim, k=cfg.kraus_count, column_offset=cfg.column_offset)
             issues += _ask("kraus_count*dim: ", _check_side, cfg.kraus_count * cfg.dim, "the CUE side n=K*d")
         if not cfg.tau:
@@ -721,17 +709,36 @@ def _run(cfg: ExperimentConfig, plan: _Plan, workers: int) -> dict:
 # gnuplot script emission
 
 
+_CLOUD = "unset logscale\nset size ratio -1\nset xlabel 'Re'\nset ylabel 'Im'\n"
+# The settings and plot command of each plotted kind, and of a grid table by (kind, label); {boundary} draws the
+# boundary curve listed under the artifact's label, if any.
+_PLOTS = {
+    "series": "set logscale xy\nset xlabel 't'\nset ylabel 'SFF'\n"
+              "plot '{path}' every ::1 using 1:2 with lines lw 2 title 'SFF', \\\n"
+              "     '{path}' every ::1 using 1:6 with lines dashtype 2 title 'lower bound', \\\n"
+              "     '{path}' every ::1 using 1:7 with lines dashtype 3 title 'upper bound'",
+    "cloud": _CLOUD + "plot '{path}' every ::1 using 1:2 with dots title 'spectrum'{boundary}",
+    "ratios": _CLOUD + "plot '{path}' every ::1 using 1:2 with dots title 'ratios'{boundary}",
+    ("grid", "depth-grid"): "set logscale x\nset xlabel 'tau'\nset ylabel 'relative depth'\n"
+                            "plot '{path}' every ::1 using 1:5 with points pt 7 title 'D/D_0'",
+    ("grid", "phase-grid"): "set logscale x\nset xlabel 'tau'\nset ylabel 'epsilon'\n"
+                            "plot '{path}' every ::1 using 1:2 with points pt 5 title 'grid'",
+}
+
+
 def emit_gnuplot_script(manifest: dict) -> str:
     """Gnuplot commands that render a run's artifacts next to the manifest.
 
     Only the artifacts the manifest lists are plotted, each into the PNG named
-    by its path with the '.csv' suffix swapped for '.png'.  Raises ValueError
-    unless the manifest is an object with a string 'mode', if any, and an
-    'artifacts' list of entries that each carry a string path, kind and
-    label, each path a bare name of the characters `run` writes,
-    [A-Za-z0-9._+-] (a quote or a separator would end the quoted gnuplot
-    string and open a command), and each plotted path a '.csv' table (any
-    other name would be written over by its own plot).
+    by its path with the '.csv' suffix swapped for '.png': the series, then
+    the clouds and the ratio clouds, each with the boundary of its label, then
+    the grid tables, each drawn by its label ('depth-grid', 'phase-grid').
+    Raises ValueError unless the manifest is an object with an 'artifacts'
+    list of entries that each carry a string path, kind and label, each path
+    a bare name of the characters `run` writes, [A-Za-z0-9._+-] (a quote or a
+    separator would end the quoted gnuplot string and open a command), and
+    each plotted path a '.csv' table (any other name would be written over by
+    its own plot).
     """
     artifacts = manifest.get("artifacts") if isinstance(manifest, dict) else None
     if not isinstance(artifacts, list):
@@ -743,56 +750,19 @@ def emit_gnuplot_script(manifest: dict) -> str:
             raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a bare artifact name")
         if art["kind"] in ("series", "cloud", "ratios", "boundary", "grid") and not art["path"].endswith(".csv"):
             raise ValueError(f"manifest artifact {i} path {art['path']!r} is not a .csv table")
-    mode = manifest.get("mode", "")
-    if not isinstance(mode, str):
-        raise ValueError("manifest 'mode' must be a string")
     lines = [
         "# generated by openchaos plot-script",
         "set datafile separator ','",
         "set terminal pngcairo size 900,650",
     ]
-    series = [a for a in artifacts if a["kind"] == "series"]
-    clouds = [a for a in artifacts if a["kind"] == "cloud"]
-    ratios = [a for a in artifacts if a["kind"] == "ratios"]
-    grids = [a for a in artifacts if a["kind"] == "grid"]
-    boundaries = {a["label"]: a for a in artifacts if a["kind"] == "boundary"}
-    for art in series:
-        png = art["path"].removesuffix(".csv") + ".png"
-        lines += [
-            f"set output '{png}'",
-            "set logscale xy",
-            "set xlabel 't'",
-            "set ylabel 'SFF'",
-            f"plot '{art['path']}' every ::1 using 1:2 with lines lw 2 title 'SFF', \\",
-            f"     '{art['path']}' every ::1 using 1:6 with lines dashtype 2 title 'lower bound', \\",
-            f"     '{art['path']}' every ::1 using 1:7 with lines dashtype 3 title 'upper bound'",
-        ]
-    for art in clouds + ratios:
-        png = art["path"].removesuffix(".csv") + ".png"
-        lines += [
-            f"set output '{png}'",
-            "unset logscale",
-            "set size ratio -1",
-            "set xlabel 'Re'",
-            "set ylabel 'Im'",
-        ]
-        title = "ratios" if art["kind"] == "ratios" else "spectrum"
-        plot = f"plot '{art['path']}' every ::1 using 1:2 with dots title '{title}'"
-        b = boundaries.get(art["label"])
-        if b is not None:
-            plot += f", \\\n     '{b['path']}' every ::1 using 1:2 with lines lc 'black' title 'boundary'"
-        lines.append(plot)
-    grid_plot = {"depth-grid": ("relative depth", 5, 7, "D/D_0"), "phase-grid": ("epsilon", 2, 5, "grid")}
-    if mode in grid_plot:
-        ylabel, column, pt, title = grid_plot[mode]
-        for art in grids:
-            lines += [
-                f"set output '{art['path'].removesuffix('.csv')}.png'",
-                "set logscale x",
-                "set xlabel 'tau'",
-                f"set ylabel '{ylabel}'",
-                f"plot '{art['path']}' every ::1 using 1:{column} with points pt {pt} title '{title}'",
-            ]
+    boundaries = {a["label"]: f", \\\n     '{a['path']}' every ::1 using 1:2 with lines lc 'black' title 'boundary'"
+                  for a in artifacts if a["kind"] == "boundary"}
+    for kind in ("series", "cloud", "ratios", "grid"):
+        for art in artifacts:
+            plot = _PLOTS.get((kind, art["label"]) if kind == "grid" else kind)
+            if art["kind"] == kind and plot is not None:
+                lines += [f"set output '{art['path'].removesuffix('.csv')}.png'",
+                          plot.format(path=art["path"], boundary=boundaries.get(art["label"], ""))]
     return "\n".join(lines) + "\n"
 
 

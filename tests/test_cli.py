@@ -125,7 +125,11 @@ def test_validate_rejects_bad_values(tmp_path, capsys, monkeypatch):
      "config error: channel_form must be 'mixture' or 'interleaved', got 'product'\n"),
     (lambda cfg: dict(cfg, margin=-0.1), "config error: margin must be >= 0, got -0.1\n"),
     (lambda cfg: dict(cfg, t_min=0.0), "config error: t_min must be > 0 on a log grid, got 0.0\n"),
-], ids=["unknown-mode", "json-array", "no-mode", "grid-kind", "channel-form", "negative-margin", "log-t-min-zero"])
+    # it replaced an explicit dim, realizations and allow_large, with d = 64 and 500 realizations here
+    (lambda cfg: dict(cfg, full_scale=True),
+     "config error: full_scale must be false: set dim, realizations and allow_large\n"),
+], ids=["unknown-mode", "json-array", "no-mode", "grid-kind", "channel-form", "negative-margin", "log-t-min-zero",
+        "full-scale"])
 def test_each_config_rule_exits_1_with_its_message(tmp_path, capsys, edit, message):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(edit(_write_config(p))))
@@ -954,9 +958,31 @@ def test_validate_rejects_a_superoperator_side_above_4096_before_any_draw(tmp_pa
         assert cli.main([command, str(p)]) == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    # full_scale's d = 64 is at the limit
+    # d = 64 is at the limit
     _write_config(p, **base, dim=64)
     assert cli.main(["validate", str(p)]) == 0
+
+
+@pytest.mark.parametrize("keys, message", [
+    pytest.param(dict(kraus_count=200), "config error: kraus_count*dim: the CUE side n=K*d must lie in [1, 4096]"
+                 " (a complex 4096 x 4096 matrix holds 256 MiB), got 6400\n", id="cue-side"),
+    pytest.param(dict(kraus_count=3, column_offset=500),
+                 "config error: column_offset=500 outside allowed range [1, 64]\n", id="column-offset"),
+])
+def test_the_kraus_draw_rules_bind_only_the_modes_that_draw_kraus_sets(tmp_path, capsys, monkeypatch, keys, message):
+    # phase-grid draws no Kraus set, yet these keys made it exit 1; K's own domain still binds it with d
+    p = tmp_path / "c.json"
+    config = dict(dim=32, tau=[1.0], epsilon=[0.2], **keys)
+    _write_config(p, mode="phase-grid", **config)
+    assert cli.main(["validate", str(p)]) == 0
+    assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "grid")]) == 0
+    assert [a["path"] for a in json.loads((tmp_path / "grid" / "manifest.json").read_text())["artifacts"]] == [
+        "phase_grid.csv"]
+    _no_draws(monkeypatch)
+    _write_config(p, mode="pqc-sff", **config)
+    _both_reject(p, capsys, message)
+    _write_config(p, mode="phase-grid", **dict(config, kraus_count=1023))
+    _both_reject(p, capsys, "config error: kraus_count: K must lie in [1, d^2-2], got 1023\n")
 
 
 def test_validate_rejects_a_goe_side_above_4096_before_any_draw(tmp_path, capsys, monkeypatch):
@@ -1243,8 +1269,6 @@ def test_plot_script_to_file_and_missing_manifest(tmp_path):
     pytest.param('{"artifacts": ' + "[" * 200_000 + "]" * 200_000 + "}", id="nested-200000-deep"),
     # a run config is no manifest: it has no artifacts list
     '{"mode": "pqc-sff", "dim": 4}',
-    # a mode that is no string crashed the plot lookup with a TypeError traceback
-    '{"mode": [], "artifacts": []}',
     # a plotted path that is no .csv table named its own PNG: set output 's.dat', then plot 's.dat'
     '{"artifacts": [{"path": "s.dat", "kind": "series", "label": "x"}]}',
     '{"artifacts": [{"path": "cloud", "kind": "cloud", "label": "x"}]}',
@@ -1258,6 +1282,83 @@ def test_plot_script_rejects_malformed_manifest(tmp_path, capsys, manifest):
     assert cli.main(["plot-script", str(path)]) == 1
     out = capsys.readouterr()
     assert out.err.startswith("config error: ") and out.out == ""
+
+
+def _art(path, kind, label):
+    return {"path": path, "kind": kind, "label": label}
+
+
+# every kind in one manifest, listed out of plot order: histograms, summaries and boundaries get no plot of their
+# own, a cloud or a ratio cloud carries the boundary of its label, and each grid table is drawn by its label
+_EVERY_KIND = [
+    _art("phase_grid.csv", "grid", "phase-grid"),
+    _art("csr_tau1_eps0.3.csv", "ratios", "tau1_eps0.3"),
+    _art("spectrum_tau1_eps0.2.csv", "cloud", "tau1_eps0.2"),
+    _art("boundary_tau1_eps0.2.csv", "boundary", "tau1_eps0.2"),
+    _art("spectrum_tau1_eps0.2.hist.json", "histogram", "tau1_eps0.2"),
+    _art("depth_grid.csv", "grid", "depth-grid"),
+    _art("pqc-sff_tau0.2_eps0.1.csv", "series", "tau0.2_eps0.1"),
+    _art("spectrum_summary.csv", "summary", "summary"),
+]
+_EVERY_KIND_SCRIPT = """\
+# generated by openchaos plot-script
+set datafile separator ','
+set terminal pngcairo size 900,650
+set output 'pqc-sff_tau0.2_eps0.1.png'
+set logscale xy
+set xlabel 't'
+set ylabel 'SFF'
+plot 'pqc-sff_tau0.2_eps0.1.csv' every ::1 using 1:2 with lines lw 2 title 'SFF', \\
+     'pqc-sff_tau0.2_eps0.1.csv' every ::1 using 1:6 with lines dashtype 2 title 'lower bound', \\
+     'pqc-sff_tau0.2_eps0.1.csv' every ::1 using 1:7 with lines dashtype 3 title 'upper bound'
+set output 'spectrum_tau1_eps0.2.png'
+unset logscale
+set size ratio -1
+set xlabel 'Re'
+set ylabel 'Im'
+plot 'spectrum_tau1_eps0.2.csv' every ::1 using 1:2 with dots title 'spectrum', \\
+     'boundary_tau1_eps0.2.csv' every ::1 using 1:2 with lines lc 'black' title 'boundary'
+set output 'csr_tau1_eps0.3.png'
+unset logscale
+set size ratio -1
+set xlabel 'Re'
+set ylabel 'Im'
+plot 'csr_tau1_eps0.3.csv' every ::1 using 1:2 with dots title 'ratios'
+set output 'phase_grid.png'
+set logscale x
+set xlabel 'tau'
+set ylabel 'epsilon'
+plot 'phase_grid.csv' every ::1 using 1:2 with points pt 5 title 'grid'
+set output 'depth_grid.png'
+set logscale x
+set xlabel 'tau'
+set ylabel 'relative depth'
+plot 'depth_grid.csv' every ::1 using 1:5 with points pt 7 title 'D/D_0'
+"""
+
+
+def test_plot_script_draws_every_kind_in_its_order(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"artifacts": _EVERY_KIND}))
+    assert cli.main(["plot-script", str(path)]) == 0
+    assert capsys.readouterr().out == _EVERY_KIND_SCRIPT
+
+
+@pytest.mark.parametrize("mode", [None, "depth-grid", [], "spectrum"],
+                         ids=["no-mode", "depth-grid", "list", "spectrum"])
+def test_plot_script_draws_a_grid_table_by_its_label(tmp_path, capsys, mode):
+    # the grid table was looked up by the manifest's mode: without one it went undrawn, under another mode's name
+    # it took that mode's axes, and a mode that is no string made the manifest unplottable
+    manifest = {"artifacts": [_art("phase_grid.csv", "grid", "phase-grid"), _art("odd.csv", "grid", "odd")]}
+    if mode is not None:
+        manifest["mode"] = mode
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["plot-script", str(path)]) == 0
+    out = capsys.readouterr()
+    assert out.out.endswith("set ylabel 'epsilon'\nplot 'phase_grid.csv' every ::1 using 1:2 with points pt 5 title "
+                            "'grid'\n"), out.out
+    assert "odd" not in out.out and out.err == ""
 
 
 @pytest.mark.parametrize("mode", ["phase-grid", "depth-grid"])
@@ -1295,18 +1396,6 @@ def test_plot_script_into_missing_directory_is_a_runtime_error(tmp_path, capsys)
     out = capsys.readouterr()
     assert out.err.startswith("runtime error: ") and out.out == ""
     assert not target.exists()
-
-
-def test_full_scale_key_raises_dim_and_realizations(tmp_path):
-    p = tmp_path / "c.json"
-    _write_config(p, mode="csr", kraus_count=2, tau=[1.0], epsilon=[0.3],
-                  full_scale=True)
-    loaded = cli.load_config(p)
-    assert loaded.full_scale
-    assert loaded.dim == 64
-    assert loaded.realizations == 4
-    assert loaded.allow_large
-    assert not cli.validate_config(loaded)
 
 
 def test_gamma_scalar_promoted_to_list(tmp_path):
